@@ -21,8 +21,8 @@ from .flatness import (DEFAULT_SERIES_TRUNCATION, JET_ORDER_MARGIN,
                        FlatOutput, control_series, control_trace)
 from .gevrey import step_function
 from .schrodinger_sim import SimConfig
-from .smoothing import (ControlTrace, PiecewiseProfile, boundary_trace,
-                        convolution_integral, flat_coefficients)
+from .smoothing import (ControlTrace, PiecewiseProfile, _polyval_ascending,
+                        boundary_trace, convolution_integral, flat_coefficients)
 
 EXTENSION_SUPPORT = 2.0
 
@@ -31,13 +31,6 @@ _ENDPOINT_TOL = 1e-8
 
 class BeamError(ValueError):
     pass
-
-
-def _polyval(coeffs, x):
-    out = np.zeros_like(x, dtype=np.complex128) + coeffs[-1]
-    for c in coeffs[-2::-1]:
-        out = out * x + c
-    return out
 
 
 def _poly_antiderivative(coeffs):
@@ -71,8 +64,8 @@ def poisson_profile(eta1: PiecewiseProfile) -> PiecewiseProfile:
     for (a, b), c in zip(zip(edges[:-1], edges[1:]), eta1.pieces):
         p = _poly_antiderivative(c)
         q = _poly_antiderivative(p)
-        pa = _polyval(p, np.array([a]))[0]
-        qa = _polyval(q, np.array([a]))[0]
+        pa = _polyval_ascending(p, np.array([a]))[0]
+        qa = _polyval_ascending(q, np.array([a]))[0]
         # R(x) = Q(x) + (slope - P(a)) x + const on this piece
         lin = r_slope - pa
         const = r_val - qa - lin * a
@@ -80,8 +73,8 @@ def poisson_profile(eta1: PiecewiseProfile) -> PiecewiseProfile:
         rp[1] += lin
         rp[0] += const
         r_pieces.append(rp)
-        r_val = _polyval(rp, np.array([b]))[0]
-        pb = _polyval(p, np.array([b]))[0]
+        r_val = _polyval_ascending(rp, np.array([b]))[0]
+        pb = _polyval_ascending(p, np.array([b]))[0]
         r_slope = r_slope + (pb - pa)
     r1 = r_val
     psi_pieces = []

@@ -388,26 +388,23 @@ def convergence_study(sc: Scenario, levels, out_dir):
     rows = []
     exact_errors = []
     base = sc.sim
-    trace = None
-    if sc.equation == "schrodinger" and sc.control == "synthesized":
-        trace, _, _ = synthesize_control(sc)
     for lvl in range(levels):
         cfg = SimConfig(Nx=base.Nx * 2 ** lvl, Nt=base.Nt * 2 ** lvl,
                         T=base.T, snapshot_count=base.snapshot_count)
-        if sc.equation == "beam":
-            entries = run_beam(replace(sc, sim=cfg), out / f"level{lvl}")
-            rel = entries["energy_ratio"]
-            tail = entries["tail_max"]
-        else:
-            snapshots = simulate(sc.theta0, trace, cfg)
-            rep = terminal_report(snapshots)
-            rel = rep["relative"]
+        if sc.equation == "schrodinger" and sc.control == "none":
+            snapshots = simulate(sc.theta0, None, cfg)
+            rel = terminal_report(snapshots)["relative"]
             tail = 0.0
-            if sc.control == "none":
-                last = snapshots[-1]
-                exact = (np.exp(-1j * np.pi ** 2 * last.t)
-                         * np.sin(np.pi * last.grid))
-                exact_errors.append(float(np.max(np.abs(last.values - exact))))
+            last = snapshots[-1]
+            exact = (np.exp(-1j * np.pi ** 2 * last.t)
+                     * np.sin(np.pi * last.grid))
+            exact_errors.append(float(np.max(np.abs(last.values - exact))))
+        else:
+            # each level synthesizes its control on its own time grid, so the
+            # study measures the method, not the interpolation of a coarse trace
+            entries = run_scenario(replace(sc, sim=cfg), out / f"level{lvl}")
+            rel = entries["energy_ratio" if sc.equation == "beam" else "relative_terminal"]
+            tail = entries["tail_max"]
         rows.append((lvl, cfg.Nx, cfg.Nt, rel, tail))
     with open(out / "study.csv", "w", encoding="utf-8") as fh:
         fh.write("level,Nx,Nt,terminal_relative_norm,series_tail\n")

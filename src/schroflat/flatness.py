@@ -13,6 +13,12 @@ truncated series
 evaluated through one shared term computation, so the state at x=1
 reproduces the control bit for bit.
 
+Every quantity carries a trailing sample axis: a whole time grid goes
+through one pass of the jet recurrences, the Leibniz rule and the series,
+and a single time is the one-sample case of the same code.  Sums over the
+order axis run in a fixed order, so a sample's value does not depend on
+the batch it was computed in.
+
 Derivatives are carried unnormalized (y^(0), y^(1), ...) and combined with
 an explicit Leibniz rule.  At the endpoints the step factor's derivative
 vector is exactly (1,0,...) or (0,0,...), and multiplying by exact ones
@@ -26,13 +32,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gevrey import MAX_JET_ORDER, ComplexJet, step_jet
-from .smoothing import PHASE_FLATNESS, ControlTrace, FlatSeed
+from .smoothing import _MIPOW, PHASE_FLATNESS, ControlTrace, FlatSeed
 
 DEFAULT_SERIES_TRUNCATION = 15
 # headroom above the series truncation for u' and residual checks
 JET_ORDER_MARGIN = 6
-
-_MIPOW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 
 @dataclass(eq=False)
@@ -59,32 +63,70 @@ class FlatOutput:
     def tau(self):
         return self.seed.tau
 
-    def _check_time(self, t):
-        if not self.tau <= t <= self.T:
-            raise ValueError(f"t={t} outside [tau, T] = [{self.tau}, {self.T}]")
+    def _times(self, t):
+        """t as a 1-d array of samples, each checked to lie in [tau, T]."""
+        t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+        outside = ~((t >= self.tau) & (t <= self.T))
+        if np.any(outside):
+            raise ValueError(f"t={t[outside][0]} outside [tau, T] = [{self.tau}, {self.T}]")
+        return t
 
 
-def _analytic_derivatives(fo: FlatOutput, t: float) -> np.ndarray:
+def _orders(values):
+    # a per-order vector as a column against the sample axis
+    return np.asarray(values, dtype=np.float64)[:, None]
+
+
+def _sum_orders(terms):
+    """Sum over the order axis in increasing order, sample by sample.
+
+    An explicit loop keeps every sample's result independent of how many
+    samples share the batch (a numpy reduction would pick its summation
+    order from the array's shape).
+    """
+    total = np.zeros(terms.shape[1:], dtype=np.complex128)
+    for term in terms:
+        total += term
+    return total
+
+
+def _analytic_derivatives(fo: FlatOutput, t: np.ndarray) -> np.ndarray:
     """ybar^(m)(t) = sum_{j>=m} y_j (t-tau)^(j-m)/(j-m)!, m = 0..jet_order."""
     dt = t - fo.tau
     K = fo.seed.K
-    out = np.zeros(fo.jet_order + 1, dtype=np.complex128)
+    y = fo.seed.y
+    out = np.zeros((fo.jet_order + 1,) + t.shape, dtype=np.complex128)
     for m in range(min(fo.jet_order, K) + 1):
-        acc = 0.0 + 0.0j
+        acc = np.zeros(t.shape, dtype=np.complex128)
         for j in range(K, m, -1):
-            acc += fo.seed.y[j] * dt ** (j - m) / math.factorial(j - m)
-        out[m] = acc + fo.seed.y[m]
+            acc += y[j] * dt ** (j - m) / math.factorial(j - m)
+        out[m] = acc + y[m]
     return out
 
 
-def _step_derivatives(fo: FlatOutput, t: float) -> np.ndarray:
+def _step_derivatives(fo: FlatOutput, t: np.ndarray) -> np.ndarray:
     """Derivatives in t of phi_s((t-tau)/(T-tau)) up to the jet order."""
     delta = fo.T - fo.tau
-    sigma = (t - fo.tau) / delta
-    phi = step_jet(sigma, fo.s, fo.jet_order)
+    phi = step_jet((t - fo.tau) / delta, fo.s, fo.jet_order)
     orders = np.arange(fo.jet_order + 1)
-    facts = np.array([math.factorial(j) for j in orders], dtype=np.float64)
-    return phi.coeffs * facts * (1.0 / delta) ** orders
+    facts = [math.factorial(j) for j in orders]
+    return phi.coeffs * _orders(facts) * _orders((1.0 / delta) ** orders)
+
+
+def _derivatives(fo: FlatOutput, t: np.ndarray) -> np.ndarray:
+    """y^(m)(t) for m = 0..jet_order (rows) at each sample (columns).
+
+    Leibniz rule, each y^(m) summed in increasing k of C(m,k) phi^(k)
+    ybar^(m-k).
+    """
+    ybar = _analytic_derivatives(fo, t)
+    phi = _step_derivatives(fo, t)
+    n = fo.jet_order
+    out = np.zeros_like(ybar)
+    for k in range(n + 1):
+        comb = _orders([math.comb(m, k) for m in range(k, n + 1)])
+        out[k:] += comb * phi[k] * ybar[: n + 1 - k]
+    return out
 
 
 def flat_output_derivatives(fo: FlatOutput, t: float) -> np.ndarray:
@@ -92,23 +134,12 @@ def flat_output_derivatives(fo: FlatOutput, t: float) -> np.ndarray:
 
     This is the canonical representation; both series below consume it.
     """
-    fo._check_time(t)
-    ybar = _analytic_derivatives(fo, t)
-    phi = _step_derivatives(fo, t)
-    n = fo.jet_order
-    out = np.zeros(n + 1, dtype=np.complex128)
-    for m in range(n + 1):
-        acc = 0.0 + 0.0j
-        for k in range(m + 1):
-            acc += float(math.comb(m, k)) * phi[k] * ybar[m - k]
-        out[m] = acc
-    return out
+    return _derivatives(fo, fo._times(float(t)))[:, 0]
 
 
 def analytic_part_jet(fo: FlatOutput, t: float) -> ComplexJet:
     """Normalized-coefficient view of ybar at t."""
-    fo._check_time(t)
-    derivs = _analytic_derivatives(fo, t)
+    derivs = _analytic_derivatives(fo, fo._times(float(t)))[:, 0]
     facts = np.array([math.factorial(j) for j in range(derivs.size)])
     return ComplexJet(t, derivs / facts)
 
@@ -120,51 +151,54 @@ def flat_output_jet(fo: FlatOutput, t: float) -> ComplexJet:
     return ComplexJet(t, derivs / facts)
 
 
-def _series_terms(fo: FlatOutput, t: float, truncation: int):
-    """Per-order contributions to u and u' plus the tail magnitude."""
+def _series_terms(fo: FlatOutput, t: np.ndarray, truncation: int):
+    """Per-order contributions to u and u' (rows) at each sample (columns)."""
     if truncation < 0:
         raise ValueError("series truncation must be nonnegative")
     if fo.jet_order < truncation + 1:
         raise ValueError(
             f"jet order {fo.jet_order} too small for truncation {truncation}")
-    derivs = flat_output_derivatives(fo, t)
-    terms = np.zeros(truncation + 1, dtype=np.complex128)
-    dterms = np.zeros(truncation + 1, dtype=np.complex128)
-    for k in range(truncation + 1):
-        fact = math.factorial(2 * k + 1)
-        terms[k] = _MIPOW[k % 4] * derivs[k] / fact
-        dterms[k] = _MIPOW[k % 4] * derivs[k + 1] / fact
-    return terms, dterms, float(abs(terms[truncation]))
+    derivs = _derivatives(fo, t)
+    k = np.arange(truncation + 1)
+    mipow = np.array(_MIPOW)[k % 4][:, None]
+    facts = _orders([math.factorial(2 * j + 1) for j in k])
+    terms = mipow * derivs[: truncation + 1] / facts
+    dterms = mipow * derivs[1: truncation + 2] / facts
+    return terms, dterms
+
+
+def _control_series(fo: FlatOutput, t: np.ndarray, truncation: int):
+    """(u, du, tail) arrays over the samples t."""
+    terms, dterms = _series_terms(fo, t, truncation)
+    return _sum_orders(terms), _sum_orders(dterms), np.abs(terms[truncation])
 
 
 def control_series(fo: FlatOutput, t: float, truncation: int = DEFAULT_SERIES_TRUNCATION):
     """Boundary control u(t), its time derivative, and the tail indicator.
 
     Returns (u, du, tail) where tail is the magnitude of the last retained
-    series term, the natural resolution limit of the truncation.
+    series term, the natural resolution limit of the truncation.  The
+    one-sample case of control_trace, bit for bit.
     """
-    terms, dterms, tail = _series_terms(fo, t, truncation)
-    return complex(np.sum(terms)), complex(np.sum(dterms)), tail
+    u, du, tail = _control_series(fo, fo._times(float(t)), truncation)
+    return complex(u[0]), complex(du[0]), float(tail[0])
 
 
 def state_series(fo: FlatOutput, t: float, x,
                  truncation: int = DEFAULT_SERIES_TRUNCATION):
     """Interior state theta(t,x); identical to the control at x=1."""
-    terms, _, _ = _series_terms(fo, t, truncation)
+    terms, _ = _series_terms(fo, fo._times(float(t)), truncation)
     xa = np.asarray(x, dtype=np.float64)
-    powers = xa[..., None] ** (2 * np.arange(truncation + 1) + 1)
-    value = np.sum(terms * powers, axis=-1)
+    value = np.zeros(xa.shape, dtype=np.complex128)
+    for k, term in enumerate(terms[:, 0]):
+        value += term * xa ** (2 * k + 1)
     return complex(value) if np.ndim(x) == 0 else value
 
 
 def control_trace(fo: FlatOutput, t_grid,
                   truncation: int = DEFAULT_SERIES_TRUNCATION) -> ControlTrace:
-    """Sample the phase-2 control on a time grid."""
+    """Sample the phase-2 control on a time grid, all samples at once."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    u = np.zeros(t_grid.size, dtype=np.complex128)
-    du = np.zeros(t_grid.size, dtype=np.complex128)
-    err = np.zeros(t_grid.size)
-    for i, t in enumerate(t_grid):
-        u[i], du[i], err[i] = control_series(fo, t, truncation)
+    u, du, err = _control_series(fo, fo._times(t_grid), truncation)
     phase = np.full(t_grid.size, PHASE_FLATNESS, dtype=np.uint8)
     return ControlTrace(t_grid, u, du, phase, err)

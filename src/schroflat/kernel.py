@@ -8,12 +8,13 @@ polynomial of degree m with the parity of m, obtained from
 
 The odd-symmetrized kernel F(t,x,y) = E(t,x-y) - E(t,x+y) realizes the
 Dirichlet condition at x = 0 for odd data.
+
+Every function accepts a time per point: t broadcasts against x (and y),
+so one call evaluates a batch of samples at different times.  The
+coefficients of p_m are built for the whole batch in one pass of the
+recurrence; nothing is cached between calls.
 """
-import threading
-
 import numpy as np
-
-from ._backend import HAS_NUMBA, njit
 
 MAX_ORDER = 64
 
@@ -22,109 +23,78 @@ class KernelError(ValueError):
     """Domain or capability violation in kernel evaluation."""
 
 
-@njit(cache=True)
-def _horner_complex(coeffs, x, out):
-    # coeffs ascending; evaluates at each x into out
-    n = coeffs.shape[0]
-    for i in range(x.shape[0]):
-        acc = coeffs[n - 1]
-        for j in range(n - 2, -1, -1):
-            acc = acc * x[i] + coeffs[j]
-        out[i] = acc
+def derivative_coefficients(t, order):
+    """Coefficients of p_order, ascending in x, for each time in t.
 
-
-def _horner_numpy(coeffs, x, out):
-    acc = np.full_like(x, coeffs[-1], dtype=np.complex128)
-    for j in range(len(coeffs) - 2, -1, -1):
-        acc *= x
-        acc += coeffs[j]
-    out[:] = acc
-
-
-_horner = _horner_complex if HAS_NUMBA else _horner_numpy
-
-
-class KernelDerivPoly:
-    """The polynomial p_m for a fixed (t, m), with Horner evaluation.
-
-    coeffs[j] multiplies x^j; entries of the parity opposite to m are
-    exactly zero by construction.
+    Returns an array of shape np.shape(t) + (order+1,); entries of the
+    parity opposite to the order are exactly zero by construction.
     """
-
-    __slots__ = ("t", "order", "coeffs")
-
-    def __init__(self, t, order, coeffs):
-        self.t = t
-        self.order = order
-        self.coeffs = coeffs
-
-    @classmethod
-    def build(cls, t, order):
-        if order < 0 or order > MAX_ORDER:
-            raise KernelError(f"derivative order {order} outside [0, {MAX_ORDER}]")
-        c = np.zeros(order + 1, dtype=np.complex128)
-        c[0] = 1.0
-        half = 1j / (2.0 * t)
-        for m in range(order):
-            nxt = np.zeros(order + 1, dtype=np.complex128)
-            nxt[: m + 1] = np.arange(1, m + 2) * c[1 : m + 2]
-            nxt[1 : m + 2] += half * c[: m + 1]
-            c = nxt
-        if not np.all(np.isfinite(c)):
-            raise KernelError(f"coefficient overflow at order {order}, t={t}")
-        return cls(t, order, c)
-
-    def __call__(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        out = np.empty(x.shape[0], dtype=np.complex128)
-        _horner(self.coeffs, x, out)
-        return out
+    if order < 0 or order > MAX_ORDER:
+        raise KernelError(f"derivative order {order} outside [0, {MAX_ORDER}]")
+    t = np.asarray(t, dtype=np.float64)
+    c = np.zeros(t.shape + (order + 1,), dtype=np.complex128)
+    c[..., 0] = 1.0
+    half = 1j / (2.0 * t[..., None])
+    for m in range(order):
+        nxt = np.zeros_like(c)
+        nxt[..., : m + 1] = np.arange(1, m + 2) * c[..., 1 : m + 2]
+        nxt[..., 1 : m + 2] += half * c[..., : m + 1]
+        c = nxt
+    if not np.all(np.isfinite(c)):
+        raise KernelError(f"coefficient overflow at order {order}")
+    return c
 
 
-_poly_cache = {}
-_poly_lock = threading.Lock()
+def _horner(coeffs, x):
+    """Ascending coefficients (trailing axis) evaluated at x, pointwise."""
+    acc = np.broadcast_to(coeffs[..., -1], x.shape).astype(np.complex128)
+    for j in range(coeffs.shape[-1] - 2, -1, -1):
+        acc *= x
+        acc += coeffs[..., j]
+    return acc
 
 
-def _poly(t, order):
-    key = (float(t), int(order))
-    p = _poly_cache.get(key)
-    if p is None:
-        p = KernelDerivPoly.build(float(t), int(order))
-        with _poly_lock:
-            _poly_cache.setdefault(key, p)
-    return p
+def _check_times(t):
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t == 0):
+        raise KernelError("kernel is singular at t = 0")
+    return t
 
 
 def fundamental_solution(t, x):
     """E(t,x) with the principal branch of the square root.
 
-    Accepts scalar or array x; t must be a nonzero scalar.
+    t (nonzero) and x are scalars or arrays that broadcast together.
     """
-    if t == 0:
-        raise KernelError("kernel is singular at t = 0")
+    t = _check_times(t)
     x = np.asarray(x, dtype=np.float64)
     return np.exp(1j * x * x / (4.0 * t)) / np.sqrt(4j * np.pi * t)
 
 
+def _derivative(t, x, m):
+    # p_m(x) E(t,x); t is one time or one time per point of x
+    if m == 0:
+        return fundamental_solution(t, x)
+    return _horner(derivative_coefficients(t, m), x) * fundamental_solution(t, x)
+
+
 def kernel_derivative(t, x, m):
-    """d^m/dx^m E(t,x) = p_m(x) E(t,x) for scalar or array x."""
-    if t == 0:
-        raise KernelError("kernel is singular at t = 0")
-    scalar = np.isscalar(x) or np.asarray(x).ndim == 0
-    xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    vals = _poly(t, m)(xa) * fundamental_solution(t, xa)
+    """d^m/dx^m E(t,x) = p_m(x) E(t,x) for scalar or array x (and t)."""
+    t = _check_times(t)
+    scalar = np.ndim(x) == 0 and t.ndim == 0
+    vals = _derivative(t, np.atleast_1d(np.asarray(x, dtype=np.float64)), m)
     return vals[0] if scalar else vals
 
 
 def odd_kernel(t, x, y, m=0):
     """d^m/dx^m F(t,x,y) with F(t,x,y) = E(t,x-y) - E(t,x+y).
 
-    x is a scalar; y may be an array (the quadrature variable).
+    y is the quadrature variable; t and x are scalars or arrays that
+    broadcast against it, for instance one (t, x) per row of y.
     """
-    if t == 0:
-        raise KernelError("kernel is singular at t = 0")
-    scalar = np.isscalar(y) or np.asarray(y).ndim == 0
+    t = _check_times(t)
+    scalar = np.ndim(y) == 0
     ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    p = _poly(t, m)
-    vals = p(x - ya) * fundamental_solution(t, x - ya) - p(x + ya) * fundamental_solution(t, x + ya)
+    xa = np.asarray(x, dtype=np.float64)
+    vals = _derivative(t, xa - ya, m) - _derivative(t, xa + ya, m)
     return vals[0] if scalar else vals

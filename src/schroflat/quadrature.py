@@ -1,15 +1,18 @@
 """Adaptive Gauss-Kronrod quadrature for complex integrands on [0,1].
 
-Panels are processed in batches: every pending panel is evaluated in one
-vectorized call per refinement generation, which keeps the Python overhead
-away from the innermost kernel evaluations.  Declared breakpoints seed the
-initial panel edges, so no panel ever straddles a discontinuity of the
-integrand.  Summation order is fixed (panels sorted by left edge), making
-results bit-reproducible for a given problem.
+One adaptive loop integrates a whole batch of integrands (samples): its
+work list holds (sample, panel) pairs, and every pending panel of every
+sample is evaluated in one vectorized call per refinement generation,
+which keeps the Python overhead away from the innermost kernel
+evaluations.  Each sample is subdivided exactly as if it were integrated
+alone; a single integral is the one-sample case.  Declared breakpoints seed
+the initial panel edges, so no panel ever straddles a discontinuity of the
+integrand.  Summation order is fixed (each sample's panels sorted by left
+edge), making results bit-reproducible for a given problem.
 """
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,13 +51,41 @@ GAUSS_IDX = np.array([1, 3, 5, 7, 9, 11, 13])
 WEIGHTS7 = np.concatenate([_WG[:-1], _WG[::-1]])
 
 
-class QuadratureError(RuntimeError):
-    """Subdivision budget exhausted; carries the best value obtained."""
 
-    def __init__(self, message, value, err_estimate):
+# Panels per vectorized integrand call.  A generation of a large batch is
+# split into calls of at most this many panels (15 points each), which
+# bounds the memory of one call whatever the batch size.
+PANELS_PER_CALL = 2 ** 13
+
+# A panel whose error estimate is at the rounding floor of its own L1 mass
+# cannot improve under bisection; integrands with large oscillatory
+# cancellation (kernel derivatives at small t) would otherwise exhaust the
+# budget chasing unreachable tolerances.
+_FLOOR_FACTOR = 100.0 * np.finfo(np.float64).eps
+
+
+class QuadratureError(RuntimeError):
+    """Subdivision budget exhausted; carries the best value obtained.
+
+    sample is the index of the failing integral within its batch.
+    """
+
+    def __init__(self, message, value, err_estimate, sample=0):
         super().__init__(message)
         self.value = value
         self.err_estimate = err_estimate
+        self.sample = sample
+
+
+def _checked_breakpoints(breakpoints, abs_tol, rel_tol):
+    bps = tuple(float(b) for b in breakpoints)
+    if any(not (0.0 < b < 1.0) for b in bps):
+        raise ValueError("breakpoints must lie strictly inside (0,1)")
+    if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    if abs_tol <= 0 or rel_tol <= 0:
+        raise ValueError("tolerances must be positive")
+    return bps
 
 
 @dataclass(frozen=True)
@@ -66,21 +97,15 @@ class IntegrationProblem:
     max_subdivisions: int = 2 ** 14
 
     def __post_init__(self):
-        bps = tuple(float(b) for b in self.breakpoints)
-        if any(not (0.0 < b < 1.0) for b in bps):
-            raise ValueError("breakpoints must lie strictly inside (0,1)")
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-            raise ValueError("breakpoints must be strictly increasing")
-        if self.abs_tol <= 0 or self.rel_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "breakpoints", _checked_breakpoints(
+            self.breakpoints, self.abs_tol, self.rel_tol))
 
 
-def _panel_sums(f, lo, hi):
+def _panel_sums(f, lo, hi, sample):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     xs = mid[:, None] + half[:, None] * NODES15[None, :]
-    fv = np.asarray(f(xs.ravel()), dtype=np.complex128).reshape(xs.shape)
+    fv = np.asarray(f(xs, sample[:, None]), dtype=np.complex128).reshape(xs.shape)
     kron = half * (fv @ WEIGHTS15)
     gauss = half * (fv[:, GAUSS_IDX] @ WEIGHTS7)
     diff = kron - gauss
@@ -89,71 +114,121 @@ def _panel_sums(f, lo, hi):
     return kron, err, scale
 
 
-# A panel whose error estimate is at the rounding floor of its own L1 mass
-# cannot improve under bisection; integrands with large oscillatory
-# cancellation (kernel derivatives at small t) would otherwise exhaust the
-# budget chasing unreachable tolerances.
-_FLOOR_FACTOR = 100.0 * np.finfo(np.float64).eps
+def _evaluate(f, lo, hi, sample):
+    chunks = [_panel_sums(f, lo[a:a + PANELS_PER_CALL], hi[a:a + PANELS_PER_CALL],
+                          sample[a:a + PANELS_PER_CALL])
+              for a in range(0, lo.size, PANELS_PER_CALL)]
+    return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
-def integrate(problem: IntegrationProblem):
-    """Integral of problem.integrand over [0,1] -> (value, err_estimate)."""
-    edges = np.array([0.0, *problem.breakpoints, 1.0])
-    lo, hi = edges[:-1].copy(), edges[1:].copy()
-    acc_lo = []
-    acc_val = []
-    acc_err = []
-    used = 0
-    prev_errsum = math.inf
-    stalled = 0
+def _ordered_sum(lo, vals, errs):
+    # fixed summation order: panels sorted by left edge
+    order = np.argsort(lo, kind="stable")
+    return complex(vals[order].sum()), float(errs[order].sum())
+
+
+def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
+                    rel_tol=1e-8, max_subdivisions=2 ** 14):
+    """Integrals over [0,1] of a batch of integrands in one adaptive loop.
+
+    integrand(x, s) evaluates the integrands at the nodes x, an array with
+    one row of Gauss-Kronrod nodes per panel; s is the column of the
+    panels' sample indices and broadcasts against x.  The work list holds
+    (sample, panel) pairs and every sample keeps its own decisions: the
+    tolerance from its own total, the rounding floor, the summed-error
+    shortcut, the two-generation stall and the panel budget.  Per-sample sums over the work list come from
+    np.bincount, so each sample is subdivided as if integrated alone.
+
+    Returns (values, errs, panels): the integrals, their error estimates
+    and the number of panels evaluated, one entry per sample.  A sample
+    that exhausts its budget raises QuadratureError with its index.
+    """
+    bps = _checked_breakpoints(breakpoints, abs_tol, rel_tol)
+    edges = np.array([0.0, *bps, 1.0])
+    lo = np.tile(edges[:-1], samples)
+    hi = np.tile(edges[1:], samples)
+    smp = np.repeat(np.arange(samples), edges.size - 1)
+    used = np.zeros(samples, dtype=np.int64)
+    acc_re = np.zeros(samples)
+    acc_im = np.zeros(samples)
+    acc_err = np.zeros(samples)
+    prev_errsum = np.full(samples, math.inf)
+    stalled = np.zeros(samples, dtype=np.int64)
+    kept = []
+
+    def per_sample(owner, weights):
+        return np.bincount(owner, weights=weights, minlength=samples)
 
     while lo.size:
-        used += lo.size
-        if used > problem.max_subdivisions:
-            kron, err, _ = _panel_sums(problem.integrand, lo, hi)
-            order = np.argsort(np.concatenate([np.array(acc_lo), lo]), kind="stable")
-            vals = np.concatenate([np.array(acc_val, dtype=np.complex128), kron])
-            errs = np.concatenate([np.array(acc_err), err])
-            best = complex(vals[order].sum())
-            best_err = float(errs[order].sum())
+        used += np.bincount(smp, minlength=samples)
+        kron, err, scale = _evaluate(integrand, lo, hi, smp)
+        over = np.flatnonzero(used > max_subdivisions)
+        if over.size:
+            s = int(over[0])
+            parts = [*kept, (smp, lo, kron, err)]
+            best, best_err = _ordered_sum(*(
+                np.concatenate([p[i][p[0] == s] for p in parts]) for i in (1, 2, 3)))
             raise QuadratureError(
-                f"no convergence within {problem.max_subdivisions} panel evaluations",
-                best, best_err)
-        kron, err, scale = _panel_sums(problem.integrand, lo, hi)
+                f"no convergence within {max_subdivisions} panel evaluations",
+                best, best_err, s)
 
-        total = kron.sum() + (np.sum(acc_val) if acc_val else 0.0)
-        tol = max(problem.abs_tol, problem.rel_tol * abs(total))
-        ok = (err <= tol * (hi - lo)) | (err <= _FLOOR_FACTOR * scale)
-        errsum = err.sum() + (np.sum(acc_err) if acc_err else 0.0)
+        total = np.hypot(acc_re + per_sample(smp, kron.real),
+                         acc_im + per_sample(smp, kron.imag))
+        tol = np.maximum(abs_tol, rel_tol * total)
+        gen_err = per_sample(smp, err)
+        errsum = acc_err + gen_err
         # the width-proportional budget is only a splitting heuristic; once
         # the summed estimate meets the target there is nothing left to chase
-        if errsum <= tol:
-            ok = np.ones_like(ok)
+        done = errsum <= tol
         # two generations without material improvement mean the estimate sits
         # on the integrand's own noise floor; a genuine unresolved feature
         # keeps halving the sum.  Return the best value with an honest err.
         # Guard: only panels already in the asymptotic regime count, else an
         # unresolved oscillation (err comparable to the panel L1 mass) would
         # stall too and a confidently wrong value would be accepted.
-        resolved = err.sum() <= 1e-6 * scale.sum()
-        stalled = stalled + 1 if (resolved and errsum > 0.7 * prev_errsum) else 0
-        if stalled >= 2:
-            ok = np.ones_like(ok)
+        resolved = gen_err <= 1e-6 * per_sample(smp, scale)
+        stalled = np.where(resolved & (errsum > 0.7 * prev_errsum), stalled + 1, 0)
+        done |= stalled >= 2
         prev_errsum = errsum
 
-        acc_lo.extend(lo[ok].tolist())
-        acc_val.extend(kron[ok].tolist())
-        acc_err.extend(err[ok].tolist())
+        ok = ((err <= tol[smp] * (hi - lo)) | (err <= _FLOOR_FACTOR * scale)
+              | done[smp])
+        kept.append((smp[ok], lo[ok], kron[ok], err[ok]))
+        acc_re += per_sample(smp[ok], kron[ok].real)
+        acc_im += per_sample(smp[ok], kron[ok].imag)
+        acc_err += per_sample(smp[ok], err[ok])
 
-        bad_lo, bad_hi = lo[~ok], hi[~ok]
+        bad = ~ok
+        bad_lo, bad_hi, bad_smp = lo[bad], hi[bad], smp[bad]
         mid = 0.5 * (bad_lo + bad_hi)
         lo = np.concatenate([bad_lo, mid])
         hi = np.concatenate([mid, bad_hi])
+        smp = np.concatenate([bad_smp, bad_smp])
 
-    order = np.argsort(np.array(acc_lo), kind="stable")
-    vals = np.array(acc_val, dtype=np.complex128)[order]
-    errs = np.array(acc_err)[order]
-    return complex(vals.sum()), float(errs.sum())
+    values = np.zeros(samples, dtype=np.complex128)
+    errs = np.zeros(samples)
+    if kept:
+        owner, k_lo, k_val, k_err = (np.concatenate(c) for c in zip(*kept))
+        order = np.lexsort((k_lo, owner))
+        k_val, k_err = k_val[order], k_err[order]
+        bounds = np.searchsorted(owner[order], np.arange(samples + 1))
+        # one numpy sum per sample, the summation of a lone integral
+        for s in range(samples):
+            a, b = bounds[s], bounds[s + 1]
+            values[s] = k_val[a:b].sum()
+            errs[s] = k_err[a:b].sum()
+    return values, errs, used
+
+
+def integrate(problem: IntegrationProblem):
+    """Integral of problem.integrand over [0,1] -> (value, err_estimate).
+
+    The one-sample case of integrate_batch.
+    """
+    values, errs, _ = integrate_batch(
+        lambda x, s: problem.integrand(x.ravel()), 1, problem.breakpoints,
+        problem.abs_tol, problem.rel_tol, problem.max_subdivisions)
+    return complex(values[0]), float(errs[0])
 
 
 def integrate_function(f, breakpoints=(), **kwargs):

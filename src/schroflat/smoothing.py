@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import MAX_ORDER, kernel_derivative, odd_kernel
-from .quadrature import IntegrationProblem, QuadratureError, integrate
+from .quadrature import IntegrationProblem, QuadratureError, integrate, integrate_batch
 
 # i^k and (-i)^k, indexed by k mod 4
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -193,30 +193,55 @@ class FlatSeed:
         return total
 
 
+def _convolutions(v0, t, x, m, support, breakpoints, abs_tol, rel_tol,
+                  max_subdivisions):
+    """Flat arrays (values, errs, panels) over the samples (t[i], x[i])."""
+    t, x = (a.ravel() for a in np.broadcast_arrays(np.asarray(t, dtype=np.float64),
+                                                   np.asarray(x, dtype=np.float64)))
+    if np.any(t <= 0):
+        raise ValueError("convolution requires t > 0")
+
+    def integrand(sig, s):
+        y = support * sig
+        return odd_kernel(t[s], x[s], y, m) * v0(y)
+
+    bps = tuple(b / support for b in breakpoints if 0.0 < b / support < 1.0)
+    try:
+        values, errs, panels = integrate_batch(integrand, t.size, bps, abs_tol,
+                                               rel_tol, max_subdivisions)
+    except QuadratureError as exc:
+        i = exc.sample
+        raise QuadratureError(f"{exc} at t={float(t[i])!r}, x={float(x[i])!r}",
+                              support * exc.value, support * exc.err_estimate,
+                              i) from exc
+    return support * values, support * errs, panels
+
+
 def convolution_integral(v0, t, x, m=0, support=1.0, breakpoints=(),
                          abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=2 ** 14):
     """(value, err) of the odd-folded kernel convolution at (t,x).
 
     Integrates d^m_x (E(t,x-y) - E(t,x+y)) v0(y) over y in [0, support],
     rescaled to the unit interval so declared breakpoints become panel
-    edges for the quadrature.
+    edges for the quadrature.  t and x may be arrays that broadcast
+    together: all samples then go through one adaptive loop, each with its
+    own subdivision, and value and err are arrays of the broadcast shape.
+    A sample that exhausts its panel budget raises QuadratureError naming
+    its (t, x) and carrying its best value.
     """
-    if t <= 0:
-        raise ValueError("convolution requires t > 0")
-
-    def integrand(sig):
-        y = support * sig
-        return odd_kernel(t, x, y, m) * v0(y)
-
-    bps = tuple(b / support for b in breakpoints if 0.0 < b / support < 1.0)
-    value, err = integrate(IntegrationProblem(integrand, bps,
-                                              abs_tol=abs_tol, rel_tol=rel_tol,
-                                              max_subdivisions=max_subdivisions))
-    return support * value, support * err
+    values, errs, _ = _convolutions(v0, t, x, m, support, breakpoints,
+                                    abs_tol, rel_tol, max_subdivisions)
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    if shape == ():
+        return complex(values[0]), float(errs[0])
+    return values.reshape(shape), errs.reshape(shape)
 
 
 def free_evolution(theta0, t, x):
-    """Smoothed state v(t,x) for the odd extension of theta0."""
+    """Smoothed state v(t,x) for the odd extension of theta0.
+
+    x (or t) may be an array: all points go through one batched quadrature.
+    """
     value, _ = convolution_integral(theta0, t, x, m=0, support=1.0,
                                     breakpoints=theta0.breakpoints)
     return value
@@ -229,8 +254,8 @@ def boundary_trace(theta0, t_grid, support=1.0, breakpoints=None, v0=None,
 
     The optional (v0, support, breakpoints) triple lets the beam pipeline
     reuse this for its extended datum; by default the profile itself is the
-    datum with unit support.  derivative=False skips the v_xx integral when
-    only u itself is needed.
+    datum with unit support.  derivative=False skips the v_xx integrals when
+    only u itself is needed.  All samples are integrated in one batch.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
@@ -239,19 +264,13 @@ def boundary_trace(theta0, t_grid, support=1.0, breakpoints=None, v0=None,
         v0 = theta0
     if breakpoints is None:
         breakpoints = theta0.breakpoints
-    u = np.zeros(t_grid.size, dtype=np.complex128)
+    settings = (support, breakpoints, abs_tol, rel_tol, max_subdivisions)
+    u, err = convolution_integral(v0, t_grid, 1.0, 0, *settings)
     du = np.zeros(t_grid.size, dtype=np.complex128)
-    err = np.zeros(t_grid.size)
-    for i, t in enumerate(t_grid):
-        val0, e0 = convolution_integral(v0, t, 1.0, 0, support, breakpoints,
-                                        abs_tol, rel_tol, max_subdivisions)
-        u[i] = val0
-        err[i] = e0
-        if derivative:
-            val2, e2 = convolution_integral(v0, t, 1.0, 2, support, breakpoints,
-                                            abs_tol, rel_tol, max_subdivisions)
-            du[i] = 1j * val2
-            err[i] = e0 + e2
+    if derivative:
+        v2, e2 = convolution_integral(v0, t_grid, 1.0, 2, *settings)
+        du = 1j * v2
+        err = err + e2
     phase = np.full(t_grid.size, PHASE_SMOOTHING, dtype=np.uint8)
     return ControlTrace(t_grid, u, du, phase, err)
 

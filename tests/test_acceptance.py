@@ -90,10 +90,7 @@ def _flat_phase_march(sc, fo, lvl):
     flat = control_trace(fo, times, sc.K_u)
     trace = ControlTrace(cfg.times(), flat.u, flat.du, flat.phase, flat.err)
 
-    def state_at_tau(x):
-        return np.array([free_evolution(sc.theta0, sc.tau, xi) for xi in x])
-
-    snaps = simulate(state_at_tau, trace, cfg)
+    snaps = simulate(lambda x: free_evolution(sc.theta0, sc.tau, x), trace, cfg)
     return [replace(snap, t=float(times[i])) for snap, i in zip(snaps, kept)]
 
 

@@ -1,0 +1,73 @@
+"""The batched synthesis against its per-sample oracles (tests/oracles.py).
+
+Phase 1 runs every time sample through one adaptive Gauss-Kronrod loop;
+each sample must be subdivided exactly as when integrated alone, so the
+panel counts agree sample by sample and the values agree to rounding (a
+batch's panel sums go through matrix-vector products of other row counts).
+Phase 2 evaluates the jet recurrences, the Leibniz rule and the series over
+a time axis; the values agree to rounding of the series' L1 mass, since the
+vectorized complex products may fuse multiply-adds the scalar ones do not.
+"""
+import numpy as np
+import pytest
+
+from schroflat import FlatOutput, boundary_trace, control_trace, flat_coefficients
+from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
+from schroflat.cli import builtin_scenarios
+from schroflat.flatness import JET_ORDER_MARGIN
+from schroflat.smoothing import _convolutions
+
+from oracles import boundary_trace_per_sample, control_series_one
+
+
+def _phase1_setting(name):
+    """(datum, times, settings, orders) of a builtin scenario's phase 1."""
+    sc = builtin_scenarios()[name]
+    times = sc.sim.times()
+    t1 = times[(times > 0) & (times <= sc.tau)]
+    if name == "beam":
+        ext = extend_odd_smooth(lift_initial_data(BeamData(sc.eta0, sc.eta1)),
+                                sc.cutoff_s)
+        # every 4th sample keeps the per-sample oracle fast
+        return ext, t1[::4], dict(support=ext.support, breakpoints=ext.breakpoints,
+                                  abs_tol=1e-8, max_subdivisions=2 ** 16), (0, 2)
+    return sc.theta0, t1, dict(breakpoints=sc.theta0.breakpoints), (0,)
+
+
+@pytest.mark.parametrize("name", ["gentle", "reference", "beam"])
+def test_phase1_batch_matches_per_sample_loop(name):
+    v0, times, settings, orders = _phase1_setting(name)
+    derivative = orders == (0, 2)
+    u, du, err, panels = boundary_trace_per_sample(v0, times, derivative=derivative,
+                                                   **settings)
+    trace = boundary_trace(v0, times, derivative=derivative, **settings)
+    assert np.all(np.abs(trace.u - u) <= 1e-14 * np.abs(u))
+    assert np.all(np.abs(trace.du - du) <= 1e-14 * np.abs(du))
+    assert np.all(np.abs(trace.err - err) <= 1e-6 * err + 1e-8 * np.abs(u))
+    for row, m in enumerate(orders):
+        _, _, used = _convolutions(
+            v0, times, 1.0, m, settings.get("support", 1.0), settings["breakpoints"],
+            settings.get("abs_tol", 1e-10), 1e-8,
+            settings.get("max_subdivisions", 2 ** 14))
+        assert np.array_equal(used, panels[row]), f"subdivision differs (m={m})"
+
+
+def _flat_output(name):
+    sc = builtin_scenarios()[name]
+    seed = flat_coefficients(sc.theta0, sc.tau, sc.K)
+    fo = FlatOutput(seed, sc.T, sc.s, jet_order=sc.K_u + JET_ORDER_MARGIN)
+    times = sc.sim.times()
+    return fo, np.concatenate([[sc.tau], times[times > sc.tau]]), sc.K_u
+
+
+@pytest.mark.parametrize("name", ["gentle", "reference"])
+def test_phase2_batch_matches_per_sample_series(name):
+    fo, times, truncation = _flat_output(name)
+    trace = control_trace(fo, times, truncation)
+    for i, t in enumerate(times):
+        u, du, tail, terms, dterms = control_series_one(fo, float(t), truncation)
+        assert abs(trace.u[i] - u) <= 1e-14 * np.sum(np.abs(terms))
+        assert abs(trace.du[i] - du) <= 1e-14 * np.sum(np.abs(dterms))
+        assert abs(trace.err[i] - tail) <= 1e-13 * tail
+    # the endpoint samples are exact in both
+    assert trace.u[-1] == 0.0 and trace.du[-1] == 0.0 and trace.err[-1] == 0.0

@@ -125,6 +125,26 @@ def test_convergence_study_eigenmode(tmp_path):
         convergence_study(sc, 2, tmp_path / "bad")
 
 
+def test_convergence_study_resynthesizes_each_level(tmp_path):
+    # every level's row is what a run at that level's grid reports: the
+    # control is synthesized on the level's own time grid, not interpolated
+    from dataclasses import replace
+    sc = Scenario(name="small", equation="schrodinger", tau=1.4, T=2.0, s=1.6,
+                  K=10, K_u=10, control="synthesized",
+                  sim=SimConfig(Nx=32, Nt=64, T=2.0, snapshot_count=3),
+                  theta0=pulse_datum())
+    rows, _ = convergence_study(sc, 3, tmp_path / "study")
+    lines = (tmp_path / "study" / "study.csv").read_text().splitlines()[1:]
+    assert len(lines) == 3
+    for lvl, line in enumerate(lines):
+        cfg = SimConfig(Nx=32 * 2 ** lvl, Nt=64 * 2 ** lvl, T=2.0, snapshot_count=3)
+        direct = run_scenario(replace(sc, sim=cfg), tmp_path / f"direct{lvl}")
+        cells = line.split(",")
+        assert (int(cells[1]), int(cells[2])) == (cfg.Nx, cfg.Nt)
+        assert float(cells[3]) == direct["relative_terminal"]
+        assert float(cells[4]) == direct["tail_max"]
+
+
 def test_selftest_passes(capsys):
     assert selftest() == EXIT_OK
     out = capsys.readouterr().out

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from schroflat import KernelError, fundamental_solution, kernel_derivative, odd_kernel
-from schroflat.kernel import MAX_ORDER, KernelDerivPoly
+from schroflat.kernel import MAX_ORDER, derivative_coefficients
 
 from conftest import assert_close
 
@@ -112,7 +112,31 @@ def test_order_cap_enforced():
 
 
 def test_poly_coefficient_parity():
-    p = KernelDerivPoly.build(0.35, 7)
-    assert np.all(p.coeffs[0::2] == 0)  # even slots vanish for odd order
-    q = KernelDerivPoly.build(0.35, 6)
-    assert np.all(q.coeffs[1::2] == 0)
+    p = derivative_coefficients(0.35, 7)
+    assert np.all(p[0::2] == 0)  # even slots vanish for odd order
+    q = derivative_coefficients(0.35, 6)
+    assert np.all(q[1::2] == 0)
+
+
+def test_coefficients_vectorized_over_time():
+    # one table for a batch of times equals the per-time tables bit for bit
+    ts = np.array([0.05, 0.35, 1.0, 2.5])
+    table = derivative_coefficients(ts, 9)
+    assert table.shape == (4, 10)
+    for t, row in zip(ts, table):
+        assert np.array_equal(row, derivative_coefficients(float(t), 9))
+
+
+def test_odd_kernel_per_point_time_and_position():
+    # a batch of (t, x) samples, one per point, matches scalar calls
+    t = np.array([0.1, 0.35, 0.35, 1.0])
+    x = np.array([1.0, 1.0, 0.4, 0.7])
+    y = np.array([0.3, 0.6, 0.2, 0.9])
+    for m in (0, 2, 3):
+        batch = odd_kernel(t, x, y, m)
+        for i in range(4):
+            assert batch[i] == odd_kernel(float(t[i]), float(x[i]), float(y[i]), m)
+        np.testing.assert_allclose(
+            kernel_derivative(t, x, m),
+            [kernel_derivative(float(ti), float(xi), m) for ti, xi in zip(t, x)],
+            rtol=1e-15)

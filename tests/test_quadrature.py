@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schroflat import IntegrationProblem, QuadratureError, integrate
-from schroflat.quadrature import integrate_function
+from schroflat.quadrature import PANELS_PER_CALL, integrate_batch, integrate_function
 
 
 def test_polynomial_exactness():
@@ -56,6 +56,56 @@ def test_budget_exhaustion_carries_best_value():
     exact = c + 2.0 * (1.0 - c)
     assert abs(exc.value.value - exact) < 5e-3
     assert exc.value.err_estimate > 0.0
+    assert exc.value.sample == 0
+
+    # in a batch, only the sample with the undeclared jump runs out of panels;
+    # the error names it and carries its own best value
+    def batch(x, s):
+        return np.where(s == 1, f(x), np.exp(1j * x) * (1.0 + s))
+
+    with pytest.raises(QuadratureError) as exc_batch:
+        integrate_batch(batch, 3, abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=64)
+    assert exc_batch.value.sample == 1
+    assert exc_batch.value.value == exc.value.value
+    assert exc_batch.value.err_estimate == exc.value.err_estimate
+
+
+def test_batch_samples_keep_their_own_subdivision():
+    # each sample of a batch is integrated as if alone: same value, error
+    # estimate and panel count as the one-sample loop
+    freqs = np.array([0.0, 3.0, 40.0, 400.0])
+
+    def batch(x, s):
+        return np.exp(1j * freqs[s] * x) / (1.0 + x)
+
+    values, errs, panels = integrate_batch(batch, freqs.size, breakpoints=(0.3,))
+    for s, om in enumerate(freqs):
+        calls = []
+
+        def one(x, om=om):
+            calls.append(x.size // 15)
+            return np.exp(1j * om * x) / (1.0 + x)
+
+        val, err = integrate(IntegrationProblem(one, (0.3,)))
+        assert abs(values[s] - val) <= 1e-14 * abs(val)
+        assert abs(errs[s] - err) <= 1e-6 * err + 1e-8 * abs(val)
+        assert panels[s] == sum(calls)
+
+
+def test_batch_splits_large_generations():
+    # a generation wider than PANELS_PER_CALL goes out in bounded calls
+    sizes = []
+
+    def batch(x, s):
+        sizes.append(x.shape[0])
+        return np.ones(x.shape, dtype=np.complex128)
+
+    n = PANELS_PER_CALL + 5
+    values, _, panels = integrate_batch(batch, n)
+    assert max(sizes) <= PANELS_PER_CALL
+    assert np.all(panels == 1) and np.allclose(values, 1.0, rtol=0, atol=1e-15)
+    empty = integrate_batch(batch, 0)
+    assert all(a.size == 0 for a in empty)
 
 
 def test_stagnation_returns_noise_floor():

@@ -6,7 +6,7 @@ convolutions for the discontinuous two-indicator datum.
 import numpy as np
 import pytest
 
-from schroflat import ControlTrace, FlatSeed, PiecewiseProfile, boundary_trace, flat_coefficients, free_evolution
+from schroflat import ControlTrace, FlatSeed, PiecewiseProfile, QuadratureError, boundary_trace, flat_coefficients, free_evolution
 from schroflat.smoothing import PHASE_SMOOTHING, convolution_integral
 
 from conftest import assert_close
@@ -106,6 +106,31 @@ def test_boundary_trace_with_derivative(ref_datum):
 def test_free_evolution_matches_trace(ref_datum):
     val = free_evolution(ref_datum, 0.35, 1.0)
     assert_close(val, I_TRACE[0.35], rel=1e-8)
+
+
+def test_free_evolution_array_matches_pointwise(ref_datum):
+    # one batched quadrature over a grid equals per-point calls
+    x = np.linspace(0.0, 1.0, 41)
+    batch = free_evolution(ref_datum, 0.35, x)
+    assert batch.shape == x.shape
+    pointwise = np.array([free_evolution(ref_datum, 0.35, float(xi)) for xi in x])
+    assert batch[0] == 0.0  # the odd extension vanishes at the wall
+    assert np.all(np.abs(batch - pointwise) <= 1e-14 * np.abs(pointwise))
+
+
+def test_trace_budget_failure_names_sample_time(ref_datum):
+    # small times need many panels: with a tight budget the earliest sample
+    # fails, and the error says when and carries that sample's best value
+    times = np.array([0.001, 0.2, 0.35])
+    with pytest.raises(QuadratureError, match=r"t=0\.001") as exc:
+        boundary_trace(ref_datum, times, derivative=False, max_subdivisions=40)
+    assert exc.value.sample == 0
+    with pytest.raises(QuadratureError) as alone:
+        convolution_integral(ref_datum, 0.001, 1.0, 0, 1.0,
+                             ref_datum.breakpoints, max_subdivisions=40)
+    assert exc.value.value == alone.value.value
+    # the other samples fit the budget on their own
+    boundary_trace(ref_datum, times[1:], derivative=False, max_subdivisions=40)
 
 
 def test_boundary_trace_rejects_nonpositive_times(ref_datum):
