@@ -5,7 +5,6 @@ hinged Euler-Bernoulli beam) from an arbitrary initial state to rest in
 finite time using an explicit two-phase boundary control, then certifies
 the result by simulating the controlled equation.
 """
-from ._backend import HAS_NUMBA
 from .gevrey import ComplexJet, GevreyBound, step_function, step_jet, verify_gevrey_bound
 from .kernel import KernelError, fundamental_solution, kernel_derivative, odd_kernel
 from .quadrature import IntegrationProblem, QuadratureError, integrate
@@ -20,7 +19,7 @@ from .beam import (BeamData, beam_controls, beam_simulate, beam_terminal_report,
 __version__ = "0.1.0"
 
 __all__ = [
-    "HAS_NUMBA", "ComplexJet", "GevreyBound", "step_function", "step_jet",
+    "ComplexJet", "GevreyBound", "step_function", "step_jet",
     "verify_gevrey_bound", "KernelError", "fundamental_solution",
     "kernel_derivative", "odd_kernel", "IntegrationProblem", "QuadratureError",
     "integrate", "ControlTrace", "FlatSeed", "PiecewiseProfile",

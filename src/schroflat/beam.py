@@ -9,8 +9,13 @@ x=1, since theta_xx = -i theta_t on the boundary).
 
 The phase-1 smoothing for the beam uses a compactly supported odd
 extension: theta0 on (0,1) continues as -theta0(2-x) damped to zero by a
-smooth cutoff on (5/4, 7/4), then extends oddly to the negatives.  The
-resulting convolution runs over [0, 7/4] instead of [0, 1].
+smooth cutoff over (1, 2), then extends oddly to the negatives.  The
+resulting convolution runs over [0, 2] instead of [0, 1].
+
+The certification march is the implicit trapezoidal rule for the beam,
+applied exactly in the sine modes of the hinged fourth difference (see
+sine_modes): no linear system is solved, and every step's state is
+rebuilt on the grid for the energy history.
 """
 import math
 from dataclasses import dataclass
@@ -21,6 +26,7 @@ from .flatness import (DEFAULT_SERIES_TRUNCATION, JET_ORDER_MARGIN,
                        FlatOutput, control_series, control_trace)
 from .gevrey import step_function
 from .schrodinger_sim import SimConfig
+from .sine_modes import CHUNK, chunk_states, sine_modes
 from .smoothing import (ControlTrace, PiecewiseProfile, _polyval_ascending,
                         boundary_trace, convolution_integral, flat_coefficients)
 
@@ -85,24 +91,6 @@ def poisson_profile(eta1: PiecewiseProfile) -> PiecewiseProfile:
         pp[1] += r1
         psi_pieces.append(pp)
     return PiecewiseProfile(eta1.breakpoints, psi_pieces)
-
-
-def poisson_solve_grid(eta1, n):
-    """Second-order finite-difference solve of -psi'' = eta1 on n+1 points.
-
-    Cross-check for poisson_profile; returns (x, psi).
-    """
-    from scipy.linalg import solveh_banded
-
-    x = np.linspace(0.0, 1.0, n + 1)
-    h = 1.0 / n
-    rhs = np.asarray(eta1(x[1:-1])).real.astype(np.float64) * h * h
-    ab = np.zeros((2, n - 1))
-    ab[0, 1:] = -1.0
-    ab[1, :] = 2.0
-    psi = np.zeros(n + 1)
-    psi[1:-1] = solveh_banded(ab, rhs)
-    return x, psi
 
 
 def _merge_breakpoints(a: PiecewiseProfile, b: PiecewiseProfile):
@@ -265,27 +253,17 @@ class BeamResult:
     energy: np.ndarray
 
 
-def _fourth_difference_banded(n):
-    """Upper-banded storage of the hinged fourth-difference matrix T^2."""
-    ab = np.zeros((3, n))
-    ab[0, 2:] = 1.0
-    ab[1, 1:] = -4.0
-    ab[2, :] = 6.0
-    ab[2, 0] = 5.0
-    ab[2, n - 1] = 5.0
-    return ab
+def _energies(eta, p, u1, u2, du1, h):
+    """E = (1/2) integral (eta_t^2 + eta_xx^2) dx, trapezoidal in x, per row.
 
-
-def _apply_fourth_difference(eta):
-    n = eta.size
-    out = 6.0 * eta
-    out[0] -= eta[0]
-    out[-1] -= eta[-1]
-    out[:-1] -= 4.0 * eta[1:]
-    out[1:] -= 4.0 * eta[:-1]
-    out[:-2] += eta[2:]
-    out[2:] += eta[:-2]
-    return out
+    eta and p hold interior values, one time level per row; u1, u2 and du1
+    are that level's displacement, moment and velocity at x = 1.  Both
+    integrands vanish at the hinge x = 0.
+    """
+    full = np.concatenate([np.zeros((eta.shape[0], 1)), eta, u1[:, None]], axis=1)
+    exx = (full[:, :-2] - 2.0 * full[:, 1:-1] + full[:, 2:]) / (h * h)
+    inner = np.sum(p ** 2 + exx ** 2, axis=1)
+    return 0.5 * h * (inner + 0.5 * (du1 ** 2 + u2 ** 2))
 
 
 def beam_simulate(data, u1, u2, cfg: SimConfig, u2_avg=None):
@@ -298,9 +276,13 @@ def beam_simulate(data, u1, u2, cfg: SimConfig, u2_avg=None):
     the right impulse through the fast ringing the synthesized moment shows
     near t=0.  Returns a BeamResult with per-step energy history
     E(t) = (1/2) integral (eta_t^2 + eta_xx^2) dx (trapezoidal in x).
-    """
-    from scipy.linalg import cho_solve_banded, cholesky_banded
 
+    The march runs in sine modes: with eta = S eta_hat, p = S p_hat and w_k
+    the eigenvalues of the second difference, z = w eta_hat + i p_hat obeys
+    z <- r z + forcing, the forcing being the two boundary rows projected
+    onto the modes.  Each chunk of steps is rebuilt on the grid at once for
+    the energy history.
+    """
     x = np.linspace(0.0, 1.0, cfg.Nx + 1)
     h = cfg.dx
     dt = cfg.dt
@@ -313,68 +295,51 @@ def beam_simulate(data, u1, u2, cfg: SimConfig, u2_avg=None):
     # hinge velocity at x=1 for diagnostics; central in the interior, one
     # sided at the ends
     du1 = np.gradient(u1, dt)
-
-    n = cfg.Nx - 1
-    mu = dt * dt / (4.0 * h ** 4)
-    ab = _fourth_difference_banded(n)
-    lhs = ab * mu
-    lhs[2, :] += 1.0
-    try:
-        chol = cholesky_banded(lhs, lower=False)
-    except Exception as exc:
-        raise RuntimeError(f"beam implicit solve factorization failed: {exc}") from exc
-
-    if u2_avg is not None:
+    if u2_avg is None:
+        moment = u2[:-1] + u2[1:]
+    else:
         u2_avg = np.asarray(u2_avg, dtype=np.float64)
         if u2_avg.shape != (cfg.Nt,):
             raise ValueError("u2_avg must hold one average per time step")
+        moment = 2.0 * u2_avg
 
-    def boundary_step_sum(k):
-        # b(t_k) + b(t_{k+1}) with the moment part optionally averaged
-        b = np.zeros(n)
-        b[n - 2] = u1[k] + u1[k + 1]
-        if u2_avg is None:
-            moment = u2[k] + u2[k + 1]
-        else:
-            moment = 2.0 * u2_avg[k]
-        b[n - 1] = -2.0 * (u1[k] + u1[k + 1]) + h * h * moment
-        return b
+    nx = cfg.Nx
+    S, th, powers = sine_modes(nx, dt / (h * h))
+    w = 2.0 * th / dt
+    z = (2.0 / nx) * (w * (S @ eta) + 1j * (S @ p))
+    # step k's boundary rows: b[-2] = U, b[-1] = -2U + h^2 M with
+    # U = u1[k] + u1[k+1] and M the moment sum; they enter the velocity
+    # update as -(dt / 2h^4) b
+    kick = -1j * dt / (nx * h ** 4) / (1.0 + 1j * th)
+    from_u1 = kick * (S[-2] - 2.0 * S[-1])
+    from_moment = kick * h * h * S[-1]
+    u1_sum = u1[:-1] + u1[1:]
 
-    def energy(eta_v, p_v, k):
-        full = np.concatenate([[0.0], eta_v, [u1[k]]])
-        exx = np.zeros(cfg.Nx + 1)
-        exx[1:-1] = (full[:-2] - 2.0 * full[1:-1] + full[2:]) / (h * h)
-        exx[-1] = u2[k]
-        pw = np.concatenate([[0.0], p_v, [du1[k]]])
-        quad = pw ** 2 + exx ** 2
-        return 0.5 * h * float(np.sum(quad) - 0.5 * quad[0] - 0.5 * quad[-1])
+    times = cfg.times()
+    snap_idx = cfg.snapshot_indices()
+    energies = np.empty(cfg.Nt + 1)
+    energies[0] = _energies(eta[None, :], p[None, :], u1[:1], u2[:1], du1[:1], h)[0]
+    snapshots = []
 
     def snapshot(k, eta_v, p_v):
         return BeamSnapshot(float(times[k]), x,
                             np.concatenate([[0.0], eta_v, [u1[k]]]),
                             np.concatenate([[0.0], p_v, [du1[k]]]))
 
-    snap_idx = cfg.snapshot_indices()
-    times = cfg.times()
-    energies = np.zeros(cfg.Nt + 1)
-    energies[0] = energy(eta, p, 0)
-    snapshots = []
-    ptr = 0
-    if snap_idx[ptr] == 0:
+    if snap_idx[0] == 0:
         snapshots.append(snapshot(0, eta, p))
-        ptr += 1
-    for k in range(cfg.Nt):
-        b_step = boundary_step_sum(k)
-        a_eta = _apply_fourth_difference(eta)
-        rhs = eta - mu * a_eta + dt * p - mu * b_step
-        eta_next = cho_solve_banded((chol, False), rhs)
-        a_sum = _apply_fourth_difference(eta + eta_next)
-        p_next = p - dt / (2.0 * h ** 4) * (a_sum + b_step)
-        eta, p = eta_next, p_next
-        energies[k + 1] = energy(eta, p, k + 1)
-        if ptr < snap_idx.size and snap_idx[ptr] == k + 1:
-            snapshots.append(snapshot(k + 1, eta, p))
-            ptr += 1
+    for m in range(0, cfg.Nt, CHUNK):
+        n = min(CHUNK, cfg.Nt - m)
+        forcing = (np.outer(u1_sum[m:m + n], from_u1)
+                   + np.outer(moment[m:m + n], from_moment))
+        zs = chunk_states(z, powers, forcing)
+        z = zs[-1]
+        eta_c = (zs.real / w) @ S
+        p_c = zs.imag @ S
+        k = slice(m + 1, m + n + 1)
+        energies[k] = _energies(eta_c, p_c, u1[k], u2[k], du1[k], h)
+        for idx in snap_idx[(snap_idx > m) & (snap_idx <= m + n)]:
+            snapshots.append(snapshot(idx, eta_c[idx - m - 1], p_c[idx - m - 1]))
     return BeamResult(snapshots, times, energies)
 
 

@@ -7,19 +7,16 @@ residual L2 mass at t=T is attributable to the control, the truncation, or
 the grid, not to numerical dissipation.
 
 Boundary data enter through the right-hand side at both time levels of the
-step.  The interior tridiagonal system has constant coefficients, so the
-Thomas elimination coefficients are computed once; the time loop is a
-numba kernel with a scipy banded-solve fallback.
+step.  The scheme is not solved step by step: in the sine modes of the
+interior (see sine_modes) each step multiplies a mode by its unit-modulus
+Cayley factor and adds the boundary forcing, so whole chunks of steps are
+applied at once and the field is rebuilt only at snapshot times.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._backend import HAS_NUMBA, njit
-
-
-class SimulationError(RuntimeError):
-    pass
+from .sine_modes import CHUNK, apply_sine, complex_product, sine_modes
 
 
 @dataclass(frozen=True)
@@ -66,72 +63,36 @@ def grid_l2_norm(values, dx):
     return float(np.sqrt(dx * (np.sum(w) - 0.5 * w[0] - 0.5 * w[-1])))
 
 
-@njit(cache=True)
-def _march_thomas(theta, ub, lam, snap_idx):
-    half = 0.5j * lam
-    n = theta.size - 2
-    off = -half
-    diag = 1.0 + 1j * lam
-    cp = np.empty(n, dtype=np.complex128)
-    denom = np.empty(n, dtype=np.complex128)
-    denom[0] = diag
-    cp[0] = off / diag
-    for j in range(1, n):
-        denom[j] = diag - off * cp[j - 1]
-        cp[j] = off / denom[j]
+def _march(theta, ub, lam, snap_idx):
+    """Crank-Nicolson frames at the sorted step indices snap_idx.
+
+    The interior field is v = S c in sine modes.  The boundary values enter
+    the last interior row as (i lam/2)(u_m + u_{m+1}); the datum's left end
+    value enters the first row at the first step's old level only, since
+    marched fields are clamped to 0 there.
+    """
+    nx = theta.size - 1
+    S, th, powers = sine_modes(nx, lam)
+    kick = 1j * lam / nx / (1.0 + 1j * th)
+    c = (2.0 / nx) * apply_sine(S, theta[1:-1])
+    # folded in as r^-1 times its forcing, so the first step adds it once
+    c += kick * S[0] * theta[0] * powers[1].conj()
+    # c after L steps of a chunk starting at m: r^L c + f[m:m+L] @ gain[-L:]
+    gain = kick * S[-1] * powers[CHUNK - 1::-1]
+    f = ub[:-1] + ub[1:]
     out = np.empty((snap_idx.size, theta.size), dtype=np.complex128)
-    ptr = 0
-    if snap_idx[ptr] == 0:
-        out[ptr] = theta
-        ptr += 1
-    theta = theta.copy()
-    theta[-1] = ub[0]
-    rhs = np.empty(n, dtype=np.complex128)
-    d = np.empty(n, dtype=np.complex128)
-    for step in range(ub.size - 1):
-        for j in range(1, n + 1):
-            rhs[j - 1] = theta[j] + half * (theta[j - 1] - 2.0 * theta[j] + theta[j + 1])
-        rhs[n - 1] += half * ub[step + 1]
-        d[0] = rhs[0] / denom[0]
-        for j in range(1, n):
-            d[j] = (rhs[j] - off * d[j - 1]) / denom[j]
-        theta[n] = d[n - 1]
-        for j in range(n - 2, -1, -1):
-            d[j] = d[j] - cp[j] * d[j + 1]
-            theta[j + 1] = d[j]
-        theta[-1] = ub[step + 1]
-        theta[0] = 0.0
-        if ptr < snap_idx.size and snap_idx[ptr] == step + 1:
-            out[ptr] = theta
-            ptr += 1
-    return out
-
-
-def _march_banded(theta, ub, lam, snap_idx):
-    from scipy.linalg import solve_banded
-
-    half = 0.5j * lam
-    n = theta.size - 2
-    ab = np.zeros((3, n), dtype=np.complex128)
-    ab[0, 1:] = -half
-    ab[1, :] = 1.0 + 1j * lam
-    ab[2, :-1] = -half
-    out = np.empty((snap_idx.size, theta.size), dtype=np.complex128)
-    ptr = 0
-    if snap_idx[ptr] == 0:
-        out[ptr] = theta
-        ptr += 1
-    theta = theta.copy()
-    theta[-1] = ub[0]
-    for step in range(ub.size - 1):
-        rhs = theta[1:-1] + half * (theta[:-2] - 2.0 * theta[1:-1] + theta[2:])
-        rhs[-1] += half * ub[step + 1]
-        theta[1:-1] = solve_banded((1, 1), ab, rhs)
-        theta[-1] = ub[step + 1]
-        theta[0] = 0.0
-        if ptr < snap_idx.size and snap_idx[ptr] == step + 1:
-            out[ptr] = theta
-            ptr += 1
+    step = 0
+    for i, idx in enumerate(snap_idx):
+        while step < idx:
+            n = min(CHUNK, idx - step)
+            c = powers[n] * c + complex_product(f[step:step + n], gain[CHUNK - n:])
+            step += n
+        if idx == 0:
+            out[i] = theta
+        else:
+            out[i, 0] = 0.0
+            out[i, 1:-1] = apply_sine(S, c)
+            out[i, -1] = ub[idx]
     return out
 
 
@@ -151,12 +112,8 @@ def simulate(theta0, control, cfg: SimConfig):
         ub = np.zeros(times.size, dtype=np.complex128)
     else:
         ub = control.interpolate(times)
-    lam = cfg.dt / cfg.dx ** 2
-    if abs(1.0 + 1j * lam) == 0.0:
-        raise SimulationError("degenerate tridiagonal diagonal")
     snap_idx = cfg.snapshot_indices()
-    march = _march_thomas if HAS_NUMBA else _march_banded
-    frames = march(theta, ub, lam, snap_idx)
+    frames = _march(theta, ub, cfg.dt / cfg.dx ** 2, snap_idx)
     snapshots = []
     for row, idx in zip(frames, snap_idx):
         snapshots.append(FieldSnapshot(

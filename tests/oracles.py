@@ -1,4 +1,4 @@
-"""Per-sample reference implementations of the batched synthesis.
+"""Reference implementations of the batched synthesis and the modal marches.
 
 The package evaluates the two phases of the control over a whole time grid
 at once: phase 1 through one adaptive Gauss-Kronrod loop whose work list
@@ -6,6 +6,11 @@ holds (sample, panel) pairs, phase 2 as jet arithmetic with a trailing
 sample axis.  The functions here are the one-sample-at-a-time versions the
 batched code replaced, kept as oracles: an adaptive quadrature per
 integral, and scalar Taylor recurrences per time sample.
+
+The package also marches both equations in sine modes, chunks of steps at
+a time.  The step-by-step banded solves of the same two schemes are kept
+here, with a grid solve of the beam's Poisson lift; they need scipy, which
+the package itself does not import.
 """
 import math
 
@@ -15,6 +20,7 @@ from schroflat.gevrey import _SNAP_EXPONENT, _kappa
 from schroflat.kernel import odd_kernel
 from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES15, WEIGHTS7,
                                   WEIGHTS15, IntegrationProblem, QuadratureError)
+from schroflat.beam import BeamResult, BeamSnapshot
 from schroflat.smoothing import _MIPOW
 
 
@@ -219,3 +225,137 @@ def control_series_one(fo, t, truncation):
         dterms[k] = _MIPOW[k % 4] * derivs[k + 1] / fact
     return (complex(np.sum(terms)), complex(np.sum(dterms)),
             float(abs(terms[truncation])), terms, dterms)
+
+
+# ------------------------------------------------------------- marches
+
+def march_banded(theta, ub, lam, snap_idx):
+    """Crank-Nicolson frames by one tridiagonal solve per step."""
+    from scipy.linalg import solve_banded
+
+    half = 0.5j * lam
+    n = theta.size - 2
+    ab = np.zeros((3, n), dtype=np.complex128)
+    ab[0, 1:] = -half
+    ab[1, :] = 1.0 + 1j * lam
+    ab[2, :-1] = -half
+    out = np.empty((snap_idx.size, theta.size), dtype=np.complex128)
+    ptr = 0
+    if snap_idx[ptr] == 0:
+        out[ptr] = theta
+        ptr += 1
+    theta = theta.copy()
+    theta[-1] = ub[0]
+    for step in range(ub.size - 1):
+        rhs = theta[1:-1] + half * (theta[:-2] - 2.0 * theta[1:-1] + theta[2:])
+        rhs[-1] += half * ub[step + 1]
+        theta[1:-1] = solve_banded((1, 1), ab, rhs)
+        theta[-1] = ub[step + 1]
+        theta[0] = 0.0
+        if ptr < snap_idx.size and snap_idx[ptr] == step + 1:
+            out[ptr] = theta
+            ptr += 1
+    return out
+
+
+def _fourth_difference_banded(n):
+    """Upper-banded storage of the hinged fourth-difference matrix T^2."""
+    ab = np.zeros((3, n))
+    ab[0, 2:] = 1.0
+    ab[1, 1:] = -4.0
+    ab[2, :] = 6.0
+    ab[2, 0] = 5.0
+    ab[2, n - 1] = 5.0
+    return ab
+
+
+def _apply_fourth_difference(eta):
+    out = 6.0 * eta
+    out[0] -= eta[0]
+    out[-1] -= eta[-1]
+    out[:-1] -= 4.0 * eta[1:]
+    out[1:] -= 4.0 * eta[:-1]
+    out[:-2] += eta[2:]
+    out[2:] += eta[:-2]
+    return out
+
+
+def beam_simulate_banded(data, u1, u2, cfg, u2_avg=None):
+    """beam_simulate by one banded Cholesky solve per step."""
+    from scipy.linalg import cho_solve_banded, cholesky_banded
+
+    x = np.linspace(0.0, 1.0, cfg.Nx + 1)
+    h = cfg.dx
+    dt = cfg.dt
+    eta = np.asarray(data.eta0(x[1:-1])).real.astype(np.float64)
+    p = np.asarray(data.eta1(x[1:-1])).real.astype(np.float64)
+    u1 = np.asarray(u1, dtype=np.float64)
+    u2 = np.asarray(u2, dtype=np.float64)
+    du1 = np.gradient(u1, dt)
+
+    n = cfg.Nx - 1
+    mu = dt * dt / (4.0 * h ** 4)
+    lhs = _fourth_difference_banded(n) * mu
+    lhs[2, :] += 1.0
+    chol = cholesky_banded(lhs, lower=False)
+
+    def boundary_step_sum(k):
+        b = np.zeros(n)
+        b[n - 2] = u1[k] + u1[k + 1]
+        moment = u2[k] + u2[k + 1] if u2_avg is None else 2.0 * u2_avg[k]
+        b[n - 1] = -2.0 * (u1[k] + u1[k + 1]) + h * h * moment
+        return b
+
+    def energy(eta_v, p_v, k):
+        full = np.concatenate([[0.0], eta_v, [u1[k]]])
+        exx = np.zeros(cfg.Nx + 1)
+        exx[1:-1] = (full[:-2] - 2.0 * full[1:-1] + full[2:]) / (h * h)
+        exx[-1] = u2[k]
+        pw = np.concatenate([[0.0], p_v, [du1[k]]])
+        quad = pw ** 2 + exx ** 2
+        return 0.5 * h * float(np.sum(quad) - 0.5 * quad[0] - 0.5 * quad[-1])
+
+    def snapshot(k, eta_v, p_v):
+        return BeamSnapshot(float(times[k]), x,
+                            np.concatenate([[0.0], eta_v, [u1[k]]]),
+                            np.concatenate([[0.0], p_v, [du1[k]]]))
+
+    snap_idx = cfg.snapshot_indices()
+    times = cfg.times()
+    energies = np.zeros(cfg.Nt + 1)
+    energies[0] = energy(eta, p, 0)
+    snapshots = []
+    ptr = 0
+    if snap_idx[ptr] == 0:
+        snapshots.append(snapshot(0, eta, p))
+        ptr += 1
+    for k in range(cfg.Nt):
+        b_step = boundary_step_sum(k)
+        rhs = eta - mu * _apply_fourth_difference(eta) + dt * p - mu * b_step
+        eta_next = cho_solve_banded((chol, False), rhs)
+        a_sum = _apply_fourth_difference(eta + eta_next)
+        p_next = p - dt / (2.0 * h ** 4) * (a_sum + b_step)
+        eta, p = eta_next, p_next
+        energies[k + 1] = energy(eta, p, k + 1)
+        if ptr < snap_idx.size and snap_idx[ptr] == k + 1:
+            snapshots.append(snapshot(k + 1, eta, p))
+            ptr += 1
+    return BeamResult(snapshots, times, energies)
+
+
+def poisson_solve_grid(eta1, n):
+    """Second-order finite-difference solve of -psi'' = eta1 on n+1 points.
+
+    Cross-check for beam.poisson_profile; returns (x, psi).
+    """
+    from scipy.linalg import solveh_banded
+
+    x = np.linspace(0.0, 1.0, n + 1)
+    h = 1.0 / n
+    rhs = np.asarray(eta1(x[1:-1])).real.astype(np.float64) * h * h
+    ab = np.zeros((2, n - 1))
+    ab[0, 1:] = -1.0
+    ab[1, :] = 2.0
+    psi = np.zeros(n + 1)
+    psi[1:-1] = solveh_banded(ab, rhs)
+    return x, psi

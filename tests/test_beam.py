@@ -8,10 +8,11 @@ from schroflat.beam import (
     BeamError,
     _eta0_moment_at_right,
     poisson_profile,
-    poisson_solve_grid,
 )
 from schroflat.smoothing import PiecewiseProfile
 from schroflat.cli import pulse_datum, reference_datum, sine_profile
+
+from oracles import poisson_solve_grid
 
 
 # ------------------------------------------------------------ data lifting

@@ -1,4 +1,9 @@
 """Command-line driver: scenario loading, pipelines, exit codes, artifacts."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +21,7 @@ from schroflat.cli import (
     scenario_from_dict,
     selftest,
 )
+import schroflat
 from schroflat import SimConfig
 from schroflat.cli import pulse_datum
 
@@ -162,6 +168,27 @@ def test_main_run_exit_codes(tmp_path, capsys):
                "--out-dir", str(tmp_path / "o2")])
     assert rc == EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
+
+
+def test_run_imports_no_scipy(tmp_path):
+    # both marches and the synthesis are numpy only; the import of
+    # scipy.linalg alone took about 0.2 s of wall time per run on a 2-core
+    # Xeon host
+    code = (
+        "import sys\n"
+        "from schroflat.cli import main\n"
+        "for name in ('gentle', 'beam'):\n"
+        f"    out = {str(tmp_path)!r} + '/' + name\n"
+        "    assert main(['run', '--scenario', name, '--out-dir', out]) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    src = str(Path(schroflat.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def test_main_numerical_error_exit(tmp_path, capsys):

@@ -1,0 +1,106 @@
+"""The sine-mode marches against their banded oracles (tests/oracles.py).
+
+Both marches apply the implicit trapezoidal step exactly in sine modes,
+chunks of steps at a time, where the oracles solve one banded system per
+step.  The arithmetic differs, so the results agree to rounding amplified
+by the step count: frames within 1e-10 max|theta|, beam energies within
+1e-9 relative and beam fields within 1e-9 of their largest value.
+"""
+import numpy as np
+import pytest
+
+from schroflat import BeamData, SimConfig, beam_controls, beam_simulate, simulate
+from schroflat.cli import builtin_scenarios, pulse_datum, sine_profile, synthesize_control
+from schroflat.schrodinger_sim import _march
+from schroflat.sine_modes import CHUNK
+from schroflat.smoothing import PiecewiseProfile
+
+from oracles import beam_simulate_banded, march_banded
+
+FRAME_TOL = 1e-10
+ENERGY_TOL = 1e-9
+
+
+def _assert_frames_close(frames, reference, theta_max):
+    assert frames.shape == reference.shape
+    assert np.max(np.abs(frames - reference)) <= FRAME_TOL * theta_max
+
+
+def _march_both(theta0, trace, cfg):
+    x = np.linspace(0.0, 1.0, cfg.Nx + 1)
+    theta = np.asarray(theta0(x), dtype=np.complex128)
+    times = cfg.times()
+    ub = (np.zeros(times.size, dtype=np.complex128) if trace is None
+          else trace.interpolate(times))
+    snaps = simulate(theta0, trace, cfg)
+    frames = np.array([s.values for s in snaps])
+    reference = march_banded(theta, ub, cfg.dt / cfg.dx ** 2, cfg.snapshot_indices())
+    return frames, reference, np.max(np.abs(frames))
+
+
+def test_controlled_run_matches_banded_march():
+    sc = builtin_scenarios()["gentle"]
+    assert (sc.sim.Nx, sc.sim.Nt) == (200, 4000)
+    trace, _, _ = synthesize_control(sc)
+    frames, reference, theta_max = _march_both(sc.theta0, trace, sc.sim)
+    _assert_frames_close(frames, reference, theta_max)
+
+
+def test_free_run_matches_banded_march():
+    cfg = SimConfig(Nx=400, Nt=4000, T=0.5, snapshot_count=9)
+    frames, reference, theta_max = _march_both(pulse_datum(), None, cfg)
+    _assert_frames_close(frames, reference, theta_max)
+
+
+@pytest.mark.parametrize("nx, nt, snap_idx", [
+    (16, 100, (0, 1, 2, 37, 100)),                       # Nt below one chunk
+    (64, 3 * CHUNK, (0, CHUNK, 3 * CHUNK)),             # whole chunks only
+    (64, 700, (0, 1, 3, CHUNK - 1, CHUNK, CHUNK + 1, 513, 700)),
+    (16, 700, (2, 300, 699)),                            # no frame 0 or Nt
+])
+def test_march_chunking_and_snapshots(nx, nt, snap_idx):
+    # a left end value off zero, a right end value overwritten by u(0), and
+    # a control with a time-dependent phase exercise every boundary term
+    x = np.linspace(0.0, 1.0, nx + 1)
+    theta = pulse_datum()(x).astype(np.complex128) + 0.3j * (1.0 - x) + 0.7 * x
+    t = np.linspace(0.0, 0.5, nt + 1)
+    ub = 0.2 * t * np.exp(7j * t)
+    lam = (0.5 / nt) * nx * nx
+    idx = np.array(snap_idx)
+    frames = _march(theta, ub, lam, idx)
+    _assert_frames_close(frames, march_banded(theta, ub, lam, idx),
+                         np.max(np.abs(theta)))
+
+
+def _assert_beam_close(data, u1, u2, cfg, u2_avg=None):
+    got = beam_simulate(data, u1, u2, cfg, u2_avg=u2_avg)
+    want = beam_simulate_banded(data, u1, u2, cfg, u2_avg=u2_avg)
+    np.testing.assert_array_equal(got.times, want.times)
+    assert np.max(np.abs(got.energy - want.energy) / want.energy) <= ENERGY_TOL
+    assert [s.t for s in got.snapshots] == [s.t for s in want.snapshots]
+    for field in ("eta", "eta_t"):
+        a = np.array([getattr(s, field) for s in got.snapshots])
+        b = np.array([getattr(s, field) for s in want.snapshots])
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("averaged", [False, True])
+def test_beam_controlled_run_matches_banded_march(averaged):
+    sc = builtin_scenarios()["beam"]
+    assert sc.sim.Nt % CHUNK != 0
+    data = BeamData(sc.eta0, sc.eta1)
+    ctl = beam_controls(data, sc.tau, sc.T, sc.s, sc.K, sc.K_u, cfg=sc.sim,
+                        cutoff_s=sc.cutoff_s)
+    _assert_beam_close(data, ctl.u1, ctl.u2, sc.sim,
+                       u2_avg=ctl.u2_avg if averaged else None)
+
+
+@pytest.mark.parametrize("nx, nt", [(16, 100), (32, CHUNK), (16, 700)])
+def test_beam_short_runs_match_banded_march(nx, nt):
+    cfg = SimConfig(Nx=nx, Nt=nt, T=0.5, snapshot_count=5)
+    data = BeamData(sine_profile(), PiecewiseProfile((), [[0.0, 1.0, -1.0]]))
+    t = cfg.times()
+    u1 = 0.1 * np.sin(9.0 * t)
+    u2 = np.cos(5.0 * t)
+    _assert_beam_close(data, u1, u2, cfg)
+    _assert_beam_close(data, u1, u2, cfg, u2_avg=np.sin(5.0 * t[1:]) / 5.0)

@@ -1,13 +1,10 @@
-"""Crank-Nicolson solver: conservation, convergence order, backend parity."""
+"""Crank-Nicolson solver: conservation, convergence order, grid bookkeeping."""
 import numpy as np
 import pytest
 
 from schroflat import ControlTrace, SimConfig, simulate, terminal_report
-from schroflat.schrodinger_sim import HAS_NUMBA, _march_banded, grid_l2_norm
+from schroflat.schrodinger_sim import grid_l2_norm
 from schroflat.cli import sine_profile
-
-if HAS_NUMBA:
-    from schroflat.schrodinger_sim import _march_thomas
 
 
 def test_config_validation():
@@ -81,22 +78,6 @@ def test_dirichlet_control_enters_boundary():
     snaps = simulate(lambda x: np.zeros_like(x, dtype=np.complex128), trace, cfg)
     assert snaps[-1].values[-1] == 0.3 + 0.1j
     assert snaps[-1].l2_norm > 0.0  # mass flowed in through the boundary
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="compiled path unavailable")
-def test_march_backends_agree():
-    cfg = SimConfig(Nx=48, Nt=96, T=0.3, snapshot_count=4)
-    x = np.linspace(0.0, 1.0, cfg.Nx + 1)
-    theta = np.sin(np.pi * x) * (1.0 + 0.5j)
-    times = cfg.times()
-    ub = 0.2 * np.exp(1j * times)
-    lam = cfg.dt / cfg.dx ** 2
-    idx = cfg.snapshot_indices()
-    a = _march_thomas(theta.astype(np.complex128), ub.astype(np.complex128),
-                      lam, idx)
-    b = _march_banded(theta.astype(np.complex128), ub.astype(np.complex128),
-                      lam, idx)
-    assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_grid_l2_norm_trapezoid():
