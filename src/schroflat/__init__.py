@@ -11,7 +11,8 @@ from .quadrature import IntegrationProblem, QuadratureError, integrate
 from .smoothing import (ControlTrace, FlatSeed, PiecewiseProfile, SmoothingError,
                         boundary_trace, flat_coefficients, free_evolution)
 from .flatness import (FlatOutput, analytic_part_jet, control_series, control_trace,
-                       flat_output_derivatives, flat_output_jet, state_series)
+                       flat_output_derivatives, flat_output_jet, state_series,
+                       synthesize)
 from .schrodinger_sim import FieldSnapshot, SimConfig, simulate, terminal_report
 from .beam import (BeamData, beam_controls, beam_simulate, beam_terminal_report,
                    extend_odd_smooth, lift_initial_data)
@@ -25,7 +26,7 @@ __all__ = [
     "integrate", "ControlTrace", "FlatSeed", "PiecewiseProfile",
     "SmoothingError", "boundary_trace", "flat_coefficients", "free_evolution",
     "FlatOutput", "analytic_part_jet", "control_series", "control_trace",
-    "flat_output_derivatives", "flat_output_jet", "state_series",
+    "flat_output_derivatives", "flat_output_jet", "state_series", "synthesize",
     "FieldSnapshot", "SimConfig", "simulate", "terminal_report", "BeamData",
     "beam_controls", "beam_simulate", "beam_terminal_report",
     "extend_odd_smooth", "lift_initial_data", "__version__",

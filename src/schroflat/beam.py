@@ -7,10 +7,11 @@ complex boundary control u for theta0 then steers the beam through the
 pair u1 = Re u (displacement at x=1) and u2 = Im u' (bending moment at
 x=1, since theta_xx = -i theta_t on the boundary).
 
-The phase-1 smoothing for the beam uses a compactly supported odd
-extension: theta0 on (0,1) continues as -theta0(2-x) damped to zero by a
-smooth cutoff over (1, 2), then extends oddly to the negatives.  The
-resulting convolution runs over [0, 2] instead of [0, 1].
+Both controls come from the Schrodinger control's two-phase synthesis
+(flatness.synthesize), applied to a compactly supported odd extension of
+the lifted datum: theta0 on (0,1) continues as -theta0(2-x) damped to zero
+by a smooth cutoff over (1, 2), then extends oddly to the negatives.  The
+extension names its own support [0, 2] and its breakpoints.
 
 The certification march is the implicit trapezoidal rule for the beam,
 applied exactly in the sine modes of the hinged fourth difference (see
@@ -22,13 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flatness import (DEFAULT_SERIES_TRUNCATION, JET_ORDER_MARGIN,
-                       FlatOutput, control_series, control_trace)
+from .flatness import DEFAULT_SERIES_TRUNCATION, synthesize
 from .gevrey import step_function
 from .schrodinger_sim import SimConfig
 from .sine_modes import CHUNK, chunk_states, sine_modes
-from .smoothing import (ControlTrace, PiecewiseProfile, _polyval_ascending,
-                        boundary_trace, convolution_integral, flat_coefficients)
+from .smoothing import ControlTrace, PiecewiseProfile, _polyval_ascending
 
 EXTENSION_SUPPORT = 2.0
 
@@ -135,10 +134,7 @@ class ExtendedDatum:
 
     theta0: PiecewiseProfile
     cutoff_s: float = 1.9
-
-    @property
-    def support(self):
-        return EXTENSION_SUPPORT
+    support = EXTENSION_SUPPORT
 
     @property
     def breakpoints(self):
@@ -187,7 +183,8 @@ class BeamControls:
     increments of Im u: since v_t = i v_xx, the antiderivative of Re v_xx
     along x=1 is Im u.  The pointwise moment rings at frequency ~1/(4t^2)
     near t=0, which no fixed step size can sample; the averages carry the
-    correct impulse regardless.
+    correct impulse regardless.  diags are the synthesis diagnostics of
+    flatness.synthesize.
     """
 
     times: np.ndarray
@@ -195,37 +192,21 @@ class BeamControls:
     u2: np.ndarray
     u2_avg: np.ndarray
     trace: ControlTrace
-    continuity_gap: float = 0.0
+    diags: dict
 
 
 def beam_controls(data: BeamData, tau, T, s, K=DEFAULT_SERIES_TRUNCATION,
-                  K_u=DEFAULT_SERIES_TRUNCATION, cfg: SimConfig = None,
+                  K_u=DEFAULT_SERIES_TRUNCATION, *, cfg: SimConfig,
                   cutoff_s=1.9) -> BeamControls:
-    """Full synthesis pipeline for the beam's two boundary controls."""
-    if cfg is None:
-        cfg = SimConfig(Nx=100, Nt=2000, T=T)
-    theta0 = lift_initial_data(data)
-    ext = extend_odd_smooth(theta0, cutoff_s)
+    """The beam's two boundary controls on the time grid of cfg."""
+    ext = extend_odd_smooth(lift_initial_data(data), cutoff_s)
     times = cfg.times()
-    t1 = times[(times > 0) & (times <= tau)]
-    t2 = times[times > tau]
     # the hinge controls are O(1)-O(10); 1e-8 absolute on the trace integrals
     # is far below the time-discretization error of the beam march.  Small
     # times make the kernel highly oscillatory over the extended support,
     # hence the enlarged panel budget.
-    trace1 = boundary_trace(theta0, t1, support=ext.support,
-                            breakpoints=ext.breakpoints, v0=ext,
-                            abs_tol=1e-8, max_subdivisions=2 ** 16)
-    seed = flat_coefficients(theta0, tau, K, support=ext.support,
-                             breakpoints=ext.breakpoints, v0=ext)
-    fo = FlatOutput(seed, T, s, jet_order=K_u + JET_ORDER_MARGIN)
-    trace2 = control_trace(fo, t2, K_u)
-    full = ControlTrace.concat(trace1, trace2)
-    # one-sided limits at the phase switch, evaluated independently
-    u_minus, _ = convolution_integral(ext, tau, 1.0, 0, ext.support,
-                                      ext.breakpoints)
-    u_plus, _, _ = control_series(fo, tau, K_u)
-    gap = float(abs(u_plus - u_minus))
+    full, _, diags = synthesize(ext, times, tau, T, s, K, K_u, derivative=True,
+                                abs_tol=1e-8, max_subdivisions=2 ** 16)
     u1 = np.zeros(times.size)
     u2 = np.zeros(times.size)
     u1[1:] = full.u.real
@@ -235,7 +216,7 @@ def beam_controls(data: BeamData, tau, T, s, K=DEFAULT_SERIES_TRUNCATION,
     w = np.zeros(times.size)
     w[1:] = full.u.imag
     u2_avg = np.diff(w) / cfg.dt
-    return BeamControls(times, u1, u2, u2_avg, full, gap)
+    return BeamControls(times, u1, u2, u2_avg, full, diags)
 
 
 @dataclass(eq=False)

@@ -19,17 +19,21 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .flatness import JET_ORDER_MARGIN, FlatOutput, control_series, control_trace
+from .flatness import JET_ORDER_MARGIN, synthesize
+from .gevrey import MAX_JET_ORDER
 from .quadrature import QuadratureError
 from .schrodinger_sim import SimConfig, simulate, terminal_report
-from .smoothing import (PHASE_NAMES, ControlTrace, PiecewiseProfile,
-                        SmoothingError, boundary_trace, flat_coefficients)
+from .smoothing import MAX_SEED_ORDER, PHASE_NAMES, PiecewiseProfile, SmoothingError
 from .beam import (BeamData, beam_controls, beam_simulate,
                    beam_terminal_report)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# the synthesis diagnostics of a run without control
+NO_CONTROL_DIAGS = dict.fromkeys(("continuity_gap", "gap_budget", "tail_max",
+                                  "quad_err_max", "seed_bound_constant"), 0.0)
 
 
 class ScenarioError(ValueError):
@@ -105,8 +109,13 @@ class Scenario:
                 raise ScenarioError("tau: need tau > 2T/3 for the analytic part")
             if not 1.0 < self.s < 2.0:
                 raise ScenarioError("s: need s in (1,2)")
-            if self.K < 1 or self.K_u < 1:
-                raise ScenarioError("K: truncations must be >= 1")
+            if not 1 <= self.K <= MAX_SEED_ORDER:
+                raise ScenarioError(f"K: need 1 <= K <= {MAX_SEED_ORDER}")
+            if not 1 <= self.K_u <= MAX_JET_ORDER - JET_ORDER_MARGIN:
+                raise ScenarioError(
+                    f"K_u: need 1 <= K_u <= {MAX_JET_ORDER - JET_ORDER_MARGIN}")
+            if self.equation == "beam" and not 1.0 < self.cutoff_s < 2.0:
+                raise ScenarioError("cutoff_s: need cutoff_s in (1,2)")
         if abs(self.sim.T - self.T) > 1e-12:
             raise ScenarioError("sim.T: simulator horizon must equal T")
         if self.equation == "schrodinger" and self.theta0 is None:
@@ -215,25 +224,7 @@ def load_scenario(source):
 
 def synthesize_control(sc: Scenario):
     """Two-phase control trace on the simulation grid, plus diagnostics."""
-    times = sc.sim.times()
-    t1 = times[(times > 0) & (times <= sc.tau)]
-    t2 = times[times > sc.tau]
-    trace1 = boundary_trace(sc.theta0, t1, derivative=False)
-    seed = flat_coefficients(sc.theta0, sc.tau, sc.K)
-    fo = FlatOutput(seed, sc.T, sc.s, jet_order=sc.K_u + JET_ORDER_MARGIN)
-    trace2 = control_trace(fo, t2, sc.K_u)
-    full = ControlTrace.concat(trace1, trace2)
-    u_minus = boundary_trace(sc.theta0, np.array([sc.tau]), derivative=False)
-    u_plus, _, tail_tau = control_series(fo, sc.tau, sc.K_u)
-    gap = abs(u_plus - complex(u_minus.u[0]))
-    diags = {
-        "continuity_gap": gap,
-        "gap_budget": tail_tau + float(u_minus.err[0]),
-        "tail_max": float(np.max(trace2.err)) if trace2.t.size else 0.0,
-        "quad_err_max": float(np.max(trace1.err)) if trace1.t.size else 0.0,
-        "seed_bound_constant": seed.bound_constant,
-    }
-    return full, fo, diags
+    return synthesize(sc.theta0, sc.sim.times(), sc.tau, sc.T, sc.s, sc.K, sc.K_u)
 
 
 def _fmt(v):
@@ -295,9 +286,7 @@ def write_energy_csv(path, times, energy):
 def run_schrodinger(sc: Scenario, out: Path):
     t0 = time.perf_counter()
     if sc.control == "none":
-        trace, diags = None, {"continuity_gap": 0.0, "gap_budget": 0.0,
-                              "tail_max": 0.0, "quad_err_max": 0.0,
-                              "seed_bound_constant": 0.0}
+        trace, diags = None, NO_CONTROL_DIAGS
     else:
         trace, _, diags = synthesize_control(sc)
     t1 = time.perf_counter()
@@ -336,19 +325,12 @@ def run_beam(sc: Scenario, out: Path):
         u1 = np.zeros(nt)
         u2 = np.zeros(nt)
         u2_avg = None
-        diags = {"continuity_gap": 0.0, "tail_max": 0.0, "quad_err_max": 0.0}
+        diags = NO_CONTROL_DIAGS
     else:
         controls = beam_controls(data, sc.tau, sc.T, sc.s, sc.K, sc.K_u,
                                  cfg=sc.sim, cutoff_s=sc.cutoff_s)
         u1, u2, u2_avg = controls.u1, controls.u2, controls.u2_avg
-        tr = controls.trace
-        p1 = tr.phase == 0
-        p2 = ~p1
-        diags = {
-            "continuity_gap": controls.continuity_gap,
-            "tail_max": float(np.max(tr.err[p2])) if np.any(p2) else 0.0,
-            "quad_err_max": float(np.max(tr.err[p1])) if np.any(p1) else 0.0,
-        }
+        diags = controls.diags
     t1 = time.perf_counter()
     result = beam_simulate(data, u1, u2, sc.sim, u2_avg=u2_avg)
     t2 = time.perf_counter()

@@ -32,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gevrey import MAX_JET_ORDER, ComplexJet, step_jet
-from .smoothing import _MIPOW, PHASE_FLATNESS, ControlTrace, FlatSeed
+from .smoothing import (_MIPOW, PHASE_FLATNESS, ControlTrace, FlatSeed,
+                        boundary_trace, convolution_integral, flat_coefficients)
 
 DEFAULT_SERIES_TRUNCATION = 15
 # headroom above the series truncation for u' and residual checks
@@ -202,3 +203,32 @@ def control_trace(fo: FlatOutput, t_grid,
     u, du, err = _control_series(fo, fo._times(t_grid), truncation)
     phase = np.full(t_grid.size, PHASE_FLATNESS, dtype=np.uint8)
     return ControlTrace(t_grid, u, du, phase, err)
+
+
+def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10,
+               max_subdivisions=2 ** 14):
+    """(trace, fo, diags): the two-phase control of the datum v0 on times.
+
+    Phase 1 samples the free evolution's trace on (0, tau] (derivative,
+    abs_tol and max_subdivisions set its quadrature), phase 2 the flat
+    output's series on (tau, T].  diags: continuity_gap |u(tau+) - u(tau-)|,
+    its gap_budget, tail_max, quad_err_max and seed_bound_constant.
+    """
+    times = np.asarray(times, dtype=np.float64)
+    t1 = times[(times > 0) & (times <= tau)]
+    t2 = times[times > tau]
+    trace1 = boundary_trace(v0, t1, derivative=derivative, abs_tol=abs_tol,
+                            max_subdivisions=max_subdivisions)
+    seed = flat_coefficients(v0, tau, K)
+    fo = FlatOutput(seed, T, s, jet_order=K_u + JET_ORDER_MARGIN)
+    trace2 = control_trace(fo, t2, K_u)
+    u_minus, err_minus = convolution_integral(v0, tau, 1.0)
+    u_plus, _, tail_tau = control_series(fo, tau, K_u)
+    diags = {
+        "continuity_gap": abs(u_plus - u_minus),
+        "gap_budget": tail_tau + err_minus,
+        "tail_max": float(np.max(trace2.err)) if t2.size else 0.0,
+        "quad_err_max": float(np.max(trace1.err)) if t1.size else 0.0,
+        "seed_bound_constant": seed.bound_constant,
+    }
+    return ControlTrace.concat(trace1, trace2), fo, diags

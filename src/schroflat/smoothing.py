@@ -1,14 +1,17 @@
 """Phase 1: free evolution of the odd extension and flat-output seeds.
 
 Between t=0 and t=tau the boundary value is the trace at x=1 of the free
-Schrodinger evolution of the odd extension of the initial profile,
+Schrodinger evolution of the odd extension of a datum v0,
 
-    v(t,x) = integral of (E(t,x-y) - E(t,x+y)) v0(y) dy over the support,
+    v(t,x) = integral over [0, v0.support] of (E(t,x-y) - E(t,x+y)) v0(y) dy,
 
 which smooths arbitrary L2 data into an entire function of x.  At t=tau
 the odd-power Taylor coefficients of v(tau,.) around x=0 seed the phase-2
 flat output: y_k = i^k * integral of (-2) d^(2k+1)E(tau,y) v0(y) dy, using
 the odd-in-y parity of odd-order x-derivatives at x=0.
+
+A datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
+beam.ExtendedDatum: [0, 2]); the breakpoints become quadrature panel edges.
 """
 import math
 from dataclasses import dataclass
@@ -21,6 +24,9 @@ from .quadrature import IntegrationProblem, QuadratureError, integrate, integrat
 # i^k and (-i)^k, indexed by k mod 4
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 _MIPOW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
+
+# highest seed order K, whose 2K+1 kernel derivatives stay within MAX_ORDER
+MAX_SEED_ORDER = min(30, (MAX_ORDER - 1) // 2)
 
 PHASE_SMOOTHING = 0
 PHASE_FLATNESS = 1
@@ -46,6 +52,8 @@ class PiecewiseProfile:
     representative); the domain endpoints take one-sided limits and points
     outside [0,1] evaluate to zero.
     """
+
+    support = 1.0
 
     def __init__(self, breakpoints, pieces):
         self.breakpoints = tuple(float(b) for b in breakpoints)
@@ -193,19 +201,19 @@ class FlatSeed:
         return total
 
 
-def _convolutions(v0, t, x, m, support, breakpoints, abs_tol, rel_tol,
-                  max_subdivisions):
+def _convolutions(v0, t, x, m, abs_tol, rel_tol, max_subdivisions):
     """Flat arrays (values, errs, panels) over the samples (t[i], x[i])."""
     t, x = (a.ravel() for a in np.broadcast_arrays(np.asarray(t, dtype=np.float64),
                                                    np.asarray(x, dtype=np.float64)))
     if np.any(t <= 0):
         raise ValueError("convolution requires t > 0")
+    support = v0.support
 
     def integrand(sig, s):
         y = support * sig
         return odd_kernel(t[s], x[s], y, m) * v0(y)
 
-    bps = tuple(b / support for b in breakpoints if 0.0 < b / support < 1.0)
+    bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
     try:
         values, errs, panels = integrate_batch(integrand, t.size, bps, abs_tol,
                                                rel_tol, max_subdivisions)
@@ -217,20 +225,19 @@ def _convolutions(v0, t, x, m, support, breakpoints, abs_tol, rel_tol,
     return support * values, support * errs, panels
 
 
-def convolution_integral(v0, t, x, m=0, support=1.0, breakpoints=(),
-                         abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=2 ** 14):
+def convolution_integral(v0, t, x, m=0, abs_tol=1e-10, rel_tol=1e-8,
+                         max_subdivisions=2 ** 14):
     """(value, err) of the odd-folded kernel convolution at (t,x).
 
-    Integrates d^m_x (E(t,x-y) - E(t,x+y)) v0(y) over y in [0, support],
-    rescaled to the unit interval so declared breakpoints become panel
+    Integrates d^m_x (E(t,x-y) - E(t,x+y)) v0(y) over y in [0, v0.support],
+    rescaled to the unit interval so the datum's breakpoints become panel
     edges for the quadrature.  t and x may be arrays that broadcast
     together: all samples then go through one adaptive loop, each with its
     own subdivision, and value and err are arrays of the broadcast shape.
     A sample that exhausts its panel budget raises QuadratureError naming
     its (t, x) and carrying its best value.
     """
-    values, errs, _ = _convolutions(v0, t, x, m, support, breakpoints,
-                                    abs_tol, rel_tol, max_subdivisions)
+    values, errs, _ = _convolutions(v0, t, x, m, abs_tol, rel_tol, max_subdivisions)
     shape = np.broadcast_shapes(np.shape(t), np.shape(x))
     if shape == ():
         return complex(values[0]), float(errs[0])
@@ -242,29 +249,23 @@ def free_evolution(theta0, t, x):
 
     x (or t) may be an array: all points go through one batched quadrature.
     """
-    value, _ = convolution_integral(theta0, t, x, m=0, support=1.0,
-                                    breakpoints=theta0.breakpoints)
+    value, _ = convolution_integral(theta0, t, x)
     return value
 
 
-def boundary_trace(theta0, t_grid, support=1.0, breakpoints=None, v0=None,
-                   derivative=True, abs_tol=1e-10, rel_tol=1e-8,
+def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10, rel_tol=1e-8,
                    max_subdivisions=2 ** 14):
     """Phase-1 control samples u(t)=v(t,1) and u'(t)=i*v_xx(t,1).
 
-    The optional (v0, support, breakpoints) triple lets the beam pipeline
-    reuse this for its extended datum; by default the profile itself is the
-    datum with unit support.  derivative=False skips the v_xx integrals when
-    only u itself is needed.  All samples are integrated in one batch.
+    v0 is the datum the free evolution smooths, integrated over its own
+    support with its own breakpoints as panel edges.  derivative=False
+    skips the v_xx integrals when only u itself is needed.  All samples are
+    integrated in one batch.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
-    if v0 is None:
-        v0 = theta0
-    if breakpoints is None:
-        breakpoints = theta0.breakpoints
-    settings = (support, breakpoints, abs_tol, rel_tol, max_subdivisions)
+    settings = (abs_tol, rel_tol, max_subdivisions)
     u, err = convolution_integral(v0, t_grid, 1.0, 0, *settings)
     du = np.zeros(t_grid.size, dtype=np.complex128)
     if derivative:
@@ -275,17 +276,14 @@ def boundary_trace(theta0, t_grid, support=1.0, breakpoints=None, v0=None,
     return ControlTrace(t_grid, u, du, phase, err)
 
 
-def flat_coefficients(theta0, tau, K, support=1.0, breakpoints=None, v0=None):
-    """Extract the flat-output seed y_0..y_K at t=tau."""
+def flat_coefficients(v0, tau, K):
+    """Extract the flat-output seed y_0..y_K of the datum v0 at t=tau."""
     if tau <= 0:
         raise ValueError("tau must be positive")
-    if not 0 <= K <= min(30, (MAX_ORDER - 1) // 2):
+    if not 0 <= K <= MAX_SEED_ORDER:
         raise ValueError(f"K={K} outside the supported truncation range")
-    if v0 is None:
-        v0 = theta0
-    if breakpoints is None:
-        breakpoints = theta0.breakpoints
-    bps = tuple(b / support for b in breakpoints if 0.0 < b / support < 1.0)
+    support = v0.support
+    bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
     y = np.zeros(K + 1, dtype=np.complex128)
     for k in range(K + 1):
         order = 2 * k + 1

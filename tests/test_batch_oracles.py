@@ -29,25 +29,24 @@ def _phase1_setting(name):
         ext = extend_odd_smooth(lift_initial_data(BeamData(sc.eta0, sc.eta1)),
                                 sc.cutoff_s)
         # every 4th sample keeps the per-sample oracle fast
-        return ext, t1[::4], dict(support=ext.support, breakpoints=ext.breakpoints,
-                                  abs_tol=1e-8, max_subdivisions=2 ** 16), (0, 2)
-    return sc.theta0, t1, dict(breakpoints=sc.theta0.breakpoints), (0,)
+        return ext, t1[::4], dict(abs_tol=1e-8, max_subdivisions=2 ** 16), (0, 2)
+    return sc.theta0, t1, {}, (0,)
 
 
 @pytest.mark.parametrize("name", ["gentle", "reference", "beam"])
 def test_phase1_batch_matches_per_sample_loop(name):
     v0, times, settings, orders = _phase1_setting(name)
     derivative = orders == (0, 2)
-    u, du, err, panels = boundary_trace_per_sample(v0, times, derivative=derivative,
-                                                   **settings)
+    u, du, err, panels = boundary_trace_per_sample(
+        v0, times, support=v0.support, breakpoints=v0.breakpoints,
+        derivative=derivative, **settings)
     trace = boundary_trace(v0, times, derivative=derivative, **settings)
     assert np.all(np.abs(trace.u - u) <= 1e-14 * np.abs(u))
     assert np.all(np.abs(trace.du - du) <= 1e-14 * np.abs(du))
     assert np.all(np.abs(trace.err - err) <= 1e-6 * err + 1e-8 * np.abs(u))
     for row, m in enumerate(orders):
         _, _, used = _convolutions(
-            v0, times, 1.0, m, settings.get("support", 1.0), settings["breakpoints"],
-            settings.get("abs_tol", 1e-10), 1e-8,
+            v0, times, 1.0, m, settings.get("abs_tol", 1e-10), 1e-8,
             settings.get("max_subdivisions", 2 ** 14))
         assert np.array_equal(used, panels[row]), f"subdivision differs (m={m})"
 

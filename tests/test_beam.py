@@ -191,7 +191,7 @@ def test_controls_vanish_at_terminal_time(controls):
 
 def test_controls_continuity_at_switch(controls):
     ctl, _ = controls
-    assert ctl.continuity_gap < 1e-12
+    assert ctl.diags["continuity_gap"] < 1e-12
 
 
 def test_controls_phase_split(controls):

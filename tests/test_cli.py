@@ -119,6 +119,27 @@ def test_run_beam_scenario_smoke(tmp_path):
         assert "np.float64" not in (tmp_path / "beam" / name).read_text()
 
 
+def _report(path):
+    return dict(line.split("=", 1) for line in path.read_text().splitlines())
+
+
+def test_run_writes_one_diagnostics_contract_for_both_equations(tmp_path):
+    from dataclasses import replace
+    diag_keys = {"continuity_gap", "gap_budget", "tail_max", "quad_err_max",
+                 "seed_bound_constant"}
+    reports = {}
+    for name in ("gentle", "beam"):
+        sc = replace(builtin_scenarios()[name],
+                     sim=SimConfig(Nx=32, Nt=250, T=2.0, snapshot_count=3))
+        run_scenario(sc, tmp_path / name)
+        reports[name] = _report(tmp_path / name / "report.txt")
+    assert diag_keys <= set(reports["gentle"])
+    assert diag_keys <= set(reports["beam"])
+    beam = reports["beam"]
+    gap, budget = float(beam["continuity_gap"]), float(beam["gap_budget"])
+    assert gap <= 10.0 * max(budget, 1e-14)
+
+
 def test_convergence_study_eigenmode(tmp_path):
     from dataclasses import replace
     sc = builtin_scenarios()["eigenmode-check"]
@@ -203,6 +224,24 @@ def test_main_numerical_error_exit(tmp_path, capsys):
     rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert rc == EXIT_NUMERICAL
     assert "numerical error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("equation, entry", [
+    ("schrodinger", "K: 31"),
+    ("schrodinger", "K_u: 80"),
+    ("beam", "cutoff_s: 2.5"),
+])
+def test_main_config_error_on_out_of_range_setting(tmp_path, capsys, equation, entry):
+    # rejected with the scenario, before any integral is computed
+    profiles = "eta0: sine\neta1: zero\n" if equation == "beam" else "theta0: pulse\n"
+    cfg = tmp_path / "range.yaml"
+    cfg.write_text(
+        f"equation: {equation}\n"
+        f"tau: 1.4\nT: 2.0\ns: 1.6\n{entry}\n"
+        "sim: {Nx: 32, Nt: 64, snapshot_count: 3}\n" + profiles)
+    rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert f"config error: {entry.split(':')[0]}" in capsys.readouterr().err
 
 
 def test_main_config_error_on_bad_yaml(tmp_path, capsys):

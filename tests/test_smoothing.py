@@ -98,9 +98,17 @@ def test_boundary_trace_frozen_values(ref_datum):
 def test_boundary_trace_with_derivative(ref_datum):
     trace = boundary_trace(ref_datum, np.array([0.35]))
     # du = i * v_xx(t,1); cross-check against the raw convolution
-    v2, _ = convolution_integral(ref_datum, 0.35, 1.0, m=2,
-                                 breakpoints=ref_datum.breakpoints)
+    v2, _ = convolution_integral(ref_datum, 0.35, 1.0, m=2)
     assert abs(trace.du[0] - 1j * v2) < 1e-12
+
+
+@pytest.mark.parametrize("t", [0.05, 0.35])
+def test_convolution_integrates_over_the_datum_breakpoints(ref_datum, t):
+    # the datum carries its jumps, so every entry point splits the
+    # quadrature at them and the three values agree bit for bit
+    value, _ = convolution_integral(ref_datum, t, 1.0)
+    assert value == free_evolution(ref_datum, t, 1.0)
+    assert value == boundary_trace(ref_datum, np.array([t]), derivative=False).u[0]
 
 
 def test_free_evolution_matches_trace(ref_datum):
@@ -126,8 +134,7 @@ def test_trace_budget_failure_names_sample_time(ref_datum):
         boundary_trace(ref_datum, times, derivative=False, max_subdivisions=40)
     assert exc.value.sample == 0
     with pytest.raises(QuadratureError) as alone:
-        convolution_integral(ref_datum, 0.001, 1.0, 0, 1.0,
-                             ref_datum.breakpoints, max_subdivisions=40)
+        convolution_integral(ref_datum, 0.001, 1.0, 0, max_subdivisions=40)
     assert exc.value.value == alone.value.value
     # the other samples fit the budget on their own
     boundary_trace(ref_datum, times[1:], derivative=False, max_subdivisions=40)
