@@ -5,14 +5,13 @@ hinged Euler-Bernoulli beam) from an arbitrary initial state to rest in
 finite time using an explicit two-phase boundary control, then certifies
 the result by simulating the controlled equation.
 """
-from .gevrey import ComplexJet, GevreyBound, step_function, step_jet, verify_gevrey_bound
+from .gevrey import ComplexJet, step_function, step_jet
 from .kernel import KernelError, fundamental_solution, kernel_derivative, odd_kernel
-from .quadrature import IntegrationProblem, QuadratureError, integrate
+from .quadrature import QuadratureError
 from .smoothing import (ControlTrace, FlatSeed, PiecewiseProfile, SmoothingError,
                         boundary_trace, flat_coefficients, free_evolution)
-from .flatness import (FlatOutput, analytic_part_jet, control_series, control_trace,
-                       flat_output_derivatives, flat_output_jet, state_series,
-                       synthesize)
+from .flatness import (FlatOutput, control_series, control_trace,
+                       flat_output_derivatives, state_series, synthesize)
 from .schrodinger_sim import FieldSnapshot, SimConfig, simulate, terminal_report
 from .beam import (BeamData, beam_controls, beam_simulate, beam_terminal_report,
                    extend_odd_smooth, lift_initial_data)
@@ -20,14 +19,12 @@ from .beam import (BeamData, beam_controls, beam_simulate, beam_terminal_report,
 __version__ = "0.1.0"
 
 __all__ = [
-    "ComplexJet", "GevreyBound", "step_function", "step_jet",
-    "verify_gevrey_bound", "KernelError", "fundamental_solution",
-    "kernel_derivative", "odd_kernel", "IntegrationProblem", "QuadratureError",
-    "integrate", "ControlTrace", "FlatSeed", "PiecewiseProfile",
-    "SmoothingError", "boundary_trace", "flat_coefficients", "free_evolution",
-    "FlatOutput", "analytic_part_jet", "control_series", "control_trace",
-    "flat_output_derivatives", "flat_output_jet", "state_series", "synthesize",
-    "FieldSnapshot", "SimConfig", "simulate", "terminal_report", "BeamData",
-    "beam_controls", "beam_simulate", "beam_terminal_report",
+    "ComplexJet", "step_function", "step_jet", "KernelError",
+    "fundamental_solution", "kernel_derivative", "odd_kernel", "QuadratureError",
+    "ControlTrace", "FlatSeed", "PiecewiseProfile", "SmoothingError",
+    "boundary_trace", "flat_coefficients", "free_evolution", "FlatOutput",
+    "control_series", "control_trace", "flat_output_derivatives", "state_series",
+    "synthesize", "FieldSnapshot", "SimConfig", "simulate", "terminal_report",
+    "BeamData", "beam_controls", "beam_simulate", "beam_terminal_report",
     "extend_odd_smooth", "lift_initial_data", "__version__",
 ]

@@ -25,9 +25,10 @@ import numpy as np
 
 from .flatness import DEFAULT_SERIES_TRUNCATION, synthesize
 from .gevrey import step_function
+from .kernel import horner
 from .schrodinger_sim import SimConfig
 from .sine_modes import CHUNK, chunk_states, sine_modes
-from .smoothing import ControlTrace, PiecewiseProfile, _polyval_ascending
+from .smoothing import ControlTrace, PiecewiseProfile
 
 EXTENSION_SUPPORT = 2.0
 
@@ -69,8 +70,8 @@ def poisson_profile(eta1: PiecewiseProfile) -> PiecewiseProfile:
     for (a, b), c in zip(zip(edges[:-1], edges[1:]), eta1.pieces):
         p = _poly_antiderivative(c)
         q = _poly_antiderivative(p)
-        pa = _polyval_ascending(p, np.array([a]))[0]
-        qa = _polyval_ascending(q, np.array([a]))[0]
+        pa = horner(p, np.array([a]))[0]
+        qa = horner(q, np.array([a]))[0]
         # R(x) = Q(x) + (slope - P(a)) x + const on this piece
         lin = r_slope - pa
         const = r_val - qa - lin * a
@@ -78,8 +79,8 @@ def poisson_profile(eta1: PiecewiseProfile) -> PiecewiseProfile:
         rp[1] += lin
         rp[0] += const
         r_pieces.append(rp)
-        r_val = _polyval_ascending(rp, np.array([b]))[0]
-        pb = _polyval_ascending(p, np.array([b]))[0]
+        r_val = horner(rp, np.array([b]))[0]
+        pb = horner(p, np.array([b]))[0]
         r_slope = r_slope + (pb - pa)
     r1 = r_val
     psi_pieces = []

@@ -170,39 +170,48 @@ def _profile_from_entry(entry, field):
             raise ScenarioError(f"{field}: unknown builtin profile {entry!r}")
         return _DATUMS[entry]()
     if isinstance(entry, dict) and "pieces" in entry:
-        bps = tuple(entry.get("breakpoints", ()))
-        pieces = [[_complex_entry(v) for v in piece] for piece in entry["pieces"]]
         try:
+            bps = tuple(entry.get("breakpoints", ()))
+            pieces = [[_complex_entry(v) for v in piece] for piece in entry["pieces"]]
             return PiecewiseProfile(bps, pieces)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{field}: {exc}") from exc
     raise ScenarioError(f"{field}: expected builtin name or breakpoints/pieces map")
+
+
+def _setting(d, field, kind, default):
+    try:
+        return kind(d.get(field, default))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{field}: {exc}") from exc
 
 
 def scenario_from_dict(d, name):
     if not isinstance(d, dict):
         raise ScenarioError("config: top level must be a mapping")
+    T = _setting(d, "T", float, 0.5)
     simd = d.get("sim", {})
+    if not isinstance(simd, dict):
+        raise ScenarioError("sim: expected a mapping of Nx, Nt, snapshot_count")
     try:
         sim = SimConfig(Nx=int(simd.get("Nx", 200)), Nt=int(simd.get("Nt", 4000)),
-                        T=float(d.get("T", 0.5)),
-                        snapshot_count=int(simd.get("snapshot_count", 11)))
-    except ValueError as exc:
+                        T=T, snapshot_count=int(simd.get("snapshot_count", 11)))
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(f"sim: {exc}") from exc
     return Scenario(
         name=name,
         equation=d.get("equation", "schrodinger"),
-        tau=float(d.get("tau", 0.35)),
-        T=float(d.get("T", 0.5)),
-        s=float(d.get("s", 1.9)),
-        K=int(d.get("K", 15)),
-        K_u=int(d.get("K_u", 15)),
+        tau=_setting(d, "tau", float, 0.35),
+        T=T,
+        s=_setting(d, "s", float, 1.9),
+        K=_setting(d, "K", int, 15),
+        K_u=_setting(d, "K_u", int, 15),
         control=d.get("control", "synthesized"),
         sim=sim,
         theta0=_profile_from_entry(d.get("theta0"), "theta0"),
         eta0=_profile_from_entry(d.get("eta0"), "eta0"),
         eta1=_profile_from_entry(d.get("eta1"), "eta1"),
-        cutoff_s=float(d.get("cutoff_s", 1.9)),
+        cutoff_s=_setting(d, "cutoff_s", float, 1.9),
     )
 
 
@@ -215,8 +224,11 @@ def load_scenario(source):
         raise ScenarioError(
             f"scenario: {source!r} is neither a builtin "
             f"({', '.join(sorted(builtins))}) nor a file")
-    with open(path, "r", encoding="utf-8") as fh:
-        data = yaml.safe_load(fh)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = yaml.safe_load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"scenario: cannot read {source!r}: {exc}") from exc
     return scenario_from_dict(data, path.stem)
 
 

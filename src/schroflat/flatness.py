@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gevrey import MAX_JET_ORDER, ComplexJet, step_jet
+from .gevrey import MAX_JET_ORDER, step_jet
 from .smoothing import (_MIPOW, PHASE_FLATNESS, ControlTrace, FlatSeed,
                         boundary_trace, convolution_integral, flat_coefficients)
 
@@ -136,20 +136,6 @@ def flat_output_derivatives(fo: FlatOutput, t: float) -> np.ndarray:
     This is the canonical representation; both series below consume it.
     """
     return _derivatives(fo, fo._times(float(t)))[:, 0]
-
-
-def analytic_part_jet(fo: FlatOutput, t: float) -> ComplexJet:
-    """Normalized-coefficient view of ybar at t."""
-    derivs = _analytic_derivatives(fo, fo._times(float(t)))[:, 0]
-    facts = np.array([math.factorial(j) for j in range(derivs.size)])
-    return ComplexJet(t, derivs / facts)
-
-
-def flat_output_jet(fo: FlatOutput, t: float) -> ComplexJet:
-    """Normalized-coefficient view of the flat output at t."""
-    derivs = flat_output_derivatives(fo, t)
-    facts = np.array([math.factorial(j) for j in range(derivs.size)])
-    return ComplexJet(t, derivs / facts)
 
 
 def _series_terms(fo: FlatOutput, t: np.ndarray, truncation: int):

@@ -226,31 +226,3 @@ def step_jet(t, s, order):
         coeffs[:, live] = (a / (a + b)).coeffs
     return ComplexJet(center, coeffs if np.ndim(center) else coeffs[:, 0])
 
-
-@dataclass(frozen=True)
-class GevreyBound:
-    """|f^(j)| <= M * (j!)^s / R^j for all tabulated orders."""
-
-    M: float
-    R: float
-    s: float
-
-    def log_limit(self, j):
-        return math.log(self.M) + self.s * math.lgamma(j + 1) - j * math.log(self.R)
-
-
-def verify_gevrey_bound(jets, bound):
-    """Check every jet coefficient against the bound, in log space.
-
-    Returns (ok, witness) where witness is (center, order) of the first
-    violation, or None.
-    """
-    for jet in jets:
-        for j in range(jet.order + 1):
-            mag = abs(jet.coeffs[j])
-            if mag == 0.0:
-                continue
-            log_deriv = math.log(mag) + math.lgamma(j + 1)
-            if log_deriv > bound.log_limit(j):
-                return False, (jet.center, j)
-    return True, None

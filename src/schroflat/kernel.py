@@ -12,7 +12,8 @@ Dirichlet condition at x = 0 for odd data.
 Every function accepts a time per point: t broadcasts against x (and y),
 so one call evaluates a batch of samples at different times.  The
 coefficients of p_m are built for the whole batch in one pass of the
-recurrence; nothing is cached between calls.
+recurrence; nothing is cached between calls.  horner evaluates ascending
+coefficient tables, here and for the package's piecewise polynomials.
 """
 import numpy as np
 
@@ -45,8 +46,12 @@ def derivative_coefficients(t, order):
     return c
 
 
-def _horner(coeffs, x):
-    """Ascending coefficients (trailing axis) evaluated at x, pointwise."""
+def horner(coeffs, x):
+    """Ascending coefficients (trailing axis) evaluated at x, pointwise.
+
+    Leading (highest-degree) zero coefficients contribute exact zeros, so
+    polynomials of several degrees can share one zero-padded table.
+    """
     acc = np.broadcast_to(coeffs[..., -1], x.shape).astype(np.complex128)
     for j in range(coeffs.shape[-1] - 2, -1, -1):
         acc *= x
@@ -71,18 +76,18 @@ def fundamental_solution(t, x):
     return np.exp(1j * x * x / (4.0 * t)) / np.sqrt(4j * np.pi * t)
 
 
-def _derivative(t, x, m):
-    # p_m(x) E(t,x); t is one time or one time per point of x
-    if m == 0:
-        return fundamental_solution(t, x)
-    return _horner(derivative_coefficients(t, m), x) * fundamental_solution(t, x)
-
-
 def kernel_derivative(t, x, m):
-    """d^m/dx^m E(t,x) = p_m(x) E(t,x) for scalar or array x (and t)."""
+    """d^m/dx^m E(t,x) = p_m(x) E(t,x) for scalar or array x (and t).
+
+    t is one time or one time per point of x.
+    """
     t = _check_times(t)
     scalar = np.ndim(x) == 0 and t.ndim == 0
-    vals = _derivative(t, np.atleast_1d(np.asarray(x, dtype=np.float64)), m)
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if m == 0:
+        vals = fundamental_solution(t, x)
+    else:
+        vals = horner(derivative_coefficients(t, m), x) * fundamental_solution(t, x)
     return vals[0] if scalar else vals
 
 
@@ -96,5 +101,5 @@ def odd_kernel(t, x, y, m=0):
     scalar = np.ndim(y) == 0
     ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
     xa = np.asarray(x, dtype=np.float64)
-    vals = _derivative(t, xa - ya, m) - _derivative(t, xa + ya, m)
+    vals = kernel_derivative(t, xa - ya, m) - kernel_derivative(t, xa + ya, m)
     return vals[0] if scalar else vals

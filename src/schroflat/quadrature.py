@@ -1,18 +1,19 @@
 """Adaptive Gauss-Kronrod quadrature for complex integrands on [0,1].
 
-One adaptive loop integrates a whole batch of integrands (samples): its
-work list holds (sample, panel) pairs, and every pending panel of every
-sample is evaluated in one vectorized call per refinement generation,
-which keeps the Python overhead away from the innermost kernel
-evaluations.  Each sample is subdivided exactly as if it were integrated
-alone; a single integral is the one-sample case.  Declared breakpoints seed
-the initial panel edges, so no panel ever straddles a discontinuity of the
-integrand.  Summation order is fixed (each sample's panels sorted by left
-edge), making results bit-reproducible for a given problem.
+integrate_batch is the package's one integration entry point.  One
+adaptive loop integrates a whole batch of integrands (samples): its work
+list holds (sample, panel) pairs, and every pending panel of every sample
+is evaluated in one vectorized call per refinement generation, which keeps
+the Python overhead away from the innermost kernel evaluations.  The
+samples may be time points of one convolution or the orders of the
+flat-output seed.  Each sample is subdivided exactly as if it were
+integrated alone; a single integral is the one-sample case.  Declared
+breakpoints seed the initial panel edges, so no panel ever straddles a
+discontinuity of the integrand.  Summation order is fixed (each sample's
+panels sorted by left edge), making results bit-reproducible for a given
+problem.
 """
 import math
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -77,30 +78,6 @@ class QuadratureError(RuntimeError):
         self.sample = sample
 
 
-def _checked_breakpoints(breakpoints, abs_tol, rel_tol):
-    bps = tuple(float(b) for b in breakpoints)
-    if any(not (0.0 < b < 1.0) for b in bps):
-        raise ValueError("breakpoints must lie strictly inside (0,1)")
-    if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-        raise ValueError("breakpoints must be strictly increasing")
-    if abs_tol <= 0 or rel_tol <= 0:
-        raise ValueError("tolerances must be positive")
-    return bps
-
-
-@dataclass(frozen=True)
-class IntegrationProblem:
-    integrand: Callable[[np.ndarray], np.ndarray]
-    breakpoints: tuple = ()
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2 ** 14
-
-    def __post_init__(self):
-        object.__setattr__(self, "breakpoints", _checked_breakpoints(
-            self.breakpoints, self.abs_tol, self.rel_tol))
-
-
 def _panel_sums(f, lo, hi, sample):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -143,7 +120,13 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
     and the number of panels evaluated, one entry per sample.  A sample
     that exhausts its budget raises QuadratureError with its index.
     """
-    bps = _checked_breakpoints(breakpoints, abs_tol, rel_tol)
+    bps = tuple(float(b) for b in breakpoints)
+    if any(not (0.0 < b < 1.0) for b in bps):
+        raise ValueError("breakpoints must lie strictly inside (0,1)")
+    if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
+        raise ValueError("breakpoints must be strictly increasing")
+    if abs_tol <= 0 or rel_tol <= 0:
+        raise ValueError("tolerances must be positive")
     edges = np.array([0.0, *bps, 1.0])
     lo = np.tile(edges[:-1], samples)
     hi = np.tile(edges[1:], samples)
@@ -218,19 +201,3 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
             values[s] = k_val[a:b].sum()
             errs[s] = k_err[a:b].sum()
     return values, errs, used
-
-
-def integrate(problem: IntegrationProblem):
-    """Integral of problem.integrand over [0,1] -> (value, err_estimate).
-
-    The one-sample case of integrate_batch.
-    """
-    values, errs, _ = integrate_batch(
-        lambda x, s: problem.integrand(x.ravel()), 1, problem.breakpoints,
-        problem.abs_tol, problem.rel_tol, problem.max_subdivisions)
-    return complex(values[0]), float(errs[0])
-
-
-def integrate_function(f, breakpoints=(), **kwargs):
-    """Convenience wrapper building the problem inline."""
-    return integrate(IntegrationProblem(f, tuple(breakpoints), **kwargs))

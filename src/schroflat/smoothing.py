@@ -8,7 +8,8 @@ Schrodinger evolution of the odd extension of a datum v0,
 which smooths arbitrary L2 data into an entire function of x.  At t=tau
 the odd-power Taylor coefficients of v(tau,.) around x=0 seed the phase-2
 flat output: y_k = i^k * integral of (-2) d^(2k+1)E(tau,y) v0(y) dy, using
-the odd-in-y parity of odd-order x-derivatives at x=0.
+the odd-in-y parity of odd-order x-derivatives at x=0.  The seed orders, like
+the trace's time samples, are the samples of one batched quadrature.
 
 A datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
 beam.ExtendedDatum: [0, 2]); the breakpoints become quadrature panel edges.
@@ -18,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import MAX_ORDER, kernel_derivative, odd_kernel
-from .quadrature import IntegrationProblem, QuadratureError, integrate, integrate_batch
+from .kernel import (MAX_ORDER, derivative_coefficients, fundamental_solution, horner,
+                     odd_kernel)
+from .quadrature import QuadratureError, integrate_batch
 
 # i^k and (-i)^k, indexed by k mod 4
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -35,13 +37,6 @@ PHASE_NAMES = {PHASE_SMOOTHING: "smoothing", PHASE_FLATNESS: "flatness"}
 
 class SmoothingError(RuntimeError):
     pass
-
-
-def _polyval_ascending(coeffs, x):
-    out = np.zeros_like(x, dtype=np.complex128) + coeffs[-1]
-    for c in coeffs[-2::-1]:
-        out = out * x + c
-    return out
 
 
 class PiecewiseProfile:
@@ -105,13 +100,13 @@ class PiecewiseProfile:
         for i, coeffs in enumerate(self.pieces):
             mask = inside & (idx == i)
             if np.any(mask):
-                out[mask] = _polyval_ascending(coeffs, xa[mask])
+                out[mask] = horner(coeffs, xa[mask])
         for b in self.breakpoints:
             hit = inside & (xa == b)
             if np.any(hit):
                 i = int(np.searchsorted(self.edges, b)) - 1
-                left = _polyval_ascending(self.pieces[i], xa[hit])
-                right = _polyval_ascending(self.pieces[i + 1], xa[hit])
+                left = horner(self.pieces[i], xa[hit])
+                right = horner(self.pieces[i + 1], xa[hit])
                 out[hit] = 0.5 * (left + right)
         return complex(out[0]) if scalar else out
 
@@ -167,11 +162,6 @@ class ControlTrace:
         im = np.interp(times, self.t, self.u.imag)
         return re + 1j * im
 
-    def interpolate_derivative(self, times):
-        re = np.interp(times, self.t, self.du.real)
-        im = np.interp(times, self.t, self.du.imag)
-        return re + 1j * im
-
 
 @dataclass(eq=False)
 class FlatSeed:
@@ -192,13 +182,6 @@ class FlatSeed:
                            for k in range(self.K + 1)])
         if np.any(np.abs(self.y) > limits * (1.0 + 1e-12)):
             raise ValueError("seed violates its own growth bound")
-
-    def series_at(self, x):
-        """Sum y_k (-i)^k x^(2k+1)/(2k+1)! -- the smoothed state at t=tau."""
-        total = 0.0 + 0.0j
-        for k in range(self.K, -1, -1):
-            total += self.y[k] * _MIPOW[k % 4] * x ** (2 * k + 1) / math.factorial(2 * k + 1)
-        return total
 
 
 def _convolutions(v0, t, x, m, abs_tol, rel_tol, max_subdivisions):
@@ -277,27 +260,32 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10, rel_tol=1e-8,
 
 
 def flat_coefficients(v0, tau, K):
-    """Extract the flat-output seed y_0..y_K of the datum v0 at t=tau."""
+    """Extract the flat-output seed y_0..y_K of the datum v0 at t=tau.
+
+    The K+1 integrals go through one batched quadrature, one sample per
+    order k.  Row k of the coefficient table holds p_(2k+1), zero-padded at
+    the top, so each row evaluates d^(2k+1)E(tau, y) as p_(2k+1)(y) E(tau, y).
+    """
     if tau <= 0:
         raise ValueError("tau must be positive")
     if not 0 <= K <= MAX_SEED_ORDER:
         raise ValueError(f"K={K} outside the supported truncation range")
     support = v0.support
     bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
-    y = np.zeros(K + 1, dtype=np.complex128)
+    poly = np.zeros((K + 1, 2 * K + 2), dtype=np.complex128)
     for k in range(K + 1):
-        order = 2 * k + 1
+        poly[k, : 2 * k + 2] = derivative_coefficients(tau, 2 * k + 1)
 
-        def integrand(sig, _order=order):
-            ys = support * sig
-            return -2.0 * kernel_derivative(tau, ys, _order) * v0(ys)
+    def integrand(sig, k):
+        ys = support * sig
+        return -2.0 * (horner(poly[k], ys) * fundamental_solution(tau, ys)) * v0(ys)
 
-        try:
-            value, _ = integrate(IntegrationProblem(integrand, bps))
-        except QuadratureError as exc:
-            raise SmoothingError(
-                f"flat coefficient extraction failed at order k={k}: {exc}") from exc
-        y[k] = _IPOW[k % 4] * support * value
+    try:
+        values, _, _ = integrate_batch(integrand, K + 1, bps)
+    except QuadratureError as exc:
+        raise SmoothingError(
+            f"flat coefficient extraction failed at order k={exc.sample}: {exc}") from exc
+    y = np.array(_IPOW)[np.arange(K + 1) % 4] * support * values
     fit = [float(abs(y[k])) * tau ** k / (2.0 ** k * math.factorial(k))
            for k in range(K + 1)]
     return FlatSeed(tau, K, y, max(fit))

@@ -5,7 +5,10 @@ at once: phase 1 through one adaptive Gauss-Kronrod loop whose work list
 holds (sample, panel) pairs, phase 2 as jet arithmetic with a trailing
 sample axis.  The functions here are the one-sample-at-a-time versions the
 batched code replaced, kept as oracles: an adaptive quadrature per
-integral, and scalar Taylor recurrences per time sample.
+integral (and the seed as one integral per order), and scalar Taylor
+recurrences per time sample.  The one-integral interface of the package's
+batched loop (IntegrationProblem, integrate) and the checks that only tests
+need (the seed's state series, Gevrey bounds on jets) live here as well.
 
 The package also marches both equations in sine modes, chunks of steps at
 a time.  The step-by-step banded solves of the same two schemes are kept
@@ -13,15 +16,44 @@ here, with a grid solve of the beam's Poisson lift; they need scipy, which
 the package itself does not import.
 """
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from schroflat.gevrey import _SNAP_EXPONENT, _kappa
-from schroflat.kernel import odd_kernel
+from schroflat.kernel import kernel_derivative, odd_kernel
 from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES15, WEIGHTS7,
-                                  WEIGHTS15, IntegrationProblem, QuadratureError)
+                                  WEIGHTS15, QuadratureError, integrate_batch)
 from schroflat.beam import BeamResult, BeamSnapshot
-from schroflat.smoothing import _MIPOW
+from schroflat.smoothing import _IPOW, _MIPOW
+
+
+# ------------------------------------------------------- one integral
+
+@dataclass(frozen=True)
+class IntegrationProblem:
+    integrand: Callable[[np.ndarray], np.ndarray]
+    breakpoints: tuple = ()
+    abs_tol: float = 1e-10
+    rel_tol: float = 1e-8
+    max_subdivisions: int = 2 ** 14
+
+
+def integrate(problem: IntegrationProblem):
+    """Integral of problem.integrand over [0,1] -> (value, err_estimate).
+
+    The one-sample case of integrate_batch.
+    """
+    values, errs, _ = integrate_batch(
+        lambda x, s: problem.integrand(x.ravel()), 1, problem.breakpoints,
+        problem.abs_tol, problem.rel_tol, problem.max_subdivisions)
+    return complex(values[0]), float(errs[0])
+
+
+def integrate_function(f, breakpoints=(), **kwargs):
+    """integrate with the problem built inline."""
+    return integrate(IntegrationProblem(f, tuple(breakpoints), **kwargs))
 
 
 # ------------------------------------------------------------- phase 1
@@ -121,6 +153,29 @@ def boundary_trace_per_sample(v0, t_grid, support=1.0, breakpoints=(),
             du[i] = 1j * v2
             err[i] = err[i] + e2
     return u, du, err, panels
+
+
+def flat_coefficients_per_order(v0, tau, K):
+    """Seed y_0..y_K of v0 at tau, one adaptive integral per order."""
+    support = v0.support
+    bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
+    y = np.zeros(K + 1, dtype=np.complex128)
+    for k in range(K + 1):
+        def integrand(sig, order=2 * k + 1):
+            ys = support * sig
+            return -2.0 * kernel_derivative(tau, ys, order) * v0(ys)
+
+        value, _ = integrate(IntegrationProblem(integrand, bps))
+        y[k] = _IPOW[k % 4] * support * value
+    return y
+
+
+def seed_series(seed, x):
+    """Sum y_k (-i)^k x^(2k+1)/(2k+1)! -- the smoothed state at t=tau."""
+    total = 0.0 + 0.0j
+    for k in range(seed.K, -1, -1):
+        total += seed.y[k] * _MIPOW[k % 4] * x ** (2 * k + 1) / math.factorial(2 * k + 1)
+    return total
 
 
 # ------------------------------------------------------------- phase 2
@@ -225,6 +280,35 @@ def control_series_one(fo, t, truncation):
         dterms[k] = _MIPOW[k % 4] * derivs[k + 1] / fact
     return (complex(np.sum(terms)), complex(np.sum(dterms)),
             float(abs(terms[truncation])), terms, dterms)
+
+
+@dataclass(frozen=True)
+class GevreyBound:
+    """|f^(j)| <= M * (j!)^s / R^j for all tabulated orders."""
+
+    M: float
+    R: float
+    s: float
+
+    def log_limit(self, j):
+        return math.log(self.M) + self.s * math.lgamma(j + 1) - j * math.log(self.R)
+
+
+def verify_gevrey_bound(jets, bound):
+    """Check every jet coefficient against the bound, in log space.
+
+    Returns (ok, witness) where witness is (center, order) of the first
+    violation, or None.
+    """
+    for jet in jets:
+        for j in range(jet.order + 1):
+            mag = abs(jet.coeffs[j])
+            if mag == 0.0:
+                continue
+            log_deriv = math.log(mag) + math.lgamma(j + 1)
+            if log_deriv > bound.log_limit(j):
+                return False, (jet.center, j)
+    return True, None
 
 
 # ------------------------------------------------------------- marches

@@ -4,6 +4,9 @@ Phase 1 runs every time sample through one adaptive Gauss-Kronrod loop;
 each sample must be subdivided exactly as when integrated alone, so the
 panel counts agree sample by sample and the values agree to rounding (a
 batch's panel sums go through matrix-vector products of other row counts).
+The flat-output seed integrates its K+1 orders as the samples of one such
+loop; each order must agree with its own adaptive integral to 1e-14
+relative (rounding of the same panel sums).
 Phase 2 evaluates the jet recurrences, the Leibniz rule and the series over
 a time axis; the values agree to rounding of the series' L1 mass, since the
 vectorized complex products may fuse multiply-adds the scalar ones do not.
@@ -15,9 +18,10 @@ from schroflat import FlatOutput, boundary_trace, control_trace, flat_coefficien
 from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
 from schroflat.cli import builtin_scenarios
 from schroflat.flatness import JET_ORDER_MARGIN
-from schroflat.smoothing import _convolutions
+from schroflat.smoothing import MAX_SEED_ORDER, _convolutions
 
-from oracles import boundary_trace_per_sample, control_series_one
+from oracles import (boundary_trace_per_sample, control_series_one,
+                     flat_coefficients_per_order)
 
 
 def _phase1_setting(name):
@@ -49,6 +53,16 @@ def test_phase1_batch_matches_per_sample_loop(name):
             v0, times, 1.0, m, settings.get("abs_tol", 1e-10), 1e-8,
             settings.get("max_subdivisions", 2 ** 14))
         assert np.array_equal(used, panels[row]), f"subdivision differs (m={m})"
+
+
+@pytest.mark.parametrize("K", [15, MAX_SEED_ORDER])
+@pytest.mark.parametrize("name", ["gentle", "reference", "beam"])
+def test_seed_batch_matches_per_order_integrals(name, K):
+    v0, _, _, _ = _phase1_setting(name)
+    tau = builtin_scenarios()[name].tau
+    y = flat_coefficients(v0, tau, K).y
+    expect = flat_coefficients_per_order(v0, tau, K)
+    assert np.all(np.abs(y - expect) <= 1e-14 * np.abs(expect))
 
 
 def _flat_output(name):

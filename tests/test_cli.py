@@ -230,18 +230,34 @@ def test_main_numerical_error_exit(tmp_path, capsys):
     ("schrodinger", "K: 31"),
     ("schrodinger", "K_u: 80"),
     ("beam", "cutoff_s: 2.5"),
+    ("schrodinger", "K: abc"),
+    ("schrodinger", "tau: [1, 2]"),
+    ("schrodinger", "sim: 5"),
+    ("schrodinger", "theta0: {breakpoints: 0.5, pieces: [[1], [2]]}"),
 ])
 def test_main_config_error_on_out_of_range_setting(tmp_path, capsys, equation, entry):
-    # rejected with the scenario, before any integral is computed
+    # rejected with the scenario, before any integral is computed; the
+    # entry comes last, so it replaces a default key of the same name
     profiles = "eta0: sine\neta1: zero\n" if equation == "beam" else "theta0: pulse\n"
     cfg = tmp_path / "range.yaml"
     cfg.write_text(
         f"equation: {equation}\n"
-        f"tau: 1.4\nT: 2.0\ns: 1.6\n{entry}\n"
-        "sim: {Nx: 32, Nt: 64, snapshot_count: 3}\n" + profiles)
+        "tau: 1.4\nT: 2.0\ns: 1.6\n"
+        "sim: {Nx: 32, Nt: 64, snapshot_count: 3}\n" + profiles + f"{entry}\n")
     rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert f"config error: {entry.split(':')[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["directory", "binary"])
+def test_main_config_error_on_unreadable_scenario(tmp_path, capsys, kind):
+    source = tmp_path
+    if kind == "binary":
+        source = tmp_path / "binary.yaml"
+        source.write_bytes(b"\xff\xfe\x00tau")
+    rc = main(["run", "--scenario", str(source), "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "config error: scenario" in capsys.readouterr().err
 
 
 def test_main_config_error_on_bad_yaml(tmp_path, capsys):
