@@ -179,11 +179,21 @@ def _profile_from_entry(entry, field):
     raise ScenarioError(f"{field}: expected builtin name or breakpoints/pieces map")
 
 
-def _setting(d, field, kind, default):
+def _integer(value):
+    """An int setting: ints, integral floats and integral strings.
+
+    int() alone would truncate 2.9 to 2 and read true as 1.
+    """
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"need an integer, got {value!r}")
+    return int(value)
+
+
+def _setting(d, field, kind, default, section=""):
     try:
         return kind(d.get(field, default))
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"{field}: {exc}") from exc
+        raise ScenarioError(f"{section}{field}: {exc}") from exc
 
 
 def scenario_from_dict(d, name):
@@ -193,9 +203,10 @@ def scenario_from_dict(d, name):
     simd = d.get("sim", {})
     if not isinstance(simd, dict):
         raise ScenarioError("sim: expected a mapping of Nx, Nt, snapshot_count")
+    sizes = {field: _setting(simd, field, _integer, default, "sim.")
+             for field, default in (("Nx", 200), ("Nt", 4000), ("snapshot_count", 11))}
     try:
-        sim = SimConfig(Nx=int(simd.get("Nx", 200)), Nt=int(simd.get("Nt", 4000)),
-                        T=T, snapshot_count=int(simd.get("snapshot_count", 11)))
+        sim = SimConfig(T=T, **sizes)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"sim: {exc}") from exc
     return Scenario(
@@ -204,8 +215,8 @@ def scenario_from_dict(d, name):
         tau=_setting(d, "tau", float, 0.35),
         T=T,
         s=_setting(d, "s", float, 1.9),
-        K=_setting(d, "K", int, 15),
-        K_u=_setting(d, "K_u", int, 15),
+        K=_setting(d, "K", _integer, 15),
+        K_u=_setting(d, "K_u", _integer, 15),
         control=d.get("control", "synthesized"),
         sim=sim,
         theta0=_profile_from_entry(d.get("theta0"), "theta0"),
@@ -251,26 +262,30 @@ def write_report(path, entries):
             fh.write(f"{k}={_fmt(v)}\n")
 
 
+def _cells(values):
+    """A numeric column's cells as _fmt writes them: repr of each value."""
+    return map(repr, np.asarray(values).tolist())
+
+
 def write_control_csv(path, trace, u1=None, u2=None):
     header = "t,re_u,im_u,phase"
+    columns = [_cells(trace.t), _cells(trace.u.real), _cells(trace.u.imag),
+               [PHASE_NAMES[p] for p in trace.phase.tolist()]]
     if u1 is not None:
         header += ",u1,u2"
+        columns += [_cells(u1), _cells(u2)]
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        for i in range(trace.t.size):
-            row = (f"{_fmt(trace.t[i])},{_fmt(trace.u[i].real)},"
-                   f"{_fmt(trace.u[i].imag)},{PHASE_NAMES[int(trace.phase[i])]}")
-            if u1 is not None:
-                row += f",{_fmt(u1[i])},{_fmt(u2[i])}"
-            fh.write(row + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def write_field_csv(path, snapshots):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,re,im\n")
         for snap in snapshots:
-            for x, v in zip(snap.grid, snap.values):
-                fh.write(f"{_fmt(snap.t)},{_fmt(x)},{_fmt(v.real)},{_fmt(v.imag)}\n")
+            t = _fmt(snap.t)
+            fh.writelines(f"{t},{x},{re},{im}\n" for x, re, im in zip(
+                _cells(snap.grid), _cells(snap.values.real), _cells(snap.values.imag)))
 
 
 def write_norms_csv(path, snapshots):
@@ -284,15 +299,15 @@ def write_beam_field_csv(path, snapshots):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,x,eta,eta_t\n")
         for snap in snapshots:
-            for x, e, p in zip(snap.grid, snap.eta, snap.eta_t):
-                fh.write(f"{_fmt(snap.t)},{_fmt(x)},{_fmt(e)},{_fmt(p)}\n")
+            t = _fmt(snap.t)
+            fh.writelines(f"{t},{x},{e},{p}\n" for x, e, p in zip(
+                _cells(snap.grid), _cells(snap.eta), _cells(snap.eta_t)))
 
 
 def write_energy_csv(path, times, energy):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("t,energy\n")
-        for t, e in zip(times, energy):
-            fh.write(f"{_fmt(t)},{_fmt(e)}\n")
+        fh.writelines(f"{t},{e}\n" for t, e in zip(_cells(times), _cells(energy)))
 
 
 def run_schrodinger(sc: Scenario, out: Path):

@@ -12,6 +12,11 @@ breakpoints seed the initial panel edges, so no panel ever straddles a
 discontinuity of the integrand.  Summation order is fixed (each sample's
 panels sorted by left edge), making results bit-reproducible for a given
 problem.
+
+An optional weight is a factor shared by every sample, a function of the
+nodes alone (the datum of a convolution).  Samples that split alike hold
+the same panels, so within each integrand call the weight is evaluated
+once per distinct panel and gathered onto every row that holds it.
 """
 import math
 
@@ -78,11 +83,26 @@ class QuadratureError(RuntimeError):
         self.sample = sample
 
 
-def _panel_sums(f, lo, hi, sample):
+def _distinct_panels(lo, hi):
+    """(first, inverse): one row index per distinct (lo, hi) pair, and the
+    index into first of every row's pair."""
+    order = np.lexsort((hi, lo))
+    lo_s, hi_s = lo[order], hi[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _panel_sums(f, lo, hi, sample, weight):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     xs = mid[:, None] + half[:, None] * NODES15[None, :]
     fv = np.asarray(f(xs, sample[:, None]), dtype=np.complex128).reshape(xs.shape)
+    if weight is not None:
+        first, inverse = _distinct_panels(lo, hi)
+        fv = fv * weight(xs[first])[inverse]
     kron = half * (fv @ WEIGHTS15)
     gauss = half * (fv[:, GAUSS_IDX] @ WEIGHTS7)
     diff = kron - gauss
@@ -91,9 +111,9 @@ def _panel_sums(f, lo, hi, sample):
     return kron, err, scale
 
 
-def _evaluate(f, lo, hi, sample):
+def _evaluate(f, lo, hi, sample, weight):
     chunks = [_panel_sums(f, lo[a:a + PANELS_PER_CALL], hi[a:a + PANELS_PER_CALL],
-                          sample[a:a + PANELS_PER_CALL])
+                          sample[a:a + PANELS_PER_CALL], weight)
               for a in range(0, lo.size, PANELS_PER_CALL)]
     return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
@@ -105,7 +125,7 @@ def _ordered_sum(lo, vals, errs):
 
 
 def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
-                    rel_tol=1e-8, max_subdivisions=2 ** 14):
+                    rel_tol=1e-8, max_subdivisions=2 ** 14, weight=None):
     """Integrals over [0,1] of a batch of integrands in one adaptive loop.
 
     integrand(x, s) evaluates the integrands at the nodes x, an array with
@@ -113,8 +133,15 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
     panels' sample indices and broadcasts against x.  The work list holds
     (sample, panel) pairs and every sample keeps its own decisions: the
     tolerance from its own total, the rounding floor, the summed-error
-    shortcut, the two-generation stall and the panel budget.  Per-sample sums over the work list come from
-    np.bincount, so each sample is subdivided as if integrated alone.
+    shortcut, the two-generation stall and the panel budget.  Per-sample
+    sums over the work list come from np.bincount, so each sample is
+    subdivided as if integrated alone.
+
+    weight(x), if given, is a factor common to all samples, a function of
+    the nodes alone.  It sees one row of nodes per distinct panel of each
+    integrand call, and the integrated values are
+    integrand(x, s) * weight(x_distinct)[inverse], in that order.  None
+    means no factor.
 
     Returns (values, errs, panels): the integrals, their error estimates
     and the number of panels evaluated, one entry per sample.  A sample
@@ -144,7 +171,7 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
 
     while lo.size:
         used += np.bincount(smp, minlength=samples)
-        kron, err, scale = _evaluate(integrand, lo, hi, smp)
+        kron, err, scale = _evaluate(integrand, lo, hi, smp, weight)
         over = np.flatnonzero(used > max_subdivisions)
         if over.size:
             s = int(over[0])

@@ -9,7 +9,10 @@ which smooths arbitrary L2 data into an entire function of x.  At t=tau
 the odd-power Taylor coefficients of v(tau,.) around x=0 seed the phase-2
 flat output: y_k = i^k * integral of (-2) d^(2k+1)E(tau,y) v0(y) dy, using
 the odd-in-y parity of odd-order x-derivatives at x=0.  The seed orders, like
-the trace's time samples, are the samples of one batched quadrature.
+the trace's time samples, are the samples of one batched quadrature.  The
+datum factor v0(y) depends on the node alone, not on the sample, so it is
+the quadrature's shared weight: evaluated once per distinct panel and
+multiplied in after the kernel part.
 
 A datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
 beam.ExtendedDatum: [0, 2]); the breakpoints become quadrature panel edges.
@@ -193,13 +196,13 @@ def _convolutions(v0, t, x, m, abs_tol, rel_tol, max_subdivisions):
     support = v0.support
 
     def integrand(sig, s):
-        y = support * sig
-        return odd_kernel(t[s], x[s], y, m) * v0(y)
+        return odd_kernel(t[s], x[s], support * sig, m)
 
     bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
     try:
-        values, errs, panels = integrate_batch(integrand, t.size, bps, abs_tol,
-                                               rel_tol, max_subdivisions)
+        values, errs, panels = integrate_batch(
+            integrand, t.size, bps, abs_tol, rel_tol, max_subdivisions,
+            weight=lambda sig: v0(support * sig))
     except QuadratureError as exc:
         i = exc.sample
         raise QuadratureError(f"{exc} at t={float(t[i])!r}, x={float(x[i])!r}",
@@ -278,10 +281,11 @@ def flat_coefficients(v0, tau, K):
 
     def integrand(sig, k):
         ys = support * sig
-        return -2.0 * (horner(poly[k], ys) * fundamental_solution(tau, ys)) * v0(ys)
+        return -2.0 * (horner(poly[k], ys) * fundamental_solution(tau, ys))
 
     try:
-        values, _, _ = integrate_batch(integrand, K + 1, bps)
+        values, _, _ = integrate_batch(integrand, K + 1, bps,
+                                       weight=lambda sig: v0(support * sig))
     except QuadratureError as exc:
         raise SmoothingError(
             f"flat coefficient extraction failed at order k={exc.sample}: {exc}") from exc

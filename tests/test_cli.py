@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from schroflat.cli import (
     selftest,
 )
 import schroflat
-from schroflat import SimConfig
-from schroflat.cli import pulse_datum
+from schroflat import ControlTrace, SimConfig
+from schroflat.cli import (_fmt, pulse_datum, write_beam_field_csv, write_control_csv,
+                           write_energy_csv, write_field_csv)
+from schroflat.smoothing import PHASE_NAMES
 
 
 def test_builtin_scenarios_wellformed():
@@ -65,6 +68,15 @@ def test_scenario_from_dict_roundtrip():
     assert sc.theta0(0.75) == 1j
 
 
+def test_scenario_from_dict_accepts_integral_values():
+    d = {"tau": 1.4, "T": 2.0, "s": 1.6, "K": "8", "K_u": 8.0,
+         "sim": {"Nx": 32, "Nt": "64", "snapshot_count": 3.0},
+         "theta0": "pulse"}
+    sc = scenario_from_dict(d, "integral")
+    assert (sc.K, sc.K_u, sc.sim.Nx, sc.sim.Nt, sc.sim.snapshot_count) == (8, 8, 32, 64, 3)
+    assert all(type(v) is int for v in (sc.K, sc.K_u, sc.sim.Nt, sc.sim.snapshot_count))
+
+
 def test_scenario_from_dict_rejects_bad_profiles():
     base = {"tau": 1.4, "T": 2.0, "s": 1.6,
             "sim": {"Nx": 32, "Nt": 64}}
@@ -104,6 +116,36 @@ def test_run_scenario_writes_artifacts(tmp_path):
     # cells must be plain decimals, not numpy scalar reprs
     for name in ("control.csv", "field.csv", "norms.csv"):
         assert "np.float64" not in (tmp_path / "out" / name).read_text()
+
+
+def test_csv_writers_write_each_cell_as_fmt(tmp_path):
+    # the writers format whole columns at once; every cell must still read
+    # as _fmt writes it, signed zero and subnormals included
+    t = np.array([-0.0, 5e-324, 1e-300, 1.0, 2.0, 1e20])
+    vals = np.array([1e-300, -0.0, 5e-324, 3.0, -2.0, 0.0])
+    u = vals + 1j * t[::-1]
+    phase = np.array([0, 0, 1, 1, 0, 1])
+    trace = ControlTrace(t, u, np.zeros(t.size), phase, np.zeros(t.size))
+
+    def lines(path):
+        return (tmp_path / path).read_text().splitlines()
+
+    def row(*cells):
+        return ",".join(c if isinstance(c, str) else _fmt(c) for c in cells)
+
+    write_control_csv(tmp_path / "control.csv", trace, u1=-vals, u2=t)
+    assert lines("control.csv") == ["t,re_u,im_u,phase,u1,u2"] + [
+        row(t[i], u[i].real, u[i].imag, PHASE_NAMES[phase[i]], -vals[i], t[i])
+        for i in range(t.size)]
+    write_energy_csv(tmp_path / "energy.csv", t, vals)
+    assert lines("energy.csv") == ["t,energy"] + [row(a, b) for a, b in zip(t, vals)]
+    snap = SimpleNamespace(t=1e-300, grid=t, values=u, eta=vals, eta_t=-vals)
+    write_field_csv(tmp_path / "field.csv", [snap])
+    assert lines("field.csv") == ["t,x,re,im"] + [
+        row(snap.t, x, v.real, v.imag) for x, v in zip(t, u)]
+    write_beam_field_csv(tmp_path / "beam.csv", [snap])
+    assert lines("beam.csv") == ["t,x,eta,eta_t"] + [
+        row(snap.t, x, e, p) for x, e, p in zip(t, vals, -vals)]
 
 
 def test_run_beam_scenario_smoke(tmp_path):
@@ -234,6 +276,13 @@ def test_main_numerical_error_exit(tmp_path, capsys):
     ("schrodinger", "tau: [1, 2]"),
     ("schrodinger", "sim: 5"),
     ("schrodinger", "theta0: {breakpoints: 0.5, pieces: [[1], [2]]}"),
+    # int() would truncate these without a word
+    ("schrodinger", "K: 2.9"),
+    ("schrodinger", "K: true"),
+    ("schrodinger", "K_u: 7.5"),
+    ("schrodinger", "sim: {Nx: 32.5, Nt: 64, snapshot_count: 3}"),
+    ("schrodinger", "sim: {Nx: 32, Nt: 40.7, snapshot_count: 3}"),
+    ("schrodinger", "sim: {Nx: 32, Nt: 64, snapshot_count: 3.5}"),
 ])
 def test_main_config_error_on_out_of_range_setting(tmp_path, capsys, equation, entry):
     # rejected with the scenario, before any integral is computed; the

@@ -7,6 +7,9 @@ import numpy as np
 import pytest
 
 from schroflat import ControlTrace, FlatSeed, PiecewiseProfile, QuadratureError, boundary_trace, flat_coefficients, free_evolution
+from schroflat import smoothing
+from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
+from schroflat.cli import builtin_scenarios
 from schroflat.smoothing import PHASE_SMOOTHING, convolution_integral
 
 from conftest import assert_close
@@ -139,6 +142,38 @@ def test_trace_budget_failure_names_sample_time(ref_datum):
     assert exc.value.value == alone.value.value
     # the other samples fit the budget on their own
     boundary_trace(ref_datum, times[1:], derivative=False, max_subdivisions=40)
+
+
+def test_datum_evaluated_once_per_distinct_panel(monkeypatch):
+    # the datum factor depends on the node alone, so on the builtin beam's
+    # phase-1 grid it sees each distinct panel of an integrand call once:
+    # far fewer points than the kernel, which sees every (sample, panel) row
+    sc = builtin_scenarios()["beam"]
+    ext = extend_odd_smooth(lift_initial_data(BeamData(sc.eta0, sc.eta1)), sc.cutoff_s)
+    times = sc.sim.times()
+    kernel = {"points": 0, "panels": 0}
+
+    def counted_kernel(t, x, y, m):
+        kernel["points"] += y.size
+        kernel["panels"] += np.unique(y, axis=0).shape[0]
+        return odd_kernel(t, x, y, m)
+
+    class CountedDatum:
+        support = ext.support
+        breakpoints = ext.breakpoints
+        points = 0
+
+        def __call__(self, y):
+            self.points += np.size(y)
+            return ext(y)
+
+    odd_kernel = smoothing.odd_kernel
+    monkeypatch.setattr(smoothing, "odd_kernel", counted_kernel)
+    datum = CountedDatum()
+    boundary_trace(datum, times[(times > 0) & (times <= sc.tau)], derivative=True,
+                   abs_tol=1e-8, max_subdivisions=2 ** 16)
+    assert datum.points == 15 * kernel["panels"]
+    assert 5 * datum.points < kernel["points"]
 
 
 def test_boundary_trace_rejects_nonpositive_times(ref_datum):
