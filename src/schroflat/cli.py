@@ -19,8 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .flatness import JET_ORDER_MARGIN, synthesize
-from .gevrey import MAX_JET_ORDER
+from .flatness import MAX_SERIES_TRUNCATION, synthesize
 from .quadrature import QuadratureError
 from .schrodinger_sim import SimConfig, simulate, terminal_report
 from .smoothing import MAX_SEED_ORDER, PHASE_NAMES, PiecewiseProfile, SmoothingError
@@ -111,9 +110,8 @@ class Scenario:
                 raise ScenarioError("s: need s in (1,2)")
             if not 1 <= self.K <= MAX_SEED_ORDER:
                 raise ScenarioError(f"K: need 1 <= K <= {MAX_SEED_ORDER}")
-            if not 1 <= self.K_u <= MAX_JET_ORDER - JET_ORDER_MARGIN:
-                raise ScenarioError(
-                    f"K_u: need 1 <= K_u <= {MAX_JET_ORDER - JET_ORDER_MARGIN}")
+            if not 1 <= self.K_u <= MAX_SERIES_TRUNCATION:
+                raise ScenarioError(f"K_u: need 1 <= K_u <= {MAX_SERIES_TRUNCATION}")
             if self.equation == "beam" and not 1.0 < self.cutoff_s < 2.0:
                 raise ScenarioError("cutoff_s: need cutoff_s in (1,2)")
         if abs(self.sim.T - self.T) > 1e-12:
@@ -392,6 +390,14 @@ def run_scenario(sc: Scenario, out_dir):
 def convergence_study(sc: Scenario, levels, out_dir):
     if levels < 3:
         raise ScenarioError("levels: need at least 3 refinement levels")
+    free = sc.equation == "schrodinger" and sc.control == "none"
+    if free:
+        # a free run is scored against the exact evolution of sin(pi x)
+        x = np.linspace(0.0, 1.0, sc.sim.Nx + 1)
+        if not np.max(np.abs(sc.theta0(x) - np.sin(np.pi * x))) <= 1e-10:
+            raise ScenarioError(
+                "theta0: a study without control compares with the eigenmode "
+                "sin(pi x), so theta0 must equal sin(pi x)")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -400,7 +406,7 @@ def convergence_study(sc: Scenario, levels, out_dir):
     for lvl in range(levels):
         cfg = SimConfig(Nx=base.Nx * 2 ** lvl, Nt=base.Nt * 2 ** lvl,
                         T=base.T, snapshot_count=base.snapshot_count)
-        if sc.equation == "schrodinger" and sc.control == "none":
+        if free:
             snapshots = simulate(sc.theta0, None, cfg)
             rel = terminal_report(snapshots)["relative"]
             tail = 0.0

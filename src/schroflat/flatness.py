@@ -13,8 +13,14 @@ truncated series
 evaluated through one shared term computation, so the state at x=1
 reproduces the control bit for bit.
 
-Every quantity carries a trailing sample axis: a whole time grid goes
-through one pass of the jet recurrences, the Leibniz rule and the series,
+One setting, FlatOutput.K_u, fixes the truncation: the series keep
+orders k <= K_u, and the flat output's derivatives are carried up to
+jet_order = K_u + JET_ORDER_MARGIN, which leaves room for u' (order
+K_u+1) and for residual checks.
+
+Every quantity is a plain coefficient array, orders first and samples on
+a trailing axis: a whole time grid goes through one pass of the step's
+Taylor recurrences (gevrey.step_jet), the Leibniz rule and the series,
 and a single time is the one-sample case of the same code.  Sums over the
 order axis run in a fixed order, so a sample's value does not depend on
 the batch it was computed in.
@@ -38,6 +44,7 @@ from .smoothing import (_MIPOW, PHASE_FLATNESS, ControlTrace, FlatSeed,
 DEFAULT_SERIES_TRUNCATION = 15
 # headroom above the series truncation for u' and residual checks
 JET_ORDER_MARGIN = 6
+MAX_SERIES_TRUNCATION = MAX_JET_ORDER - JET_ORDER_MARGIN
 
 
 @dataclass(eq=False)
@@ -45,7 +52,7 @@ class FlatOutput:
     seed: FlatSeed
     T: float
     s: float
-    jet_order: int = DEFAULT_SERIES_TRUNCATION + JET_ORDER_MARGIN
+    K_u: int = DEFAULT_SERIES_TRUNCATION
 
     def __post_init__(self):
         tau = self.seed.tau
@@ -57,12 +64,16 @@ class FlatOutput:
                 "analytic part to converge on [tau,T]")
         if not 1.0 < self.s < 2.0:
             raise ValueError("Gevrey order s must lie in (1,2)")
-        if not 1 <= self.jet_order <= MAX_JET_ORDER:
-            raise ValueError(f"jet order must lie in [1, {MAX_JET_ORDER}]")
+        if not 0 <= self.K_u <= MAX_SERIES_TRUNCATION:
+            raise ValueError(f"K_u must lie in [0, {MAX_SERIES_TRUNCATION}]")
 
     @property
     def tau(self):
         return self.seed.tau
+
+    @property
+    def jet_order(self):
+        return self.K_u + JET_ORDER_MARGIN
 
     def _times(self, t):
         """t as a 1-d array of samples, each checked to lie in [tau, T]."""
@@ -111,15 +122,17 @@ def _step_derivatives(fo: FlatOutput, t: np.ndarray) -> np.ndarray:
     phi = step_jet((t - fo.tau) / delta, fo.s, fo.jet_order)
     orders = np.arange(fo.jet_order + 1)
     facts = [math.factorial(j) for j in orders]
-    return phi.coeffs * _orders(facts) * _orders((1.0 / delta) ** orders)
+    return phi * _orders(facts) * _orders((1.0 / delta) ** orders)
 
 
-def _derivatives(fo: FlatOutput, t: np.ndarray) -> np.ndarray:
-    """y^(m)(t) for m = 0..jet_order (rows) at each sample (columns).
+def flat_output_derivatives(fo: FlatOutput, t) -> np.ndarray:
+    """y^(m)(t) for m = 0..jet_order (rows) at each sample of t (columns).
 
-    Leibniz rule, each y^(m) summed in increasing k of C(m,k) phi^(k)
-    ybar^(m-k).
+    t is a scalar or an array of times in [tau, T].  Each y^(m) is the
+    Leibniz sum, in increasing k, of C(m,k) phi^(k) ybar^(m-k); both series
+    below consume these rows.
     """
+    t = fo._times(t)
     ybar = _analytic_derivatives(fo, t)
     phi = _step_derivatives(fo, t)
     n = fo.jet_order
@@ -130,51 +143,37 @@ def _derivatives(fo: FlatOutput, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def flat_output_derivatives(fo: FlatOutput, t: float) -> np.ndarray:
-    """y^(m)(t) for m = 0..jet_order via the Leibniz rule.
-
-    This is the canonical representation; both series below consume it.
-    """
-    return _derivatives(fo, fo._times(float(t)))[:, 0]
-
-
-def _series_terms(fo: FlatOutput, t: np.ndarray, truncation: int):
+def _series_terms(fo: FlatOutput, t):
     """Per-order contributions to u and u' (rows) at each sample (columns)."""
-    if truncation < 0:
-        raise ValueError("series truncation must be nonnegative")
-    if fo.jet_order < truncation + 1:
-        raise ValueError(
-            f"jet order {fo.jet_order} too small for truncation {truncation}")
-    derivs = _derivatives(fo, t)
-    k = np.arange(truncation + 1)
+    derivs = flat_output_derivatives(fo, t)
+    k = np.arange(fo.K_u + 1)
     mipow = np.array(_MIPOW)[k % 4][:, None]
     facts = _orders([math.factorial(2 * j + 1) for j in k])
-    terms = mipow * derivs[: truncation + 1] / facts
-    dterms = mipow * derivs[1: truncation + 2] / facts
+    terms = mipow * derivs[: fo.K_u + 1] / facts
+    dterms = mipow * derivs[1: fo.K_u + 2] / facts
     return terms, dterms
 
 
-def _control_series(fo: FlatOutput, t: np.ndarray, truncation: int):
+def _control_series(fo: FlatOutput, t):
     """(u, du, tail) arrays over the samples t."""
-    terms, dterms = _series_terms(fo, t, truncation)
-    return _sum_orders(terms), _sum_orders(dterms), np.abs(terms[truncation])
+    terms, dterms = _series_terms(fo, t)
+    return _sum_orders(terms), _sum_orders(dterms), np.abs(terms[-1])
 
 
-def control_series(fo: FlatOutput, t: float, truncation: int = DEFAULT_SERIES_TRUNCATION):
+def control_series(fo: FlatOutput, t: float):
     """Boundary control u(t), its time derivative, and the tail indicator.
 
     Returns (u, du, tail) where tail is the magnitude of the last retained
-    series term, the natural resolution limit of the truncation.  The
-    one-sample case of control_trace, bit for bit.
+    series term (order K_u), the natural resolution limit of the
+    truncation.  The one-sample case of control_trace, bit for bit.
     """
-    u, du, tail = _control_series(fo, fo._times(float(t)), truncation)
+    u, du, tail = _control_series(fo, float(t))
     return complex(u[0]), complex(du[0]), float(tail[0])
 
 
-def state_series(fo: FlatOutput, t: float, x,
-                 truncation: int = DEFAULT_SERIES_TRUNCATION):
+def state_series(fo: FlatOutput, t: float, x):
     """Interior state theta(t,x); identical to the control at x=1."""
-    terms, _ = _series_terms(fo, fo._times(float(t)), truncation)
+    terms, _ = _series_terms(fo, float(t))
     xa = np.asarray(x, dtype=np.float64)
     value = np.zeros(xa.shape, dtype=np.complex128)
     for k, term in enumerate(terms[:, 0]):
@@ -182,11 +181,10 @@ def state_series(fo: FlatOutput, t: float, x,
     return complex(value) if np.ndim(x) == 0 else value
 
 
-def control_trace(fo: FlatOutput, t_grid,
-                  truncation: int = DEFAULT_SERIES_TRUNCATION) -> ControlTrace:
+def control_trace(fo: FlatOutput, t_grid) -> ControlTrace:
     """Sample the phase-2 control on a time grid, all samples at once."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    u, du, err = _control_series(fo, fo._times(t_grid), truncation)
+    u, du, err = _control_series(fo, t_grid)
     phase = np.full(t_grid.size, PHASE_FLATNESS, dtype=np.uint8)
     return ControlTrace(t_grid, u, du, phase, err)
 
@@ -206,10 +204,10 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10,
     trace1 = boundary_trace(v0, t1, derivative=derivative, abs_tol=abs_tol,
                             max_subdivisions=max_subdivisions)
     seed = flat_coefficients(v0, tau, K)
-    fo = FlatOutput(seed, T, s, jet_order=K_u + JET_ORDER_MARGIN)
-    trace2 = control_trace(fo, t2, K_u)
+    fo = FlatOutput(seed, T, s, K_u)
+    trace2 = control_trace(fo, t2)
     u_minus, err_minus = convolution_integral(v0, tau, 1.0)
-    u_plus, _, tail_tau = control_series(fo, tau, K_u)
+    u_plus, _, tail_tau = control_series(fo, tau)
     diags = {
         "continuity_gap": abs(u_plus - u_minus),
         "gap_budget": tail_tau + err_minus,

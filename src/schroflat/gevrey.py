@@ -1,4 +1,4 @@
-"""Gevrey step profile and truncated-Taylor (jet) arithmetic.
+"""Gevrey step profile and its truncated Taylor coefficients.
 
 The step profile
 
@@ -7,17 +7,15 @@ The step profile
 with kappa = 1/(s-1) decreases smoothly from 1 at t=0 to 0 at t=1 and is
 Gevrey of order s for 1 < s < 2.  Derivatives of any order are obtained
 without symbolic differentiation by propagating normalized Taylor
-coefficients c_j = f^(j)/j! through the defining formula.  The jet
-recurrences carry a trailing sample axis, so one pass serves a whole time
-grid (Taylor arithmetic over a batch; Griewank & Walther, "Evaluating
-Derivatives", 2008, ch. 13), and a single jet is the one-sample case.
-Near the
-endpoints the exponentials drop below the smallest positive normal double;
-there the profile is flat to machine precision and the jet snaps to an
-exact constant.
+coefficients c_j = f^(j)/j! through the defining formula.  A coefficient
+array holds the orders j on its first axis and samples on any trailing
+axes, so one pass of the recurrences serves a whole time grid (Taylor
+arithmetic over a batch; Griewank & Walther, "Evaluating Derivatives",
+2008, ch. 13).  Near the endpoints the exponentials drop below the
+smallest positive normal double; there the profile is flat to machine
+precision and the coefficients snap to an exact constant.
 """
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,19 +26,9 @@ MAX_JET_ORDER = 40
 _SNAP_EXPONENT = -math.log(np.finfo(np.float64).tiny)
 
 
-# The recurrences below act on arrays whose first axis is the order j and
-# whose trailing axes, if any, are samples.  Every sum runs over k in
-# increasing order, so each sample gets exactly the arithmetic of a
-# one-sample jet.
-
-def _mul(a, b):
-    n = a.shape[0]
-    c = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
-    for j in range(n):
-        for k in range(j + 1):
-            c[j] += a[k] * b[j - k]
-    return c
-
+# The recurrences below act on coefficient arrays, orders first.  Every sum
+# runs over k in increasing order, so each sample gets exactly the
+# arithmetic it would get alone.
 
 def _div(a, b):
     n = a.shape[0]
@@ -77,91 +65,6 @@ def _pow(u, alpha):
     return w
 
 
-@dataclass(eq=False)
-class ComplexJet:
-    """Normalized Taylor coefficients c_j = f^(j)(center)/j!.
-
-    A jet may carry a batch: with centers of shape S, coeffs has shape
-    (order+1,) + S and every operation acts on all samples at once.
-    """
-
-    center: float
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=np.complex128)
-        if self.coeffs.ndim == 0 or self.coeffs.shape[0] == 0:
-            raise ValueError("coeffs must be a nonempty array, orders first")
-        if self.coeffs.shape[1:] != np.shape(self.center):
-            raise ValueError("coeffs must carry one column per center")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValueError("jet coefficients must be finite")
-
-    @classmethod
-    def constant(cls, value, center, order):
-        c = np.zeros((order + 1,) + np.shape(center), dtype=np.complex128)
-        c[0] = value
-        return cls(center, c)
-
-    @classmethod
-    def variable(cls, center, order):
-        c = np.zeros((order + 1,) + np.shape(center), dtype=np.complex128)
-        c[0] = center
-        if order >= 1:
-            c[1] = 1.0
-        return cls(center, c)
-
-    @property
-    def order(self):
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def value(self):
-        return self.coeffs[0]
-
-    def derivative(self, k):
-        if not 0 <= k <= self.order:
-            raise ValueError(f"derivative order {k} outside jet range")
-        return self.coeffs[k] * math.factorial(k)
-
-    def _check(self, other):
-        if not np.array_equal(self.center, other.center) or self.order != other.order:
-            raise ValueError("jet centers and orders must match")
-
-    def __add__(self, other):
-        self._check(other)
-        return ComplexJet(self.center, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ComplexJet(self.center, self.coeffs - other.coeffs)
-
-    def __mul__(self, other):
-        if isinstance(other, ComplexJet):
-            self._check(other)
-            return ComplexJet(self.center, _mul(self.coeffs, other.coeffs))
-        return ComplexJet(self.center, self.coeffs * other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        self._check(other)
-        if np.any(other.coeffs[0] == 0):
-            raise ZeroDivisionError("jet division by zero constant term")
-        return ComplexJet(self.center, _div(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return ComplexJet(self.center, -self.coeffs)
-
-    def exp(self):
-        return ComplexJet(self.center, _exp(self.coeffs))
-
-    def power(self, alpha):
-        if np.any(self.coeffs[0] == 0):
-            raise ZeroDivisionError("jet power needs nonzero constant term")
-        return ComplexJet(self.center, _pow(self.coeffs, float(alpha)))
-
-
 def _kappa(s):
     if not 1.0 < s < 2.0:
         raise ValueError(f"Gevrey order s={s} must lie in (1, 2)")
@@ -187,21 +90,27 @@ def step_function(t, s):
     return out if np.ndim(t) else float(out)
 
 
-def step_jet(t, s, order):
-    """Jet of phi_s at t, snapping to an exact constant in the flat tails.
+def _finite(c):
+    if not np.all(np.isfinite(c)):
+        raise ValueError("jet coefficients must be finite")
+    return c
 
-    t is a scalar or an array of samples; an array gives one batched jet
-    with a column per sample.  Jets use the two-exponential ratio a/(a+b)
-    directly: both factors stay in (0,1], so coefficient recurrences cannot
-    overflow the way the sigmoid form's exp((1-t)^(-kappa) - t^(-kappa))
-    does inside the boundary layers.  Wherever an exponent passes the
-    underflow threshold the profile is constant in double precision and
-    the jet snaps exactly.
+
+def step_jet(t, s, order):
+    """Taylor coefficients c_j = phi_s^(j)(t)/j!, j = 0..order.
+
+    t is a scalar or an array of samples; the result has shape
+    (order+1,) + shape(t).  The coefficients come from the two-exponential
+    ratio a/(a+b) directly: both factors stay in (0,1], so the recurrences
+    cannot overflow the way the sigmoid form's exp((1-t)^(-kappa) -
+    t^(-kappa)) does inside the boundary layers.  Wherever an exponent
+    passes the underflow threshold the profile is constant in double
+    precision and the coefficients snap exactly.
     """
     kappa = _kappa(s)
     if not 0 <= order <= MAX_JET_ORDER:
         raise ValueError(f"jet order must lie in [0, {MAX_JET_ORDER}]")
-    center = np.asarray(t, dtype=np.float64) if np.ndim(t) else float(t)
+    scalar = np.ndim(t) == 0
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     inner = (t > 0.0) & (t < 1.0)
     # compare the would-be exponents in log space: the powers themselves
@@ -219,10 +128,13 @@ def step_jet(t, s, order):
     coeffs[0, (t <= 0.0) | b_under] = 1.0
     live = inner & ~a_under & ~b_under
     if np.any(live):
-        tt = ComplexJet.variable(t[live], order)
-        one_minus = ComplexJet.constant(1.0, t[live], order) - tt
-        a = (-one_minus.power(-kappa)).exp()
-        b = (-tt.power(-kappa)).exp()
-        coeffs[:, live] = (a / (a + b)).coeffs
-    return ComplexJet(center, coeffs if np.ndim(center) else coeffs[:, 0])
-
+        # t and 1-t as coefficient arrays of the variable at the samples
+        x = t[live]
+        tt = np.zeros((order + 1, x.size), dtype=np.complex128)
+        one_minus = np.zeros_like(tt)
+        tt[0], tt[1:2] = x, 1.0
+        one_minus[0], one_minus[1:2] = 1.0 - x, -1.0
+        a = _finite(_exp(-_finite(_pow(one_minus, -kappa))))
+        b = _finite(_exp(-_finite(_pow(tt, -kappa))))
+        coeffs[:, live] = _finite(_div(a, _finite(a + b)))
+    return coeffs[:, 0] if scalar else coeffs

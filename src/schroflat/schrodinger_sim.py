@@ -29,8 +29,8 @@ class SimConfig:
     def __post_init__(self):
         if self.Nx < 16 or self.Nt < 16:
             raise ValueError("need Nx >= 16 and Nt >= 16")
-        if self.T <= 0:
-            raise ValueError("final time must be positive")
+        if not 0.0 < self.T < np.inf:     # also false for nan
+            raise ValueError("final time must be positive and finite")
         if self.snapshot_count < 2:
             raise ValueError("need at least initial and terminal snapshots")
 

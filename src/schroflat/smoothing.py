@@ -128,6 +128,8 @@ class PiecewiseProfile:
 class ControlTrace:
     """Sampled boundary control with per-sample phase tag.
 
+    du is the control's time derivative.  It is zero on phase-1 samples
+    synthesized with derivative=False, which every Schrodinger run uses.
     err holds the quadrature error estimate in phase 1 and the magnitude of
     the last retained series term in phase 2.
     """

@@ -2,13 +2,14 @@
 
 The package evaluates the two phases of the control over a whole time grid
 at once: phase 1 through one adaptive Gauss-Kronrod loop whose work list
-holds (sample, panel) pairs, phase 2 as jet arithmetic with a trailing
-sample axis.  The functions here are the one-sample-at-a-time versions the
-batched code replaced, kept as oracles: an adaptive quadrature per
-integral (and the seed as one integral per order), and scalar Taylor
+holds (sample, panel) pairs, phase 2 as Taylor-coefficient arrays with a
+trailing sample axis.  The functions here are the one-sample-at-a-time
+versions the batched code replaced, kept as oracles: an adaptive quadrature
+per integral (and the seed as one integral per order), and scalar Taylor
 recurrences per time sample.  The one-integral interface of the package's
 batched loop (IntegrationProblem, integrate) and the checks that only tests
-need (the seed's state series, Gevrey bounds on jets) live here as well.
+need (the seed's state series, the Cauchy product of coefficient arrays,
+Gevrey bounds on Taylor coefficients) live here as well.
 
 The package also marches both equations in sine modes, chunks of steps at
 a time.  The step-by-step banded solves of the same two schemes are kept
@@ -180,6 +181,16 @@ def seed_series(seed, x):
 
 # ------------------------------------------------------------- phase 2
 
+def _mul(a, b):
+    """Cauchy product of two coefficient arrays, orders first."""
+    n = a.shape[0]
+    c = np.zeros(np.broadcast_shapes(a.shape, b.shape), dtype=np.complex128)
+    for j in range(n):
+        for k in range(j + 1):
+            c[j] += a[k] * b[j - k]
+    return c
+
+
 def _div(a, b):
     n = a.shape[0]
     q = np.zeros(n, dtype=np.complex128)
@@ -269,17 +280,17 @@ def flat_output_derivatives_one(fo, t):
     return out
 
 
-def control_series_one(fo, t, truncation):
+def control_series_one(fo, t):
     """(u, du, tail, terms, dterms) of the control series at one t."""
     derivs = flat_output_derivatives_one(fo, t)
-    terms = np.zeros(truncation + 1, dtype=np.complex128)
-    dterms = np.zeros(truncation + 1, dtype=np.complex128)
-    for k in range(truncation + 1):
+    terms = np.zeros(fo.K_u + 1, dtype=np.complex128)
+    dterms = np.zeros(fo.K_u + 1, dtype=np.complex128)
+    for k in range(fo.K_u + 1):
         fact = math.factorial(2 * k + 1)
         terms[k] = _MIPOW[k % 4] * derivs[k] / fact
         dterms[k] = _MIPOW[k % 4] * derivs[k + 1] / fact
     return (complex(np.sum(terms)), complex(np.sum(dterms)),
-            float(abs(terms[truncation])), terms, dterms)
+            float(abs(terms[fo.K_u])), terms, dterms)
 
 
 @dataclass(frozen=True)
@@ -294,20 +305,20 @@ class GevreyBound:
         return math.log(self.M) + self.s * math.lgamma(j + 1) - j * math.log(self.R)
 
 
-def verify_gevrey_bound(jets, bound):
-    """Check every jet coefficient against the bound, in log space.
+def verify_gevrey_bound(t, coeffs, bound):
+    """Check Taylor coefficients (orders by samples t) against the bound.
 
-    Returns (ok, witness) where witness is (center, order) of the first
-    violation, or None.
+    The check runs in log space, sample by sample.  Returns (ok, witness)
+    where witness is (t, order) of the first violation, or None.
     """
-    for jet in jets:
-        for j in range(jet.order + 1):
-            mag = abs(jet.coeffs[j])
+    for i, center in enumerate(t):
+        for j, c in enumerate(coeffs[:, i]):
+            mag = abs(c)
             if mag == 0.0:
                 continue
             log_deriv = math.log(mag) + math.lgamma(j + 1)
             if log_deriv > bound.log_limit(j):
-                return False, (jet.center, j)
+                return False, (center, j)
     return True, None
 
 

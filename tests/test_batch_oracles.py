@@ -17,7 +17,6 @@ import pytest
 from schroflat import FlatOutput, boundary_trace, control_trace, flat_coefficients
 from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
 from schroflat.cli import builtin_scenarios
-from schroflat.flatness import JET_ORDER_MARGIN
 from schroflat.smoothing import MAX_SEED_ORDER, _convolutions
 
 from oracles import (boundary_trace_per_sample, control_series_one,
@@ -68,17 +67,17 @@ def test_seed_batch_matches_per_order_integrals(name, K):
 def _flat_output(name):
     sc = builtin_scenarios()[name]
     seed = flat_coefficients(sc.theta0, sc.tau, sc.K)
-    fo = FlatOutput(seed, sc.T, sc.s, jet_order=sc.K_u + JET_ORDER_MARGIN)
+    fo = FlatOutput(seed, sc.T, sc.s, sc.K_u)
     times = sc.sim.times()
-    return fo, np.concatenate([[sc.tau], times[times > sc.tau]]), sc.K_u
+    return fo, np.concatenate([[sc.tau], times[times > sc.tau]])
 
 
 @pytest.mark.parametrize("name", ["gentle", "reference"])
 def test_phase2_batch_matches_per_sample_series(name):
-    fo, times, truncation = _flat_output(name)
-    trace = control_trace(fo, times, truncation)
+    fo, times = _flat_output(name)
+    trace = control_trace(fo, times)
     for i, t in enumerate(times):
-        u, du, tail, terms, dterms = control_series_one(fo, float(t), truncation)
+        u, du, tail, terms, dterms = control_series_one(fo, float(t))
         assert abs(trace.u[i] - u) <= 1e-14 * np.sum(np.abs(terms))
         assert abs(trace.du[i] - du) <= 1e-14 * np.sum(np.abs(dterms))
         assert abs(trace.err[i] - tail) <= 1e-13 * tail

@@ -298,6 +298,35 @@ def test_main_config_error_on_out_of_range_setting(tmp_path, capsys, equation, e
     assert f"config error: {entry.split(':')[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", [".nan", ".inf"])
+def test_main_config_error_on_nonfinite_horizon(tmp_path, capsys, horizon):
+    # a free run would otherwise march to t=nan and exit 0
+    cfg = tmp_path / "horizon.yaml"
+    cfg.write_text(
+        f"control: none\ntheta0: sine\nT: {horizon}\n"
+        "sim: {Nx: 32, Nt: 64, snapshot_count: 3}\n")
+    rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "final time" in capsys.readouterr().err
+
+
+def test_main_study_exit_codes(tmp_path, capsys):
+    rc = main(["study", "--scenario", "eigenmode-check", "--levels", "3",
+               "--out-dir", str(tmp_path / "eig")])
+    assert rc == EXIT_OK
+    assert "eigenmode_rate=" in capsys.readouterr().out
+    assert (tmp_path / "eig" / "study.csv").exists()
+
+    # a free run of any other datum has no exact solution to compare with
+    cfg = tmp_path / "pulse.yaml"
+    cfg.write_text(
+        "control: none\ntheta0: pulse\nT: 0.5\n"
+        "sim: {Nx: 32, Nt: 64, snapshot_count: 3}\n")
+    rc = main(["study", "--scenario", str(cfg), "--out-dir", str(tmp_path / "pulse")])
+    assert rc == EXIT_CONFIG
+    assert "config error: theta0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["directory", "binary"])
 def test_main_config_error_on_unreadable_scenario(tmp_path, capsys, kind):
     source = tmp_path

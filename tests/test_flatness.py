@@ -5,6 +5,7 @@ factor carries exact ones and zeros at the interval ends, so the assembled
 derivatives must reproduce the seed and the terminal rest bit for bit.
 """
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schroflat import FlatOutput, control_series, control_trace, flat_coefficients, flat_output_derivatives, state_series
-from schroflat.flatness import JET_ORDER_MARGIN, _analytic_derivatives
+from schroflat.flatness import _analytic_derivatives
 from schroflat.gevrey import step_function
 from schroflat.smoothing import PHASE_FLATNESS, FlatSeed
 
@@ -29,7 +30,7 @@ def fo():
 # --------------------------------------------------------------- endpoints
 
 def test_seed_jets_reproduced_exactly_at_start(fo):
-    derivs = flat_output_derivatives(fo, fo.tau)
+    derivs = flat_output_derivatives(fo, fo.tau)[:, 0]
     K = fo.seed.K
     # bit-exact: the step factor contributes an exact (1, 0, 0, ...) there
     assert all(derivs[k] == fo.seed.y[k] for k in range(K + 1))
@@ -38,6 +39,7 @@ def test_seed_jets_reproduced_exactly_at_start(fo):
 
 def test_all_derivatives_vanish_exactly_at_terminal_time(fo):
     derivs = flat_output_derivatives(fo, fo.T)
+    assert derivs.shape == (fo.jet_order + 1, 1)
     assert np.all(derivs == 0.0)
 
 
@@ -82,17 +84,17 @@ def test_flat_output_factorizes(fo):
         phi = step_function(sigma, fo.s)
         ybar = sum(y_j * (t - fo.tau) ** j / math.factorial(j)
                    for j, y_j in enumerate(fo.seed.y))
-        y = flat_output_derivatives(fo, t)[0]
+        y = flat_output_derivatives(fo, t)[0, 0]
         assert abs(y - phi * ybar) <= 1e-14 * abs(y)
 
 
 def test_first_derivative_matches_difference_quotient(fo):
     t, h = 0.43, 1e-6
-    f = lambda u: flat_output_derivatives(fo, u)[0]
+    f = lambda u: flat_output_derivatives(fo, u)[0, 0]
     d1 = (f(t + h) - f(t - h)) / (2 * h)
     d2 = (f(t + h / 2) - f(t - h / 2)) / h
     fd = (4 * d2 - d1) / 3
-    exact = flat_output_derivatives(fo, t)[1]
+    exact = flat_output_derivatives(fo, t)[1, 0]
     assert abs(fd - exact) <= 1e-7 * abs(exact)
 
 
@@ -103,24 +105,25 @@ def test_analytic_part_at_start_is_seed(fo):
 
 def test_tail_is_last_retained_term(fo):
     t = 0.44
-    u8, _, tail8 = control_series(fo, t, truncation=8)
-    derivs = flat_output_derivatives(fo, t)
+    _, _, tail8 = control_series(replace(fo, K_u=8), t)
+    derivs = flat_output_derivatives(fo, t)[:, 0]
     expect = abs(derivs[8] / math.factorial(17))
     assert abs(tail8 - expect) <= 1e-15 * expect
 
 
 def test_truncation_refinement_changes_by_tail(fo):
     t = 0.44
-    u8, _, _ = control_series(fo, t, truncation=8)
-    u9, _, tail9 = control_series(fo, t, truncation=9)
+    u8, _, _ = control_series(replace(fo, K_u=8), t)
+    u9, _, tail9 = control_series(replace(fo, K_u=9), t)
     assert abs(u9 - u8) == pytest.approx(tail9, rel=1e-12)
 
 
 def test_control_trace_sampling(fo):
     ts = np.linspace(fo.tau + 0.01, fo.T, 6)
-    trace = control_trace(fo, ts, truncation=10)
+    fo10 = replace(fo, K_u=10)
+    trace = control_trace(fo10, ts)
     assert np.all(trace.phase == PHASE_FLATNESS)
-    u, du, tail = control_series(fo, float(ts[2]), truncation=10)
+    u, du, tail = control_series(fo10, float(ts[2]))
     assert trace.u[2] == u and trace.du[2] == du and trace.err[2] == tail
 
 
@@ -130,6 +133,14 @@ def test_derivatives_finite_across_interval(fo, frac):
     t = fo.tau + frac * (fo.T - fo.tau)
     derivs = flat_output_derivatives(fo, t)
     assert np.all(np.isfinite(derivs))
+
+
+def test_derivatives_batch_columns_match_single_samples(fo):
+    ts = np.linspace(fo.tau, fo.T, 9)
+    batch = flat_output_derivatives(fo, ts)
+    assert batch.shape == (fo.jet_order + 1, ts.size)
+    for i, t in enumerate(ts):
+        assert np.array_equal(batch[:, i], flat_output_derivatives(fo, float(t))[:, 0])
 
 
 # -------------------------------------------------------------- validation
@@ -147,8 +158,21 @@ def test_flat_output_validation():
         FlatOutput(_seed(tau=0.3), 0.5, 1.9)
     with pytest.raises(ValueError, match="s must lie"):
         FlatOutput(_seed(), 0.5, 2.3)
-    with pytest.raises(ValueError, match="jet order"):
-        FlatOutput(_seed(), 0.5, 1.9, jet_order=0)
+
+
+@pytest.mark.parametrize("K_u", [0, 1, 8, 34])
+def test_truncation_sets_the_jet_order(K_u):
+    fo = FlatOutput(_seed(), 0.5, 1.9, K_u)
+    assert fo.jet_order == K_u + 6
+    assert flat_output_derivatives(fo, 0.4).shape[0] == K_u + 7
+    u, du, tail = control_series(fo, 0.4)
+    assert np.isfinite(u) and np.isfinite(du) and tail > 0.0
+
+
+@pytest.mark.parametrize("K_u", [-1, 35])
+def test_truncation_out_of_range(K_u):
+    with pytest.raises(ValueError, match="K_u"):
+        FlatOutput(_seed(), 0.5, 1.9, K_u)
 
 
 def test_time_domain_enforced(fo):
@@ -156,15 +180,3 @@ def test_time_domain_enforced(fo):
         flat_output_derivatives(fo, fo.tau - 1e-9)
     with pytest.raises(ValueError):
         control_series(fo, fo.T + 1e-9)
-
-
-def test_truncation_needs_jet_headroom():
-    seed = _seed()
-    fo_small = FlatOutput(seed, 0.5, 1.9, jet_order=5)
-    with pytest.raises(ValueError, match="jet order"):
-        control_series(fo_small, 0.4, truncation=5)
-    with pytest.raises(ValueError):
-        control_series(fo_small, 0.4, truncation=-1)
-    # margin in the default jet order leaves room for the derivative shift
-    fo_ok = FlatOutput(seed, 0.5, 1.9, jet_order=5 + JET_ORDER_MARGIN)
-    control_series(fo_ok, 0.4, truncation=5)

@@ -1,4 +1,4 @@
-"""Step profile, truncated-jet algebra, and derivative-growth certification."""
+"""Step profile, Taylor-coefficient algebra, and derivative-growth certification."""
 import math
 
 import numpy as np
@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from schroflat import ComplexJet, step_function, step_jet
-from schroflat.gevrey import MAX_JET_ORDER
+from schroflat import step_function, step_jet
+from schroflat.gevrey import MAX_JET_ORDER, _div, _exp, _pow
 
 from conftest import assert_close
-from oracles import GevreyBound, verify_gevrey_bound
+from oracles import GevreyBound, _mul, verify_gevrey_bound
 
 
 # ------------------------------------------------------------ step values
@@ -50,25 +50,25 @@ def test_step_rejects_order_outside_range():
 
 def test_step_jet_frozen_coefficients():
     jet = step_jet(0.3, 1.9, 12)
-    assert_close(jet.coeffs[1], -1.3374891951557531831, rel=1e-12)
-    assert_close(jet.coeffs[5], -122.08915180790946489, rel=1e-12)
-    assert_close(jet.coeffs[10], 16561.588438973080419, rel=1e-12)
+    assert_close(jet[1], -1.3374891951557531831, rel=1e-12)
+    assert_close(jet[5], -122.08915180790946489, rel=1e-12)
+    assert_close(jet[10], 16561.588438973080419, rel=1e-12)
     jet2 = step_jet(0.5, 1.6, 10)
-    assert_close(jet2.coeffs[7], 157437.46544729052878, rel=1e-12)
+    assert_close(jet2[7], 157437.46544729052878, rel=1e-12)
 
 
 def test_step_jet_value_matches_pointwise():
     for t in (0.1, 0.3, 0.5, 0.7, 0.9):
         jet = step_jet(t, 1.7, 6)
-        assert abs(jet.value - step_function(t, 1.7)) < 1e-13
-        assert jet.coeffs.imag.max() == 0.0
+        assert abs(jet[0] - step_function(t, 1.7)) < 1e-13
+        assert jet.imag.max() == 0.0
 
 
 def test_step_jet_first_coefficient_matches_difference_quotient():
     t, h = 0.4, 1e-6
     fd = (step_function(t + h, 1.8) - step_function(t - h, 1.8)) / (2 * h)
     jet = step_jet(t, 1.8, 3)
-    assert abs(jet.coeffs[1].real - fd) < 1e-7 * abs(fd)
+    assert abs(jet[1].real - fd) < 1e-7 * abs(fd)
 
 
 def test_step_jet_snaps_in_flat_tails():
@@ -76,10 +76,10 @@ def test_step_jet_snaps_in_flat_tails():
     # profile is constant in double precision; the jet must be exactly so
     left = step_jet(0.01, 1.2, 8)
     right = step_jet(0.99, 1.2, 8)
-    assert left.value == 1.0 and np.all(left.coeffs[1:] == 0.0)
-    assert right.value == 0.0 and np.all(right.coeffs == 0.0)
-    assert step_jet(-1.0, 1.5, 4).value == 1.0
-    assert step_jet(2.0, 1.5, 4).value == 0.0
+    assert left[0] == 1.0 and np.all(left[1:] == 0.0)
+    assert np.all(right == 0.0)
+    assert step_jet(-1.0, 1.5, 4)[0] == 1.0
+    assert step_jet(2.0, 1.5, 4)[0] == 0.0
 
 
 def test_step_jet_double_underflow_is_an_error():
@@ -92,14 +92,23 @@ def test_step_jet_double_underflow_is_an_error():
 def test_step_jet_order_cap():
     with pytest.raises(ValueError):
         step_jet(0.5, 1.9, MAX_JET_ORDER + 1)
-    assert step_jet(0.5, 1.9, MAX_JET_ORDER).order == MAX_JET_ORDER
+    assert step_jet(0.5, 1.9, MAX_JET_ORDER).shape == (MAX_JET_ORDER + 1,)
 
 
-# ------------------------------------------------------------- jet algebra
+def test_step_jet_batch_columns_match_single_samples():
+    # s=1.2 has flat tails of both kinds inside (0,1): one exponential
+    # underflows below t ~ 0.27 and the other above t ~ 0.73
+    t = np.array([-0.5, 0.0, 0.01, 0.1, 0.3, 0.45, 0.5, 0.62, 0.9, 0.99, 1.0, 1.5])
+    batch = step_jet(t, 1.2, 10)
+    assert batch.shape == (11, t.size)
+    for i, ti in enumerate(t):
+        assert batch[:, i].tobytes() == step_jet(float(ti), 1.2, 10).tobytes(), ti
+    grid = step_jet(t.reshape(3, 4), 1.2, 10)
+    assert grid.shape == (11, 3, 4)
+    assert grid.reshape(11, -1).tobytes() == batch.tobytes()
 
-def _jet(coeffs, center=0.3):
-    return ComplexJet(center, np.asarray(coeffs, dtype=np.complex128))
 
+# ---------------------------------------------------- coefficient algebra
 
 finite_c = st.complex_numbers(min_magnitude=0.0, max_magnitude=4.0,
                               allow_nan=False, allow_infinity=False)
@@ -109,10 +118,10 @@ jet_coeffs = hnp.arrays(np.complex128, 7, elements=finite_c)
 @settings(deadline=None, max_examples=40, derandomize=True)
 @given(a=jet_coeffs, b=jet_coeffs)
 def test_product_is_cauchy_convolution(a, b):
-    prod = _jet(a) * _jet(b)
+    prod = _mul(a, b)
     for j in range(7):
         expect = sum(a[i] * b[j - i] for i in range(j + 1))
-        assert abs(prod.coeffs[j] - expect) <= 1e-9 * (1.0 + abs(expect))
+        assert abs(prod[j] - expect) <= 1e-9 * (1.0 + abs(expect))
 
 
 @settings(deadline=None, max_examples=40, derandomize=True)
@@ -121,8 +130,8 @@ def test_division_inverts_product(a, b):
     if abs(b[0]) < 0.1:
         b = b.copy()
         b[0] = 1.0 + 1j
-    q = (_jet(a) / _jet(b)) * _jet(b)
-    np.testing.assert_allclose(q.coeffs, a, rtol=0,
+    q = _mul(_div(a, b), b)
+    np.testing.assert_allclose(q, a, rtol=0,
                                atol=1e-7 * (1.0 + np.abs(a).max()))
 
 
@@ -131,69 +140,50 @@ def test_division_inverts_product(a, b):
 def test_exp_of_negation_is_reciprocal(a):
     # keep exponents moderate so exp() stays well conditioned
     a = a / 4.0
-    prod = _jet(a).exp() * _jet(-np.asarray(a)).exp()
+    prod = _mul(_exp(a), _exp(-a))
     expect = np.zeros(7, dtype=np.complex128)
     expect[0] = 1.0
-    np.testing.assert_allclose(prod.coeffs, expect, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(prod, expect, rtol=0, atol=1e-9)
 
 
 def test_power_two_is_square():
-    a = _jet([1.5 + 0.5j, -0.3, 0.2j, 0.7, -1.0, 0.1, 0.25j])
-    np.testing.assert_allclose(a.power(2.0).coeffs, (a * a).coeffs,
+    a = np.array([1.5 + 0.5j, -0.3, 0.2j, 0.7, -1.0, 0.1, 0.25j])
+    np.testing.assert_allclose(_pow(a, 2.0), _mul(a, a),
                                rtol=1e-12, atol=1e-12)
 
 
-def test_variable_jet_and_derivative_scaling():
-    v = ComplexJet.variable(0.4, 5)
-    cube = v * v * v
-    # (t)^3 around 0.4: binomial coefficients
+def test_power_of_variable_is_binomial():
+    # t^3 around t = 0.4, from the coefficients (0.4, 1, 0, ...) of t
+    v = np.zeros(6, dtype=np.complex128)
+    v[0], v[1] = 0.4, 1.0
     expect = [0.4 ** 3, 3 * 0.4 ** 2, 3 * 0.4, 1.0, 0.0, 0.0]
-    np.testing.assert_allclose(cube.coeffs, expect, rtol=1e-14, atol=1e-15)
-    assert cube.derivative(2) == cube.coeffs[2] * 2.0
-    assert cube.derivative(3) == pytest.approx(6.0)
-
-
-def test_jet_validation():
-    a = _jet([1.0, 2.0], center=0.1)
-    b = _jet([1.0, 2.0], center=0.2)
-    with pytest.raises(ValueError):
-        a + b
-    with pytest.raises(ValueError):
-        a * _jet([1.0, 2.0, 3.0], center=0.1)
-    with pytest.raises(ZeroDivisionError):
-        a / _jet([0.0, 1.0], center=0.1)
-    with pytest.raises(ZeroDivisionError):
-        _jet([0.0, 1.0]).power(0.5)
-    with pytest.raises(ValueError):
-        a.derivative(5)
-    with pytest.raises(ValueError):
-        ComplexJet(0.0, np.array([np.inf + 0j]))
+    np.testing.assert_allclose(_mul(_mul(v, v), v), expect, rtol=1e-14, atol=1e-15)
+    np.testing.assert_allclose(_pow(v, 3.0), expect, rtol=1e-14, atol=1e-15)
 
 
 # --------------------------------------------------------- growth checking
 
-def _phi_jets(s, order=12):
-    return [step_jet(t, s, order) for t in np.linspace(0.08, 0.92, 7)]
+_PHI_T = np.linspace(0.08, 0.92, 7)
 
 
 def test_verify_gevrey_bound_accepts_true_bound():
-    jets = _phi_jets(1.9)
+    coeffs = step_jet(_PHI_T, 1.9, 12)
     worst = 0.0
-    for jet in jets:
-        for j in range(jet.order + 1):
-            mag = abs(jet.derivative(j))
+    for j, row in enumerate(coeffs):
+        for c in row:
+            mag = abs(c * math.factorial(j))
             if mag > 0:
                 worst = max(worst, math.exp(math.log(mag) - 1.9 * math.lgamma(j + 1)))
     bound = GevreyBound(M=worst * 1.01, R=1.0, s=1.9)
-    ok, witness = verify_gevrey_bound(jets, bound)
+    ok, witness = verify_gevrey_bound(_PHI_T, coeffs, bound)
     assert ok and witness is None
 
 
 def test_verify_gevrey_bound_reports_witness():
-    jets = _phi_jets(1.9)
+    coeffs = step_jet(_PHI_T, 1.9, 12)
     bound = GevreyBound(M=1e-12, R=1.0, s=1.9)
-    ok, witness = verify_gevrey_bound(jets, bound)
+    ok, witness = verify_gevrey_bound(_PHI_T, coeffs, bound)
     assert not ok
     center, order = witness
-    assert any(abs(center - j.center) < 1e-15 for j in jets)
+    assert np.any(np.abs(center - _PHI_T) < 1e-15)
     assert 0 <= order <= 12

@@ -14,6 +14,9 @@ def test_config_validation():
         SimConfig(Nx=100, Nt=8, T=0.5)
     with pytest.raises(ValueError):
         SimConfig(Nx=64, Nt=64, T=-1.0)
+    for T in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SimConfig(Nx=64, Nt=64, T=T)
     with pytest.raises(ValueError):
         SimConfig(Nx=64, Nt=64, T=0.5, snapshot_count=1)
 
