@@ -6,7 +6,7 @@ finite time using an explicit two-phase boundary control, then certifies
 the result by simulating the controlled equation.
 """
 from .gevrey import step_function, step_jet
-from .kernel import KernelError, fundamental_solution, kernel_derivative, odd_kernel
+from .kernel import KernelError, fundamental_solution, odd_kernel
 from .quadrature import QuadratureError
 from .smoothing import (ControlTrace, FlatSeed, PiecewiseProfile, SmoothingError,
                         boundary_trace, flat_coefficients, free_evolution)
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "step_function", "step_jet", "KernelError", "fundamental_solution",
-    "kernel_derivative", "odd_kernel", "QuadratureError",
+    "odd_kernel", "QuadratureError",
     "ControlTrace", "FlatSeed", "PiecewiseProfile", "SmoothingError",
     "boundary_trace", "flat_coefficients", "free_evolution", "FlatOutput",
     "control_series", "control_trace", "flat_output_derivatives", "state_series",

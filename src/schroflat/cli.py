@@ -187,6 +187,14 @@ def _integer(value):
     return int(value)
 
 
+def _horizon(value):
+    """The final time T: positive and finite (nan fails both tests)."""
+    T = float(value)
+    if not 0.0 < T < np.inf:
+        raise ValueError(f"final time must be positive and finite, got {T!r}")
+    return T
+
+
 def _setting(d, field, kind, default, section=""):
     try:
         return kind(d.get(field, default))
@@ -197,7 +205,7 @@ def _setting(d, field, kind, default, section=""):
 def scenario_from_dict(d, name):
     if not isinstance(d, dict):
         raise ScenarioError("config: top level must be a mapping")
-    T = _setting(d, "T", float, 0.5)
+    T = _setting(d, "T", _horizon, 0.5)
     simd = d.get("sim", {})
     if not isinstance(simd, dict):
         raise ScenarioError("sim: expected a mapping of Nx, Nt, snapshot_count")

@@ -7,7 +7,10 @@ polynomial of degree m with the parity of m, obtained from
     p_0 = 1,    p_{m+1} = p_m' + (i x / 2t) p_m.
 
 The odd-symmetrized kernel F(t,x,y) = E(t,x-y) - E(t,x+y) realizes the
-Dirichlet condition at x = 0 for odd data.
+Dirichlet condition at x = 0 for odd data.  odd_kernel evaluates it in
+product form, one complex exponential and one real sine (and cosine, for
+m > 0) per point whatever the number of derivative orders asked for, and
+without the cancellation of the two translates as y -> 0.
 
 Every function accepts a time per point: t broadcasts against x (and y),
 so one call evaluates a batch of samples at different times.  The
@@ -76,30 +79,88 @@ def fundamental_solution(t, x):
     return np.exp(1j * x * x / (4.0 * t)) / np.sqrt(4j * np.pi * t)
 
 
-def kernel_derivative(t, x, m):
-    """d^m/dx^m E(t,x) = p_m(x) E(t,x) for scalar or array x (and t).
+def _taylor_shift(c, x):
+    """Ascending coefficients of q(y) = p(x+y) from those of p, pointwise.
 
-    t is one time or one time per point of x.
+    Entry k is p^(k)(x)/k!; x broadcasts against c without its last axis.
     """
-    t = _check_times(t)
-    scalar = np.ndim(x) == 0 and t.ndim == 0
-    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    if m == 0:
-        vals = fundamental_solution(t, x)
-    else:
-        vals = horner(derivative_coefficients(t, m), x) * fundamental_solution(t, x)
-    return vals[0] if scalar else vals
+    d = c.copy()
+    n = d.shape[-1]
+    for k in range(n - 1):
+        for j in range(n - 2, k - 1, -1):
+            d[..., j] += x * d[..., j + 1]
+    return d
+
+
+def _even_poly(c, y2):
+    """sum_k c[..., k] y2^k for a real table c; a lone c[..., 0] is returned
+    as it is, unbroadcast."""
+    acc = c[..., -1]
+    for j in range(c.shape[-1] - 2, -1, -1):
+        acc = acc * y2 + c[..., j]
+    return acc
 
 
 def odd_kernel(t, x, y, m=0):
-    """d^m/dx^m F(t,x,y) with F(t,x,y) = E(t,x-y) - E(t,x+y).
+    """d^m/dx^m F(t,x,y) with F(t,x,y) = E(t,x-y) - E(t,x+y), in product form.
+
+    With C = e^{i(x^2+y^2)/4t} / sqrt(4 pi i t) and theta = xy/2t the
+    translates are E(t,x-+y) = C e^{-+i theta}.  Splitting
+    p_m(x+-y) = A(y) +- B(y) into its even and odd parts in y, built from the
+    Taylor coefficients p_m^(k)(x)/k!, gives
+
+        d^m F = -2 C (i A sin(theta) + B cos(theta)),
+
+    free of the cancellation of the two translates as y -> 0.  The products
+    over the points run in real arithmetic (numpy's complex products round
+    differently in its vector and scalar loops), so a point's value does
+    not depend on the batch it is evaluated in.
 
     y is the quadrature variable; t and x are scalars or arrays that
-    broadcast against it, for instance one (t, x) per row of y.
+    broadcast against it, for instance one (t, x) per row of y.  m is one
+    order, or a tuple of orders: the result then stacks one array per order
+    on a leading axis, and C, sin(theta) and cos(theta) are computed once
+    for all of them.
     """
     t = _check_times(t)
     scalar = np.ndim(y) == 0
+    orders = (m,) if np.ndim(m) == 0 else tuple(m)
     ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    xa = np.asarray(x, dtype=np.float64)
-    vals = kernel_derivative(t, xa - ya, m) - kernel_derivative(t, xa + ya, m)
-    return vals[0] if scalar else vals
+    t, xa = np.broadcast_arrays(t, np.asarray(x, dtype=np.float64))
+    theta = xa * ya
+    theta /= 2.0 * t
+    sin_t = np.sin(theta)
+    if max(orders) > 0:                       # B vanishes for m = 0
+        ycos_t = np.cos(theta, out=theta)
+        ycos_t *= ya
+    del theta
+    y2 = ya * ya
+    # first G = -2 (i A sin(theta) + B cos(theta)) / sqrt(4 pi i t) per
+    # order; the amplitude and the i go into the coefficients
+    scale = -2.0 / np.sqrt(4j * np.pi * t)
+    vals = np.empty((len(orders),) + sin_t.shape, dtype=np.complex128)
+    for out, order in zip(vals, orders):
+        d = _taylor_shift(derivative_coefficients(t, order), xa) * scale[..., None]
+        even, odd = 1j * d[..., 0::2], d[..., 1::2]
+        for part, a, b in ((out.real, even.real, odd.real), (out.imag, even.imag, odd.imag)):
+            np.multiply(_even_poly(a, y2), sin_t, out=part)
+            if order > 0:
+                part += _even_poly(b, y2) * ycos_t
+    # then G times the phase factor e^{i(x^2+y^2)/4t} of C, in real
+    # arithmetic; the theta factors go first, so the peak memory stays low
+    sin_t = ycos_t = None
+    rot = np.zeros(vals.shape[1:], dtype=np.complex128)
+    np.add(y2, xa * xa, out=rot.imag)
+    y2 = None
+    rot.imag /= 4.0 * t
+    np.exp(rot, out=rot)
+    gi_s, gr_s = np.empty(rot.shape), np.empty(rot.shape)
+    for out in vals:
+        np.multiply(out.imag, rot.imag, out=gi_s)
+        np.multiply(out.real, rot.imag, out=gr_s)
+        out.real *= rot.real
+        out.real -= gi_s
+        out.imag *= rot.real
+        out.imag += gr_s
+    vals = vals if np.ndim(m) else vals[0]
+    return vals[..., 0] if scalar else vals

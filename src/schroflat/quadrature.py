@@ -83,13 +83,15 @@ class QuadratureError(RuntimeError):
         self.sample = sample
 
 
-def _distinct_panels(lo, hi):
-    """(first, inverse): one row index per distinct (lo, hi) pair, and the
-    index into first of every row's pair."""
-    order = np.lexsort((hi, lo))
-    lo_s, hi_s = lo[order], hi[order]
+def _distinct_panels(*keys):
+    """(first, inverse): one row index per distinct tuple of keys, such as
+    a panel's (lo, hi), and the index into first of every row's tuple."""
+    order = np.lexsort(keys[::-1])
     new = np.ones(order.size, dtype=bool)
-    new[1:] = (lo_s[1:] != lo_s[:-1]) | (hi_s[1:] != hi_s[:-1])
+    new[1:] = False
+    for key in keys:
+        k = key[order]
+        new[1:] |= k[1:] != k[:-1]
     inverse = np.empty(order.size, dtype=np.intp)
     inverse[order] = np.cumsum(new) - 1
     return order[new], inverse

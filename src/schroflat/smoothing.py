@@ -24,7 +24,7 @@ import numpy as np
 
 from .kernel import (MAX_ORDER, derivative_coefficients, fundamental_solution, horner,
                      odd_kernel)
-from .quadrature import QuadratureError, integrate_batch
+from .quadrature import QuadratureError, _distinct_panels, integrate_batch
 
 # i^k and (-i)^k, indexed by k mod 4
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -189,27 +189,42 @@ class FlatSeed:
             raise ValueError("seed violates its own growth bound")
 
 
-def _convolutions(v0, t, x, m, abs_tol, rel_tol, max_subdivisions):
-    """Flat arrays (values, errs, panels) over the samples (t[i], x[i])."""
+def _convolutions(v0, t, x, orders, abs_tol, rel_tol, max_subdivisions):
+    """Flat arrays (values, errs, panels) over the points (t[j], x[j]) and
+    the derivative orders: sample j*len(orders) + i is order orders[i] at
+    point j.
+
+    Within each integrand call the kernel runs once per distinct (point,
+    panel) row, for all orders at once, and every sample's row picks its
+    own order; each sample is still subdivided as if integrated alone.  A
+    sample that exhausts its budget raises QuadratureError with its point's
+    index as the sample.
+    """
     t, x = (a.ravel() for a in np.broadcast_arrays(np.asarray(t, dtype=np.float64),
                                                    np.asarray(x, dtype=np.float64)))
     if np.any(t <= 0):
         raise ValueError("convolution requires t > 0")
     support = v0.support
+    n_orders = len(orders)
 
     def integrand(sig, s):
-        return odd_kernel(t[s], x[s], support * sig, m)
+        point, which = np.divmod(s[:, 0], n_orders)
+        # a row is a panel of a point, named by its end nodes
+        first, inverse = _distinct_panels(point, sig[:, 0], sig[:, -1])
+        rows = point[first, None]
+        vals = odd_kernel(t[rows], x[rows], support * sig[first], orders)
+        return vals[which, inverse]
 
     bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
     try:
         values, errs, panels = integrate_batch(
-            integrand, t.size, bps, abs_tol, rel_tol, max_subdivisions,
+            integrand, t.size * n_orders, bps, abs_tol, rel_tol, max_subdivisions,
             weight=lambda sig: v0(support * sig))
     except QuadratureError as exc:
-        i = exc.sample
-        raise QuadratureError(f"{exc} at t={float(t[i])!r}, x={float(x[i])!r}",
-                              support * exc.value, support * exc.err_estimate,
-                              i) from exc
+        j, i = divmod(exc.sample, n_orders)
+        raise QuadratureError(
+            f"{exc} at t={float(t[j])!r}, x={float(x[j])!r}, m={orders[i]}",
+            support * exc.value, support * exc.err_estimate, j) from exc
     return support * values, support * errs, panels
 
 
@@ -225,7 +240,7 @@ def convolution_integral(v0, t, x, m=0, abs_tol=1e-10, rel_tol=1e-8,
     A sample that exhausts its panel budget raises QuadratureError naming
     its (t, x) and carrying its best value.
     """
-    values, errs, _ = _convolutions(v0, t, x, m, abs_tol, rel_tol, max_subdivisions)
+    values, errs, _ = _convolutions(v0, t, x, (m,), abs_tol, rel_tol, max_subdivisions)
     shape = np.broadcast_shapes(np.shape(t), np.shape(x))
     if shape == ():
         return complex(values[0]), float(errs[0])
@@ -247,21 +262,21 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10, rel_tol=1e-8,
 
     v0 is the datum the free evolution smooths, integrated over its own
     support with its own breakpoints as panel edges.  derivative=False
-    skips the v_xx integrals when only u itself is needed.  All samples are
-    integrated in one batch.
+    skips the v_xx integrals when only u itself is needed.  u and v_xx at
+    every time are the interleaved samples of one batch, and share the
+    kernel's exponentials wherever their panels coincide.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
-    settings = (abs_tol, rel_tol, max_subdivisions)
-    u, err = convolution_integral(v0, t_grid, 1.0, 0, *settings)
-    du = np.zeros(t_grid.size, dtype=np.complex128)
-    if derivative:
-        v2, e2 = convolution_integral(v0, t_grid, 1.0, 2, *settings)
-        du = 1j * v2
-        err = err + e2
+    orders = (0, 2) if derivative else (0,)
+    values, errs, _ = _convolutions(v0, t_grid, 1.0, orders, abs_tol, rel_tol,
+                                    max_subdivisions)
+    values = values.reshape(t_grid.size, len(orders))
+    err = errs.reshape(t_grid.size, len(orders)).sum(axis=1)
+    du = 1j * values[:, 1] if derivative else np.zeros(t_grid.size, dtype=np.complex128)
     phase = np.full(t_grid.size, PHASE_SMOOTHING, dtype=np.uint8)
-    return ControlTrace(t_grid, u, du, phase, err)
+    return ControlTrace(t_grid, values[:, 0], du, phase, err)
 
 
 def flat_coefficients(v0, tau, K):

@@ -23,11 +23,30 @@ from typing import Callable
 import numpy as np
 
 from schroflat.gevrey import _SNAP_EXPONENT, _kappa
-from schroflat.kernel import kernel_derivative, odd_kernel
+from schroflat.kernel import (_check_times, derivative_coefficients,
+                              fundamental_solution, horner, odd_kernel)
 from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES15, WEIGHTS7,
                                   WEIGHTS15, QuadratureError, integrate_batch)
 from schroflat.beam import BeamResult, BeamSnapshot
 from schroflat.smoothing import _IPOW, _MIPOW
+
+
+# ------------------------------------------------------------- kernel
+
+def kernel_derivative(t, x, m):
+    """d^m/dx^m E(t,x) = p_m(x) E(t,x) for scalar or array x (and t).
+
+    t is one time or one time per point of x.  The odd kernel's two
+    translates, whose difference odd_kernel forms in product form.
+    """
+    t = _check_times(t)
+    scalar = np.ndim(x) == 0 and t.ndim == 0
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if m == 0:
+        vals = fundamental_solution(t, x)
+    else:
+        vals = horner(derivative_coefficients(t, m), x) * fundamental_solution(t, x)
+    return vals[0] if scalar else vals
 
 
 # ------------------------------------------------------- one integral

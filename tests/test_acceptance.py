@@ -37,7 +37,6 @@ from schroflat import (
     flat_coefficients,
     flat_output_derivatives,
     free_evolution,
-    kernel_derivative,
     lift_initial_data,
     odd_kernel,
     simulate,
@@ -47,6 +46,8 @@ from schroflat.quadrature import NODES15, WEIGHTS15
 from schroflat.schrodinger_sim import grid_l2_norm
 from schroflat.smoothing import PiecewiseProfile, convolution_integral
 from schroflat.cli import builtin_scenarios, sine_profile, synthesize_control
+
+from oracles import kernel_derivative
 
 
 @pytest.fixture

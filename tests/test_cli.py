@@ -298,6 +298,17 @@ def test_main_config_error_on_out_of_range_setting(tmp_path, capsys, equation, e
     assert f"config error: {entry.split(':')[0]}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("horizon", ["-1", ".nan"])
+def test_main_config_error_names_the_horizon(tmp_path, capsys, horizon):
+    # T is a top-level setting; the error names it, not the sim section
+    cfg = tmp_path / "horizon.yaml"
+    cfg.write_text(f"theta0: pulse\nT: {horizon}\n"
+                   "sim: {Nx: 32, Nt: 64, snapshot_count: 3}\n")
+    rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "config error: T: final time" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("horizon", [".nan", ".inf"])
 def test_main_config_error_on_nonfinite_horizon(tmp_path, capsys, horizon):
     # a free run would otherwise march to t=nan and exit 0

@@ -3,13 +3,15 @@
 The frozen constants were produced with 50-digit arithmetic from the closed
 form e^{i x^2/4t} / sqrt(4 pi i t) and its derivative polynomials.
 """
+import mpmath
 import numpy as np
 import pytest
 
-from schroflat import KernelError, fundamental_solution, kernel_derivative, odd_kernel
+from schroflat import KernelError, fundamental_solution, odd_kernel
 from schroflat.kernel import MAX_ORDER, derivative_coefficients
 
 from conftest import assert_close
+from oracles import kernel_derivative
 
 E_ORACLES = [
     (0.35, 1.0, 0.47562208202851321877 - 0.033879780162444889769j),
@@ -85,6 +87,59 @@ def test_odd_kernel_is_difference_of_translates():
         expect = (kernel_derivative(0.35, 1.0 - y, m)
                   - kernel_derivative(0.35, 1.0 + y, m))
         np.testing.assert_allclose(odd_kernel(0.35, 1.0, y, m), expect, rtol=1e-14)
+
+
+def _mp_derivative_polynomials(t, order):
+    """Coefficients of p_0 .. p_order in 50-digit arithmetic."""
+    polys = [[mpmath.mpc(1)]]
+    for k in range(order):
+        c = polys[-1]
+        nxt = [mpmath.mpc(0)] * (k + 2)
+        for j in range(1, k + 1):
+            nxt[j - 1] += j * c[j]
+        for j in range(k + 1):
+            nxt[j + 1] += 1j / (2 * t) * c[j]
+        polys.append(nxt)
+    return polys
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.05, 0.35, 1.4])
+def test_odd_kernel_against_mpmath(t):
+    # pointwise relative error 1e-12, down to y = 1e-9 where the two
+    # translates agree to 9 digits.  Where F itself vanishes (m = 0 at
+    # theta = xy/2t = k pi) no evaluation from the rounded phase theta keeps
+    # relative accuracy, so the bound adds a few ulps of theta times
+    # |dF/dtheta| <= |d^m E(t,x-y)| + |d^m E(t,x+y)|; as y -> 0 that term
+    # shrinks with theta and excuses no cancellation.
+    orders = range(9)
+    y = np.concatenate([np.geomspace(1e-9, 1e-2, 8), np.linspace(0.02, 1.99, 200)])
+    got = [odd_kernel(t, 1.0, y, m) for m in orders]
+    eps = np.finfo(np.float64).eps
+    with mpmath.workdps(50):
+        tm = mpmath.mpf(t)
+        polys = _mp_derivative_polynomials(tm, max(orders))
+        amplitude = 1 / mpmath.sqrt(4j * mpmath.pi * tm)
+        for i, yi in enumerate(y):
+            translates = []
+            for z in (1 - mpmath.mpf(yi), 1 + mpmath.mpf(yi)):
+                e = amplitude * mpmath.exp(1j * z * z / (4 * tm))
+                translates.append([e * mpmath.polyval(p[::-1], z) for p in polys])
+            for m in orders:
+                left, right = translates[0][m], translates[1][m]
+                ref = complex(left - right)
+                tol = 1e-12 * abs(ref) + 4 * eps * yi / (2.0 * t) * (
+                    abs(complex(left)) + abs(complex(right)))
+                assert abs(got[m][i] - ref) <= tol, (m, yi, abs(got[m][i] - ref) / abs(ref))
+
+
+def test_odd_kernel_orders_share_one_evaluation():
+    # a tuple of orders stacks the single-order results bit for bit
+    t = np.array([[0.01], [0.35]])
+    y = np.linspace(0.0, 2.0, 15)[None, :] + np.zeros((2, 1))
+    both = odd_kernel(t, 1.0, y, (0, 2, 5))
+    assert both.shape == (3, 2, 15)
+    for row, m in zip(both, (0, 2, 5)):
+        assert np.array_equal(row, odd_kernel(t, 1.0, y, m))
 
 
 def test_odd_kernel_odd_in_y():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from schroflat import ControlTrace, FlatSeed, PiecewiseProfile, QuadratureError, boundary_trace, flat_coefficients, free_evolution
-from schroflat import smoothing
+from schroflat import odd_kernel, smoothing
 from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
 from schroflat.cli import builtin_scenarios
 from schroflat.smoothing import PHASE_SMOOTHING, convolution_integral
@@ -144,19 +144,38 @@ def test_trace_budget_failure_names_sample_time(ref_datum):
     boundary_trace(ref_datum, times[1:], derivative=False, max_subdivisions=40)
 
 
-def test_datum_evaluated_once_per_distinct_panel(monkeypatch):
-    # the datum factor depends on the node alone, so on the builtin beam's
-    # phase-1 grid it sees each distinct panel of an integrand call once:
-    # far fewer points than the kernel, which sees every (sample, panel) row
+@pytest.fixture(scope="module")
+def beam_phase1():
+    """(datum, times, settings) of the builtin beam's phase-1 trace."""
     sc = builtin_scenarios()["beam"]
     ext = extend_odd_smooth(lift_initial_data(BeamData(sc.eta0, sc.eta1)), sc.cutoff_s)
     times = sc.sim.times()
-    kernel = {"points": 0, "panels": 0}
+    return (ext, times[(times > 0) & (times <= sc.tau)],
+            dict(abs_tol=1e-8, max_subdivisions=2 ** 16))
 
-    def counted_kernel(t, x, y, m):
-        kernel["points"] += y.size
-        kernel["panels"] += np.unique(y, axis=0).shape[0]
+
+def _record_kernel_rows(monkeypatch):
+    """Per kernel call, the (t, first node, last node) of each row of y.
+
+    odd_kernel computes one exponential per point it is given, so the rows
+    it sees are the (time, panel) rows whose exponentials are computed.
+    """
+    calls = []
+
+    def recorded(t, x, y, m):
+        t_rows = np.broadcast_to(t, y.shape)[:, 0]
+        calls.append(np.column_stack([t_rows, y[:, 0], y[:, -1]]))
         return odd_kernel(t, x, y, m)
+
+    monkeypatch.setattr(smoothing, "odd_kernel", recorded)
+    return calls
+
+
+def test_datum_evaluated_once_per_distinct_panel(monkeypatch, beam_phase1):
+    # the datum factor depends on the node alone, so on the builtin beam's
+    # phase-1 grid it sees each distinct panel of an integrand call once:
+    # far fewer points than the kernel, which sees every (time, panel) row
+    ext, times, settings = beam_phase1
 
     class CountedDatum:
         support = ext.support
@@ -167,13 +186,31 @@ def test_datum_evaluated_once_per_distinct_panel(monkeypatch):
             self.points += np.size(y)
             return ext(y)
 
-    odd_kernel = smoothing.odd_kernel
-    monkeypatch.setattr(smoothing, "odd_kernel", counted_kernel)
+    calls = _record_kernel_rows(monkeypatch)
     datum = CountedDatum()
-    boundary_trace(datum, times[(times > 0) & (times <= sc.tau)], derivative=True,
-                   abs_tol=1e-8, max_subdivisions=2 ** 16)
-    assert datum.points == 15 * kernel["panels"]
-    assert 5 * datum.points < kernel["points"]
+    boundary_trace(datum, times, derivative=True, **settings)
+    panels = sum(np.unique(rows[:, 1:], axis=0).shape[0] for rows in calls)
+    assert datum.points == 15 * panels
+    assert 5 * datum.points < 15 * sum(rows.shape[0] for rows in calls)
+
+
+def test_orders_share_the_kernel_per_distinct_time_and_panel(monkeypatch, beam_phase1):
+    # u (m=0) and v_xx (m=2) are one batch: each integrand call computes the
+    # exponentials of a (time, panel) row once for both orders, so the trace
+    # costs fewer kernel rows than the two orders integrated apart, and
+    # visits the same rows they do (each order subdivides as if alone)
+    ext, times, settings = beam_phase1
+    fused = _record_kernel_rows(monkeypatch)
+    boundary_trace(ext, times, derivative=True, **settings)
+    apart = _record_kernel_rows(monkeypatch)
+    boundary_trace(ext, times, derivative=False, **settings)
+    convolution_integral(ext, times, 1.0, 2, **settings)
+    for rows in fused:
+        assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
+    count = lambda calls: sum(rows.shape[0] for rows in calls)
+    assert count(fused) < count(apart)
+    distinct = lambda calls: np.unique(np.concatenate(calls), axis=0)
+    assert np.array_equal(distinct(fused), distinct(apart))
 
 
 def test_boundary_trace_rejects_nonpositive_times(ref_datum):
