@@ -10,8 +10,8 @@ from .kernel import KernelError, fundamental_solution, odd_kernel
 from .quadrature import QuadratureError
 from .smoothing import (ControlTrace, FlatSeed, PiecewiseProfile, SmoothingError,
                         boundary_trace, flat_coefficients, free_evolution)
-from .flatness import (FlatOutput, control_series, control_trace,
-                       flat_output_derivatives, state_series, synthesize)
+from .flatness import (FlatOutput, control_trace, flat_output_derivatives, state_series,
+                       synthesize)
 from .schrodinger_sim import FieldSnapshot, SimConfig, simulate, terminal_report
 from .beam import (BeamData, beam_controls, beam_simulate, beam_terminal_report,
                    extend_odd_smooth, lift_initial_data)
@@ -23,7 +23,7 @@ __all__ = [
     "odd_kernel", "QuadratureError",
     "ControlTrace", "FlatSeed", "PiecewiseProfile", "SmoothingError",
     "boundary_trace", "flat_coefficients", "free_evolution", "FlatOutput",
-    "control_series", "control_trace", "flat_output_derivatives", "state_series",
+    "control_trace", "flat_output_derivatives", "state_series",
     "synthesize", "FieldSnapshot", "SimConfig", "simulate", "terminal_report",
     "BeamData", "beam_controls", "beam_simulate", "beam_terminal_report",
     "extend_odd_smooth", "lift_initial_data", "__version__",

@@ -188,7 +188,6 @@ class BeamControls:
     flatness.synthesize.
     """
 
-    times: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
     u2_avg: np.ndarray
@@ -217,7 +216,7 @@ def beam_controls(data: BeamData, tau, T, s, K=DEFAULT_SERIES_TRUNCATION,
     w = np.zeros(times.size)
     w[1:] = full.u.imag
     u2_avg = np.diff(w) / cfg.dt
-    return BeamControls(times, u1, u2, u2_avg, full, diags)
+    return BeamControls(u1, u2, u2_avg, full, diags)
 
 
 @dataclass(eq=False)

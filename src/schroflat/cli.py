@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .flatness import MAX_SERIES_TRUNCATION, synthesize
+from .flatness import DIAGNOSTICS, MAX_SERIES_TRUNCATION, synthesize
 from .quadrature import QuadratureError
 from .schrodinger_sim import SimConfig, simulate, terminal_report
 from .smoothing import MAX_SEED_ORDER, PHASE_NAMES, PiecewiseProfile, SmoothingError
@@ -31,8 +31,7 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # the synthesis diagnostics of a run without control
-NO_CONTROL_DIAGS = dict.fromkeys(("continuity_gap", "gap_budget", "tail_max",
-                                  "quad_err_max", "seed_bound_constant"), 0.0)
+NO_CONTROL_DIAGS = dict.fromkeys(DIAGNOSTICS, 0.0)
 
 
 class ScenarioError(ValueError):
@@ -480,7 +479,7 @@ def selftest():
         K=10, K_u=10, control="synthesized",
         sim=SimConfig(Nx=32, Nt=64, T=2.0, snapshot_count=3),
         theta0=pulse_datum())
-    _, fo, diags = synthesize_control(seed_sc)
+    _, _, diags = synthesize_control(seed_sc)
     checks.append(("phase-continuity-at-tau",
                    diags["continuity_gap"] <= 10.0 * max(diags["gap_budget"], 1e-14)))
 

@@ -39,7 +39,7 @@ import numpy as np
 
 from .gevrey import MAX_JET_ORDER, step_jet
 from .smoothing import (_MIPOW, PHASE_FLATNESS, ControlTrace, FlatSeed,
-                        boundary_trace, convolution_integral, flat_coefficients)
+                        boundary_trace, flat_coefficients)
 
 DEFAULT_SERIES_TRUNCATION = 15
 # headroom above the series truncation for u' and residual checks
@@ -154,23 +154,6 @@ def _series_terms(fo: FlatOutput, t):
     return terms, dterms
 
 
-def _control_series(fo: FlatOutput, t):
-    """(u, du, tail) arrays over the samples t."""
-    terms, dterms = _series_terms(fo, t)
-    return _sum_orders(terms), _sum_orders(dterms), np.abs(terms[-1])
-
-
-def control_series(fo: FlatOutput, t: float):
-    """Boundary control u(t), its time derivative, and the tail indicator.
-
-    Returns (u, du, tail) where tail is the magnitude of the last retained
-    series term (order K_u), the natural resolution limit of the
-    truncation.  The one-sample case of control_trace, bit for bit.
-    """
-    u, du, tail = _control_series(fo, float(t))
-    return complex(u[0]), complex(du[0]), float(tail[0])
-
-
 def state_series(fo: FlatOutput, t: float, x):
     """Interior state theta(t,x); identical to the control at x=1."""
     terms, _ = _series_terms(fo, float(t))
@@ -182,11 +165,22 @@ def state_series(fo: FlatOutput, t: float, x):
 
 
 def control_trace(fo: FlatOutput, t_grid) -> ControlTrace:
-    """Sample the phase-2 control on a time grid, all samples at once."""
+    """Sample the phase-2 control on a time grid, all samples at once.
+
+    err holds the tail indicator: the magnitude of the last retained
+    series term (order K_u), the natural resolution limit of the
+    truncation.
+    """
     t_grid = np.asarray(t_grid, dtype=np.float64)
-    u, du, err = _control_series(fo, t_grid)
+    terms, dterms = _series_terms(fo, t_grid)
     phase = np.full(t_grid.size, PHASE_FLATNESS, dtype=np.uint8)
-    return ControlTrace(t_grid, u, du, phase, err)
+    return ControlTrace(t_grid, _sum_orders(terms), _sum_orders(dterms), phase,
+                        np.abs(terms[-1]))
+
+
+# the synthesis diagnostics, in report order
+DIAGNOSTICS = ("continuity_gap", "gap_budget", "tail_max", "quad_err_max",
+               "seed_bound_constant")
 
 
 def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10,
@@ -195,24 +189,30 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10,
 
     Phase 1 samples the free evolution's trace on (0, tau] (derivative,
     abs_tol and max_subdivisions set its quadrature), phase 2 the flat
-    output's series on (tau, T].  diags: continuity_gap |u(tau+) - u(tau-)|,
-    its gap_budget, tail_max, quad_err_max and seed_bound_constant.
+    output's series on (tau, T].  tau is the last sample of the phase-1
+    batch and the first of the phase-2 batch; the returned trace keeps it,
+    in phase 1, only where it is one of the times.
+
+    diags, keyed by DIAGNOSTICS: continuity_gap |u(tau+) - u(tau-)| between
+    those two samples, its gap_budget (the series tail plus the trace's
+    own error estimate at tau), tail_max and quad_err_max over the
+    returned samples of each phase, and seed_bound_constant.
     """
     times = np.asarray(times, dtype=np.float64)
-    t1 = times[(times > 0) & (times <= tau)]
+    t1 = times[(times > 0) & (times < tau)]
     t2 = times[times > tau]
-    trace1 = boundary_trace(v0, t1, derivative=derivative, abs_tol=abs_tol,
-                            max_subdivisions=max_subdivisions)
+    trace1 = boundary_trace(v0, np.append(t1, tau), derivative=derivative,
+                            abs_tol=abs_tol, max_subdivisions=max_subdivisions)
     seed = flat_coefficients(v0, tau, K)
     fo = FlatOutput(seed, T, s, K_u)
-    trace2 = control_trace(fo, t2)
-    u_minus, err_minus = convolution_integral(v0, tau, 1.0)
-    u_plus, _, tail_tau = control_series(fo, tau)
-    diags = {
-        "continuity_gap": abs(u_plus - u_minus),
-        "gap_budget": tail_tau + err_minus,
-        "tail_max": float(np.max(trace2.err)) if t2.size else 0.0,
-        "quad_err_max": float(np.max(trace1.err)) if t1.size else 0.0,
-        "seed_bound_constant": seed.bound_constant,
-    }
-    return ControlTrace.concat(trace1, trace2), fo, diags
+    trace2 = control_trace(fo, np.insert(t2, 0, tau))
+    phase1 = trace1[: t1.size + int(np.any(times == tau))]
+    phase2 = trace2[1:]
+    diags = dict(zip(DIAGNOSTICS, (
+        float(abs(trace2.u[0] - trace1.u[-1])),
+        float(trace2.err[0] + trace1.err[-1]),
+        float(np.max(phase2.err, initial=0.0)),
+        float(np.max(phase1.err, initial=0.0)),
+        seed.bound_constant,
+    )))
+    return ControlTrace.concat(phase1, phase2), fo, diags

@@ -128,10 +128,8 @@ def terminal_report(snapshots):
     initial = snapshots[0].l2_norm
     terminal = snapshots[-1].l2_norm
     relative = terminal / initial if initial > 0 else 0.0
-    history = [(s.t, s.l2_norm) for s in snapshots]
     return {
         "initial_l2": initial,
         "terminal_l2": terminal,
         "relative": relative,
-        "history": history,
     }

@@ -9,13 +9,15 @@ which smooths arbitrary L2 data into an entire function of x.  At t=tau
 the odd-power Taylor coefficients of v(tau,.) around x=0 seed the phase-2
 flat output: y_k = i^k * integral of (-2) d^(2k+1)E(tau,y) v0(y) dy, using
 the odd-in-y parity of odd-order x-derivatives at x=0.  The seed orders, like
-the trace's time samples, are the samples of one batched quadrature.  The
-datum factor v0(y) depends on the node alone, not on the sample, so it is
-the quadrature's shared weight: evaluated once per distinct panel and
-multiplied in after the kernel part.
+the trace's time samples, are the samples of one batched quadrature.
 
-A datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
-beam.ExtendedDatum: [0, 2]); the breakpoints become quadrature panel edges.
+One helper, _datum_integrals, poses every integral against the datum.  A
+datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
+beam.ExtendedDatum: [0, 2]): the support is rescaled to the quadrature's
+unit interval and the breakpoints become panel edges.  The datum factor
+v0(y) depends on the node alone, not on the sample, so it is the
+quadrature's shared weight: evaluated once per distinct panel and
+multiplied in after the kernel part.
 """
 import math
 from dataclasses import dataclass
@@ -70,10 +72,6 @@ class PiecewiseProfile:
     @classmethod
     def zero(cls):
         return cls((), [[0.0]])
-
-    @classmethod
-    def constant(cls, value):
-        return cls((), [[value]])
 
     @classmethod
     def from_callable(cls, f, n_pieces=16, degree=3):
@@ -152,15 +150,17 @@ class ControlTrace:
         if n > 1 and np.any(np.diff(self.t) <= 0):
             raise ValueError("trace times must be strictly increasing")
 
+    def _columns(self):
+        return self.t, self.u, self.du, self.phase, self.err
+
+    def __getitem__(self, index):
+        """The samples selected by a slice, as a trace."""
+        return ControlTrace(*(a[index] for a in self._columns()))
+
     @classmethod
     def concat(cls, first, second):
-        return cls(
-            np.concatenate([first.t, second.t]),
-            np.concatenate([first.u, second.u]),
-            np.concatenate([first.du, second.du]),
-            np.concatenate([first.phase, second.phase]),
-            np.concatenate([first.err, second.err]),
-        )
+        pairs = zip(first._columns(), second._columns())
+        return cls(*(np.concatenate(pair) for pair in pairs))
 
     def interpolate(self, times):
         re = np.interp(times, self.t, self.u.real)
@@ -189,22 +189,47 @@ class FlatSeed:
             raise ValueError("seed violates its own growth bound")
 
 
-def _convolutions(v0, t, x, orders, abs_tol, rel_tol, max_subdivisions):
-    """Flat arrays (values, errs, panels) over the points (t[j], x[j]) and
-    the derivative orders: sample j*len(orders) + i is order orders[i] at
+def _datum_integrals(v0, integrand, samples, abs_tol=1e-10, max_subdivisions=2 ** 14):
+    """(values, errs, panels) of the integrals of f_s(y) * v0(y) over y in
+    [0, v0.support], one per sample s = 0..samples-1.
+
+    The support is rescaled to the quadrature's unit interval, so the
+    datum's breakpoints become panel edges.  integrand(sig, s) gets the
+    unit-interval nodes sig and returns f_s(v0.support * sig); it scales
+    only the rows it evaluates, as a copy of every row would cost a full
+    node array per call.  v0 is the shared weight, evaluated once per
+    distinct panel, and values and errors are scaled back by the support.
+    A sample that exhausts its budget raises QuadratureError with its best
+    value and estimate on the same scale.
+    """
+    support = v0.support
+    bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
+    try:
+        values, errs, panels = integrate_batch(
+            integrand, samples, bps, abs_tol, max_subdivisions=max_subdivisions,
+            weight=lambda sig: v0(support * sig))
+    except QuadratureError as exc:
+        raise QuadratureError(str(exc), support * exc.value, support * exc.err_estimate,
+                              exc.sample) from exc
+    return support * values, support * errs, panels
+
+
+def _convolutions(v0, t, x, orders, abs_tol=1e-10, max_subdivisions=2 ** 14):
+    """Flat arrays (values, errs, panels) of the odd-folded convolutions
+    d^m_x (E(t,x-y) - E(t,x+y)) v0(y) over the points (t[j], x[j]) and the
+    derivative orders m: sample j*len(orders) + i is order orders[i] at
     point j.
 
     Within each integrand call the kernel runs once per distinct (point,
     panel) row, for all orders at once, and every sample's row picks its
     own order; each sample is still subdivided as if integrated alone.  A
-    sample that exhausts its budget raises QuadratureError with its point's
-    index as the sample.
+    sample that exhausts its budget raises QuadratureError naming its
+    (t, x, m), with its point's index as the sample.
     """
     t, x = (a.ravel() for a in np.broadcast_arrays(np.asarray(t, dtype=np.float64),
                                                    np.asarray(x, dtype=np.float64)))
     if np.any(t <= 0):
         raise ValueError("convolution requires t > 0")
-    support = v0.support
     n_orders = len(orders)
 
     def integrand(sig, s):
@@ -212,52 +237,31 @@ def _convolutions(v0, t, x, orders, abs_tol, rel_tol, max_subdivisions):
         # a row is a panel of a point, named by its end nodes
         first, inverse = _distinct_panels(point, sig[:, 0], sig[:, -1])
         rows = point[first, None]
-        vals = odd_kernel(t[rows], x[rows], support * sig[first], orders)
+        vals = odd_kernel(t[rows], x[rows], v0.support * sig[first], orders)
         return vals[which, inverse]
 
-    bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
     try:
-        values, errs, panels = integrate_batch(
-            integrand, t.size * n_orders, bps, abs_tol, rel_tol, max_subdivisions,
-            weight=lambda sig: v0(support * sig))
+        return _datum_integrals(v0, integrand, t.size * n_orders, abs_tol,
+                                max_subdivisions)
     except QuadratureError as exc:
         j, i = divmod(exc.sample, n_orders)
         raise QuadratureError(
             f"{exc} at t={float(t[j])!r}, x={float(x[j])!r}, m={orders[i]}",
-            support * exc.value, support * exc.err_estimate, j) from exc
-    return support * values, support * errs, panels
-
-
-def convolution_integral(v0, t, x, m=0, abs_tol=1e-10, rel_tol=1e-8,
-                         max_subdivisions=2 ** 14):
-    """(value, err) of the odd-folded kernel convolution at (t,x).
-
-    Integrates d^m_x (E(t,x-y) - E(t,x+y)) v0(y) over y in [0, v0.support],
-    rescaled to the unit interval so the datum's breakpoints become panel
-    edges for the quadrature.  t and x may be arrays that broadcast
-    together: all samples then go through one adaptive loop, each with its
-    own subdivision, and value and err are arrays of the broadcast shape.
-    A sample that exhausts its panel budget raises QuadratureError naming
-    its (t, x) and carrying its best value.
-    """
-    values, errs, _ = _convolutions(v0, t, x, (m,), abs_tol, rel_tol, max_subdivisions)
-    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
-    if shape == ():
-        return complex(values[0]), float(errs[0])
-    return values.reshape(shape), errs.reshape(shape)
+            exc.value, exc.err_estimate, j) from exc
 
 
 def free_evolution(theta0, t, x):
     """Smoothed state v(t,x) for the odd extension of theta0.
 
-    x (or t) may be an array: all points go through one batched quadrature.
+    t and x may be arrays that broadcast together: all points then go
+    through one batched quadrature, and the values take their shape.
     """
-    value, _ = convolution_integral(theta0, t, x)
-    return value
+    values, _, _ = _convolutions(theta0, t, x, (0,))
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    return complex(values[0]) if shape == () else values.reshape(shape)
 
 
-def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10, rel_tol=1e-8,
-                   max_subdivisions=2 ** 14):
+def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10, max_subdivisions=2 ** 14):
     """Phase-1 control samples u(t)=v(t,1) and u'(t)=i*v_xx(t,1).
 
     v0 is the datum the free evolution smooths, integrated over its own
@@ -270,8 +274,7 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10, rel_tol=1e-8,
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
     orders = (0, 2) if derivative else (0,)
-    values, errs, _ = _convolutions(v0, t_grid, 1.0, orders, abs_tol, rel_tol,
-                                    max_subdivisions)
+    values, errs, _ = _convolutions(v0, t_grid, 1.0, orders, abs_tol, max_subdivisions)
     values = values.reshape(t_grid.size, len(orders))
     err = errs.reshape(t_grid.size, len(orders)).sum(axis=1)
     du = 1j * values[:, 1] if derivative else np.zeros(t_grid.size, dtype=np.complex128)
@@ -290,23 +293,20 @@ def flat_coefficients(v0, tau, K):
         raise ValueError("tau must be positive")
     if not 0 <= K <= MAX_SEED_ORDER:
         raise ValueError(f"K={K} outside the supported truncation range")
-    support = v0.support
-    bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
     poly = np.zeros((K + 1, 2 * K + 2), dtype=np.complex128)
     for k in range(K + 1):
         poly[k, : 2 * k + 2] = derivative_coefficients(tau, 2 * k + 1)
 
     def integrand(sig, k):
-        ys = support * sig
+        ys = v0.support * sig
         return -2.0 * (horner(poly[k], ys) * fundamental_solution(tau, ys))
 
     try:
-        values, _, _ = integrate_batch(integrand, K + 1, bps,
-                                       weight=lambda sig: v0(support * sig))
+        values, _, _ = _datum_integrals(v0, integrand, K + 1)
     except QuadratureError as exc:
         raise SmoothingError(
             f"flat coefficient extraction failed at order k={exc.sample}: {exc}") from exc
-    y = np.array(_IPOW)[np.arange(K + 1) % 4] * support * values
+    y = np.array(_IPOW)[np.arange(K + 1) % 4] * values
     fit = [float(abs(y[k])) * tau ** k / (2.0 ** k * math.factorial(k))
            for k in range(K + 1)]
     return FlatSeed(tau, K, y, max(fit))

@@ -7,7 +7,8 @@ trailing sample axis.  The functions here are the one-sample-at-a-time
 versions the batched code replaced, kept as oracles: an adaptive quadrature
 per integral (and the seed as one integral per order), and scalar Taylor
 recurrences per time sample.  The one-integral interface of the package's
-batched loop (IntegrationProblem, integrate) and the checks that only tests
+batched loop (IntegrationProblem, integrate), the one-sample control
+series (control_at) and the checks that only tests
 need (the seed's state series, the Cauchy product of coefficient arrays,
 Gevrey bounds on Taylor coefficients) live here as well.
 
@@ -28,6 +29,7 @@ from schroflat.kernel import (_check_times, derivative_coefficients,
 from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES15, WEIGHTS7,
                                   WEIGHTS15, QuadratureError, integrate_batch)
 from schroflat.beam import BeamResult, BeamSnapshot
+from schroflat.flatness import control_trace
 from schroflat.smoothing import _IPOW, _MIPOW
 
 
@@ -297,6 +299,12 @@ def flat_output_derivatives_one(fo, t):
             acc += float(math.comb(m, k)) * phi[k] * ybar[m - k]
         out[m] = acc
     return out
+
+
+def control_at(fo, t):
+    """(u, du, tail) of the package's phase-2 control at the one time t."""
+    trace = control_trace(fo, [t])
+    return trace.u[0], trace.du[0], trace.err[0]
 
 
 def control_series_one(fo, t):

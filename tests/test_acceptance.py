@@ -44,7 +44,7 @@ from schroflat import (
 )
 from schroflat.quadrature import NODES15, WEIGHTS15
 from schroflat.schrodinger_sim import grid_l2_norm
-from schroflat.smoothing import PiecewiseProfile, convolution_integral
+from schroflat.smoothing import PiecewiseProfile
 from schroflat.cli import builtin_scenarios, sine_profile, synthesize_control
 
 from oracles import kernel_derivative
@@ -226,7 +226,7 @@ def test_criterion_6_kernel_and_quadrature_oracles(announce, ref_bundle):
     bps = theta0.breakpoints
     integrands = [lambda y, t=t: odd_kernel(t, 1.0, y, 0) * theta0(y)
                   for t in (0.1, 0.35)]
-    adaptive = [convolution_integral(theta0, t, 1.0)[0] for t in (0.1, 0.35)]
+    adaptive = [free_evolution(theta0, t, 1.0) for t in (0.1, 0.35)]
     # low-order seed integrands; higher orders exceed 1e8 in magnitude, where
     # an absolute 1e-8 target is below the resolution of the float type
     integrands += [lambda y, m=2 * k + 1: -2.0 * kernel_derivative(0.35, y, m) * theta0(y)

@@ -48,9 +48,7 @@ def test_phase1_batch_matches_per_sample_loop(name):
     assert np.all(np.abs(trace.du - du) <= 1e-14 * np.abs(du))
     assert np.all(np.abs(trace.err - err) <= 1e-6 * err + 1e-8 * np.abs(u))
     # the orders are interleaved samples of the trace's one batch
-    _, _, used = _convolutions(
-        v0, times, 1.0, orders, settings.get("abs_tol", 1e-10), 1e-8,
-        settings.get("max_subdivisions", 2 ** 14))
+    _, _, used = _convolutions(v0, times, 1.0, orders, **settings)
     used = used.reshape(times.size, len(orders))
     for row, m in enumerate(orders):
         assert np.array_equal(used[:, row], panels[row]), f"subdivision differs (m={m})"

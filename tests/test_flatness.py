@@ -12,12 +12,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schroflat import FlatOutput, control_series, control_trace, flat_coefficients, flat_output_derivatives, state_series
+from schroflat import (BeamData, FlatOutput, PiecewiseProfile, control_trace,
+                       extend_odd_smooth, flat_coefficients, flat_output_derivatives,
+                       lift_initial_data, state_series, synthesize)
+from schroflat.cli import builtin_scenarios, sine_profile
 from schroflat.flatness import _analytic_derivatives
 from schroflat.gevrey import step_function
-from schroflat.smoothing import PHASE_FLATNESS, FlatSeed
+from schroflat.smoothing import PHASE_FLATNESS, PHASE_SMOOTHING, FlatSeed
 
-from oracles import seed_series
+from oracles import control_at, seed_series
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +47,12 @@ def test_all_derivatives_vanish_exactly_at_terminal_time(fo):
 
 
 def test_control_and_derivative_zero_at_terminal_time(fo):
-    u, du, tail = control_series(fo, fo.T)
+    u, du, tail = control_at(fo, fo.T)
     assert u == 0.0 and du == 0.0 and tail == 0.0
 
 
 def test_control_at_start_matches_seed_series(fo):
-    u, _, _ = control_series(fo, fo.tau)
+    u, _, _ = control_at(fo, fo.tau)
     expect = seed_series(fo.seed, 1.0)
     assert abs(u - expect) <= 1e-14 * abs(expect)
 
@@ -58,7 +61,7 @@ def test_control_at_start_matches_seed_series(fo):
 
 def test_state_at_right_edge_is_the_control(fo):
     for t in np.linspace(fo.tau, fo.T, 7):
-        u, _, _ = control_series(fo, float(t))
+        u, _, _ = control_at(fo, float(t))
         theta = state_series(fo, float(t), 1.0)
         assert theta == u  # same terms, x-powers exactly one
 
@@ -105,7 +108,7 @@ def test_analytic_part_at_start_is_seed(fo):
 
 def test_tail_is_last_retained_term(fo):
     t = 0.44
-    _, _, tail8 = control_series(replace(fo, K_u=8), t)
+    _, _, tail8 = control_at(replace(fo, K_u=8), t)
     derivs = flat_output_derivatives(fo, t)[:, 0]
     expect = abs(derivs[8] / math.factorial(17))
     assert abs(tail8 - expect) <= 1e-15 * expect
@@ -113,8 +116,8 @@ def test_tail_is_last_retained_term(fo):
 
 def test_truncation_refinement_changes_by_tail(fo):
     t = 0.44
-    u8, _, _ = control_series(replace(fo, K_u=8), t)
-    u9, _, tail9 = control_series(replace(fo, K_u=9), t)
+    u8, _, _ = control_at(replace(fo, K_u=8), t)
+    u9, _, tail9 = control_at(replace(fo, K_u=9), t)
     assert abs(u9 - u8) == pytest.approx(tail9, rel=1e-12)
 
 
@@ -123,7 +126,7 @@ def test_control_trace_sampling(fo):
     fo10 = replace(fo, K_u=10)
     trace = control_trace(fo10, ts)
     assert np.all(trace.phase == PHASE_FLATNESS)
-    u, du, tail = control_series(fo10, float(ts[2]))
+    u, du, tail = control_at(fo10, float(ts[2]))
     assert trace.u[2] == u and trace.du[2] == du and trace.err[2] == tail
 
 
@@ -165,7 +168,7 @@ def test_truncation_sets_the_jet_order(K_u):
     fo = FlatOutput(_seed(), 0.5, 1.9, K_u)
     assert fo.jet_order == K_u + 6
     assert flat_output_derivatives(fo, 0.4).shape[0] == K_u + 7
-    u, du, tail = control_series(fo, 0.4)
+    u, du, tail = control_at(fo, 0.4)
     assert np.isfinite(u) and np.isfinite(du) and tail > 0.0
 
 
@@ -179,4 +182,51 @@ def test_time_domain_enforced(fo):
     with pytest.raises(ValueError):
         flat_output_derivatives(fo, fo.tau - 1e-9)
     with pytest.raises(ValueError):
-        control_series(fo, fo.T + 1e-9)
+        control_at(fo, fo.T + 1e-9)
+
+
+# --------------------------------------------------------------- synthesis
+
+def _check_trace_and_diags(trace, times, tau, diags):
+    # the trace holds the grid times after 0 and nothing else; each phase's
+    # diagnostic is the largest error of its own returned samples
+    np.testing.assert_array_equal(trace.t, times[1:])
+    np.testing.assert_array_equal(trace.phase, np.where(trace.t <= tau, PHASE_SMOOTHING,
+                                                        PHASE_FLATNESS))
+    assert diags["quad_err_max"] == np.max(trace.err[trace.phase == PHASE_SMOOTHING])
+    assert diags["tail_max"] == np.max(trace.err[trace.phase == PHASE_FLATNESS])
+
+
+@pytest.mark.parametrize("equation", ["schrodinger", "beam"])
+def test_switch_sample_on_the_grid_is_the_gap_sample(equation, pulse):
+    # tau = 1.5 is a grid time of 81 points on [0, 2]: the trace keeps it
+    # once, in phase 1, and the gap and its budget come from that very
+    # sample and the series at tau
+    times = np.linspace(0.0, 2.0, 81)
+    tau = 1.5
+    assert np.count_nonzero(times == tau) == 1
+    if equation == "beam":
+        data = BeamData(sine_profile(), PiecewiseProfile.zero())
+        v0 = extend_odd_smooth(lift_initial_data(data))
+        settings = dict(derivative=True, abs_tol=1e-8, max_subdivisions=2 ** 16)
+    else:
+        v0, settings = pulse, {}
+    trace, fo, diags = synthesize(v0, times, tau, 2.0, 1.6, 10, 10, **settings)
+    _check_trace_and_diags(trace, times, tau, diags)
+    (at,) = np.flatnonzero(trace.t == tau)
+    plus = control_trace(fo, [tau])
+    assert diags["continuity_gap"] == abs(plus.u[0] - trace.u[at])
+    assert diags["gap_budget"] == plus.err[0] + trace.err[at]
+    assert diags["continuity_gap"] <= 10.0 * diags["gap_budget"]
+
+
+def test_switch_sample_off_the_grid_stays_out_of_the_trace():
+    # gentle's grid has no point at tau = 1.4 (the nearest lies just above
+    # it): tau is sampled in both batches but returned in neither
+    sc = builtin_scenarios()["gentle"]
+    times = sc.sim.times()
+    assert sc.tau not in times
+    trace, fo, diags = synthesize(sc.theta0, times, sc.tau, sc.T, sc.s, sc.K, sc.K_u)
+    _check_trace_and_diags(trace, times, sc.tau, diags)
+    assert diags["gap_budget"] > control_trace(fo, [sc.tau]).err[0]
+    assert diags["continuity_gap"] <= 10.0 * diags["gap_budget"]

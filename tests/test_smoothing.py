@@ -10,7 +10,7 @@ from schroflat import ControlTrace, FlatSeed, PiecewiseProfile, QuadratureError,
 from schroflat import odd_kernel, smoothing
 from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
 from schroflat.cli import builtin_scenarios
-from schroflat.smoothing import PHASE_SMOOTHING, convolution_integral
+from schroflat.smoothing import PHASE_SMOOTHING, _convolutions
 
 from conftest import assert_close
 from oracles import seed_series
@@ -102,7 +102,7 @@ def test_boundary_trace_frozen_values(ref_datum):
 def test_boundary_trace_with_derivative(ref_datum):
     trace = boundary_trace(ref_datum, np.array([0.35]))
     # du = i * v_xx(t,1); cross-check against the raw convolution
-    v2, _ = convolution_integral(ref_datum, 0.35, 1.0, m=2)
+    (v2,), _, _ = _convolutions(ref_datum, 0.35, 1.0, (2,))
     assert abs(trace.du[0] - 1j * v2) < 1e-12
 
 
@@ -110,7 +110,7 @@ def test_boundary_trace_with_derivative(ref_datum):
 def test_convolution_integrates_over_the_datum_breakpoints(ref_datum, t):
     # the datum carries its jumps, so every entry point splits the
     # quadrature at them and the three values agree bit for bit
-    value, _ = convolution_integral(ref_datum, t, 1.0)
+    (value,), _, _ = _convolutions(ref_datum, t, 1.0, (0,))
     assert value == free_evolution(ref_datum, t, 1.0)
     assert value == boundary_trace(ref_datum, np.array([t]), derivative=False).u[0]
 
@@ -138,7 +138,7 @@ def test_trace_budget_failure_names_sample_time(ref_datum):
         boundary_trace(ref_datum, times, derivative=False, max_subdivisions=40)
     assert exc.value.sample == 0
     with pytest.raises(QuadratureError) as alone:
-        convolution_integral(ref_datum, 0.001, 1.0, 0, max_subdivisions=40)
+        boundary_trace(ref_datum, times[:1], derivative=False, max_subdivisions=40)
     assert exc.value.value == alone.value.value
     # the other samples fit the budget on their own
     boundary_trace(ref_datum, times[1:], derivative=False, max_subdivisions=40)
@@ -204,7 +204,7 @@ def test_orders_share_the_kernel_per_distinct_time_and_panel(monkeypatch, beam_p
     boundary_trace(ext, times, derivative=True, **settings)
     apart = _record_kernel_rows(monkeypatch)
     boundary_trace(ext, times, derivative=False, **settings)
-    convolution_integral(ext, times, 1.0, 2, **settings)
+    _convolutions(ext, times, 1.0, (2,), **settings)
     for rows in fused:
         assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     count = lambda calls: sum(rows.shape[0] for rows in calls)
@@ -217,7 +217,7 @@ def test_boundary_trace_rejects_nonpositive_times(ref_datum):
     with pytest.raises(ValueError):
         boundary_trace(ref_datum, np.array([0.0, 0.1]))
     with pytest.raises(ValueError):
-        convolution_integral(ref_datum, -0.1, 1.0)
+        free_evolution(ref_datum, -0.1, 1.0)
 
 
 # -------------------------------------------------------------- flat seeds
