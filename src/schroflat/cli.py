@@ -121,34 +121,39 @@ class Scenario:
             raise ScenarioError("eta0/eta1: required for the beam equation")
 
 
+# builtin scenarios by name; each is built only when asked for, since
+# some datums cost a polynomial fit
+_BUILTINS = {
+    "reference": lambda: Scenario(
+        name="reference", equation="schrodinger", tau=0.35, T=0.5, s=1.9,
+        K=15, K_u=15, control="synthesized",
+        sim=SimConfig(Nx=200, Nt=4000, T=0.5, snapshot_count=11),
+        theta0=reference_datum()),
+    "gentle": lambda: Scenario(
+        name="gentle", equation="schrodinger", tau=1.4, T=2.0, s=1.6,
+        K=15, K_u=15, control="synthesized",
+        sim=SimConfig(Nx=200, Nt=4000, T=2.0, snapshot_count=11),
+        theta0=pulse_datum()),
+    "zero": lambda: Scenario(
+        name="zero", equation="schrodinger", tau=0.35, T=0.5, s=1.9,
+        K=15, K_u=15, control="synthesized",
+        sim=SimConfig(Nx=64, Nt=512, T=0.5, snapshot_count=5),
+        theta0=PiecewiseProfile.zero()),
+    "eigenmode-check": lambda: Scenario(
+        name="eigenmode-check", equation="schrodinger", tau=0.35, T=0.5,
+        s=1.9, K=15, K_u=15, control="none",
+        sim=SimConfig(Nx=128, Nt=1024, T=0.5, snapshot_count=9),
+        theta0=sine_profile()),
+    "beam": lambda: Scenario(
+        name="beam", equation="beam", tau=1.4, T=2.0, s=1.6,
+        K=15, K_u=15, control="synthesized",
+        sim=SimConfig(Nx=128, Nt=2000, T=2.0, snapshot_count=9),
+        eta0=sine_profile(), eta1=PiecewiseProfile.zero()),
+}
+
+
 def builtin_scenarios():
-    return {
-        "reference": Scenario(
-            name="reference", equation="schrodinger", tau=0.35, T=0.5, s=1.9,
-            K=15, K_u=15, control="synthesized",
-            sim=SimConfig(Nx=200, Nt=4000, T=0.5, snapshot_count=11),
-            theta0=reference_datum()),
-        "gentle": Scenario(
-            name="gentle", equation="schrodinger", tau=1.4, T=2.0, s=1.6,
-            K=15, K_u=15, control="synthesized",
-            sim=SimConfig(Nx=200, Nt=4000, T=2.0, snapshot_count=11),
-            theta0=pulse_datum()),
-        "zero": Scenario(
-            name="zero", equation="schrodinger", tau=0.35, T=0.5, s=1.9,
-            K=15, K_u=15, control="synthesized",
-            sim=SimConfig(Nx=64, Nt=512, T=0.5, snapshot_count=5),
-            theta0=PiecewiseProfile.zero()),
-        "eigenmode-check": Scenario(
-            name="eigenmode-check", equation="schrodinger", tau=0.35, T=0.5,
-            s=1.9, K=15, K_u=15, control="none",
-            sim=SimConfig(Nx=128, Nt=1024, T=0.5, snapshot_count=9),
-            theta0=sine_profile()),
-        "beam": Scenario(
-            name="beam", equation="beam", tau=1.4, T=2.0, s=1.6,
-            K=15, K_u=15, control="synthesized",
-            sim=SimConfig(Nx=128, Nt=2000, T=2.0, snapshot_count=9),
-            eta0=sine_profile(), eta1=PiecewiseProfile.zero()),
-    }
+    return {name: build() for name, build in _BUILTINS.items()}
 
 
 def _complex_entry(v):
@@ -232,14 +237,13 @@ def scenario_from_dict(d, name):
 
 
 def load_scenario(source):
-    builtins = builtin_scenarios()
-    if source in builtins:
-        return builtins[source]
+    if source in _BUILTINS:
+        return _BUILTINS[source]()
     path = Path(source)
     if not path.exists():
         raise ScenarioError(
             f"scenario: {source!r} is neither a builtin "
-            f"({', '.join(sorted(builtins))}) nor a file")
+            f"({', '.join(sorted(_BUILTINS))}) nor a file")
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = yaml.safe_load(fh)
@@ -453,7 +457,7 @@ def convergence_study(sc: Scenario, levels, out_dir):
 def selftest():
     checks = []
 
-    sc = builtin_scenarios()["zero"]
+    sc = load_scenario("zero")
     snapshots = simulate(sc.theta0, None, sc.sim)
     checks.append(("zero-datum-stays-zero",
                    terminal_report(snapshots)["terminal_l2"] == 0.0))

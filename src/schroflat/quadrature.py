@@ -11,7 +11,9 @@ integrated alone; a single integral is the one-sample case.  Declared
 breakpoints seed the initial panel edges, so no panel ever straddles a
 discontinuity of the integrand.  Summation order is fixed (each sample's
 panels sorted by left edge), making results bit-reproducible for a given
-problem.
+problem: a sample's value is numpy's pairwise sum of its sorted panels,
+the summation of a lone integral, taken for all samples with the same
+panel count at once as the rows of one array.
 
 An optional weight is a factor shared by every sample, a function of the
 nodes alone (the datum of a convolution).  Samples that split alike hold
@@ -120,10 +122,32 @@ def _evaluate(f, lo, hi, sample, weight):
     return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
-def _ordered_sum(lo, vals, errs):
-    # fixed summation order: panels sorted by left edge
-    order = np.argsort(lo, kind="stable")
-    return complex(vals[order].sum()), float(errs[order].sum())
+def _sample_sums(owner, lo, vals, errs, samples):
+    """Per-sample sums of panel values and errors, panels in left-edge order.
+
+    Each sample's sum is numpy's pairwise .sum() of its sorted panels, the
+    summation of a lone integral.  Samples with the same panel count are
+    gathered into one C-contiguous (rows, n) block and summed with
+    .sum(axis=1), which applies that routine to each row, so the loop runs
+    once per distinct count, not once per sample.  A sequential sum
+    (np.add.reduceat, np.bincount) would round differently on samples of
+    more than a few panels.
+    """
+    order = np.lexsort((lo, owner))
+    vals, errs = vals[order], errs[order]
+    counts = np.bincount(owner, minlength=samples)
+    starts = np.cumsum(counts) - counts
+    by_count = np.argsort(counts, kind="stable")
+    sorted_counts = counts[by_count]
+    cuts = np.flatnonzero(sorted_counts[1:] != sorted_counts[:-1]) + 1
+    values = np.zeros(samples, dtype=np.complex128)
+    sums = np.zeros(samples)
+    for a, b in zip([0, *cuts], [*cuts, samples]):
+        rows = by_count[a:b]
+        idx = starts[rows][:, None] + np.arange(sorted_counts[a])
+        values[rows] = vals[idx].sum(axis=1)
+        sums[rows] = errs[idx].sum(axis=1)
+    return values, sums
 
 
 def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
@@ -177,12 +201,11 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
         over = np.flatnonzero(used > max_subdivisions)
         if over.size:
             s = int(over[0])
-            parts = [*kept, (smp, lo, kron, err)]
-            best, best_err = _ordered_sum(*(
-                np.concatenate([p[i][p[0] == s] for p in parts]) for i in (1, 2, 3)))
+            best, best_err = _sample_sums(*(np.concatenate(c) for c in zip(
+                *kept, (smp, lo, kron, err))), samples)
             raise QuadratureError(
                 f"no convergence within {max_subdivisions} panel evaluations",
-                best, best_err, s)
+                complex(best[s]), float(best_err[s]), s)
 
         total = np.hypot(acc_re + per_sample(smp, kron.real),
                          acc_im + per_sample(smp, kron.imag))
@@ -217,16 +240,7 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
         hi = np.concatenate([mid, bad_hi])
         smp = np.concatenate([bad_smp, bad_smp])
 
-    values = np.zeros(samples, dtype=np.complex128)
-    errs = np.zeros(samples)
-    if kept:
-        owner, k_lo, k_val, k_err = (np.concatenate(c) for c in zip(*kept))
-        order = np.lexsort((k_lo, owner))
-        k_val, k_err = k_val[order], k_err[order]
-        bounds = np.searchsorted(owner[order], np.arange(samples + 1))
-        # one numpy sum per sample, the summation of a lone integral
-        for s in range(samples):
-            a, b = bounds[s], bounds[s + 1]
-            values[s] = k_val[a:b].sum()
-            errs[s] = k_err[a:b].sum()
+    if not kept:
+        return np.zeros(samples, dtype=np.complex128), np.zeros(samples), used
+    values, errs = _sample_sums(*(np.concatenate(c) for c in zip(*kept)), samples)
     return values, errs, used

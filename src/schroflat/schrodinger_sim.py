@@ -46,8 +46,14 @@ class SimConfig:
         return np.linspace(0.0, self.T, self.Nt + 1)
 
     def snapshot_indices(self):
+        """The sorted distinct step indices of the snapshots.
+
+        The rounded indices are already sorted, so a neighbour comparison
+        drops the repeats.  np.unique would import numpy.ma, a cost paid
+        once per process and on the run path of every scenario.
+        """
         idx = np.round(np.linspace(0, self.Nt, self.snapshot_count)).astype(np.int64)
-        return np.unique(idx)
+        return idx[np.r_[True, idx[1:] != idx[:-1]]]
 
 
 @dataclass(eq=False)

@@ -105,6 +105,24 @@ def test_load_scenario_builtin_and_yaml(tmp_path):
         load_scenario("missing.yaml")
 
 
+def test_load_scenario_builds_only_the_named_builtin(tmp_path, monkeypatch):
+    # sine_profile is a polynomial fit; only the scenarios that use it pay
+    fits = []
+    monkeypatch.setattr("schroflat.cli.sine_profile",
+                        lambda: fits.append(1) or pulse_datum())
+    assert load_scenario("gentle").name == "gentle"
+    cfg = tmp_path / "sc.yaml"
+    cfg.write_text("tau: 1.4\nT: 2.0\ns: 1.6\ntheta0: pulse\n")
+    assert load_scenario(str(cfg)).name == "sc"
+    assert fits == []
+    assert load_scenario("beam").eta0 is not None
+    assert fits == [1]
+    # every builtin name is listed in the error for an unknown one
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario("missing.yaml")
+    assert all(name in str(exc.value) for name in builtin_scenarios())
+
+
 def test_run_scenario_writes_artifacts(tmp_path):
     sc = builtin_scenarios()["zero"]
     entries = run_scenario(sc, tmp_path / "out")
@@ -236,7 +254,7 @@ def test_main_run_exit_codes(tmp_path, capsys):
 def test_run_imports_no_scipy(tmp_path):
     # both marches and the synthesis are numpy only; the import of
     # scipy.linalg alone took about 0.2 s of wall time per run on a 2-core
-    # Xeon host
+    # Xeon host.  numpy.ma (imported by np.unique) took about 12 ms there.
     code = (
         "import sys\n"
         "from schroflat.cli import main\n"
@@ -245,6 +263,7 @@ def test_run_imports_no_scipy(tmp_path):
         "    assert main(['run', '--scenario', name, '--out-dir', out]) == 0\n"
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "assert not loaded, loaded\n"
+        "assert 'numpy.ma' not in sys.modules\n"
     )
     src = str(Path(schroflat.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

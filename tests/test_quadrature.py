@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schroflat import QuadratureError
-from schroflat.quadrature import PANELS_PER_CALL, integrate_batch
+from schroflat.quadrature import PANELS_PER_CALL, _sample_sums, integrate_batch
 
 from oracles import IntegrationProblem, integrate, integrate_function
 
@@ -141,6 +141,35 @@ def test_batch_splits_large_generations():
     assert np.all(panels == 1) and np.allclose(values, 1.0, rtol=0, atol=1e-15)
     empty = integrate_batch(batch, 0)
     assert all(a.size == 0 for a in empty)
+
+
+def test_sample_sums_bitwise_equal_per_sample_sum():
+    # the grouped row sums equal each sample's own .sum() of its panels in
+    # left-edge order bit for bit, at counts on both sides of numpy's
+    # 8-element pairwise block and its 128-element unrolling, and above 1000
+    rng = np.random.default_rng(7)
+    counts = np.repeat([1, 2, 3, 7, 8, 9, 16, 17, 128, 129, 1500, 2049],
+                       [40, 30, 1, 20, 25, 20, 15, 10, 5, 4, 2, 1])
+    counts = counts[rng.permutation(counts.size)]
+    samples = counts.size
+    owner = np.repeat(np.arange(samples), counts)
+    shuffle = rng.permutation(owner.size)
+    owner = owner[shuffle]
+    lo = rng.random(owner.size)
+    scale = 10.0 ** rng.integers(-8, 8, owner.size)
+    vals = scale * (rng.standard_normal(owner.size) + 1j * rng.standard_normal(owner.size))
+    errs = 10.0 ** rng.integers(-16, 0, owner.size) * rng.random(owner.size)
+
+    values, sums = _sample_sums(owner, lo, vals, errs, samples)
+    want_values = np.empty(samples, dtype=np.complex128)
+    want_sums = np.empty(samples)
+    for s in range(samples):
+        mine = np.flatnonzero(owner == s)
+        order = mine[np.argsort(lo[mine], kind="stable")]
+        want_values[s] = vals[order].sum()
+        want_sums[s] = errs[order].sum()
+    assert np.array_equal(values, want_values)
+    assert np.array_equal(sums, want_sums)
 
 
 def test_stagnation_returns_noise_floor():

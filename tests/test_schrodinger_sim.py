@@ -31,6 +31,19 @@ def test_config_grids():
     assert idx[0] == 0 and idx[-1] == 400
 
 
+@pytest.mark.parametrize("Nt, snapshot_count", [
+    (400, 5), (4000, 11), (1024, 9), (17, 3), (16, 16), (16, 17), (16, 40),
+    (20000, 2)])
+def test_snapshot_indices_match_unique(Nt, snapshot_count):
+    # the neighbour comparison drops repeats exactly as np.unique would;
+    # Nt < snapshot_count - 1 rounds several snapshots onto one step
+    cfg = SimConfig(Nx=16, Nt=Nt, T=0.5, snapshot_count=snapshot_count)
+    idx = cfg.snapshot_indices()
+    want = np.unique(np.round(np.linspace(0, Nt, snapshot_count)).astype(np.int64))
+    assert idx.dtype == want.dtype
+    assert np.array_equal(idx, want)
+
+
 def test_zero_datum_stays_zero():
     cfg = SimConfig(Nx=32, Nt=32, T=0.5, snapshot_count=3)
     snaps = simulate(lambda x: np.zeros_like(x, dtype=np.complex128), None, cfg)
