@@ -102,40 +102,42 @@ def _sum_orders(terms):
     return total
 
 
-def _analytic_derivatives(fo: FlatOutput, t: np.ndarray) -> np.ndarray:
-    """ybar^(m)(t) = sum_{j>=m} y_j (t-tau)^(j-m)/(j-m)!, m = 0..jet_order."""
+def _analytic_derivatives(fo: FlatOutput, t: np.ndarray, order: int) -> np.ndarray:
+    """ybar^(m)(t) = sum_{j>=m} y_j (t-tau)^(j-m)/(j-m)!, m = 0..order."""
     dt = t - fo.tau
     K = fo.seed.K
     y = fo.seed.y
-    out = np.zeros((fo.jet_order + 1,) + t.shape, dtype=np.complex128)
-    for m in range(min(fo.jet_order, K) + 1):
+    powers = [dt ** p for p in range(K + 1)]
+    out = np.zeros((order + 1,) + t.shape, dtype=np.complex128)
+    for m in range(min(order, K) + 1):
         acc = np.zeros(t.shape, dtype=np.complex128)
         for j in range(K, m, -1):
-            acc += y[j] * dt ** (j - m) / math.factorial(j - m)
+            acc += y[j] * powers[j - m] / math.factorial(j - m)
         out[m] = acc + y[m]
     return out
 
 
-def _step_derivatives(fo: FlatOutput, t: np.ndarray) -> np.ndarray:
-    """Derivatives in t of phi_s((t-tau)/(T-tau)) up to the jet order."""
+def _step_derivatives(fo: FlatOutput, t: np.ndarray, order: int) -> np.ndarray:
+    """Derivatives in t of phi_s((t-tau)/(T-tau)), orders 0..order."""
     delta = fo.T - fo.tau
-    phi = step_jet((t - fo.tau) / delta, fo.s, fo.jet_order)
-    orders = np.arange(fo.jet_order + 1)
+    phi = step_jet((t - fo.tau) / delta, fo.s, order)
+    orders = np.arange(order + 1)
     facts = [math.factorial(j) for j in orders]
     return phi * _orders(facts) * _orders((1.0 / delta) ** orders)
 
 
-def flat_output_derivatives(fo: FlatOutput, t) -> np.ndarray:
-    """y^(m)(t) for m = 0..jet_order (rows) at each sample of t (columns).
+def flat_output_derivatives(fo: FlatOutput, t, order=None) -> np.ndarray:
+    """y^(m)(t) for m = 0..order (rows) at each sample of t (columns).
 
-    t is a scalar or an array of times in [tau, T].  Each y^(m) is the
-    Leibniz sum, in increasing k, of C(m,k) phi^(k) ybar^(m-k); both series
-    below consume these rows.
+    t is a scalar or an array of times in [tau, T]; order defaults to
+    jet_order.  Each y^(m) is the Leibniz sum, in increasing k, of
+    C(m,k) phi^(k) ybar^(m-k), the same for every order >= m; both series
+    below consume these rows up to K_u + 1.
     """
     t = fo._times(t)
-    ybar = _analytic_derivatives(fo, t)
-    phi = _step_derivatives(fo, t)
-    n = fo.jet_order
+    n = fo.jet_order if order is None else order
+    ybar = _analytic_derivatives(fo, t, n)
+    phi = _step_derivatives(fo, t, n)
     out = np.zeros_like(ybar)
     for k in range(n + 1):
         comb = _orders([math.comb(m, k) for m in range(k, n + 1)])
@@ -145,7 +147,7 @@ def flat_output_derivatives(fo: FlatOutput, t) -> np.ndarray:
 
 def _series_terms(fo: FlatOutput, t):
     """Per-order contributions to u and u' (rows) at each sample (columns)."""
-    derivs = flat_output_derivatives(fo, t)
+    derivs = flat_output_derivatives(fo, t, fo.K_u + 1)
     k = np.arange(fo.K_u + 1)
     mipow = np.array(_MIPOW)[k % 4][:, None]
     facts = _orders([math.factorial(2 * j + 1) for j in k])

@@ -45,21 +45,28 @@ def _exp(u):
     n = u.shape[0]
     h = np.zeros(u.shape, dtype=np.complex128)
     h[0] = np.exp(u[0])
+    ku = [k * u[k] for k in range(n)]
     for j in range(1, n):
         acc = 0.0
         for k in range(1, j + 1):
-            acc = acc + k * u[k] * h[j - k]
+            acc = acc + ku[k] * h[j - k]
         h[j] = acc / j
     return h
 
 
 def _pow(u, alpha):
+    # only the orders k >= 1 where u is nonzero somewhere enter the sums:
+    # the others add exact zeros, and for the linear series of step_jet the
+    # loop is O(n) instead of O(n^2)
     n = u.shape[0]
     w = np.zeros(u.shape, dtype=np.complex128)
     w[0] = u[0] ** alpha
+    live = [k for k in range(1, n) if np.any(u[k] != 0)]
     for j in range(1, n):
         acc = 0.0
-        for k in range(1, j + 1):
+        for k in live:
+            if k > j:
+                break
             acc = acc + ((alpha + 1.0) * k - j) * u[k] * w[j - k]
         w[j] = acc / (j * u[0])
     return w

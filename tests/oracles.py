@@ -26,8 +26,9 @@ import numpy as np
 from schroflat.gevrey import _SNAP_EXPONENT, _kappa
 from schroflat.kernel import (_check_times, derivative_coefficients,
                               fundamental_solution, horner, odd_kernel)
-from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES15, WEIGHTS7,
-                                  WEIGHTS15, QuadratureError, integrate_batch)
+from schroflat import quadrature
+from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES, WEIGHTS_GAUSS,
+                                  WEIGHTS_KRONROD, QuadratureError, integrate_batch)
 from schroflat.beam import BeamResult, BeamSnapshot
 from schroflat.flatness import control_trace
 from schroflat.smoothing import _IPOW, _MIPOW
@@ -80,17 +81,27 @@ def integrate_function(f, breakpoints=(), **kwargs):
 
 # ------------------------------------------------------------- phase 1
 
-def _panel_sums(f, lo, hi):
+def panel_sums(f, lo, hi):
+    """(Kronrod sum, error estimate, L1 scale) per panel as complex
+    matrix-vector products; the package forms the same sums as one real
+    matrix product (quadrature._panel_sums)."""
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    xs = mid[:, None] + half[:, None] * NODES15[None, :]
+    xs = mid[:, None] + half[:, None] * NODES[None, :]
     fv = np.asarray(f(xs.ravel()), dtype=np.complex128).reshape(xs.shape)
-    kron = half * (fv @ WEIGHTS15)
-    gauss = half * (fv[:, GAUSS_IDX] @ WEIGHTS7)
+    kron = half * (fv @ WEIGHTS_KRONROD)
+    gauss = half * (fv[:, GAUSS_IDX] @ WEIGHTS_GAUSS)
     diff = kron - gauss
     err = np.abs(diff.real) + np.abs(diff.imag)
-    scale = half * (np.abs(fv) @ WEIGHTS15)
+    scale = half * (np.abs(fv) @ WEIGHTS_KRONROD)
     return kron, err, scale
+
+
+def _panel_sums(f, lo, hi):
+    # the package's panel sums: this oracle checks the adaptive loop around
+    # them, and panel_sums checks the sums themselves
+    return quadrature._panel_sums(lambda x, s: f(x.ravel()), lo, hi,
+                                  np.zeros(lo.size, dtype=np.intp), None)
 
 
 def integrate_one(problem):

@@ -42,7 +42,7 @@ from schroflat import (
     simulate,
     state_series,
 )
-from schroflat.quadrature import NODES15, WEIGHTS15
+from schroflat.quadrature import NODES, WEIGHTS_KRONROD
 from schroflat.schrodinger_sim import grid_l2_norm
 from schroflat.smoothing import PiecewiseProfile
 from schroflat.cli import builtin_scenarios, sine_profile, synthesize_control
@@ -201,16 +201,16 @@ def _richardson(f, x, h=1e-3):
 
 
 def _dense_composite(f, breakpoints, panels_per_piece=512):
-    """Fixed-panel 15-point composite rule, conforming to the breakpoints."""
+    """Fixed-panel composite Kronrod rule, conforming to the breakpoints."""
     edges = np.array([0.0, *breakpoints, 1.0])
     total = 0.0 + 0.0j
     for a, b in zip(edges[:-1], edges[1:]):
         sub = np.linspace(a, b, panels_per_piece + 1)
         lo, hi = sub[:-1], sub[1:]
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-        xs = mid[:, None] + half[:, None] * NODES15[None, :]
+        xs = mid[:, None] + half[:, None] * NODES[None, :]
         fv = np.asarray(f(xs.ravel()), dtype=np.complex128).reshape(xs.shape)
-        total += complex(np.sum(half * (fv @ WEIGHTS15)))
+        total += complex(np.sum(half * (fv @ WEIGHTS_KRONROD)))
     return total
 
 

@@ -3,7 +3,7 @@
 Phase 1 runs every time sample through one adaptive Gauss-Kronrod loop;
 each sample must be subdivided exactly as when integrated alone, so the
 panel counts agree sample by sample and the values agree to rounding (a
-batch's panel sums go through matrix-vector products of other row counts).
+batch's panel sums go through matrix products of other row counts).
 The flat-output seed integrates its K+1 orders as the samples of one such
 loop; each order must agree with its own adaptive integral to 1e-14
 relative (rounding of the same panel sums).

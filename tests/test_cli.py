@@ -265,12 +265,38 @@ def test_run_imports_no_scipy(tmp_path):
         "assert not loaded, loaded\n"
         "assert 'numpy.ma' not in sys.modules\n"
     )
+    _python(code)
+
+
+def _python(code, **env):
+    """stdout of code run in a fresh interpreter on this package."""
     src = str(Path(schroflat.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **env, "PYTHONPATH": os.pathsep.join(
         [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc.stdout
+
+
+def test_synthesis_bytes_do_not_depend_on_blas_threads():
+    # gentle's phase-1 generations reach thousands of panels, where OpenBLAS
+    # runs its products on every thread it has; the derivative trace is the
+    # beam's quadrature path
+    code = (
+        "import hashlib\n"
+        "from schroflat.cli import load_scenario\n"
+        "from schroflat.flatness import synthesize\n"
+        "sc = load_scenario('gentle')\n"
+        "trace, _, diags = synthesize(sc.theta0, sc.sim.times(), sc.tau, sc.T, sc.s,\n"
+        "                             sc.K, sc.K_u, derivative=True)\n"
+        "h = hashlib.sha256()\n"
+        "for a in (trace.u, trace.du, trace.err):\n"
+        "    h.update(a.tobytes())\n"
+        "print(h.hexdigest(), sorted(diags.items()))\n"
+    )
+    one, two = (_python(code, OPENBLAS_NUM_THREADS=n) for n in ("1", "2"))
+    assert one == two
 
 
 def test_main_numerical_error_exit(tmp_path, capsys):

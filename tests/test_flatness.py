@@ -102,7 +102,7 @@ def test_first_derivative_matches_difference_quotient(fo):
 
 
 def test_analytic_part_at_start_is_seed(fo):
-    ybar = _analytic_derivatives(fo, np.array([fo.tau]))
+    ybar = _analytic_derivatives(fo, np.array([fo.tau]), fo.jet_order)
     assert ybar[0, 0] == fo.seed.y[0]
 
 
@@ -144,6 +144,16 @@ def test_derivatives_batch_columns_match_single_samples(fo):
     assert batch.shape == (fo.jet_order + 1, ts.size)
     for i, t in enumerate(ts):
         assert np.array_equal(batch[:, i], flat_output_derivatives(fo, float(t))[:, 0])
+
+
+def test_derivatives_truncation_is_exact(fo):
+    # row m of the Leibniz sum is the same however many rows are built: the
+    # series stop at K_u + 1, below the default jet order
+    ts = np.linspace(fo.tau, fo.T, 9)
+    full = flat_output_derivatives(fo, ts)
+    assert full.shape == (fo.jet_order + 1, ts.size)
+    for m in (0, 1, 5, fo.seed.K, fo.K_u + 1):
+        assert full[: m + 1].tobytes() == flat_output_derivatives(fo, ts, m).tobytes(), m
 
 
 # -------------------------------------------------------------- validation

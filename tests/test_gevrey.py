@@ -108,6 +108,16 @@ def test_step_jet_batch_columns_match_single_samples():
     assert grid.reshape(11, -1).tobytes() == batch.tobytes()
 
 
+@pytest.mark.parametrize("s", [1.2, 1.6, 1.9])
+def test_step_jet_truncation_is_exact(s):
+    # coefficient j comes from the orders up to j alone, so a jet built to a
+    # higher order starts with the lower order's jet byte for byte
+    t = np.array([-0.5, 0.0, 0.01, 0.1, 0.3, 0.45, 0.5, 0.62, 0.9, 0.99, 1.0, 1.5])
+    full = step_jet(t, s, MAX_JET_ORDER)
+    for m in (0, 1, 2, 7, 16, 21):
+        assert full[: m + 1].tobytes() == step_jet(t, s, m).tobytes(), m
+
+
 # ---------------------------------------------------- coefficient algebra
 
 finite_c = st.complex_numbers(min_magnitude=0.0, max_magnitude=4.0,

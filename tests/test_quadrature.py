@@ -5,17 +5,62 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schroflat import QuadratureError
-from schroflat.quadrature import PANELS_PER_CALL, _sample_sums, integrate_batch
+from schroflat.quadrature import (GAUSS_IDX, NODES, PANELS_PER_CALL, WEIGHTS_GAUSS,
+                                  WEIGHTS_KRONROD, _panel_sums, _sample_sums,
+                                  integrate_batch)
 
-from oracles import IntegrationProblem, integrate, integrate_function
+from oracles import IntegrationProblem, integrate, integrate_function, panel_sums
+
+
+def test_rule_tables():
+    # the embedded Gauss rule is 10-point Gauss-Legendre; the Kronrod
+    # weights integrate the constant 1 over [-1,1]
+    nodes, weights = np.polynomial.legendre.leggauss(10)
+    assert NODES.size == 21 and np.all(np.diff(NODES) > 0)
+    assert np.array_equal(NODES, -NODES[::-1])
+    assert np.abs(NODES[GAUSS_IDX] - nodes).max() <= 1e-15
+    assert np.abs(WEIGHTS_GAUSS - weights).max() <= 1e-15
+    assert abs(WEIGHTS_KRONROD.sum() - 2.0) <= 1e-15
 
 
 def test_polynomial_exactness():
-    # the 15-point rule integrates degree 22 exactly; err collapses to
-    # rounding and the very first generation is accepted
+    # the 10-point Gauss rule integrates degree 19 exactly, so err collapses
+    # to rounding and the very first generation is accepted
     val, err = integrate_function(lambda x: x ** 10 + 0j)
     assert abs(val - 1.0 / 11.0) < 1e-14
     assert err < 1e-12
+
+
+def test_kronrod_rule_exact_to_degree_31():
+    # one panel on [0,1]: the 21-point Kronrod sum of x**30 is 1/31 to
+    # rounding, while the 10-point Gauss sum is not
+    x = 0.5 + 0.5 * NODES
+    kronrod = 0.5 * (WEIGHTS_KRONROD @ x ** 30)
+    gauss = 0.5 * (WEIGHTS_GAUSS @ x[GAUSS_IDX] ** 30)
+    assert abs(kronrod - 1.0 / 31.0) <= 1e-15
+    assert abs(gauss - 1.0 / 31.0) > 1e-8
+
+
+def test_panel_sums_match_complex_products():
+    # the Kronrod and Gauss sums come from one real matrix product; against
+    # complex matrix-vector products they differ by rounding of each
+    # panel's L1 mass alone, also on panels of many periods, where the sums
+    # cancel
+    rng = np.random.default_rng(5)
+    lo = rng.random(500)
+    hi = lo + 10.0 ** rng.uniform(-8, -1, lo.size)
+
+    def f(x):
+        return np.exp(1j * 1e4 * x) * (1.0 + x)
+
+    kron, err, scale = _panel_sums(lambda x, s: f(x), lo, hi,
+                                   np.zeros(lo.size, dtype=np.intp), None)
+    kron_c, err_c, scale_c = panel_sums(f, lo, hi)
+    bound = 2 * NODES.size * np.finfo(np.float64).eps * scale
+    dk = kron - kron_c
+    assert np.all(np.abs(dk.real) + np.abs(dk.imag) <= bound)
+    assert np.all(np.abs(err - err_c) <= 2 * bound)
+    assert np.array_equal(scale, scale_c)
 
 
 def test_oscillatory_closed_form():
@@ -85,7 +130,7 @@ def test_batch_samples_keep_their_own_subdivision():
         calls = []
 
         def one(x, om=om):
-            calls.append(x.size // 15)
+            calls.append(x.size // NODES.size)
             return np.exp(1j * om * x) / (1.0 + x)
 
         val, err = integrate(IntegrationProblem(one, (0.3,)))

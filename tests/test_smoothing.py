@@ -10,6 +10,7 @@ from schroflat import ControlTrace, FlatSeed, PiecewiseProfile, QuadratureError,
 from schroflat import odd_kernel, smoothing
 from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
 from schroflat.cli import builtin_scenarios
+from schroflat.quadrature import NODES
 from schroflat.smoothing import PHASE_SMOOTHING, _convolutions
 
 from conftest import assert_close
@@ -190,8 +191,8 @@ def test_datum_evaluated_once_per_distinct_panel(monkeypatch, beam_phase1):
     datum = CountedDatum()
     boundary_trace(datum, times, derivative=True, **settings)
     panels = sum(np.unique(rows[:, 1:], axis=0).shape[0] for rows in calls)
-    assert datum.points == 15 * panels
-    assert 5 * datum.points < 15 * sum(rows.shape[0] for rows in calls)
+    assert datum.points == NODES.size * panels
+    assert 5 * datum.points < NODES.size * sum(rows.shape[0] for rows in calls)
 
 
 def test_orders_share_the_kernel_per_distinct_time_and_panel(monkeypatch, beam_phase1):
