@@ -8,8 +8,8 @@ the result by simulating the controlled equation.
 from .gevrey import step_function, step_jet
 from .kernel import KernelError, fundamental_solution, odd_kernel
 from .quadrature import QuadratureError
-from .smoothing import (ControlTrace, FlatSeed, PiecewiseProfile, SmoothingError,
-                        boundary_trace, flat_coefficients, free_evolution)
+from .smoothing import (ControlTrace, FlatSeed, PiecewiseProfile, boundary_trace,
+                        flat_coefficients, free_evolution)
 from .flatness import (FlatOutput, control_trace, flat_output_derivatives, state_series,
                        synthesize)
 from .schrodinger_sim import FieldSnapshot, SimConfig, simulate, terminal_report
@@ -21,8 +21,8 @@ __version__ = "0.1.0"
 __all__ = [
     "step_function", "step_jet", "KernelError", "fundamental_solution",
     "odd_kernel", "QuadratureError",
-    "ControlTrace", "FlatSeed", "PiecewiseProfile", "SmoothingError",
-    "boundary_trace", "flat_coefficients", "free_evolution", "FlatOutput",
+    "ControlTrace", "FlatSeed", "PiecewiseProfile", "boundary_trace",
+    "flat_coefficients", "free_evolution", "FlatOutput",
     "control_trace", "flat_output_derivatives", "state_series",
     "synthesize", "FieldSnapshot", "SimConfig", "simulate", "terminal_report",
     "BeamData", "beam_controls", "beam_simulate", "beam_terminal_report",

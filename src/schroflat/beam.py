@@ -202,11 +202,9 @@ def beam_controls(data: BeamData, tau, T, s, K=DEFAULT_SERIES_TRUNCATION,
     ext = extend_odd_smooth(lift_initial_data(data), cutoff_s)
     times = cfg.times()
     # the hinge controls are O(1)-O(10); 1e-8 absolute on the trace integrals
-    # is far below the time-discretization error of the beam march.  Small
-    # times make the kernel highly oscillatory over the extended support,
-    # hence the enlarged panel budget.
+    # is far below the time-discretization error of the beam march.
     full, _, diags = synthesize(ext, times, tau, T, s, K, K_u, derivative=True,
-                                abs_tol=1e-8, max_subdivisions=2 ** 16)
+                                abs_tol=1e-8)
     u1 = np.zeros(times.size)
     u2 = np.zeros(times.size)
     u1[1:] = full.u.real

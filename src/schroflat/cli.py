@@ -20,9 +20,8 @@ import numpy as np
 import yaml
 
 from .flatness import DIAGNOSTICS, MAX_SERIES_TRUNCATION, synthesize
-from .quadrature import QuadratureError
 from .schrodinger_sim import SimConfig, simulate, terminal_report
-from .smoothing import MAX_SEED_ORDER, PHASE_NAMES, PiecewiseProfile, SmoothingError
+from .smoothing import MAX_SEED_ORDER, PHASE_NAMES, PiecewiseProfile
 from .beam import (BeamData, beam_controls, beam_simulate,
                    beam_terminal_report)
 
@@ -84,7 +83,6 @@ class Scenario:
     name: str
     equation: str
     tau: float
-    T: float
     s: float
     K: int
     K_u: int
@@ -94,6 +92,11 @@ class Scenario:
     eta0: PiecewiseProfile = None
     eta1: PiecewiseProfile = None
     cutoff_s: float = 1.9
+
+    @property
+    def T(self):
+        """The horizon, the simulator's final time."""
+        return self.sim.T
 
     def __post_init__(self):
         if self.equation not in ("schrodinger", "beam"):
@@ -113,8 +116,6 @@ class Scenario:
                 raise ScenarioError(f"K_u: need 1 <= K_u <= {MAX_SERIES_TRUNCATION}")
             if self.equation == "beam" and not 1.0 < self.cutoff_s < 2.0:
                 raise ScenarioError("cutoff_s: need cutoff_s in (1,2)")
-        if abs(self.sim.T - self.T) > 1e-12:
-            raise ScenarioError("sim.T: simulator horizon must equal T")
         if self.equation == "schrodinger" and self.theta0 is None:
             raise ScenarioError("theta0: required for the schrodinger equation")
         if self.equation == "beam" and (self.eta0 is None or self.eta1 is None):
@@ -125,27 +126,27 @@ class Scenario:
 # some datums cost a polynomial fit
 _BUILTINS = {
     "reference": lambda: Scenario(
-        name="reference", equation="schrodinger", tau=0.35, T=0.5, s=1.9,
+        name="reference", equation="schrodinger", tau=0.35, s=1.9,
         K=15, K_u=15, control="synthesized",
         sim=SimConfig(Nx=200, Nt=4000, T=0.5, snapshot_count=11),
         theta0=reference_datum()),
     "gentle": lambda: Scenario(
-        name="gentle", equation="schrodinger", tau=1.4, T=2.0, s=1.6,
+        name="gentle", equation="schrodinger", tau=1.4, s=1.6,
         K=15, K_u=15, control="synthesized",
         sim=SimConfig(Nx=200, Nt=4000, T=2.0, snapshot_count=11),
         theta0=pulse_datum()),
     "zero": lambda: Scenario(
-        name="zero", equation="schrodinger", tau=0.35, T=0.5, s=1.9,
+        name="zero", equation="schrodinger", tau=0.35, s=1.9,
         K=15, K_u=15, control="synthesized",
         sim=SimConfig(Nx=64, Nt=512, T=0.5, snapshot_count=5),
         theta0=PiecewiseProfile.zero()),
     "eigenmode-check": lambda: Scenario(
-        name="eigenmode-check", equation="schrodinger", tau=0.35, T=0.5,
-        s=1.9, K=15, K_u=15, control="none",
+        name="eigenmode-check", equation="schrodinger", tau=0.35, s=1.9,
+        K=15, K_u=15, control="none",
         sim=SimConfig(Nx=128, Nt=1024, T=0.5, snapshot_count=9),
         theta0=sine_profile()),
     "beam": lambda: Scenario(
-        name="beam", equation="beam", tau=1.4, T=2.0, s=1.6,
+        name="beam", equation="beam", tau=1.4, s=1.6,
         K=15, K_u=15, control="synthesized",
         sim=SimConfig(Nx=128, Nt=2000, T=2.0, snapshot_count=9),
         eta0=sine_profile(), eta1=PiecewiseProfile.zero()),
@@ -223,7 +224,6 @@ def scenario_from_dict(d, name):
         name=name,
         equation=d.get("equation", "schrodinger"),
         tau=_setting(d, "tau", float, 0.35),
-        T=T,
         s=_setting(d, "s", float, 1.9),
         K=_setting(d, "K", _integer, 15),
         K_u=_setting(d, "K_u", _integer, 15),
@@ -479,7 +479,7 @@ def selftest():
     checks.append(("eigenmode-second-order", abs(rate - 2.0) <= 0.2))
 
     seed_sc = Scenario(
-        name="selftest", equation="schrodinger", tau=1.4, T=2.0, s=1.6,
+        name="selftest", equation="schrodinger", tau=1.4, s=1.6,
         K=10, K_u=10, control="synthesized",
         sim=SimConfig(Nx=32, Nt=64, T=2.0, snapshot_count=3),
         theta0=pulse_datum())
@@ -533,7 +533,7 @@ def main(argv=None):
     except (ScenarioError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (QuadratureError, SmoothingError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"numerical error ({exc.__class__.__name__}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

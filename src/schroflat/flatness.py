@@ -185,15 +185,15 @@ DIAGNOSTICS = ("continuity_gap", "gap_budget", "tail_max", "quad_err_max",
                "seed_bound_constant")
 
 
-def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10,
-               max_subdivisions=2 ** 14):
+def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
     """(trace, fo, diags): the two-phase control of the datum v0 on times.
 
-    Phase 1 samples the free evolution's trace on (0, tau] (derivative,
-    abs_tol and max_subdivisions set its quadrature), phase 2 the flat
-    output's series on (tau, T].  tau is the last sample of the phase-1
-    batch and the first of the phase-2 batch; the returned trace keeps it,
-    in phase 1, only where it is one of the times.
+    Phase 1 samples the free evolution's trace on (0, tau] (derivative and
+    abs_tol set its quadrature), phase 2 the flat output's series on
+    (tau, T].  tau is the last sample of the phase-1 batch and the first of
+    the phase-2 batch; the returned trace keeps it, in phase 1, only where
+    it is one of the times.  A trace sample or seed order that exhausts the
+    quadrature's panel budget raises QuadratureError naming it.
 
     diags, keyed by DIAGNOSTICS: continuity_gap |u(tau+) - u(tau-)| between
     those two samples, its gap_budget (the series tail plus the trace's
@@ -204,7 +204,7 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10,
     t1 = times[(times > 0) & (times < tau)]
     t2 = times[times > tau]
     trace1 = boundary_trace(v0, np.append(t1, tau), derivative=derivative,
-                            abs_tol=abs_tol, max_subdivisions=max_subdivisions)
+                            abs_tol=abs_tol)
     seed = flat_coefficients(v0, tau, K)
     fo = FlatOutput(seed, T, s, K_u)
     trace2 = control_trace(fo, np.insert(t2, 0, tau))

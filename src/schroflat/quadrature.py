@@ -10,19 +10,17 @@ list holds (sample, panel) pairs, and every pending panel of every sample
 is evaluated in one vectorized call per refinement generation, which keeps
 the Python overhead away from the innermost kernel evaluations.  The
 samples may be time points of one convolution or the orders of the
-flat-output seed.  Each sample is subdivided exactly as if it were
-integrated alone; a single integral is the one-sample case.  Declared
-breakpoints seed the initial panel edges, so no panel ever straddles a
-discontinuity of the integrand.  Summation order is fixed (each sample's
-panels sorted by left edge), making results bit-reproducible for a given
-problem: a sample's value is numpy's pairwise sum of its sorted panels,
-the summation of a lone integral, taken for all samples with the same
-panel count at once as the rows of one array.
-
-An optional weight is a factor shared by every sample, a function of the
-nodes alone (the datum of a convolution).  Samples that split alike hold
-the same panels, so within each integrand call the weight is evaluated
-once per distinct panel and gathered onto every row that holds it.
+flat-output seed.  Each sample is subdivided by the rules it would follow
+if integrated alone, and its value equals a lone integral's to rounding; a
+single integral is the one-sample case.  The equality is not bitwise: the
+panel sums are matrix products, whose per-row rounding under BLAS depends
+on the number of rows in the call.  Declared breakpoints seed the initial
+panel edges, so no panel ever straddles a discontinuity of the integrand.
+Summation order is fixed (each sample's panels sorted by left edge),
+making results bit-reproducible for a given problem: a sample's value is
+numpy's pairwise sum of its sorted panels, the summation of a lone
+integral, taken for all samples with the same panel count at once as the
+rows of one array.
 
 A generation of a large batch goes to the integrand in calls of at most
 PANELS_PER_CALL panels, 2**16 points, which bounds the memory of one call
@@ -110,28 +108,11 @@ class QuadratureError(RuntimeError):
         self.sample = sample
 
 
-def _distinct_panels(*keys):
-    """(first, inverse): one row index per distinct tuple of keys, such as
-    a panel's (lo, hi), and the index into first of every row's tuple."""
-    order = np.lexsort(keys[::-1])
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = False
-    for key in keys:
-        k = key[order]
-        new[1:] |= k[1:] != k[:-1]
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
-def _panel_sums(f, lo, hi, sample, weight):
+def _panel_sums(f, lo, hi, sample):
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     xs = mid[:, None] + half[:, None] * NODES[None, :]
     fv = np.asarray(f(xs, sample[:, None]), dtype=np.complex128).reshape(xs.shape)
-    if weight is not None:
-        first, inverse = _distinct_panels(lo, hi)
-        fv = fv * weight(xs[first])[inverse]
     sums = (np.ascontiguousarray(fv).view(np.float64) @ _SUM_WEIGHTS).view(np.complex128)
     kron = half * sums[:, 0]
     gauss = half * sums[:, 1]
@@ -141,9 +122,9 @@ def _panel_sums(f, lo, hi, sample, weight):
     return kron, err, scale
 
 
-def _evaluate(f, lo, hi, sample, weight):
+def _evaluate(f, lo, hi, sample):
     chunks = [_panel_sums(f, lo[a:a + PANELS_PER_CALL], hi[a:a + PANELS_PER_CALL],
-                          sample[a:a + PANELS_PER_CALL], weight)
+                          sample[a:a + PANELS_PER_CALL])
               for a in range(0, lo.size, PANELS_PER_CALL)]
     return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
@@ -177,7 +158,7 @@ def _sample_sums(owner, lo, vals, errs, samples):
 
 
 def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
-                    rel_tol=1e-8, max_subdivisions=2 ** 14, weight=None):
+                    rel_tol=1e-8, max_subdivisions=2 ** 16):
     """Integrals over [0,1] of a batch of integrands in one adaptive loop.
 
     integrand(x, s) evaluates the integrands at the nodes x, an array with
@@ -187,13 +168,8 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
     tolerance from its own total, the rounding floor, the summed-error
     shortcut, the two-generation stall and the panel budget.  Per-sample
     sums over the work list come from np.bincount, so each sample is
-    subdivided as if integrated alone.
-
-    weight(x), if given, is a factor common to all samples, a function of
-    the nodes alone.  It sees one row of nodes per distinct panel of each
-    integrand call, and the integrated values are
-    integrand(x, s) * weight(x_distinct)[inverse], in that order.  None
-    means no factor.
+    subdivided by the rules of a lone integral.  The budget only decides
+    when to raise.
 
     Returns (values, errs, panels): the integrals, their error estimates
     and the number of panels evaluated, one entry per sample.  A sample
@@ -223,7 +199,7 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
 
     while lo.size:
         used += np.bincount(smp, minlength=samples)
-        kron, err, scale = _evaluate(integrand, lo, hi, smp, weight)
+        kron, err, scale = _evaluate(integrand, lo, hi, smp)
         over = np.flatnonzero(used > max_subdivisions)
         if over.size:
             s = int(over[0])

@@ -15,9 +15,9 @@ One helper, _datum_integrals, poses every integral against the datum.  A
 datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
 beam.ExtendedDatum: [0, 2]): the support is rescaled to the quadrature's
 unit interval and the breakpoints become panel edges.  The datum factor
-v0(y) depends on the node alone, not on the sample, so it is the
-quadrature's shared weight: evaluated once per distinct panel and
-multiplied in after the kernel part.
+v0(y) depends on the node alone, not on the sample, so the helper
+evaluates it once per distinct panel of each integrand call and multiplies
+it in after the kernel part; the quadrature itself knows nothing of it.
 """
 import math
 from dataclasses import dataclass
@@ -26,7 +26,7 @@ import numpy as np
 
 from .kernel import (MAX_ORDER, derivative_coefficients, fundamental_solution, horner,
                      odd_kernel)
-from .quadrature import QuadratureError, _distinct_panels, integrate_batch
+from .quadrature import QuadratureError, integrate_batch
 
 # i^k and (-i)^k, indexed by k mod 4
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
@@ -38,10 +38,6 @@ MAX_SEED_ORDER = min(30, (MAX_ORDER - 1) // 2)
 PHASE_SMOOTHING = 0
 PHASE_FLATNESS = 1
 PHASE_NAMES = {PHASE_SMOOTHING: "smoothing", PHASE_FLATNESS: "flatness"}
-
-
-class SmoothingError(RuntimeError):
-    pass
 
 
 class PiecewiseProfile:
@@ -189,7 +185,21 @@ class FlatSeed:
             raise ValueError("seed violates its own growth bound")
 
 
-def _datum_integrals(v0, integrand, samples, abs_tol=1e-10, max_subdivisions=2 ** 14):
+def _distinct_panels(*keys):
+    """(first, inverse): one row index per distinct tuple of keys, such as
+    a panel's end nodes, and the index into first of every row's tuple."""
+    order = np.lexsort(keys[::-1])
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = False
+    for key in keys:
+        k = key[order]
+        new[1:] |= k[1:] != k[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _datum_integrals(v0, integrand, samples, abs_tol=1e-10):
     """(values, errs, panels) of the integrals of f_s(y) * v0(y) over y in
     [0, v0.support], one per sample s = 0..samples-1.
 
@@ -197,24 +207,33 @@ def _datum_integrals(v0, integrand, samples, abs_tol=1e-10, max_subdivisions=2 *
     datum's breakpoints become panel edges.  integrand(sig, s) gets the
     unit-interval nodes sig and returns f_s(v0.support * sig); it scales
     only the rows it evaluates, as a copy of every row would cost a full
-    node array per call.  v0 is the shared weight, evaluated once per
-    distinct panel, and values and errors are scaled back by the support.
-    A sample that exhausts its budget raises QuadratureError with its best
-    value and estimate on the same scale.
+    node array per call.  Samples that split alike hold the same panels,
+    so each integrand call evaluates v0 once per distinct panel and
+    multiplies it onto every row that holds it.  Values and errors are
+    scaled back by the support, also the best value and estimate of a
+    sample that exhausts the panel budget and raises QuadratureError.
     """
     support = v0.support
     bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
+
+    def with_datum(sig, s):
+        # a row is a panel, named by its end nodes
+        first, inverse = _distinct_panels(sig[:, 0], sig[:, -1])
+        # a named operand, not a temporary: numpy would reuse a temporary's
+        # buffer for the product, and the in-place complex multiply rounds
+        # differently
+        values = integrand(sig, s)
+        return values * v0(support * sig[first])[inverse]
+
     try:
-        values, errs, panels = integrate_batch(
-            integrand, samples, bps, abs_tol, max_subdivisions=max_subdivisions,
-            weight=lambda sig: v0(support * sig))
+        values, errs, panels = integrate_batch(with_datum, samples, bps, abs_tol)
     except QuadratureError as exc:
         raise QuadratureError(str(exc), support * exc.value, support * exc.err_estimate,
                               exc.sample) from exc
     return support * values, support * errs, panels
 
 
-def _convolutions(v0, t, x, orders, abs_tol=1e-10, max_subdivisions=2 ** 14):
+def _convolutions(v0, t, x, orders, abs_tol=1e-10):
     """Flat arrays (values, errs, panels) of the odd-folded convolutions
     d^m_x (E(t,x-y) - E(t,x+y)) v0(y) over the points (t[j], x[j]) and the
     derivative orders m: sample j*len(orders) + i is order orders[i] at
@@ -241,8 +260,7 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, max_subdivisions=2 ** 14):
         return vals[which, inverse]
 
     try:
-        return _datum_integrals(v0, integrand, t.size * n_orders, abs_tol,
-                                max_subdivisions)
+        return _datum_integrals(v0, integrand, t.size * n_orders, abs_tol)
     except QuadratureError as exc:
         j, i = divmod(exc.sample, n_orders)
         raise QuadratureError(
@@ -261,20 +279,22 @@ def free_evolution(theta0, t, x):
     return complex(values[0]) if shape == () else values.reshape(shape)
 
 
-def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10, max_subdivisions=2 ** 14):
+def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     """Phase-1 control samples u(t)=v(t,1) and u'(t)=i*v_xx(t,1).
 
     v0 is the datum the free evolution smooths, integrated over its own
     support with its own breakpoints as panel edges.  derivative=False
     skips the v_xx integrals when only u itself is needed.  u and v_xx at
     every time are the interleaved samples of one batch, and share the
-    kernel's exponentials wherever their panels coincide.
+    kernel's exponentials wherever their panels coincide.  abs_tol is each
+    integral's absolute tolerance.  A sample that exhausts the quadrature's
+    panel budget raises QuadratureError naming its time.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
     orders = (0, 2) if derivative else (0,)
-    values, errs, _ = _convolutions(v0, t_grid, 1.0, orders, abs_tol, max_subdivisions)
+    values, errs, _ = _convolutions(v0, t_grid, 1.0, orders, abs_tol)
     values = values.reshape(t_grid.size, len(orders))
     err = errs.reshape(t_grid.size, len(orders)).sum(axis=1)
     du = 1j * values[:, 1] if derivative else np.zeros(t_grid.size, dtype=np.complex128)
@@ -288,6 +308,9 @@ def flat_coefficients(v0, tau, K):
     The K+1 integrals go through one batched quadrature, one sample per
     order k.  Row k of the coefficient table holds p_(2k+1), zero-padded at
     the top, so each row evaluates d^(2k+1)E(tau, y) as p_(2k+1)(y) E(tau, y).
+    An order that exhausts the quadrature's panel budget raises
+    QuadratureError naming k, with sample = k and the best estimate of y_k
+    and its error.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -304,8 +327,9 @@ def flat_coefficients(v0, tau, K):
     try:
         values, _, _ = _datum_integrals(v0, integrand, K + 1)
     except QuadratureError as exc:
-        raise SmoothingError(
-            f"flat coefficient extraction failed at order k={exc.sample}: {exc}") from exc
+        k = exc.sample
+        raise QuadratureError(f"{exc} at seed order k={k}", _IPOW[k % 4] * exc.value,
+                              exc.err_estimate, k) from exc
     y = np.array(_IPOW)[np.arange(K + 1) % 4] * values
     fit = [float(abs(y[k])) * tau ** k / (2.0 ** k * math.factorial(k))
            for k in range(K + 1)]

@@ -60,7 +60,7 @@ class IntegrationProblem:
     breakpoints: tuple = ()
     abs_tol: float = 1e-10
     rel_tol: float = 1e-8
-    max_subdivisions: int = 2 ** 14
+    max_subdivisions: int = 2 ** 16
 
 
 def integrate(problem: IntegrationProblem):
@@ -101,7 +101,7 @@ def _panel_sums(f, lo, hi):
     # the package's panel sums: this oracle checks the adaptive loop around
     # them, and panel_sums checks the sums themselves
     return quadrature._panel_sums(lambda x, s: f(x.ravel()), lo, hi,
-                                  np.zeros(lo.size, dtype=np.intp), None)
+                                  np.zeros(lo.size, dtype=np.intp))
 
 
 def integrate_one(problem):
@@ -156,7 +156,7 @@ def integrate_one(problem):
 
 
 def convolution_one(v0, t, x, m=0, support=1.0, breakpoints=(), abs_tol=1e-10,
-                    rel_tol=1e-8, max_subdivisions=2 ** 14):
+                    rel_tol=1e-8, max_subdivisions=2 ** 16):
     """(value, err, panels) of one odd-folded kernel convolution."""
     def integrand(sig):
         y = support * sig
@@ -171,7 +171,7 @@ def convolution_one(v0, t, x, m=0, support=1.0, breakpoints=(), abs_tol=1e-10,
 
 def boundary_trace_per_sample(v0, t_grid, support=1.0, breakpoints=(),
                               derivative=True, abs_tol=1e-10, rel_tol=1e-8,
-                              max_subdivisions=2 ** 14):
+                              max_subdivisions=2 ** 16):
     """u, du, err and per-sample panel counts (m=0 and m=2), one sample at a time."""
     n = len(t_grid)
     u = np.zeros(n, dtype=np.complex128)

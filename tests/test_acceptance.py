@@ -97,7 +97,7 @@ def flat_bundle():
     """The reference datum on the horizon its truncation supports, with its
     flat phase certified once at base resolution; shared by criteria 1, 7."""
     ref = builtin_scenarios()["reference"]
-    sc = replace(ref, tau=1.4, T=2.0, s=1.6, sim=replace(ref.sim, T=2.0))
+    sc = replace(ref, tau=1.4, s=1.6, sim=replace(ref.sim, T=2.0))
     t0 = time.perf_counter()
     seed = flat_coefficients(sc.theta0, sc.tau, sc.K)
     fo = FlatOutput(seed, sc.T, sc.s, sc.K_u)

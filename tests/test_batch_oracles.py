@@ -32,7 +32,7 @@ def _phase1_setting(name):
         ext = extend_odd_smooth(lift_initial_data(BeamData(sc.eta0, sc.eta1)),
                                 sc.cutoff_s)
         # every 4th sample keeps the per-sample oracle fast
-        return ext, t1[::4], dict(abs_tol=1e-8, max_subdivisions=2 ** 16), (0, 2)
+        return ext, t1[::4], dict(abs_tol=1e-8), (0, 2)
     return sc.theta0, t1, {}, (0,)
 
 

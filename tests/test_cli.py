@@ -32,25 +32,19 @@ from schroflat.smoothing import PHASE_NAMES
 def test_builtin_scenarios_wellformed():
     scs = builtin_scenarios()
     assert set(scs) == {"reference", "gentle", "zero", "eigenmode-check", "beam"}
-    for sc in scs.values():
-        assert sc.sim.T == sc.T
 
 
 def test_scenario_validation():
     cfg = SimConfig(Nx=32, Nt=64, T=0.5)
     with pytest.raises(ScenarioError, match="equation"):
-        Scenario(name="x", equation="heat", tau=0.35, T=0.5, s=1.9, K=15,
+        Scenario(name="x", equation="heat", tau=0.35, s=1.9, K=15,
                  K_u=15, control="synthesized", sim=cfg, theta0=pulse_datum())
     with pytest.raises(ScenarioError, match="tau"):
-        Scenario(name="x", equation="schrodinger", tau=0.2, T=0.5, s=1.9,
-                 K=15, K_u=15, control="synthesized", sim=cfg,
-                 theta0=pulse_datum())
-    with pytest.raises(ScenarioError, match="horizon"):
-        Scenario(name="x", equation="schrodinger", tau=0.45, T=0.6, s=1.9,
+        Scenario(name="x", equation="schrodinger", tau=0.2, s=1.9,
                  K=15, K_u=15, control="synthesized", sim=cfg,
                  theta0=pulse_datum())
     with pytest.raises(ScenarioError, match="theta0"):
-        Scenario(name="x", equation="schrodinger", tau=0.35, T=0.5, s=1.9,
+        Scenario(name="x", equation="schrodinger", tau=0.35, s=1.9,
                  K=15, K_u=15, control="synthesized", sim=cfg)
 
 
@@ -216,7 +210,7 @@ def test_convergence_study_resynthesizes_each_level(tmp_path):
     # every level's row is what a run at that level's grid reports: the
     # control is synthesized on the level's own time grid, not interpolated
     from dataclasses import replace
-    sc = Scenario(name="small", equation="schrodinger", tau=1.4, T=2.0, s=1.6,
+    sc = Scenario(name="small", equation="schrodinger", tau=1.4, s=1.6,
                   K=10, K_u=10, control="synthesized",
                   sim=SimConfig(Nx=32, Nt=64, T=2.0, snapshot_count=3),
                   theta0=pulse_datum())

@@ -218,7 +218,7 @@ def test_switch_sample_on_the_grid_is_the_gap_sample(equation, pulse):
     if equation == "beam":
         data = BeamData(sine_profile(), PiecewiseProfile.zero())
         v0 = extend_odd_smooth(lift_initial_data(data))
-        settings = dict(derivative=True, abs_tol=1e-8, max_subdivisions=2 ** 16)
+        settings = dict(derivative=True, abs_tol=1e-8)
     else:
         v0, settings = pulse, {}
     trace, fo, diags = synthesize(v0, times, tau, 2.0, 1.6, 10, 10, **settings)

@@ -54,7 +54,7 @@ def test_panel_sums_match_complex_products():
         return np.exp(1j * 1e4 * x) * (1.0 + x)
 
     kron, err, scale = _panel_sums(lambda x, s: f(x), lo, hi,
-                                   np.zeros(lo.size, dtype=np.intp), None)
+                                   np.zeros(lo.size, dtype=np.intp))
     kron_c, err_c, scale_c = panel_sums(f, lo, hi)
     bound = 2 * NODES.size * np.finfo(np.float64).eps * scale
     dk = kron - kron_c
@@ -137,39 +137,6 @@ def test_batch_samples_keep_their_own_subdivision():
         assert abs(values[s] - val) <= 1e-14 * abs(val)
         assert abs(errs[s] - err) <= 1e-6 * err + 1e-8 * abs(val)
         assert panels[s] == sum(calls)
-
-
-def test_weight_evaluated_once_per_distinct_panel():
-    # the shared factor sees each distinct panel of an integrand call once:
-    # samples 1 and 2 split alike, and in the first generation all four
-    # samples hold the same two panels
-    freqs = np.array([3.0, 40.0, 40.0, 400.0])
-    calls, weight_rows = [], []
-
-    def factor(x):
-        return np.exp(0.5j * x) / (1.0 + x)
-
-    def weight(x):
-        weight_rows.append(x.shape[0])
-        return factor(x)
-
-    def batch(x, s):
-        calls.append((x.shape[0], np.unique(x, axis=0).shape[0]))
-        return np.exp(1j * freqs[s] * x)
-
-    values, errs, panels = integrate_batch(batch, freqs.size, breakpoints=(0.3,),
-                                           weight=weight)
-    assert weight_rows == [distinct for _, distinct in calls]
-    assert calls[0] == (8, 2) and len(calls) > 1
-    assert sum(weight_rows) < sum(rows for rows, _ in calls)
-
-    # the same batch with the factor folded into the integrand, in the same
-    # order: (integrand) * (factor)
-    folded = integrate_batch(lambda x, s: np.exp(1j * freqs[s] * x) * factor(x),
-                             freqs.size, breakpoints=(0.3,))
-    assert np.all(np.abs(values - folded[0]) <= 1e-15 * np.abs(folded[0]))
-    assert np.all(np.abs(errs - folded[1]) <= 1e-15 * folded[1])
-    assert np.array_equal(panels, folded[2])
 
 
 def test_batch_splits_large_generations():

@@ -3,15 +3,17 @@
 Frozen constants are 50-digit reference evaluations of the folded-kernel
 convolutions for the discontinuous two-indicator datum.
 """
+from functools import partial
+
 import numpy as np
 import pytest
 
 from schroflat import ControlTrace, FlatSeed, PiecewiseProfile, QuadratureError, boundary_trace, flat_coefficients, free_evolution
 from schroflat import odd_kernel, smoothing
 from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
-from schroflat.cli import builtin_scenarios
-from schroflat.quadrature import NODES
-from schroflat.smoothing import PHASE_SMOOTHING, _convolutions
+from schroflat.cli import builtin_scenarios, pulse_datum
+from schroflat.quadrature import NODES, integrate_batch
+from schroflat.smoothing import PHASE_SMOOTHING, _convolutions, _datum_integrals
 
 from conftest import assert_close
 from oracles import seed_series
@@ -131,18 +133,36 @@ def test_free_evolution_array_matches_pointwise(ref_datum):
     assert np.all(np.abs(batch - pointwise) <= 1e-14 * np.abs(pointwise))
 
 
-def test_trace_budget_failure_names_sample_time(ref_datum):
+def _panel_budget(monkeypatch, panels):
+    """Run smoothing's quadrature with a budget of panels per sample."""
+    monkeypatch.setattr(smoothing, "integrate_batch",
+                        partial(integrate_batch, max_subdivisions=panels))
+
+
+def test_trace_budget_failure_names_sample_time(monkeypatch, ref_datum):
     # small times need many panels: with a tight budget the earliest sample
     # fails, and the error says when and carries that sample's best value
+    _panel_budget(monkeypatch, 40)
     times = np.array([0.001, 0.2, 0.35])
     with pytest.raises(QuadratureError, match=r"t=0\.001") as exc:
-        boundary_trace(ref_datum, times, derivative=False, max_subdivisions=40)
+        boundary_trace(ref_datum, times, derivative=False)
     assert exc.value.sample == 0
     with pytest.raises(QuadratureError) as alone:
-        boundary_trace(ref_datum, times[:1], derivative=False, max_subdivisions=40)
+        boundary_trace(ref_datum, times[:1], derivative=False)
     assert exc.value.value == alone.value.value
     # the other samples fit the budget on their own
-    boundary_trace(ref_datum, times[1:], derivative=False, max_subdivisions=40)
+    boundary_trace(ref_datum, times[1:], derivative=False)
+
+
+def test_trace_at_small_time_fits_the_panel_budget():
+    # at t=1e-5 the kernel turns through about 1/(4t) radians over the
+    # support: the one sample takes 25,007 panels, more than 2**14 and
+    # within the quadrature's one budget of 2**16
+    (value,), (err,), (panels,) = _convolutions(pulse_datum(), 1e-5, 1.0, (0,))
+    assert panels == 25007
+    trace = boundary_trace(pulse_datum(), [1e-5], derivative=False)
+    assert trace.u[0] == value and trace.err[0] == err
+    assert err <= 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -151,8 +171,7 @@ def beam_phase1():
     sc = builtin_scenarios()["beam"]
     ext = extend_odd_smooth(lift_initial_data(BeamData(sc.eta0, sc.eta1)), sc.cutoff_s)
     times = sc.sim.times()
-    return (ext, times[(times > 0) & (times <= sc.tau)],
-            dict(abs_tol=1e-8, max_subdivisions=2 ** 16))
+    return ext, times[(times > 0) & (times <= sc.tau)], dict(abs_tol=1e-8)
 
 
 def _record_kernel_rows(monkeypatch):
@@ -193,6 +212,42 @@ def test_datum_evaluated_once_per_distinct_panel(monkeypatch, beam_phase1):
     panels = sum(np.unique(rows[:, 1:], axis=0).shape[0] for rows in calls)
     assert datum.points == NODES.size * panels
     assert 5 * datum.points < NODES.size * sum(rows.shape[0] for rows in calls)
+
+
+def test_datum_integrals_gather_once_per_distinct_panel():
+    # the datum factor sees each distinct panel of an integrand call once:
+    # samples 1 and 2 split alike, and in the first generation all four
+    # samples hold the same two panels
+    freqs = np.array([3.0, 40.0, 40.0, 400.0])
+    calls, datum_rows = [], []
+
+    def factor(y):
+        return np.exp(0.5j * y) / (1.0 + y)
+
+    class Datum:
+        support = 1.0
+        breakpoints = (0.3,)
+
+        def __call__(self, y):
+            datum_rows.append(y.shape[0])
+            return factor(y)
+
+    def integrand(sig, s):
+        calls.append((sig.shape[0], np.unique(sig, axis=0).shape[0]))
+        return np.exp(1j * freqs[s] * sig)
+
+    values, errs, panels = _datum_integrals(Datum(), integrand, freqs.size)
+    assert datum_rows == [distinct for _, distinct in calls]
+    assert calls[0] == (8, 2) and len(calls) > 1
+    assert sum(datum_rows) < sum(rows for rows, _ in calls)
+
+    # the same batch with the factor folded into the integrand, in the same
+    # order: (integrand) * (factor)
+    folded = integrate_batch(lambda x, s: np.exp(1j * freqs[s] * x) * factor(x),
+                             freqs.size, breakpoints=(0.3,))
+    assert np.all(np.abs(values - folded[0]) <= 1e-15 * np.abs(folded[0]))
+    assert np.all(np.abs(errs - folded[1]) <= 1e-15 * folded[1])
+    assert np.array_equal(panels, folded[2])
 
 
 def test_orders_share_the_kernel_per_distinct_time_and_panel(monkeypatch, beam_phase1):
@@ -259,6 +314,19 @@ def test_seed_shape_validation():
     with pytest.raises(ValueError):
         FlatSeed(tau=-1.0, K=0, y=np.zeros(1, dtype=np.complex128),
                  bound_constant=1.0)
+
+
+def test_seed_budget_failure_names_the_order(monkeypatch):
+    # the pulse's orders k=14 and 15 at tau=0.35 split their one panel in
+    # two, which a budget of 2 panels cannot hold: the lowest such order
+    # fails, and its best value is the y_k the split would have converged to
+    seed = flat_coefficients(pulse_datum(), 0.35, 15)
+    _panel_budget(monkeypatch, 2)
+    with pytest.raises(QuadratureError, match=r"seed order k=14$") as exc:
+        flat_coefficients(pulse_datum(), 0.35, 15)
+    assert exc.value.sample == 14
+    assert exc.value.value == seed.y[14]
+    assert exc.value.err_estimate > 0.0
 
 
 def test_flat_coefficients_validation(ref_datum):
