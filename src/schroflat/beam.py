@@ -125,8 +125,9 @@ def lift_initial_data(data: BeamData) -> PiecewiseProfile:
 class ExtendedDatum:
     """Odd, compactly supported extension of theta0 to the line.
 
-    Callable for y >= 0 (the odd fold handles negatives in the kernel);
-    the reflected copy -theta0(2-y) is faded out over the whole of (1, 2).
+    Callable on the whole line: a negative y takes minus the value at -y,
+    so the extension is odd, and |y| >= 2 gives zero; the reflected copy
+    -theta0(2-y) is faded out over the whole of (1, 2).
     A wide, shallow fade matters: the boundary traces pick up Fresnel
     ringing that scales with the cutoff layer's frequency content, and a
     transition squeezed into a subinterval leaves the hinge moment

@@ -122,46 +122,30 @@ class Scenario:
             raise ScenarioError("eta0/eta1: required for the beam equation")
 
 
-# builtin scenarios by name; each is built only when asked for, since
-# some datums cost a polynomial fit
+# builtin scenarios by name, each the mapping a YAML file would hold, with
+# only the values that differ from scenario_from_dict's defaults; each is
+# parsed only when asked for, since some datums cost a polynomial fit
 _BUILTINS = {
-    "reference": lambda: Scenario(
-        name="reference", equation="schrodinger", tau=0.35, s=1.9,
-        K=15, K_u=15, control="synthesized",
-        sim=SimConfig(Nx=200, Nt=4000, T=0.5, snapshot_count=11),
-        theta0=reference_datum()),
-    "gentle": lambda: Scenario(
-        name="gentle", equation="schrodinger", tau=1.4, s=1.6,
-        K=15, K_u=15, control="synthesized",
-        sim=SimConfig(Nx=200, Nt=4000, T=2.0, snapshot_count=11),
-        theta0=pulse_datum()),
-    "zero": lambda: Scenario(
-        name="zero", equation="schrodinger", tau=0.35, s=1.9,
-        K=15, K_u=15, control="synthesized",
-        sim=SimConfig(Nx=64, Nt=512, T=0.5, snapshot_count=5),
-        theta0=PiecewiseProfile.zero()),
-    "eigenmode-check": lambda: Scenario(
-        name="eigenmode-check", equation="schrodinger", tau=0.35, s=1.9,
-        K=15, K_u=15, control="none",
-        sim=SimConfig(Nx=128, Nt=1024, T=0.5, snapshot_count=9),
-        theta0=sine_profile()),
-    "beam": lambda: Scenario(
-        name="beam", equation="beam", tau=1.4, s=1.6,
-        K=15, K_u=15, control="synthesized",
-        sim=SimConfig(Nx=128, Nt=2000, T=2.0, snapshot_count=9),
-        eta0=sine_profile(), eta1=PiecewiseProfile.zero()),
+    "reference": {"theta0": "reference"},
+    "gentle": {"tau": 1.4, "T": 2.0, "s": 1.6, "theta0": "pulse"},
+    "zero": {"sim": {"Nx": 64, "Nt": 512, "snapshot_count": 5}, "theta0": "zero"},
+    "eigenmode-check": {"control": "none", "theta0": "sine",
+                        "sim": {"Nx": 128, "Nt": 1024, "snapshot_count": 9}},
+    "beam": {"equation": "beam", "tau": 1.4, "T": 2.0, "s": 1.6,
+             "sim": {"Nx": 128, "Nt": 2000, "snapshot_count": 9},
+             "eta0": "sine", "eta1": "zero"},
 }
 
 
 def builtin_scenarios():
-    return {name: build() for name, build in _BUILTINS.items()}
+    return {name: scenario_from_dict(d, name) for name, d in _BUILTINS.items()}
 
 
 def _complex_entry(v):
-    if isinstance(v, (int, float)):
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        return complex(_real(v[0]), _real(v[1]))
     raise ScenarioError(f"profile coefficient {v!r} must be a number or [re, im]")
 
 
@@ -192,9 +176,17 @@ def _integer(value):
     return int(value)
 
 
+def _real(value):
+    """A float setting: numbers and numeric strings, but not booleans,
+    which float() would read as 1.0 and 0.0."""
+    if isinstance(value, bool):
+        raise ValueError(f"need a number, got {value!r}")
+    return float(value)
+
+
 def _horizon(value):
     """The final time T: positive and finite (nan fails both tests)."""
-    T = float(value)
+    T = _real(value)
     if not 0.0 < T < np.inf:
         raise ValueError(f"final time must be positive and finite, got {T!r}")
     return T
@@ -223,8 +215,8 @@ def scenario_from_dict(d, name):
     return Scenario(
         name=name,
         equation=d.get("equation", "schrodinger"),
-        tau=_setting(d, "tau", float, 0.35),
-        s=_setting(d, "s", float, 1.9),
+        tau=_setting(d, "tau", _real, 0.35),
+        s=_setting(d, "s", _real, 1.9),
         K=_setting(d, "K", _integer, 15),
         K_u=_setting(d, "K_u", _integer, 15),
         control=d.get("control", "synthesized"),
@@ -232,13 +224,13 @@ def scenario_from_dict(d, name):
         theta0=_profile_from_entry(d.get("theta0"), "theta0"),
         eta0=_profile_from_entry(d.get("eta0"), "eta0"),
         eta1=_profile_from_entry(d.get("eta1"), "eta1"),
-        cutoff_s=_setting(d, "cutoff_s", float, 1.9),
+        cutoff_s=_setting(d, "cutoff_s", _real, 1.9),
     )
 
 
 def load_scenario(source):
     if source in _BUILTINS:
-        return _BUILTINS[source]()
+        return scenario_from_dict(_BUILTINS[source], source)
     path = Path(source)
     if not path.exists():
         raise ScenarioError(
@@ -478,11 +470,9 @@ def selftest():
     rate = float(np.mean([np.log2(a / b) for a, b in zip(errs, errs[1:])]))
     checks.append(("eigenmode-second-order", abs(rate - 2.0) <= 0.2))
 
-    seed_sc = Scenario(
-        name="selftest", equation="schrodinger", tau=1.4, s=1.6,
-        K=10, K_u=10, control="synthesized",
-        sim=SimConfig(Nx=32, Nt=64, T=2.0, snapshot_count=3),
-        theta0=pulse_datum())
+    seed_sc = scenario_from_dict(
+        {**_BUILTINS["gentle"], "K": 10, "K_u": 10,
+         "sim": {"Nx": 32, "Nt": 64, "snapshot_count": 3}}, "selftest")
     _, _, diags = synthesize_control(seed_sc)
     checks.append(("phase-continuity-at-tau",
                    diags["continuity_gap"] <= 10.0 * max(diags["gap_budget"], 1e-14)))

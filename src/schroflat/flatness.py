@@ -38,8 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gevrey import MAX_JET_ORDER, step_jet
-from .smoothing import (_MIPOW, PHASE_FLATNESS, ControlTrace, FlatSeed,
-                        boundary_trace, flat_coefficients)
+from .smoothing import (PHASE_FLATNESS, ControlTrace, FlatSeed, boundary_trace,
+                        flat_coefficients)
+
+# (-i)^k, indexed by k mod 4
+_MIPOW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 DEFAULT_SERIES_TRUNCATION = 15
 # headroom above the series truncation for u' and residual checks

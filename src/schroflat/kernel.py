@@ -6,6 +6,12 @@ polynomial of degree m with the parity of m, obtained from
 
     p_0 = 1,    p_{m+1} = p_m' + (i x / 2t) p_m.
 
+Both phase-1 integrands need them centred at a point x, as tables in y of
+q_m(y) = p_m(x+y); the recurrence with x+y in place of x gives them, every
+order asked for in one pass (at x = 0 they are those of p_m):
+
+    q_0 = 1,    q_{m+1} = q_m' + (i (x+y) / 2t) q_m.
+
 The odd-symmetrized kernel F(t,x,y) = E(t,x-y) - E(t,x+y) realizes the
 Dirichlet condition at x = 0 for odd data.  odd_kernel evaluates it in
 product form, one complex exponential and one real sine (and cosine, for
@@ -27,26 +33,33 @@ class KernelError(ValueError):
     """Domain or capability violation in kernel evaluation."""
 
 
-def derivative_coefficients(t, order):
-    """Coefficients of p_order, ascending in x, for each time in t.
+def derivative_coefficients(t, x, orders):
+    """Tables of q_m(y) = p_m(x+y), ascending in y, for each order m in orders.
 
-    Returns an array of shape np.shape(t) + (order+1,); entries of the
-    parity opposite to the order are exactly zero by construction.
+    t and x broadcast together.  Returns an array of shape (len(orders),)
+    + that shape + (max(orders)+1,): order m's table holds p_m^(k)(x)/k!,
+    zero-padded above degree m.  At x = 0 the entries of the parity
+    opposite to m are exactly zero.
     """
-    if order < 0 or order > MAX_ORDER:
-        raise KernelError(f"derivative order {order} outside [0, {MAX_ORDER}]")
-    t = np.asarray(t, dtype=np.float64)
-    c = np.zeros(t.shape + (order + 1,), dtype=np.complex128)
-    c[..., 0] = 1.0
+    top = max(orders)
+    if min(orders) < 0 or top > MAX_ORDER:
+        raise KernelError(f"derivative order outside [0, {MAX_ORDER}] in {tuple(orders)}")
+    t, x = np.broadcast_arrays(np.asarray(t, dtype=np.float64),
+                               np.asarray(x, dtype=np.float64))
     half = 1j / (2.0 * t[..., None])
-    for m in range(order):
-        nxt = np.zeros_like(c)
-        nxt[..., : m + 1] = np.arange(1, m + 2) * c[..., 1 : m + 2]
-        nxt[..., 1 : m + 2] += half * c[..., : m + 1]
-        c = nxt
+    shift = half * x[..., None]
+    c = np.zeros(t.shape + (top + 1,), dtype=np.complex128)
+    c[..., 0] = 1.0
+    built = [c]
+    for m in range(top):
+        c = np.zeros_like(c)
+        c[..., : m + 1] = np.arange(1, m + 2) * built[m][..., 1 : m + 2]
+        c[..., 1 : m + 2] += half * built[m][..., : m + 1]
+        c[..., : m + 1] += shift * built[m][..., : m + 1]
+        built.append(c)
     if not np.all(np.isfinite(c)):
-        raise KernelError(f"coefficient overflow at order {order}")
-    return c
+        raise KernelError(f"coefficient overflow at order {top}")
+    return np.stack([built[m] for m in orders])
 
 
 def horner(coeffs, x):
@@ -79,19 +92,6 @@ def fundamental_solution(t, x):
     return np.exp(1j * x * x / (4.0 * t)) / np.sqrt(4j * np.pi * t)
 
 
-def _taylor_shift(c, x):
-    """Ascending coefficients of q(y) = p(x+y) from those of p, pointwise.
-
-    Entry k is p^(k)(x)/k!; x broadcasts against c without its last axis.
-    """
-    d = c.copy()
-    n = d.shape[-1]
-    for k in range(n - 1):
-        for j in range(n - 2, k - 1, -1):
-            d[..., j] += x * d[..., j + 1]
-    return d
-
-
 def _even_poly(c, y2):
     """sum_k c[..., k] y2^k for a real table c; a lone c[..., 0] is returned
     as it is, unbroadcast."""
@@ -106,8 +106,9 @@ def odd_kernel(t, x, y, m=0):
 
     With C = e^{i(x^2+y^2)/4t} / sqrt(4 pi i t) and theta = xy/2t the
     translates are E(t,x-+y) = C e^{-+i theta}.  Splitting
-    p_m(x+-y) = A(y) +- B(y) into its even and odd parts in y, built from the
-    Taylor coefficients p_m^(k)(x)/k!, gives
+    p_m(x+-y) = A(y) +- B(y) into its even and odd parts in y, read off the
+    tables of p_m(x+y) that one derivative_coefficients call builds for all
+    the orders, gives
 
         d^m F = -2 C (i A sin(theta) + B cos(theta)),
 
@@ -138,9 +139,10 @@ def odd_kernel(t, x, y, m=0):
     # first G = -2 (i A sin(theta) + B cos(theta)) / sqrt(4 pi i t) per
     # order; the amplitude and the i go into the coefficients
     scale = -2.0 / np.sqrt(4j * np.pi * t)
+    tables = derivative_coefficients(t, xa, orders) * scale[..., None]
     vals = np.empty((len(orders),) + sin_t.shape, dtype=np.complex128)
-    for out, order in zip(vals, orders):
-        d = _taylor_shift(derivative_coefficients(t, order), xa) * scale[..., None]
+    for out, order, table in zip(vals, orders, tables):
+        d = table[..., : order + 1]
         even, odd = 1j * d[..., 0::2], d[..., 1::2]
         for part, a, b in ((out.real, even.real, odd.real), (out.imag, even.imag, odd.imag)):
             np.multiply(_even_poly(a, y2), sin_t, out=part)

@@ -28,9 +28,8 @@ from .kernel import (MAX_ORDER, derivative_coefficients, fundamental_solution, h
                      odd_kernel)
 from .quadrature import QuadratureError, integrate_batch
 
-# i^k and (-i)^k, indexed by k mod 4
+# i^k, indexed by k mod 4
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
-_MIPOW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
 
 # highest seed order K, whose 2K+1 kernel derivatives stay within MAX_ORDER
 MAX_SEED_ORDER = min(30, (MAX_ORDER - 1) // 2)
@@ -166,23 +165,27 @@ class ControlTrace:
 
 @dataclass(eq=False)
 class FlatSeed:
-    """Odd-power Taylor data of the smoothed state at (t,x)=(tau,0)."""
+    """Odd-power Taylor data y_0..y_K of the smoothed state at (t,x)=(tau,0)."""
 
     tau: float
-    K: int
     y: np.ndarray
-    bound_constant: float
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=np.complex128)
         if self.tau <= 0:
             raise ValueError("tau must be positive")
-        if self.y.shape != (self.K + 1,):
-            raise ValueError("seed needs exactly K+1 coefficients")
-        limits = np.array([self.bound_constant * (2.0 / self.tau) ** k * math.factorial(k)
-                           for k in range(self.K + 1)])
-        if np.any(np.abs(self.y) > limits * (1.0 + 1e-12)):
-            raise ValueError("seed violates its own growth bound")
+        if self.y.ndim != 1 or self.y.size == 0:
+            raise ValueError("seed needs a non-empty 1-d array of coefficients")
+
+    @property
+    def K(self):
+        return self.y.size - 1
+
+    @property
+    def bound_constant(self):
+        """max_k |y_k| tau^k / (2^k k!), the least C with |y_k| <= C (2/tau)^k k!."""
+        return max(float(abs(self.y[k])) * self.tau ** k / (2.0 ** k * math.factorial(k))
+                   for k in range(self.K + 1))
 
 
 def _distinct_panels(*keys):
@@ -306,8 +309,9 @@ def flat_coefficients(v0, tau, K):
     """Extract the flat-output seed y_0..y_K of the datum v0 at t=tau.
 
     The K+1 integrals go through one batched quadrature, one sample per
-    order k.  Row k of the coefficient table holds p_(2k+1), zero-padded at
-    the top, so each row evaluates d^(2k+1)E(tau, y) as p_(2k+1)(y) E(tau, y).
+    order k.  One derivative_coefficients call at x = 0 builds the table:
+    row k holds p_(2k+1), zero-padded at the top, so each row evaluates
+    d^(2k+1)E(tau, y) as p_(2k+1)(y) E(tau, y).
     An order that exhausts the quadrature's panel budget raises
     QuadratureError naming k, with sample = k and the best estimate of y_k
     and its error.
@@ -316,9 +320,7 @@ def flat_coefficients(v0, tau, K):
         raise ValueError("tau must be positive")
     if not 0 <= K <= MAX_SEED_ORDER:
         raise ValueError(f"K={K} outside the supported truncation range")
-    poly = np.zeros((K + 1, 2 * K + 2), dtype=np.complex128)
-    for k in range(K + 1):
-        poly[k, : 2 * k + 2] = derivative_coefficients(tau, 2 * k + 1)
+    poly = derivative_coefficients(tau, 0.0, range(1, 2 * K + 2, 2))
 
     def integrand(sig, k):
         ys = v0.support * sig
@@ -330,7 +332,4 @@ def flat_coefficients(v0, tau, K):
         k = exc.sample
         raise QuadratureError(f"{exc} at seed order k={k}", _IPOW[k % 4] * exc.value,
                               exc.err_estimate, k) from exc
-    y = np.array(_IPOW)[np.arange(K + 1) % 4] * values
-    fit = [float(abs(y[k])) * tau ** k / (2.0 ** k * math.factorial(k))
-           for k in range(K + 1)]
-    return FlatSeed(tau, K, y, max(fit))
+    return FlatSeed(tau, np.array(_IPOW)[np.arange(K + 1) % 4] * values)

@@ -24,17 +24,52 @@ from typing import Callable
 import numpy as np
 
 from schroflat.gevrey import _SNAP_EXPONENT, _kappa
-from schroflat.kernel import (_check_times, derivative_coefficients,
+from schroflat.kernel import (MAX_ORDER, KernelError, _check_times,
                               fundamental_solution, horner, odd_kernel)
 from schroflat import quadrature
 from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES, WEIGHTS_GAUSS,
                                   WEIGHTS_KRONROD, QuadratureError, integrate_batch)
 from schroflat.beam import BeamResult, BeamSnapshot
-from schroflat.flatness import control_trace
-from schroflat.smoothing import _IPOW, _MIPOW
+from schroflat.flatness import _MIPOW, control_trace
+from schroflat.smoothing import _IPOW
 
 
 # ------------------------------------------------------------- kernel
+
+def derivative_coefficients_one(t, order):
+    """Coefficients of p_order, ascending in x, for each time in t.
+
+    Returns an array of shape np.shape(t) + (order+1,), from its own run
+    of the recurrence p_{m+1} = p_m' + (i x / 2t) p_m.
+    """
+    if order < 0 or order > MAX_ORDER:
+        raise KernelError(f"derivative order {order} outside [0, {MAX_ORDER}]")
+    t = np.asarray(t, dtype=np.float64)
+    c = np.zeros(t.shape + (order + 1,), dtype=np.complex128)
+    c[..., 0] = 1.0
+    half = 1j / (2.0 * t[..., None])
+    for m in range(order):
+        nxt = np.zeros_like(c)
+        nxt[..., : m + 1] = np.arange(1, m + 2) * c[..., 1 : m + 2]
+        nxt[..., 1 : m + 2] += half * c[..., : m + 1]
+        c = nxt
+    if not np.all(np.isfinite(c)):
+        raise KernelError(f"coefficient overflow at order {order}")
+    return c
+
+
+def taylor_shift(c, x):
+    """Ascending coefficients of q(y) = p(x+y) from those of p, pointwise.
+
+    Entry k is p^(k)(x)/k!; x broadcasts against c without its last axis.
+    """
+    d = c.copy()
+    n = d.shape[-1]
+    for k in range(n - 1):
+        for j in range(n - 2, k - 1, -1):
+            d[..., j] += x * d[..., j + 1]
+    return d
+
 
 def kernel_derivative(t, x, m):
     """d^m/dx^m E(t,x) = p_m(x) E(t,x) for scalar or array x (and t).
@@ -48,7 +83,7 @@ def kernel_derivative(t, x, m):
     if m == 0:
         vals = fundamental_solution(t, x)
     else:
-        vals = horner(derivative_coefficients(t, m), x) * fundamental_solution(t, x)
+        vals = horner(derivative_coefficients_one(t, m), x) * fundamental_solution(t, x)
     return vals[0] if scalar else vals
 
 

@@ -1,4 +1,5 @@
 """Command-line driver: scenario loading, pipelines, exit codes, artifacts."""
+import dataclasses
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import yaml
 
 from schroflat.cli import (
     EXIT_CONFIG,
@@ -23,9 +25,9 @@ from schroflat.cli import (
     selftest,
 )
 import schroflat
-from schroflat import ControlTrace, SimConfig
-from schroflat.cli import (_fmt, pulse_datum, write_beam_field_csv, write_control_csv,
-                           write_energy_csv, write_field_csv)
+from schroflat import ControlTrace, SimConfig, cli
+from schroflat.cli import (_BUILTINS, _fmt, pulse_datum, write_beam_field_csv,
+                           write_control_csv, write_energy_csv, write_field_csv)
 from schroflat.smoothing import PHASE_NAMES
 
 
@@ -102,8 +104,7 @@ def test_load_scenario_builtin_and_yaml(tmp_path):
 def test_load_scenario_builds_only_the_named_builtin(tmp_path, monkeypatch):
     # sine_profile is a polynomial fit; only the scenarios that use it pay
     fits = []
-    monkeypatch.setattr("schroflat.cli.sine_profile",
-                        lambda: fits.append(1) or pulse_datum())
+    monkeypatch.setitem(cli._DATUMS, "sine", lambda: fits.append(1) or pulse_datum())
     assert load_scenario("gentle").name == "gentle"
     cfg = tmp_path / "sc.yaml"
     cfg.write_text("tau: 1.4\nT: 2.0\ns: 1.6\ntheta0: pulse\n")
@@ -115,6 +116,22 @@ def test_load_scenario_builds_only_the_named_builtin(tmp_path, monkeypatch):
     with pytest.raises(ScenarioError) as exc:
         load_scenario("missing.yaml")
     assert all(name in str(exc.value) for name in builtin_scenarios())
+
+
+@pytest.mark.parametrize("name", sorted(_BUILTINS))
+def test_builtin_mapping_as_yaml_file_gives_the_builtin(name, tmp_path):
+    # every builtin is the mapping a scenario file would hold: written out
+    # and loaded back, it gives the same scenario, datum bytes included
+    path = tmp_path / f"{name}.yaml"
+    path.write_text(yaml.safe_dump(_BUILTINS[name]))
+    got, want = load_scenario(str(path)), builtin_scenarios()[name]
+    for field in dataclasses.fields(Scenario):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(w, schroflat.PiecewiseProfile):
+            assert g.breakpoints == w.breakpoints
+            assert [a.tobytes() for a in g.pieces] == [b.tobytes() for b in w.pieces]
+        else:
+            assert g == w, field.name
 
 
 def test_run_scenario_writes_artifacts(tmp_path):
@@ -322,6 +339,10 @@ def test_main_numerical_error_exit(tmp_path, capsys):
     ("schrodinger", "sim: {Nx: 32.5, Nt: 64, snapshot_count: 3}"),
     ("schrodinger", "sim: {Nx: 32, Nt: 40.7, snapshot_count: 3}"),
     ("schrodinger", "sim: {Nx: 32, Nt: 64, snapshot_count: 3.5}"),
+    # float() would read true as 1.0 without a word
+    ("schrodinger", "T: true"),
+    ("schrodinger", "theta0: {pieces: [[true]]}"),
+    ("schrodinger", "theta0: {pieces: [[[0.5, false]]]}"),
 ])
 def test_main_config_error_on_out_of_range_setting(tmp_path, capsys, equation, entry):
     # rejected with the scenario, before any integral is computed; the
@@ -335,6 +356,26 @@ def test_main_config_error_on_out_of_range_setting(tmp_path, capsys, equation, e
     rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert f"config error: {entry.split(':')[0]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("equation, field, base", [
+    ("schrodinger", "T", {}),
+    ("schrodinger", "tau", {"T": 1.2}),
+    ("schrodinger", "s", {}),
+    ("beam", "cutoff_s", {}),
+])
+def test_main_config_error_on_boolean_real(tmp_path, capsys, equation, field, base):
+    # true is not the number 1.0: the setting is named even where 1.0
+    # would pass its range check (T and tau here)
+    profiles = ({"eta0": "sine", "eta1": "zero"} if equation == "beam"
+                else {"theta0": "pulse"})
+    d = {"equation": equation, "tau": 0.7, "T": 1.0, "s": 1.6, "K": 6, "K_u": 6,
+         "sim": {"Nx": 32, "Nt": 64, "snapshot_count": 3}, **profiles, **base, field: True}
+    cfg = tmp_path / "bool.yaml"
+    cfg.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert f"config error: {field}: need a number, got True" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("horizon", ["-1", ".nan"])

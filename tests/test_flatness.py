@@ -161,7 +161,7 @@ def test_derivatives_truncation_is_exact(fo):
 def _seed(tau=0.35, K=3):
     y = np.zeros(K + 1, dtype=np.complex128)
     y[0] = 1.0
-    return FlatSeed(tau=tau, K=K, y=y, bound_constant=2.0)
+    return FlatSeed(tau=tau, y=y)
 
 
 def test_flat_output_validation():

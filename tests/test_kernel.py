@@ -11,7 +11,7 @@ from schroflat import KernelError, fundamental_solution, odd_kernel
 from schroflat.kernel import MAX_ORDER, derivative_coefficients
 
 from conftest import assert_close
-from oracles import kernel_derivative
+from oracles import derivative_coefficients_one, kernel_derivative, taylor_shift
 
 E_ORACLES = [
     (0.35, 1.0, 0.47562208202851321877 - 0.033879780162444889769j),
@@ -167,19 +167,61 @@ def test_order_cap_enforced():
 
 
 def test_poly_coefficient_parity():
-    p = derivative_coefficients(0.35, 7)
+    p, q = derivative_coefficients(0.35, 0.0, (7, 6))
     assert np.all(p[0::2] == 0)  # even slots vanish for odd order
-    q = derivative_coefficients(0.35, 6)
     assert np.all(q[1::2] == 0)
 
 
 def test_coefficients_vectorized_over_time():
     # one table for a batch of times equals the per-time tables bit for bit
     ts = np.array([0.05, 0.35, 1.0, 2.5])
-    table = derivative_coefficients(ts, 9)
+    table = derivative_coefficients(ts, 0.0, (9,))[0]
     assert table.shape == (4, 10)
     for t, row in zip(ts, table):
-        assert np.array_equal(row, derivative_coefficients(float(t), 9))
+        assert np.array_equal(row, derivative_coefficients(float(t), 0.0, (9,))[0])
+
+
+@pytest.mark.parametrize("t", [1e-3, 0.05, 0.35, 1.4])
+def test_one_pass_tables_match_per_order_shift(t):
+    # each order's table from the one pass against its own recurrence run,
+    # Taylor-shifted to x: bitwise at x = 0 for every order; bitwise at
+    # x = 1 for the trace's orders (0 and 2) and the one between and above;
+    # elsewhere within rounding of the table's largest coefficient.  At
+    # x = 0.4 order 2 already rounds differently at some t: the pass forms
+    # p_2(x) as h + (xh)(xh), the shift as h + x(x h^2).
+    at_zero = derivative_coefficients(t, 0.0, range(MAX_ORDER + 1))
+    for m, table in enumerate(at_zero):
+        assert table[: m + 1].tobytes() == derivative_coefficients_one(t, m).tobytes(), m
+        assert np.all(table[m + 1:] == 0)
+    orders = range(32)
+    for x, exact in ((0.4, 2), (1.0, 4)):
+        tables = derivative_coefficients(t, x, orders)
+        for m in orders:
+            ref = taylor_shift(derivative_coefficients_one(t, m), x)
+            got = tables[m, : m + 1]
+            if m < exact:
+                assert got.tobytes() == ref.tobytes(), (x, m)
+            else:
+                assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref)), (x, m)
+            assert np.all(tables[m, m + 1:] == 0)
+
+
+def test_tables_broadcast_time_and_position():
+    # one (t, x) per row: each row's tables equal its own call's bit for bit
+    t = np.array([[0.1], [0.35], [1.0]])
+    x = np.array([[1.0], [0.4], [0.7]])
+    tables = derivative_coefficients(t, x, (2, 0, 5))
+    assert tables.shape == (3, 3, 1, 6)
+    for i in range(3):
+        one = derivative_coefficients(float(t[i, 0]), float(x[i, 0]), (2, 0, 5))
+        assert tables[:, i, 0].tobytes() == one.tobytes()
+
+
+def test_table_orders_outside_range_rejected():
+    with pytest.raises(KernelError):
+        derivative_coefficients(0.35, 0.0, (1, MAX_ORDER + 1))
+    with pytest.raises(KernelError):
+        derivative_coefficients(0.35, 1.0, (-1, 2))
 
 
 def test_odd_kernel_per_point_time_and_position():

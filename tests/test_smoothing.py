@@ -293,13 +293,6 @@ def test_seed_bound_constant(ref_seed):
     assert abs(ref_seed.bound_constant - BOUND_CONSTANT) < 1e-12
 
 
-def test_seed_growth_bound_is_enforced():
-    y = np.array([1.0, 100.0], dtype=np.complex128)
-    # |y_1| = 100 > C * (2/tau) * 1! for any C consistent with y_0
-    with pytest.raises(ValueError, match="growth bound"):
-        FlatSeed(tau=0.35, K=1, y=y, bound_constant=1.0)
-
-
 def test_seed_series_at_origin(ref_seed):
     assert seed_series(ref_seed, 0.0) == 0.0
     # leading behavior ~ y_0 * x near the Dirichlet wall
@@ -309,11 +302,11 @@ def test_seed_series_at_origin(ref_seed):
 
 def test_seed_shape_validation():
     with pytest.raises(ValueError):
-        FlatSeed(tau=0.35, K=2, y=np.zeros(2, dtype=np.complex128),
-                 bound_constant=1.0)
-    with pytest.raises(ValueError):
-        FlatSeed(tau=-1.0, K=0, y=np.zeros(1, dtype=np.complex128),
-                 bound_constant=1.0)
+        FlatSeed(tau=-1.0, y=np.zeros(1, dtype=np.complex128))
+    with pytest.raises(ValueError, match="1-d"):
+        FlatSeed(tau=0.35, y=np.zeros(0, dtype=np.complex128))
+    with pytest.raises(ValueError, match="1-d"):
+        FlatSeed(tau=0.35, y=np.zeros((2, 2), dtype=np.complex128))
 
 
 def test_seed_budget_failure_names_the_order(monkeypatch):
