@@ -18,7 +18,6 @@ applied exactly in the sine modes of the hinged fourth difference (see
 sine_modes): no linear system is solved, and every step's state is
 rebuilt on the grid for the energy history.
 """
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -22,7 +22,7 @@ import yaml
 from .flatness import DIAGNOSTICS, MAX_SERIES_TRUNCATION, synthesize
 from .schrodinger_sim import SimConfig, simulate, terminal_report
 from .smoothing import MAX_SEED_ORDER, PHASE_NAMES, PiecewiseProfile
-from .beam import (BeamData, beam_controls, beam_simulate,
+from .beam import (BeamData, BeamError, beam_controls, beam_simulate,
                    beam_terminal_report)
 
 EXIT_OK = 0
@@ -118,8 +118,13 @@ class Scenario:
                 raise ScenarioError("cutoff_s: need cutoff_s in (1,2)")
         if self.equation == "schrodinger" and self.theta0 is None:
             raise ScenarioError("theta0: required for the schrodinger equation")
-        if self.equation == "beam" and (self.eta0 is None or self.eta1 is None):
-            raise ScenarioError("eta0/eta1: required for the beam equation")
+        if self.equation == "beam":
+            if self.eta0 is None or self.eta1 is None:
+                raise ScenarioError("eta0/eta1: required for the beam equation")
+            try:
+                BeamData(self.eta0, self.eta1)
+            except BeamError as exc:
+                raise ScenarioError(f"eta0: {exc}") from exc
 
 
 # builtin scenarios by name, each the mapping a YAML file would hold, with
@@ -142,11 +147,12 @@ def builtin_scenarios():
 
 
 def _complex_entry(v):
-    if isinstance(v, (int, float)) and not isinstance(v, bool):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(_real(v[0]), _real(v[1]))
-    raise ScenarioError(f"profile coefficient {v!r} must be a number or [re, im]")
+    """A profile coefficient: a number or [re, im] of two numbers, where a
+    number is an int or a float, neither a bool nor a string."""
+    parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v]
+    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        raise ScenarioError(f"profile coefficient {v!r} must be a number or [re, im]")
+    return complex(*parts)
 
 
 def _profile_from_entry(entry, field):
@@ -257,58 +263,55 @@ def _fmt(v):
     return str(v)
 
 
+def report_text(entries):
+    """The key=value lines of a report, as report.txt holds them and the
+    command prints them."""
+    return "".join(f"{k}={_fmt(v)}\n" for k, v in entries.items())
+
+
 def write_report(path, entries):
-    with open(path, "w", encoding="utf-8") as fh:
-        for k, v in entries.items():
-            fh.write(f"{k}={_fmt(v)}\n")
+    Path(path).write_text(report_text(entries), encoding="utf-8")
 
 
-def _cells(values):
-    """A numeric column's cells as _fmt writes them: repr of each value."""
-    return map(repr, np.asarray(values).tolist())
+def write_csv(path, header, *columns):
+    """A header line, then row i of every column.
+
+    A numpy column's cells are the repr of each value, as _fmt writes them,
+    signed zero and subnormals included; any other column is a sequence of
+    cells written as they are.
+    """
+    cells = [map(repr, c.tolist()) if isinstance(c, np.ndarray) else c
+             for c in columns]
+    Path(path).write_text("\n".join([header, *map(",".join, zip(*cells))]) + "\n",
+                          encoding="utf-8")
 
 
-def write_control_csv(path, trace, u1=None, u2=None):
-    header = "t,re_u,im_u,phase"
-    columns = [_cells(trace.t), _cells(trace.u.real), _cells(trace.u.imag),
-               [PHASE_NAMES[p] for p in trace.phase.tolist()]]
-    if u1 is not None:
-        header += ",u1,u2"
-        columns += [_cells(u1), _cells(u2)]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+def _control_columns(trace):
+    """control.csv's t, re_u, im_u and phase columns."""
+    return (trace.t, trace.u.real, trace.u.imag,
+            [PHASE_NAMES[p] for p in trace.phase.tolist()])
 
 
-def write_field_csv(path, snapshots):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x,re,im\n")
-        for snap in snapshots:
-            t = _fmt(snap.t)
-            fh.writelines(f"{t},{x},{re},{im}\n" for x, re, im in zip(
-                _cells(snap.grid), _cells(snap.values.real), _cells(snap.values.imag)))
+def _snapshot_columns(snapshots, *fields):
+    """field.csv's t and x columns and the named fields, one snapshot's grid
+    after another; each snapshot's t is formatted once for all its rows."""
+    t = []
+    for snap in snapshots:
+        t += [_fmt(snap.t)] * snap.grid.size
+    return (t, *(np.concatenate([getattr(s, f) for s in snapshots])
+                 for f in ("grid", *fields)))
 
 
-def write_norms_csv(path, snapshots):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,l2\n")
-        for snap in snapshots:
-            fh.write(f"{_fmt(snap.t)},{_fmt(snap.l2_norm)}\n")
+def norm_drift(snapshots):
+    """Largest relative change of the grid l2 norm from the first snapshot."""
+    norms = np.array([s.l2_norm for s in snapshots])
+    return float(np.max(np.abs(norms - norms[0])) / norms[0]) if norms[0] > 0 else 0.0
 
 
-def write_beam_field_csv(path, snapshots):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,x,eta,eta_t\n")
-        for snap in snapshots:
-            t = _fmt(snap.t)
-            fh.writelines(f"{t},{x},{e},{p}\n" for x, e, p in zip(
-                _cells(snap.grid), _cells(snap.eta), _cells(snap.eta_t)))
-
-
-def write_energy_csv(path, times, energy):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,energy\n")
-        fh.writelines(f"{t},{e}\n" for t, e in zip(_cells(times), _cells(energy)))
+def eigenmode_error(snap):
+    """max|theta - e^{-i pi^2 t} sin(pi x)| of a free run from sin(pi x)."""
+    exact = np.exp(-1j * np.pi ** 2 * snap.t) * np.sin(np.pi * snap.grid)
+    return float(np.max(np.abs(snap.values - exact)))
 
 
 def run_schrodinger(sc: Scenario, out: Path):
@@ -333,13 +336,13 @@ def run_schrodinger(sc: Scenario, out: Path):
         "runtime_simulation_s": t2 - t1,
     }
     if sc.control == "none":
-        norms = np.array([s.l2_norm for s in snapshots])
-        entries["norm_drift"] = (float(np.max(np.abs(norms - norms[0])) / norms[0])
-                                 if norms[0] > 0 else 0.0)
+        entries["norm_drift"] = norm_drift(snapshots)
     if trace is not None:
-        write_control_csv(out / "control.csv", trace)
-    write_field_csv(out / "field.csv", snapshots)
-    write_norms_csv(out / "norms.csv", snapshots)
+        write_csv(out / "control.csv", "t,re_u,im_u,phase", *_control_columns(trace))
+    t, x, values = _snapshot_columns(snapshots, "values")
+    write_csv(out / "field.csv", "t,x,re,im", t, x, values.real, values.imag)
+    write_csv(out / "norms.csv", "t,l2", np.array([s.t for s in snapshots]),
+              np.array([s.l2_norm for s in snapshots]))
     write_report(out / "report.txt", entries)
     return entries
 
@@ -372,10 +375,12 @@ def run_beam(sc: Scenario, out: Path):
         "runtime_simulation_s": t2 - t1,
     }
     if controls is not None:
-        write_control_csv(out / "control.csv", controls.trace,
-                          u1=controls.trace.u.real, u2=controls.trace.du.imag)
-    write_beam_field_csv(out / "field.csv", result.snapshots)
-    write_energy_csv(out / "energy.csv", result.times, result.energy)
+        trace = controls.trace
+        write_csv(out / "control.csv", "t,re_u,im_u,phase,u1,u2",
+                  *_control_columns(trace), trace.u.real, trace.du.imag)
+    write_csv(out / "field.csv", "t,x,eta,eta_t",
+              *_snapshot_columns(result.snapshots, "eta", "eta_t"))
+    write_csv(out / "energy.csv", "t,energy", result.times, result.energy)
     write_report(out / "report.txt", entries)
     return entries
 
@@ -413,10 +418,7 @@ def convergence_study(sc: Scenario, levels, out_dir):
             snapshots = simulate(sc.theta0, None, cfg)
             rel = terminal_report(snapshots)["relative"]
             tail = 0.0
-            last = snapshots[-1]
-            exact = (np.exp(-1j * np.pi ** 2 * last.t)
-                     * np.sin(np.pi * last.grid))
-            exact_errors.append(float(np.max(np.abs(last.values - exact))))
+            exact_errors.append(eigenmode_error(snapshots[-1]))
         else:
             # each level synthesizes its control on its own time grid, so the
             # study measures the method, not the interpolation of a coarse trace
@@ -424,10 +426,8 @@ def convergence_study(sc: Scenario, levels, out_dir):
             rel = entries["energy_ratio" if sc.equation == "beam" else "relative_terminal"]
             tail = entries["tail_max"]
         rows.append((lvl, cfg.Nx, cfg.Nt, rel, tail))
-    with open(out / "study.csv", "w", encoding="utf-8") as fh:
-        fh.write("level,Nx,Nt,terminal_relative_norm,series_tail\n")
-        for row in rows:
-            fh.write(f"{row[0]},{row[1]},{row[2]},{row[3]!r},{row[4]!r}\n")
+    write_csv(out / "study.csv", "level,Nx,Nt,terminal_relative_norm,series_tail",
+              *map(np.array, zip(*rows)))
     entries = {"scenario": sc.name, "levels": levels}
     rels = [r[3] for r in rows]
     for lvl, rel in enumerate(rels):
@@ -456,17 +456,13 @@ def selftest():
 
     mode = sine_profile()
     cfg = SimConfig(Nx=64, Nt=256, T=0.5, snapshot_count=9)
-    snaps = simulate(mode, None, cfg)
-    norms = np.array([s.l2_norm for s in snaps])
-    drift = float(np.max(np.abs(norms - norms[0])) / norms[0])
+    drift = norm_drift(simulate(mode, None, cfg))
     checks.append(("free-run-norm-conservation", drift <= 1e-12))
 
     errs = []
     for nx, nt in ((16, 64), (32, 128), (64, 256)):
         c = SimConfig(Nx=nx, Nt=nt, T=0.5, snapshot_count=3)
-        last = simulate(lambda x: np.sin(np.pi * x) + 0j, None, c)[-1]
-        exact = np.exp(-1j * np.pi ** 2 * last.t) * np.sin(np.pi * last.grid)
-        errs.append(np.max(np.abs(last.values - exact)))
+        errs.append(eigenmode_error(simulate(lambda x: np.sin(np.pi * x) + 0j, None, c)[-1]))
     rate = float(np.mean([np.log2(a / b) for a, b in zip(errs, errs[1:])]))
     checks.append(("eigenmode-second-order", abs(rate - 2.0) <= 0.2))
 
@@ -507,19 +503,15 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        if args.command == "selftest":
+            return selftest()
+        sc = load_scenario(args.scenario)
         if args.command == "run":
-            sc = load_scenario(args.scenario)
             entries = run_scenario(sc, args.out_dir)
-            for k, v in entries.items():
-                print(f"{k}={_fmt(v)}")
-            return EXIT_OK
-        if args.command == "study":
-            sc = load_scenario(args.scenario)
+        else:
             _, entries = convergence_study(sc, args.levels, args.out_dir)
-            for k, v in entries.items():
-                print(f"{k}={_fmt(v)}")
-            return EXIT_OK
-        return selftest()
+        print(report_text(entries), end="")
+        return EXIT_OK
     except (ScenarioError, yaml.YAMLError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -26,8 +26,8 @@ from schroflat.cli import (
 )
 import schroflat
 from schroflat import ControlTrace, SimConfig, cli
-from schroflat.cli import (_BUILTINS, _fmt, pulse_datum, write_beam_field_csv,
-                           write_control_csv, write_energy_csv, write_field_csv)
+from schroflat.cli import (_BUILTINS, _control_columns, _fmt, _snapshot_columns,
+                           pulse_datum, write_csv)
 from schroflat.smoothing import PHASE_NAMES
 
 
@@ -148,7 +148,7 @@ def test_run_scenario_writes_artifacts(tmp_path):
 
 
 def test_csv_writers_write_each_cell_as_fmt(tmp_path):
-    # the writers format whole columns at once; every cell must still read
+    # write_csv formats whole columns at once; every cell must still read
     # as _fmt writes it, signed zero and subnormals included
     t = np.array([-0.0, 5e-324, 1e-300, 1.0, 2.0, 1e20])
     vals = np.array([1e-300, -0.0, 5e-324, 3.0, -2.0, 0.0])
@@ -156,25 +156,35 @@ def test_csv_writers_write_each_cell_as_fmt(tmp_path):
     phase = np.array([0, 0, 1, 1, 0, 1])
     trace = ControlTrace(t, u, np.zeros(t.size), phase, np.zeros(t.size))
 
-    def lines(path):
-        return (tmp_path / path).read_text().splitlines()
+    def lines(header, *columns):
+        write_csv(tmp_path / "out.csv", header, *columns)
+        text = (tmp_path / "out.csv").read_text()
+        assert text.endswith("\n")
+        return text.splitlines()
 
     def row(*cells):
         return ",".join(c if isinstance(c, str) else _fmt(c) for c in cells)
 
-    write_control_csv(tmp_path / "control.csv", trace, u1=-vals, u2=t)
-    assert lines("control.csv") == ["t,re_u,im_u,phase,u1,u2"] + [
+    # the beam's control.csv: the trace's four columns, then u1 and u2
+    assert lines("t,re_u,im_u,phase,u1,u2", *_control_columns(trace), -vals, t) == [
+        "t,re_u,im_u,phase,u1,u2"] + [
         row(t[i], u[i].real, u[i].imag, PHASE_NAMES[phase[i]], -vals[i], t[i])
         for i in range(t.size)]
-    write_energy_csv(tmp_path / "energy.csv", t, vals)
-    assert lines("energy.csv") == ["t,energy"] + [row(a, b) for a, b in zip(t, vals)]
-    snap = SimpleNamespace(t=1e-300, grid=t, values=u, eta=vals, eta_t=-vals)
-    write_field_csv(tmp_path / "field.csv", [snap])
-    assert lines("field.csv") == ["t,x,re,im"] + [
-        row(snap.t, x, v.real, v.imag) for x, v in zip(t, u)]
-    write_beam_field_csv(tmp_path / "beam.csv", [snap])
-    assert lines("beam.csv") == ["t,x,eta,eta_t"] + [
-        row(snap.t, x, e, p) for x, e, p in zip(t, vals, -vals)]
+    assert lines("t,energy", t, vals) == ["t,energy"] + [
+        row(a, b) for a, b in zip(t, vals)]
+    # study.csv: integer levels and sizes beside float norms
+    levels, sizes = np.arange(6), 16 * 2 ** np.arange(6)
+    assert lines("level,Nx,terminal", levels, sizes, vals) == ["level,Nx,terminal"] + [
+        f"{i},{16 * 2 ** i},{_fmt(v)}" for i, v in enumerate(vals)]
+    # both field layouts, two snapshots stacked in time order
+    snaps = [SimpleNamespace(t=1e-300, grid=t, values=u, eta=vals, eta_t=-vals),
+             SimpleNamespace(t=-0.0, grid=vals, values=u[::-1], eta=t, eta_t=vals)]
+    st, x, values = _snapshot_columns(snaps, "values")
+    assert lines("t,x,re,im", st, x, values.real, values.imag) == ["t,x,re,im"] + [
+        row(s.t, x, v.real, v.imag) for s in snaps for x, v in zip(s.grid, s.values)]
+    assert lines("t,x,eta,eta_t", *_snapshot_columns(snaps, "eta", "eta_t")) == [
+        "t,x,eta,eta_t"] + [
+        row(s.t, x, e, p) for s in snaps for x, e, p in zip(s.grid, s.eta, s.eta_t)]
 
 
 def test_run_beam_scenario_smoke(tmp_path):
@@ -233,6 +243,7 @@ def test_convergence_study_resynthesizes_each_level(tmp_path):
                   theta0=pulse_datum())
     rows, _ = convergence_study(sc, 3, tmp_path / "study")
     lines = (tmp_path / "study" / "study.csv").read_text().splitlines()[1:]
+    assert lines == [",".join(map(_fmt, row)) for row in rows]
     assert len(lines) == 3
     for lvl, line in enumerate(lines):
         cfg = SimConfig(Nx=32 * 2 ** lvl, Nt=64 * 2 ** lvl, T=2.0, snapshot_count=3)
@@ -254,7 +265,10 @@ def test_main_run_exit_codes(tmp_path, capsys):
     rc = main(["run", "--scenario", "zero",
                "--out-dir", str(tmp_path / "o")])
     assert rc == EXIT_OK
-    assert "terminal_l2=0.0" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "terminal_l2=0.0" in out
+    # the command prints report.txt, line for line
+    assert out == (tmp_path / "o" / "report.txt").read_text()
 
     rc = main(["run", "--scenario", "not-a-real-scenario",
                "--out-dir", str(tmp_path / "o2")])
@@ -343,6 +357,10 @@ def test_main_numerical_error_exit(tmp_path, capsys):
     ("schrodinger", "T: true"),
     ("schrodinger", "theta0: {pieces: [[true]]}"),
     ("schrodinger", "theta0: {pieces: [[[0.5, false]]]}"),
+    # nor a string as a number, alone or in [re, im]
+    ("schrodinger", 'theta0: {pieces: [["1"]]}'),
+    ("schrodinger", 'theta0: {pieces: [[["1", "2"]]]}'),
+    ("schrodinger", 'theta0: {pieces: [[[0.5, "0"]]]}'),
 ])
 def test_main_config_error_on_out_of_range_setting(tmp_path, capsys, equation, entry):
     # rejected with the scenario, before any integral is computed; the
@@ -376,6 +394,20 @@ def test_main_config_error_on_boolean_real(tmp_path, capsys, equation, field, ba
     rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert rc == EXIT_CONFIG
     assert f"config error: {field}: need a number, got True" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("control", ["synthesized", "none"])
+def test_main_config_error_on_beam_eta0_not_vanishing(tmp_path, capsys, control):
+    # the hinged beam's eta0 vanishes at both ends; the reference datum is
+    # 1 at x=1, which fails with the scenario, before any synthesis or march
+    cfg = tmp_path / "beam.yaml"
+    cfg.write_text(
+        f"equation: beam\ncontrol: {control}\ntau: 1.4\nT: 2.0\ns: 1.6\n"
+        "sim: {Nx: 32, Nt: 64, snapshot_count: 3}\neta0: reference\neta1: zero\n")
+    rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert "config error: eta0: eta0(1.0)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("horizon", ["-1", ".nan"])
