@@ -6,7 +6,7 @@ finite time using an explicit two-phase boundary control, then certifies
 the result by simulating the controlled equation.
 """
 from .gevrey import step_function, step_jet
-from .kernel import KernelError, fundamental_solution, odd_kernel
+from .kernel import KernelError, odd_kernel
 from .quadrature import QuadratureError
 from .smoothing import (ControlTrace, FlatSeed, PiecewiseProfile, boundary_trace,
                         flat_coefficients, free_evolution)
@@ -19,8 +19,7 @@ from .beam import (BeamData, beam_controls, beam_simulate, beam_terminal_report,
 __version__ = "0.1.0"
 
 __all__ = [
-    "step_function", "step_jet", "KernelError", "fundamental_solution",
-    "odd_kernel", "QuadratureError",
+    "step_function", "step_jet", "KernelError", "odd_kernel", "QuadratureError",
     "ControlTrace", "FlatSeed", "PiecewiseProfile", "boundary_trace",
     "flat_coefficients", "free_evolution", "FlatOutput",
     "control_trace", "flat_output_derivatives", "state_series",

@@ -146,11 +146,15 @@ def builtin_scenarios():
     return {name: scenario_from_dict(d, name) for name, d in _BUILTINS.items()}
 
 
+def _is_number(v):
+    """An int or a float, neither a bool nor a string."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _complex_entry(v):
-    """A profile coefficient: a number or [re, im] of two numbers, where a
-    number is an int or a float, neither a bool nor a string."""
+    """A profile coefficient: a number or [re, im] of two numbers."""
     parts = v if isinstance(v, (list, tuple)) and len(v) == 2 else [v]
-    if not all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+    if not all(map(_is_number, parts)):
         raise ScenarioError(f"profile coefficient {v!r} must be a number or [re, im]")
     return complex(*parts)
 
@@ -165,9 +169,11 @@ def _profile_from_entry(entry, field):
     if isinstance(entry, dict) and "pieces" in entry:
         try:
             bps = tuple(entry.get("breakpoints", ()))
+            if not all(map(_is_number, bps)):
+                raise ScenarioError(f"breakpoints {list(bps)!r} must be numbers")
             pieces = [[_complex_entry(v) for v in piece] for piece in entry["pieces"]]
             return PiecewiseProfile(bps, pieces)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ScenarioError(f"{field}: {exc}") from exc
     raise ScenarioError(f"{field}: expected builtin name or breakpoints/pieces map")
 
@@ -201,7 +207,7 @@ def _horizon(value):
 def _setting(d, field, kind, default, section=""):
     try:
         return kind(d.get(field, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{section}{field}: {exc}") from exc
 
 
@@ -355,7 +361,7 @@ def run_beam(sc: Scenario, out: Path):
         controls = None
         u1 = np.zeros(nt)
         u2 = np.zeros(nt)
-        u2_avg = None
+        u2_avg = np.zeros(sc.sim.Nt)
         diags = NO_CONTROL_DIAGS
     else:
         controls = beam_controls(data, sc.tau, sc.T, sc.s, sc.K, sc.K_u,
@@ -363,7 +369,7 @@ def run_beam(sc: Scenario, out: Path):
         u1, u2, u2_avg = controls.u1, controls.u2, controls.u2_avg
         diags = controls.diags
     t1 = time.perf_counter()
-    result = beam_simulate(data, u1, u2, sc.sim, u2_avg=u2_avg)
+    result = beam_simulate(data, u1, u2, sc.sim, u2_avg)
     t2 = time.perf_counter()
     rep = beam_terminal_report(result, sc.sim.dx)
     entries = {

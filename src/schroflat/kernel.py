@@ -6,9 +6,10 @@ polynomial of degree m with the parity of m, obtained from
 
     p_0 = 1,    p_{m+1} = p_m' + (i x / 2t) p_m.
 
-Both phase-1 integrands need them centred at a point x, as tables in y of
-q_m(y) = p_m(x+y); the recurrence with x+y in place of x gives them, every
-order asked for in one pass (at x = 0 they are those of p_m):
+The phase-1 integrand needs them centred at a point x, as tables in y of
+q_m(y) = p_m(x+y): at x = 1 for the boundary trace, at the wall x = 0 for
+the flat-output seed, where they are those of p_m.  The recurrence with
+x+y in place of x gives them, every order asked for in one pass:
 
     q_0 = 1,    q_{m+1} = q_m' + (i (x+y) / 2t) q_m.
 
@@ -16,13 +17,16 @@ The odd-symmetrized kernel F(t,x,y) = E(t,x-y) - E(t,x+y) realizes the
 Dirichlet condition at x = 0 for odd data.  odd_kernel evaluates it in
 product form, one complex exponential and one real sine (and cosine, for
 m > 0) per point whatever the number of derivative orders asked for, and
-without the cancellation of the two translates as y -> 0.
+without the cancellation of the two translates as y -> 0.  All the orders
+go through one pass of array operations on their zero-padded tables.
 
 Every function accepts a time per point: t broadcasts against x (and y),
 so one call evaluates a batch of samples at different times.  The
 coefficients of p_m are built for the whole batch in one pass of the
-recurrence; nothing is cached between calls.  horner evaluates ascending
-coefficient tables, here and for the package's piecewise polynomials.
+recurrence; nothing is cached between calls, and a caller that evaluates
+the kernel at the same points many times builds the tables once and goes
+through _product_form.  horner evaluates ascending coefficient tables for
+the package's piecewise polynomials.
 """
 import numpy as np
 
@@ -82,16 +86,6 @@ def _check_times(t):
     return t
 
 
-def fundamental_solution(t, x):
-    """E(t,x) with the principal branch of the square root.
-
-    t (nonzero) and x are scalars or arrays that broadcast together.
-    """
-    t = _check_times(t)
-    x = np.asarray(x, dtype=np.float64)
-    return np.exp(1j * x * x / (4.0 * t)) / np.sqrt(4j * np.pi * t)
-
-
 def _even_poly(c, y2):
     """sum_k c[..., k] y2^k for a real table c; a lone c[..., 0] is returned
     as it is, unbroadcast."""
@@ -112,7 +106,8 @@ def odd_kernel(t, x, y, m=0):
 
         d^m F = -2 C (i A sin(theta) + B cos(theta)),
 
-    free of the cancellation of the two translates as y -> 0.  The products
+    free of the cancellation of the two translates as y -> 0.  At x = 0,
+    theta vanishes and d^m F = -2 p_m(y) E(t,y) for odd m.  The products
     over the points run in real arithmetic (numpy's complex products round
     differently in its vector and scalar loops), so a point's value does
     not depend on the batch it is evaluated in.
@@ -124,45 +119,59 @@ def odd_kernel(t, x, y, m=0):
     for all of them.
     """
     t = _check_times(t)
-    scalar = np.ndim(y) == 0
     orders = (m,) if np.ndim(m) == 0 else tuple(m)
     ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
     t, xa = np.broadcast_arrays(t, np.asarray(x, dtype=np.float64))
-    theta = xa * ya
+    vals = _product_form(t, xa, ya, derivative_coefficients(t, xa, orders))
+    vals = vals if np.ndim(m) else vals[0]
+    return vals[..., 0] if np.ndim(y) == 0 else vals
+
+
+def _product_form(t, x, y, tables):
+    """odd_kernel's values at the nodes y from the tables
+    derivative_coefficients(t, x, orders) of its points (t, x), one
+    zero-padded table per order.  All the orders go through the same array
+    operations: a padded zero keeps Horner's partial sums exactly zero up
+    to the order's own leading coefficient.
+    """
+    shape = np.broadcast_shapes(t.shape, y.shape)
+    # the order axis leads, the points' axes align with the nodes' trailing ones
+    tables = tables.reshape(tables.shape[:1] + (1,) * (len(shape) - t.ndim)
+                            + tables.shape[1:])
+    top = tables.shape[-1] - 1
+    theta = x * y
     theta /= 2.0 * t
     sin_t = np.sin(theta)
-    if max(orders) > 0:                       # B vanishes for m = 0
+    if top > 0:
         ycos_t = np.cos(theta, out=theta)
-        ycos_t *= ya
+        ycos_t *= y
     del theta
-    y2 = ya * ya
+    y2 = y * y
     # first G = -2 (i A sin(theta) + B cos(theta)) / sqrt(4 pi i t) per
     # order; the amplitude and the i go into the coefficients
-    scale = -2.0 / np.sqrt(4j * np.pi * t)
-    tables = derivative_coefficients(t, xa, orders) * scale[..., None]
-    vals = np.empty((len(orders),) + sin_t.shape, dtype=np.complex128)
-    for out, order, table in zip(vals, orders, tables):
-        d = table[..., : order + 1]
-        even, odd = 1j * d[..., 0::2], d[..., 1::2]
-        for part, a, b in ((out.real, even.real, odd.real), (out.imag, even.imag, odd.imag)):
-            np.multiply(_even_poly(a, y2), sin_t, out=part)
-            if order > 0:
-                part += _even_poly(b, y2) * ycos_t
+    d = tables * (-2.0 / np.sqrt(4j * np.pi * t))[..., None]
+    even, odd = 1j * d[..., 0::2], d[..., 1::2]
+    vals = np.empty(tables.shape[:1] + shape, dtype=np.complex128)
+    # a leading order 0 (p_0 = 1) skips the padded steps: A is its lone
+    # coefficient, and B vanishes
+    lead = int(not tables[0, ..., 1:].any())
+    for part, a, b in ((vals.real, even.real, odd.real), (vals.imag, even.imag, odd.imag)):
+        np.multiply(a[:lead, ..., 0], sin_t, out=part[:lead])
+        np.multiply(_even_poly(a[lead:], y2), sin_t, out=part[lead:])
+        if top > 0:
+            part[lead:] += _even_poly(b[lead:], y2) * ycos_t
     # then G times the phase factor e^{i(x^2+y^2)/4t} of C, in real
     # arithmetic; the theta factors go first, so the peak memory stays low
     sin_t = ycos_t = None
-    rot = np.zeros(vals.shape[1:], dtype=np.complex128)
-    np.add(y2, xa * xa, out=rot.imag)
+    rot = np.zeros(shape, dtype=np.complex128)
+    np.add(y2, x * x, out=rot.imag)
     y2 = None
     rot.imag /= 4.0 * t
     np.exp(rot, out=rot)
-    gi_s, gr_s = np.empty(rot.shape), np.empty(rot.shape)
-    for out in vals:
-        np.multiply(out.imag, rot.imag, out=gi_s)
-        np.multiply(out.real, rot.imag, out=gr_s)
-        out.real *= rot.real
-        out.real -= gi_s
-        out.imag *= rot.real
-        out.imag += gr_s
-    vals = vals if np.ndim(m) else vals[0]
-    return vals[..., 0] if scalar else vals
+    gi_s = vals.imag * rot.imag
+    gr_s = vals.real * rot.imag
+    vals.real *= rot.real
+    vals.real -= gi_s
+    vals.imag *= rot.real
+    vals.imag += gr_s
+    return vals

@@ -94,6 +94,11 @@ PANELS_PER_CALL = 2 ** 16 // NODES.size
 # budget chasing unreachable tolerances.
 _FLOOR_FACTOR = 100.0 * np.finfo(np.float64).eps
 
+# Every sample's relative tolerance, and its budget of panel evaluations:
+# one budget for every integral the package poses.
+REL_TOL = 1e-8
+MAX_SUBDIVISIONS = 2 ** 16
+
 
 class QuadratureError(RuntimeError):
     """Subdivision budget exhausted; carries the best value obtained.
@@ -157,19 +162,18 @@ def _sample_sums(owner, lo, vals, errs, samples):
     return values, sums
 
 
-def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
-                    rel_tol=1e-8, max_subdivisions=2 ** 16):
+def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10):
     """Integrals over [0,1] of a batch of integrands in one adaptive loop.
 
     integrand(x, s) evaluates the integrands at the nodes x, an array with
     one row of Gauss-Kronrod nodes per panel; s is the column of the
     panels' sample indices and broadcasts against x.  The work list holds
     (sample, panel) pairs and every sample keeps its own decisions: the
-    tolerance from its own total, the rounding floor, the summed-error
-    shortcut, the two-generation stall and the panel budget.  Per-sample
-    sums over the work list come from np.bincount, so each sample is
-    subdivided by the rules of a lone integral.  The budget only decides
-    when to raise.
+    tolerance max(abs_tol, REL_TOL * its own total), the rounding floor,
+    the summed-error shortcut, the two-generation stall and the budget of
+    MAX_SUBDIVISIONS panels.  Per-sample sums over the work list come from
+    np.bincount, so each sample is subdivided by the rules of a lone
+    integral.  The budget only decides when to raise.
 
     Returns (values, errs, panels): the integrals, their error estimates
     and the number of panels evaluated, one entry per sample.  A sample
@@ -180,8 +184,8 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
         raise ValueError("breakpoints must lie strictly inside (0,1)")
     if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
         raise ValueError("breakpoints must be strictly increasing")
-    if abs_tol <= 0 or rel_tol <= 0:
-        raise ValueError("tolerances must be positive")
+    if abs_tol <= 0:
+        raise ValueError("tolerance must be positive")
     edges = np.array([0.0, *bps, 1.0])
     lo = np.tile(edges[:-1], samples)
     hi = np.tile(edges[1:], samples)
@@ -200,18 +204,18 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10,
     while lo.size:
         used += np.bincount(smp, minlength=samples)
         kron, err, scale = _evaluate(integrand, lo, hi, smp)
-        over = np.flatnonzero(used > max_subdivisions)
+        over = np.flatnonzero(used > MAX_SUBDIVISIONS)
         if over.size:
             s = int(over[0])
             best, best_err = _sample_sums(*(np.concatenate(c) for c in zip(
                 *kept, (smp, lo, kron, err))), samples)
             raise QuadratureError(
-                f"no convergence within {max_subdivisions} panel evaluations",
+                f"no convergence within {MAX_SUBDIVISIONS} panel evaluations",
                 complex(best[s]), float(best_err[s]), s)
 
         total = np.hypot(acc_re + per_sample(smp, kron.real),
                          acc_im + per_sample(smp, kron.imag))
-        tol = np.maximum(abs_tol, rel_tol * total)
+        tol = np.maximum(abs_tol, REL_TOL * total)
         gen_err = per_sample(smp, err)
         errsum = acc_err + gen_err
         # the width-proportional budget is only a splitting heuristic; once

@@ -5,13 +5,14 @@ Schrodinger evolution of the odd extension of a datum v0,
 
     v(t,x) = integral over [0, v0.support] of (E(t,x-y) - E(t,x+y)) v0(y) dy,
 
-which smooths arbitrary L2 data into an entire function of x.  At t=tau
-the odd-power Taylor coefficients of v(tau,.) around x=0 seed the phase-2
-flat output: y_k = i^k * integral of (-2) d^(2k+1)E(tau,y) v0(y) dy, using
-the odd-in-y parity of odd-order x-derivatives at x=0.  The seed orders, like
-the trace's time samples, are the samples of one batched quadrature.
+which smooths arbitrary L2 data into an entire function of x.  The paper
+writes the state through its flat output,
+theta(t,x) = sum_k (-i)^k y^(k)(t) x^(2k+1)/(2k+1)!, so at t=tau the seed of
+the phase-2 flat output is the same free evolution read at the wall:
+y_k = i^k d^(2k+1)_x v(tau, 0).  The seed orders, like the trace's time
+samples, are the samples of one batched quadrature.
 
-One helper, _datum_integrals, poses every integral against the datum.  A
+One helper, _convolutions, poses every integral against the datum.  A
 datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
 beam.ExtendedDatum: [0, 2]): the support is rescaled to the quadrature's
 unit interval and the breakpoints become panel edges.  The datum factor
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import (MAX_ORDER, derivative_coefficients, fundamental_solution, horner,
-                     odd_kernel)
+from .kernel import MAX_ORDER, _product_form, derivative_coefficients, horner
 from .quadrature import QuadratureError, integrate_batch
 
 # i^k, indexed by k mod 4
@@ -202,73 +202,55 @@ def _distinct_panels(*keys):
     return order[new], inverse
 
 
-def _datum_integrals(v0, integrand, samples, abs_tol=1e-10):
-    """(values, errs, panels) of the integrals of f_s(y) * v0(y) over y in
-    [0, v0.support], one per sample s = 0..samples-1.
-
-    The support is rescaled to the quadrature's unit interval, so the
-    datum's breakpoints become panel edges.  integrand(sig, s) gets the
-    unit-interval nodes sig and returns f_s(v0.support * sig); it scales
-    only the rows it evaluates, as a copy of every row would cost a full
-    node array per call.  Samples that split alike hold the same panels,
-    so each integrand call evaluates v0 once per distinct panel and
-    multiplies it onto every row that holds it.  Values and errors are
-    scaled back by the support, also the best value and estimate of a
-    sample that exhausts the panel budget and raises QuadratureError.
-    """
-    support = v0.support
-    bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
-
-    def with_datum(sig, s):
-        # a row is a panel, named by its end nodes
-        first, inverse = _distinct_panels(sig[:, 0], sig[:, -1])
-        # a named operand, not a temporary: numpy would reuse a temporary's
-        # buffer for the product, and the in-place complex multiply rounds
-        # differently
-        values = integrand(sig, s)
-        return values * v0(support * sig[first])[inverse]
-
-    try:
-        values, errs, panels = integrate_batch(with_datum, samples, bps, abs_tol)
-    except QuadratureError as exc:
-        raise QuadratureError(str(exc), support * exc.value, support * exc.err_estimate,
-                              exc.sample) from exc
-    return support * values, support * errs, panels
-
-
 def _convolutions(v0, t, x, orders, abs_tol=1e-10):
     """Flat arrays (values, errs, panels) of the odd-folded convolutions
-    d^m_x (E(t,x-y) - E(t,x+y)) v0(y) over the points (t[j], x[j]) and the
-    derivative orders m: sample j*len(orders) + i is order orders[i] at
-    point j.
+    of d^m_x (E(t,x-y) - E(t,x+y)) v0(y) over y in [0, v0.support], at the
+    points (t[j], x[j]) and the derivative orders m: sample
+    j*len(orders) + i is order orders[i] at point j.
 
-    Within each integrand call the kernel runs once per distinct (point,
-    panel) row, for all orders at once, and every sample's row picks its
-    own order; each sample is still subdivided as if integrated alone.  A
-    sample that exhausts its budget raises QuadratureError naming its
-    (t, x, m), with its point's index as the sample.
+    The support is rescaled to the quadrature's unit interval, so the
+    datum's breakpoints become panel edges.  The derivative tables of the
+    points are built once per call.  Within each integrand call the kernel
+    runs once per distinct (point, panel) row, for all orders at once, and
+    every sample's row picks its own order; the datum factor v0(y) depends
+    on the node alone, so it is evaluated once per distinct panel and
+    multiplied in after the kernel part.  Each sample is still subdivided
+    as if integrated alone.  Values and errors are scaled back by the
+    support, also the best value and estimate of a sample that exhausts
+    its budget and raises QuadratureError naming its (t, x, m), with its
+    index in the batch as the sample.
     """
     t, x = (a.ravel() for a in np.broadcast_arrays(np.asarray(t, dtype=np.float64),
                                                    np.asarray(x, dtype=np.float64)))
     if np.any(t <= 0):
         raise ValueError("convolution requires t > 0")
     n_orders = len(orders)
+    tables = derivative_coefficients(t, x, orders)
+    support = v0.support
+    bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
 
     def integrand(sig, s):
         point, which = np.divmod(s[:, 0], n_orders)
-        # a row is a panel of a point, named by its end nodes
+        # a kernel row is a panel of a point, a datum row a panel alone,
+        # each named by its end nodes
         first, inverse = _distinct_panels(point, sig[:, 0], sig[:, -1])
         rows = point[first, None]
-        vals = odd_kernel(t[rows], x[rows], v0.support * sig[first], orders)
-        return vals[which, inverse]
+        vals = _product_form(t[rows], x[rows], support * sig[first], tables[:, rows])
+        # a named operand, not a temporary: numpy would reuse a temporary's
+        # buffer for the product, and the in-place complex multiply rounds
+        # differently
+        values = vals[which, inverse]
+        first, inverse = _distinct_panels(sig[:, 0], sig[:, -1])
+        return values * v0(support * sig[first])[inverse]
 
     try:
-        return _datum_integrals(v0, integrand, t.size * n_orders, abs_tol)
+        values, errs, panels = integrate_batch(integrand, t.size * n_orders, bps, abs_tol)
     except QuadratureError as exc:
         j, i = divmod(exc.sample, n_orders)
         raise QuadratureError(
             f"{exc} at t={float(t[j])!r}, x={float(x[j])!r}, m={orders[i]}",
-            exc.value, exc.err_estimate, j) from exc
+            support * exc.value, support * exc.err_estimate, exc.sample) from exc
+    return support * values, support * errs, panels
 
 
 def free_evolution(theta0, t, x):
@@ -308,11 +290,9 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
 def flat_coefficients(v0, tau, K):
     """Extract the flat-output seed y_0..y_K of the datum v0 at t=tau.
 
-    The K+1 integrals go through one batched quadrature, one sample per
-    order k.  One derivative_coefficients call at x = 0 builds the table:
-    row k holds p_(2k+1), zero-padded at the top, so each row evaluates
-    d^(2k+1)E(tau, y) as p_(2k+1)(y) E(tau, y).
-    An order that exhausts the quadrature's panel budget raises
+    y_k = i^k d^(2k+1)_x v(tau, 0): the orders 1, 3, ..., 2K+1 of the
+    free evolution's convolution at the wall x = 0, one batch of K+1
+    samples.  An order that exhausts the quadrature's panel budget raises
     QuadratureError naming k, with sample = k and the best estimate of y_k
     and its error.
     """
@@ -320,16 +300,10 @@ def flat_coefficients(v0, tau, K):
         raise ValueError("tau must be positive")
     if not 0 <= K <= MAX_SEED_ORDER:
         raise ValueError(f"K={K} outside the supported truncation range")
-    poly = derivative_coefficients(tau, 0.0, range(1, 2 * K + 2, 2))
-
-    def integrand(sig, k):
-        ys = v0.support * sig
-        return -2.0 * (horner(poly[k], ys) * fundamental_solution(tau, ys))
-
     try:
-        values, _, _ = _datum_integrals(v0, integrand, K + 1)
+        values, _, _ = _convolutions(v0, tau, 0.0, tuple(range(1, 2 * K + 2, 2)))
     except QuadratureError as exc:
         k = exc.sample
-        raise QuadratureError(f"{exc} at seed order k={k}", _IPOW[k % 4] * exc.value,
+        raise QuadratureError(f"{exc}, seed order k={k}", _IPOW[k % 4] * exc.value,
                               exc.err_estimate, k) from exc
     return FlatSeed(tau, np.array(_IPOW)[np.arange(K + 1) % 4] * values)

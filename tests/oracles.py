@@ -6,11 +6,13 @@ holds (sample, panel) pairs, phase 2 as Taylor-coefficient arrays with a
 trailing sample axis.  The functions here are the one-sample-at-a-time
 versions the batched code replaced, kept as oracles: an adaptive quadrature
 per integral (and the seed as one integral per order), and scalar Taylor
-recurrences per time sample.  The one-integral interface of the package's
-batched loop (IntegrationProblem, integrate), the one-sample control
-series (control_at) and the checks that only tests
-need (the seed's state series, the Cauchy product of coefficient arrays,
-Gevrey bounds on Taylor coefficients) live here as well.
+recurrences per time sample.  The free propagator E(t,x) and its
+derivatives as translates (fundamental_solution, kernel_derivative), which
+the package evaluates only in product form, the one-integral interface of
+the package's batched loop (IntegrationProblem, integrate), the one-sample
+control series (control_at) and the checks that only tests need (the
+seed's state series, the Cauchy product of coefficient arrays, Gevrey
+bounds on Taylor coefficients) live here as well.
 
 The package also marches both equations in sine modes, chunks of steps at
 a time.  The step-by-step banded solves of the same two schemes are kept
@@ -24,8 +26,7 @@ from typing import Callable
 import numpy as np
 
 from schroflat.gevrey import _SNAP_EXPONENT, _kappa
-from schroflat.kernel import (MAX_ORDER, KernelError, _check_times,
-                              fundamental_solution, horner, odd_kernel)
+from schroflat.kernel import MAX_ORDER, KernelError, _check_times, horner, odd_kernel
 from schroflat import quadrature
 from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES, WEIGHTS_GAUSS,
                                   WEIGHTS_KRONROD, QuadratureError, integrate_batch)
@@ -35,6 +36,16 @@ from schroflat.smoothing import _IPOW
 
 
 # ------------------------------------------------------------- kernel
+
+def fundamental_solution(t, x):
+    """E(t,x) = e^{i x^2 / 4t} / sqrt(4 pi i t), principal branch of the root.
+
+    t (nonzero) and x are scalars or arrays that broadcast together.
+    """
+    t = _check_times(t)
+    x = np.asarray(x, dtype=np.float64)
+    return np.exp(1j * x * x / (4.0 * t)) / np.sqrt(4j * np.pi * t)
+
 
 def derivative_coefficients_one(t, order):
     """Coefficients of p_order, ascending in x, for each time in t.
@@ -94,8 +105,6 @@ class IntegrationProblem:
     integrand: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple = ()
     abs_tol: float = 1e-10
-    rel_tol: float = 1e-8
-    max_subdivisions: int = 2 ** 16
 
 
 def integrate(problem: IntegrationProblem):
@@ -105,7 +114,7 @@ def integrate(problem: IntegrationProblem):
     """
     values, errs, _ = integrate_batch(
         lambda x, s: problem.integrand(x.ravel()), 1, problem.breakpoints,
-        problem.abs_tol, problem.rel_tol, problem.max_subdivisions)
+        problem.abs_tol)
     return complex(values[0]), float(errs[0])
 
 
@@ -140,7 +149,8 @@ def _panel_sums(f, lo, hi):
 
 
 def integrate_one(problem):
-    """One adaptive integral -> (value, err, panels evaluated)."""
+    """One adaptive integral -> (value, err, panels evaluated), with the
+    package's relative tolerance and panel budget."""
     f = problem.integrand
     edges = np.array([0.0, *problem.breakpoints, 1.0])
     lo, hi = edges[:-1].copy(), edges[1:].copy()
@@ -153,18 +163,18 @@ def integrate_one(problem):
 
     while lo.size:
         used += lo.size
-        if used > problem.max_subdivisions:
+        if used > quadrature.MAX_SUBDIVISIONS:
             kron, err, _ = _panel_sums(f, lo, hi)
             order = np.argsort(np.concatenate([np.array(acc_lo), lo]), kind="stable")
             vals = np.concatenate([np.array(acc_val, dtype=np.complex128), kron])
             errs = np.concatenate([np.array(acc_err), err])
             raise QuadratureError(
-                f"no convergence within {problem.max_subdivisions} panel evaluations",
+                f"no convergence within {quadrature.MAX_SUBDIVISIONS} panel evaluations",
                 complex(vals[order].sum()), float(errs[order].sum()))
         kron, err, scale = _panel_sums(f, lo, hi)
 
         total = kron.sum() + (np.sum(acc_val) if acc_val else 0.0)
-        tol = max(problem.abs_tol, problem.rel_tol * abs(total))
+        tol = max(problem.abs_tol, quadrature.REL_TOL * abs(total))
         ok = (err <= tol * (hi - lo)) | (err <= _FLOOR_FACTOR * scale)
         errsum = err.sum() + (np.sum(acc_err) if acc_err else 0.0)
         if errsum <= tol:
@@ -190,30 +200,26 @@ def integrate_one(problem):
     return complex(vals.sum()), float(errs.sum()), used
 
 
-def convolution_one(v0, t, x, m=0, support=1.0, breakpoints=(), abs_tol=1e-10,
-                    rel_tol=1e-8, max_subdivisions=2 ** 16):
+def convolution_one(v0, t, x, m=0, support=1.0, breakpoints=(), abs_tol=1e-10):
     """(value, err, panels) of one odd-folded kernel convolution."""
     def integrand(sig):
         y = support * sig
         return odd_kernel(t, x, y, m) * v0(y)
 
     bps = tuple(b / support for b in breakpoints if 0.0 < b / support < 1.0)
-    value, err, used = integrate_one(IntegrationProblem(
-        integrand, bps, abs_tol=abs_tol, rel_tol=rel_tol,
-        max_subdivisions=max_subdivisions))
+    value, err, used = integrate_one(IntegrationProblem(integrand, bps, abs_tol=abs_tol))
     return support * value, support * err, used
 
 
 def boundary_trace_per_sample(v0, t_grid, support=1.0, breakpoints=(),
-                              derivative=True, abs_tol=1e-10, rel_tol=1e-8,
-                              max_subdivisions=2 ** 16):
+                              derivative=True, abs_tol=1e-10):
     """u, du, err and per-sample panel counts (m=0 and m=2), one sample at a time."""
     n = len(t_grid)
     u = np.zeros(n, dtype=np.complex128)
     du = np.zeros(n, dtype=np.complex128)
     err = np.zeros(n)
     panels = np.zeros((2, n), dtype=np.int64)
-    settings = (support, breakpoints, abs_tol, rel_tol, max_subdivisions)
+    settings = (support, breakpoints, abs_tol)
     for i, t in enumerate(t_grid):
         u[i], err[i], panels[0, i] = convolution_one(v0, t, 1.0, 0, *settings)
         if derivative:

@@ -268,7 +268,7 @@ def test_criterion_8_beam_steering_and_lift(announce, beam_bundle):
         c = SimConfig(Nx=32 * 2 ** lvl, Nt=128 * 2 ** lvl, T=0.25,
                       snapshot_count=3)
         zeros = np.zeros(c.Nt + 1)
-        last = beam_simulate(data, zeros, zeros, c).snapshots[-1]
+        last = beam_simulate(data, zeros, zeros, c, np.zeros(c.Nt)).snapshots[-1]
         exact = np.cos(np.pi ** 2 * last.t) * np.sin(np.pi * last.grid)
         errors.append(float(np.max(np.abs(last.eta - exact))))
     rate = float(np.mean([np.log2(a / b) for a, b in zip(errors, errors[1:])]))

@@ -113,7 +113,7 @@ def test_manufactured_linear_solution_exact():
     t = cfg.times()
     u1 = b * t
     u2 = 6.0 * b * t
-    result = beam_simulate(data, u1, u2, cfg)
+    result = beam_simulate(data, u1, u2, cfg, (u2[:-1] + u2[1:]) / 2)
     last = result.snapshots[-1]
     exact = b * cfg.T * last.grid ** 3
     assert np.max(np.abs(last.eta - exact)) < 1e-10
@@ -127,7 +127,7 @@ def test_free_beam_conserves_energy():
     cfg = SimConfig(Nx=128, Nt=1024, T=0.5, snapshot_count=3)
     data = BeamData(sine_profile(), PiecewiseProfile.zero())
     zeros = np.zeros(cfg.Nt + 1)
-    result = beam_simulate(data, zeros, zeros, cfg)
+    result = beam_simulate(data, zeros, zeros, cfg, np.zeros(cfg.Nt))
     drift = np.max(np.abs(result.energy - result.energy[0])) / result.energy[0]
     assert drift < 1e-10
     # bending energy of sin(pi x) is pi^4 / 4
@@ -142,7 +142,7 @@ def test_free_beam_eigenmode_second_order():
                         snapshot_count=3)
         data = BeamData(sine_profile(), PiecewiseProfile.zero())
         zeros = np.zeros(cfg.Nt + 1)
-        result = beam_simulate(data, zeros, zeros, cfg)
+        result = beam_simulate(data, zeros, zeros, cfg, np.zeros(cfg.Nt))
         last = result.snapshots[-1]
         exact = np.cos(np.pi ** 2 * last.t) * np.sin(np.pi * last.grid)
         errors.append(np.max(np.abs(last.eta - exact)))
@@ -155,7 +155,7 @@ def test_simulate_validates_control_shapes():
     data = BeamData(sine_profile(), PiecewiseProfile.zero())
     good = np.zeros(cfg.Nt + 1)
     with pytest.raises(ValueError):
-        beam_simulate(data, good[:-1], good, cfg)
+        beam_simulate(data, good[:-1], good, cfg, good[1:])
     with pytest.raises(ValueError):
         beam_simulate(data, good, good, cfg, u2_avg=np.zeros(cfg.Nt + 1))
 

@@ -338,6 +338,10 @@ def test_main_numerical_error_exit(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+# a 401-digit integer, beyond the range of a float
+_HUGE = "1" + "0" * 400
+
+
 @pytest.mark.parametrize("equation, entry", [
     ("schrodinger", "K: 31"),
     ("schrodinger", "K_u: 80"),
@@ -361,6 +365,15 @@ def test_main_numerical_error_exit(tmp_path, capsys):
     ("schrodinger", 'theta0: {pieces: [["1"]]}'),
     ("schrodinger", 'theta0: {pieces: [[["1", "2"]]]}'),
     ("schrodinger", 'theta0: {pieces: [[[0.5, "0"]]]}'),
+    # breakpoints follow the coefficients' rule
+    ("schrodinger", 'theta0: {breakpoints: ["0.5"], pieces: [[1], [2]]}'),
+    ("schrodinger", "theta0: {breakpoints: [true], pieces: [[1], [2]]}"),
+    # integers beyond float range, which float() and complex() do not take
+    ("schrodinger", f"T: {_HUGE}"),
+    ("schrodinger", f"tau: {_HUGE}"),
+    ("schrodinger", f"s: {_HUGE}"),
+    ("beam", f"cutoff_s: {_HUGE}"),
+    ("schrodinger", f"theta0: {{pieces: [[{_HUGE}]]}}"),
 ])
 def test_main_config_error_on_out_of_range_setting(tmp_path, capsys, equation, entry):
     # rejected with the scenario, before any integral is computed; the

@@ -7,11 +7,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from schroflat import KernelError, fundamental_solution, odd_kernel
+from schroflat import KernelError, odd_kernel
 from schroflat.kernel import MAX_ORDER, derivative_coefficients
 
 from conftest import assert_close
-from oracles import derivative_coefficients_one, kernel_derivative, taylor_shift
+from oracles import (derivative_coefficients_one, fundamental_solution, kernel_derivative,
+                     taylor_shift)
 
 E_ORACLES = [
     (0.35, 1.0, 0.47562208202851321877 - 0.033879780162444889769j),
@@ -110,10 +111,15 @@ def test_odd_kernel_against_mpmath(t):
     # theta = xy/2t = k pi) no evaluation from the rounded phase theta keeps
     # relative accuracy, so the bound adds a few ulps of theta times
     # |dF/dtheta| <= |d^m E(t,x-y)| + |d^m E(t,x+y)|; as y -> 0 that term
-    # shrinks with theta and excuses no cancellation.
-    orders = range(9)
+    # shrinks with theta and excuses no cancellation.  At the wall x = 0,
+    # the seed's point, theta is 0 and the even orders vanish exactly.
     y = np.concatenate([np.geomspace(1e-9, 1e-2, 8), np.linspace(0.02, 1.99, 200)])
-    got = [odd_kernel(t, 1.0, y, m) for m in orders]
+    for x in (1.0, 0.0):
+        _assert_against_mpmath(t, x, y, range(9))
+
+
+def _assert_against_mpmath(t, x, y, orders):
+    got = [odd_kernel(t, x, y, m) for m in orders]
     eps = np.finfo(np.float64).eps
     with mpmath.workdps(50):
         tm = mpmath.mpf(t)
@@ -121,25 +127,28 @@ def test_odd_kernel_against_mpmath(t):
         amplitude = 1 / mpmath.sqrt(4j * mpmath.pi * tm)
         for i, yi in enumerate(y):
             translates = []
-            for z in (1 - mpmath.mpf(yi), 1 + mpmath.mpf(yi)):
+            for z in (x - mpmath.mpf(yi), x + mpmath.mpf(yi)):
                 e = amplitude * mpmath.exp(1j * z * z / (4 * tm))
                 translates.append([e * mpmath.polyval(p[::-1], z) for p in polys])
             for m in orders:
                 left, right = translates[0][m], translates[1][m]
                 ref = complex(left - right)
-                tol = 1e-12 * abs(ref) + 4 * eps * yi / (2.0 * t) * (
+                tol = 1e-12 * abs(ref) + 4 * eps * x * yi / (2.0 * t) * (
                     abs(complex(left)) + abs(complex(right)))
-                assert abs(got[m][i] - ref) <= tol, (m, yi, abs(got[m][i] - ref) / abs(ref))
+                assert abs(got[m][i] - ref) <= tol, (x, m, yi, abs(got[m][i] - ref), tol)
 
 
 def test_odd_kernel_orders_share_one_evaluation():
-    # a tuple of orders stacks the single-order results bit for bit
+    # a tuple of orders stacks the single-order results bit for bit: the
+    # zero padding of the lower orders' tables adds exact zeros.  The
+    # second case is the seed's: orders 1, 3, ..., 31 at the wall x = 0.
     t = np.array([[0.01], [0.35]])
     y = np.linspace(0.0, 2.0, 15)[None, :] + np.zeros((2, 1))
-    both = odd_kernel(t, 1.0, y, (0, 2, 5))
-    assert both.shape == (3, 2, 15)
-    for row, m in zip(both, (0, 2, 5)):
-        assert np.array_equal(row, odd_kernel(t, 1.0, y, m))
+    for x, orders in ((1.0, (0, 2, 5)), (0.0, tuple(range(1, 32, 2)))):
+        stacked = odd_kernel(t, x, y, orders)
+        assert stacked.shape == (len(orders), 2, 15)
+        for row, m in zip(stacked, orders):
+            assert np.array_equal(row, odd_kernel(t, x, y, m)), (x, m)
 
 
 def test_odd_kernel_odd_in_y():

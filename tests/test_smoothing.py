@@ -3,17 +3,16 @@
 Frozen constants are 50-digit reference evaluations of the folded-kernel
 convolutions for the discontinuous two-indicator datum.
 """
-from functools import partial
-
 import numpy as np
 import pytest
 
 from schroflat import ControlTrace, FlatSeed, PiecewiseProfile, QuadratureError, boundary_trace, flat_coefficients, free_evolution
-from schroflat import odd_kernel, smoothing
+from schroflat import kernel, odd_kernel, quadrature, smoothing
 from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
 from schroflat.cli import builtin_scenarios, pulse_datum
+from schroflat.kernel import derivative_coefficients
 from schroflat.quadrature import NODES, integrate_batch
-from schroflat.smoothing import PHASE_SMOOTHING, _convolutions, _datum_integrals
+from schroflat.smoothing import PHASE_SMOOTHING, _convolutions
 
 from conftest import assert_close
 from oracles import seed_series
@@ -135,8 +134,7 @@ def test_free_evolution_array_matches_pointwise(ref_datum):
 
 def _panel_budget(monkeypatch, panels):
     """Run smoothing's quadrature with a budget of panels per sample."""
-    monkeypatch.setattr(smoothing, "integrate_batch",
-                        partial(integrate_batch, max_subdivisions=panels))
+    monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", panels)
 
 
 def test_trace_budget_failure_names_sample_time(monkeypatch, ref_datum):
@@ -177,17 +175,19 @@ def beam_phase1():
 def _record_kernel_rows(monkeypatch):
     """Per kernel call, the (t, first node, last node) of each row of y.
 
-    odd_kernel computes one exponential per point it is given, so the rows
-    it sees are the (time, panel) rows whose exponentials are computed.
+    The kernel's product form computes one exponential per point it is
+    given, so the rows it sees are the (time, panel) rows whose
+    exponentials are computed.
     """
     calls = []
+    product_form = kernel._product_form
 
-    def recorded(t, x, y, m):
+    def recorded(t, x, y, tables):
         t_rows = np.broadcast_to(t, y.shape)[:, 0]
         calls.append(np.column_stack([t_rows, y[:, 0], y[:, -1]]))
-        return odd_kernel(t, x, y, m)
+        return product_form(t, x, y, tables)
 
-    monkeypatch.setattr(smoothing, "odd_kernel", recorded)
+    monkeypatch.setattr(smoothing, "_product_form", recorded)
     return calls
 
 
@@ -214,11 +214,11 @@ def test_datum_evaluated_once_per_distinct_panel(monkeypatch, beam_phase1):
     assert 5 * datum.points < NODES.size * sum(rows.shape[0] for rows in calls)
 
 
-def test_datum_integrals_gather_once_per_distinct_panel():
-    # the datum factor sees each distinct panel of an integrand call once:
-    # samples 1 and 2 split alike, and in the first generation all four
-    # samples hold the same two panels
-    freqs = np.array([3.0, 40.0, 40.0, 400.0])
+def test_datum_integrals_gather_once_per_distinct_panel(monkeypatch):
+    # _convolutions evaluates the datum factor once per distinct panel of an
+    # integrand call: the samples at the two equal times split alike, and in
+    # the first generation all four samples hold the same two panels
+    times = np.array([0.5, 0.05, 0.05, 0.01])
     calls, datum_rows = [], []
 
     def factor(y):
@@ -232,22 +232,44 @@ def test_datum_integrals_gather_once_per_distinct_panel():
             datum_rows.append(y.shape[0])
             return factor(y)
 
-    def integrand(sig, s):
-        calls.append((sig.shape[0], np.unique(sig, axis=0).shape[0]))
-        return np.exp(1j * freqs[s] * sig)
+    def recorded(integrand, *args):
+        def counted(sig, s):
+            calls.append((sig.shape[0], np.unique(sig, axis=0).shape[0]))
+            return integrand(sig, s)
 
-    values, errs, panels = _datum_integrals(Datum(), integrand, freqs.size)
+        return integrate_batch(counted, *args)
+
+    monkeypatch.setattr(smoothing, "integrate_batch", recorded)
+    values, errs, panels = _convolutions(Datum(), times, 1.0, (0,))
     assert datum_rows == [distinct for _, distinct in calls]
     assert calls[0] == (8, 2) and len(calls) > 1
     assert sum(datum_rows) < sum(rows for rows, _ in calls)
 
     # the same batch with the factor folded into the integrand, in the same
-    # order: (integrand) * (factor)
-    folded = integrate_batch(lambda x, s: np.exp(1j * freqs[s] * x) * factor(x),
-                             freqs.size, breakpoints=(0.3,))
+    # order: (kernel) * (factor)
+    folded = integrate_batch(lambda y, s: odd_kernel(times[s], 1.0, y) * factor(y),
+                             times.size, breakpoints=(0.3,))
     assert np.all(np.abs(values - folded[0]) <= 1e-15 * np.abs(folded[0]))
     assert np.all(np.abs(errs - folded[1]) <= 1e-15 * folded[1])
     assert np.array_equal(panels, folded[2])
+
+
+def test_convolutions_build_the_tables_once_per_call(monkeypatch, ref_datum):
+    # the derivative tables depend on the points alone: one build for all
+    # the points of a call, however many integrand calls its quadrature makes
+    builds = []
+
+    def counted(t, x, orders):
+        builds.append(np.shape(t))
+        return derivative_coefficients(t, x, orders)
+
+    for module in (kernel, smoothing):
+        monkeypatch.setattr(module, "derivative_coefficients", counted)
+    kernel_calls = _record_kernel_rows(monkeypatch)
+    times = np.array([0.001, 0.05, 0.35])
+    _convolutions(ref_datum, times, 1.0, (0, 2))
+    assert len(kernel_calls) > 1
+    assert builds == [times.shape]
 
 
 def test_orders_share_the_kernel_per_distinct_time_and_panel(monkeypatch, beam_phase1):
