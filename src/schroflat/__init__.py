@@ -8,8 +8,8 @@ the result by simulating the controlled equation.
 from .gevrey import step_function, step_jet
 from .kernel import KernelError, odd_kernel
 from .quadrature import QuadratureError
-from .smoothing import (ControlTrace, FlatSeed, PiecewiseProfile, boundary_trace,
-                        flat_coefficients, free_evolution)
+from .smoothing import (ControlTrace, PiecewiseProfile, boundary_trace, flat_coefficients,
+                        free_evolution)
 from .flatness import (FlatOutput, control_trace, flat_output_derivatives, state_series,
                        synthesize)
 from .schrodinger_sim import FieldSnapshot, SimConfig, simulate, terminal_report
@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "step_function", "step_jet", "KernelError", "odd_kernel", "QuadratureError",
-    "ControlTrace", "FlatSeed", "PiecewiseProfile", "boundary_trace",
+    "ControlTrace", "PiecewiseProfile", "boundary_trace",
     "flat_coefficients", "free_evolution", "FlatOutput",
     "control_trace", "flat_output_derivatives", "state_series",
     "synthesize", "FieldSnapshot", "SimConfig", "simulate", "terminal_report",

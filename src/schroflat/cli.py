@@ -381,9 +381,8 @@ def run_beam(sc: Scenario, out: Path):
         "runtime_simulation_s": t2 - t1,
     }
     if controls is not None:
-        trace = controls.trace
         write_csv(out / "control.csv", "t,re_u,im_u,phase,u1,u2",
-                  *_control_columns(trace), trace.u.real, trace.du.imag)
+                  *_control_columns(controls.trace), controls.u1[1:], controls.u2[1:])
     write_csv(out / "field.csv", "t,x,eta,eta_t",
               *_snapshot_columns(result.snapshots, "eta", "eta_t"))
     write_csv(out / "energy.csv", "t,energy", result.times, result.energy)

@@ -38,8 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gevrey import MAX_JET_ORDER, step_jet
-from .smoothing import (PHASE_FLATNESS, ControlTrace, FlatSeed, boundary_trace,
-                        flat_coefficients)
+from .smoothing import PHASE_FLATNESS, ControlTrace, boundary_trace, flat_coefficients
 
 # (-i)^k, indexed by k mod 4
 _MIPOW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
@@ -52,13 +51,23 @@ MAX_SERIES_TRUNCATION = MAX_JET_ORDER - JET_ORDER_MARGIN
 
 @dataclass(eq=False)
 class FlatOutput:
-    seed: FlatSeed
+    """y(t) = phi_s((t-tau)/(T-tau)) * sum_k y_k (t-tau)^k / k! on [tau, T].
+
+    y is the seed y_0..y_K (smoothing.flat_coefficients), a non-empty 1-d
+    array; tau > 0 follows from 2T/3 < tau < T.
+    """
+
+    tau: float
+    y: np.ndarray
     T: float
     s: float
     K_u: int = DEFAULT_SERIES_TRUNCATION
 
     def __post_init__(self):
-        tau = self.seed.tau
+        self.y = np.asarray(self.y, dtype=np.complex128)
+        if self.y.ndim != 1 or self.y.size == 0:
+            raise ValueError("seed needs a non-empty 1-d array of coefficients")
+        tau = self.tau
         if not tau < self.T:
             raise ValueError("need tau < T")
         if not tau > 2.0 * self.T / 3.0:
@@ -71,8 +80,14 @@ class FlatOutput:
             raise ValueError(f"K_u must lie in [0, {MAX_SERIES_TRUNCATION}]")
 
     @property
-    def tau(self):
-        return self.seed.tau
+    def K(self):
+        return self.y.size - 1
+
+    @property
+    def bound_constant(self):
+        """max_k |y_k| tau^k / (2^k k!), the least C with |y_k| <= C (2/tau)^k k!."""
+        return max(float(abs(self.y[k])) * self.tau ** k / (2.0 ** k * math.factorial(k))
+                   for k in range(self.K + 1))
 
     @property
     def jet_order(self):
@@ -108,8 +123,8 @@ def _sum_orders(terms):
 def _analytic_derivatives(fo: FlatOutput, t: np.ndarray, order: int) -> np.ndarray:
     """ybar^(m)(t) = sum_{j>=m} y_j (t-tau)^(j-m)/(j-m)!, m = 0..order."""
     dt = t - fo.tau
-    K = fo.seed.K
-    y = fo.seed.y
+    K = fo.K
+    y = fo.y
     powers = [dt ** p for p in range(K + 1)]
     out = np.zeros((order + 1,) + t.shape, dtype=np.complex128)
     for m in range(min(order, K) + 1):
@@ -208,8 +223,7 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
     t2 = times[times > tau]
     trace1 = boundary_trace(v0, np.append(t1, tau), derivative=derivative,
                             abs_tol=abs_tol)
-    seed = flat_coefficients(v0, tau, K)
-    fo = FlatOutput(seed, T, s, K_u)
+    fo = FlatOutput(tau, flat_coefficients(v0, tau, K), T, s, K_u)
     trace2 = control_trace(fo, np.insert(t2, 0, tau))
     phase1 = trace1[: t1.size + int(np.any(times == tau))]
     phase2 = trace2[1:]
@@ -218,6 +232,6 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
         float(trace2.err[0] + trace1.err[-1]),
         float(np.max(phase2.err, initial=0.0)),
         float(np.max(phase1.err, initial=0.0)),
-        seed.bound_constant,
+        fo.bound_constant,
     )))
     return ControlTrace.concat(phase1, phase2), fo, diags

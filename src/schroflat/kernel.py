@@ -23,10 +23,10 @@ go through one pass of array operations on their zero-padded tables.
 Every function accepts a time per point: t broadcasts against x (and y),
 so one call evaluates a batch of samples at different times.  The
 coefficients of p_m are built for the whole batch in one pass of the
-recurrence; nothing is cached between calls, and a caller that evaluates
-the kernel at the same points many times builds the tables once and goes
-through _product_form.  horner evaluates ascending coefficient tables for
-the package's piecewise polynomials.
+recurrence; nothing is cached between calls.  odd_kernel takes the tables
+its caller builds, so a caller that evaluates the kernel at the same
+points many times builds them once.  horner evaluates ascending
+coefficient tables for the package's piecewise polynomials.
 """
 import numpy as np
 
@@ -43,13 +43,16 @@ def derivative_coefficients(t, x, orders):
     t and x broadcast together.  Returns an array of shape (len(orders),)
     + that shape + (max(orders)+1,): order m's table holds p_m^(k)(x)/k!,
     zero-padded above degree m.  At x = 0 the entries of the parity
-    opposite to m are exactly zero.
+    opposite to m are exactly zero.  The kernel is singular at t = 0,
+    which raises KernelError for every order.
     """
     top = max(orders)
     if min(orders) < 0 or top > MAX_ORDER:
         raise KernelError(f"derivative order outside [0, {MAX_ORDER}] in {tuple(orders)}")
     t, x = np.broadcast_arrays(np.asarray(t, dtype=np.float64),
                                np.asarray(x, dtype=np.float64))
+    if np.any(t == 0):
+        raise KernelError("kernel is singular at t = 0")
     half = 1j / (2.0 * t[..., None])
     shift = half * x[..., None]
     c = np.zeros(t.shape + (top + 1,), dtype=np.complex128)
@@ -79,13 +82,6 @@ def horner(coeffs, x):
     return acc
 
 
-def _check_times(t):
-    t = np.asarray(t, dtype=np.float64)
-    if np.any(t == 0):
-        raise KernelError("kernel is singular at t = 0")
-    return t
-
-
 def _even_poly(c, y2):
     """sum_k c[..., k] y2^k for a real table c; a lone c[..., 0] is returned
     as it is, unbroadcast."""
@@ -95,7 +91,7 @@ def _even_poly(c, y2):
     return acc
 
 
-def odd_kernel(t, x, y, m=0):
+def odd_kernel(t, x, y, tables):
     """d^m/dx^m F(t,x,y) with F(t,x,y) = E(t,x-y) - E(t,x+y), in product form.
 
     With C = e^{i(x^2+y^2)/4t} / sqrt(4 pi i t) and theta = xy/2t the
@@ -112,27 +108,14 @@ def odd_kernel(t, x, y, m=0):
     differently in its vector and scalar loops), so a point's value does
     not depend on the batch it is evaluated in.
 
-    y is the quadrature variable; t and x are scalars or arrays that
-    broadcast against it, for instance one (t, x) per row of y.  m is one
-    order, or a tuple of orders: the result then stacks one array per order
-    on a leading axis, and C, sin(theta) and cos(theta) are computed once
-    for all of them.
-    """
-    t = _check_times(t)
-    orders = (m,) if np.ndim(m) == 0 else tuple(m)
-    ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
-    t, xa = np.broadcast_arrays(t, np.asarray(x, dtype=np.float64))
-    vals = _product_form(t, xa, ya, derivative_coefficients(t, xa, orders))
-    vals = vals if np.ndim(m) else vals[0]
-    return vals[..., 0] if np.ndim(y) == 0 else vals
-
-
-def _product_form(t, x, y, tables):
-    """odd_kernel's values at the nodes y from the tables
-    derivative_coefficients(t, x, orders) of its points (t, x), one
-    zero-padded table per order.  All the orders go through the same array
-    operations: a padded zero keeps Horner's partial sums exactly zero up
-    to the order's own leading coefficient.
+    y is the array of quadrature nodes; t and x are float arrays of one
+    shape that broadcasts against y's trailing axes, for instance one
+    (t, x) per row of y.  tables is derivative_coefficients(t, x, orders)
+    of those points, one zero-padded table per order.  The result stacks
+    one array per order on a leading axis: C, sin(theta) and cos(theta)
+    are computed once for all of them, and all the orders go through the
+    same array operations, where a padded zero keeps Horner's partial sums
+    exactly zero up to the order's own leading coefficient.
     """
     shape = np.broadcast_shapes(t.shape, y.shape)
     # the order axis leads, the points' axes align with the nodes' trailing ones

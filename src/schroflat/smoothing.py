@@ -10,7 +10,8 @@ writes the state through its flat output,
 theta(t,x) = sum_k (-i)^k y^(k)(t) x^(2k+1)/(2k+1)!, so at t=tau the seed of
 the phase-2 flat output is the same free evolution read at the wall:
 y_k = i^k d^(2k+1)_x v(tau, 0).  The seed orders, like the trace's time
-samples, are the samples of one batched quadrature.
+samples, are the samples of one batched quadrature, and the seed is the
+plain array y_0..y_K that flatness.FlatOutput takes beside tau.
 
 One helper, _convolutions, poses every integral against the datum.  A
 datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import MAX_ORDER, _product_form, derivative_coefficients, horner
+from .kernel import MAX_ORDER, derivative_coefficients, horner, odd_kernel
 from .quadrature import QuadratureError, integrate_batch
 
 # i^k, indexed by k mod 4
@@ -163,31 +164,6 @@ class ControlTrace:
         return re + 1j * im
 
 
-@dataclass(eq=False)
-class FlatSeed:
-    """Odd-power Taylor data y_0..y_K of the smoothed state at (t,x)=(tau,0)."""
-
-    tau: float
-    y: np.ndarray
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=np.complex128)
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.y.ndim != 1 or self.y.size == 0:
-            raise ValueError("seed needs a non-empty 1-d array of coefficients")
-
-    @property
-    def K(self):
-        return self.y.size - 1
-
-    @property
-    def bound_constant(self):
-        """max_k |y_k| tau^k / (2^k k!), the least C with |y_k| <= C (2/tau)^k k!."""
-        return max(float(abs(self.y[k])) * self.tau ** k / (2.0 ** k * math.factorial(k))
-                   for k in range(self.K + 1))
-
-
 def _distinct_panels(*keys):
     """(first, inverse): one row index per distinct tuple of keys, such as
     a panel's end nodes, and the index into first of every row's tuple."""
@@ -210,15 +186,15 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10):
 
     The support is rescaled to the quadrature's unit interval, so the
     datum's breakpoints become panel edges.  The derivative tables of the
-    points are built once per call.  Within each integrand call the kernel
-    runs once per distinct (point, panel) row, for all orders at once, and
-    every sample's row picks its own order; the datum factor v0(y) depends
-    on the node alone, so it is evaluated once per distinct panel and
-    multiplied in after the kernel part.  Each sample is still subdivided
-    as if integrated alone.  Values and errors are scaled back by the
-    support, also the best value and estimate of a sample that exhausts
-    its budget and raises QuadratureError naming its (t, x, m), with its
-    index in the batch as the sample.
+    points are built once per call and handed to odd_kernel.  Within each
+    integrand call the kernel runs once per distinct (point, panel) row,
+    for all orders at once, and every sample's row picks its own order;
+    the datum factor v0(y) depends on the node alone, so it is evaluated
+    once per distinct panel and multiplied in after the kernel part.  Each
+    sample is still subdivided as if integrated alone.  Values and errors
+    are scaled back by the support, also the best value and estimate of a
+    sample that exhausts its budget and raises QuadratureError naming its
+    (t, x, m), with its index in the batch as the sample.
     """
     t, x = (a.ravel() for a in np.broadcast_arrays(np.asarray(t, dtype=np.float64),
                                                    np.asarray(x, dtype=np.float64)))
@@ -235,7 +211,7 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10):
         # each named by its end nodes
         first, inverse = _distinct_panels(point, sig[:, 0], sig[:, -1])
         rows = point[first, None]
-        vals = _product_form(t[rows], x[rows], support * sig[first], tables[:, rows])
+        vals = odd_kernel(t[rows], x[rows], support * sig[first], tables[:, rows])
         # a named operand, not a temporary: numpy would reuse a temporary's
         # buffer for the product, and the in-place complex multiply rounds
         # differently
@@ -288,13 +264,13 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
 
 
 def flat_coefficients(v0, tau, K):
-    """Extract the flat-output seed y_0..y_K of the datum v0 at t=tau.
+    """The flat-output seed of the datum v0 at t=tau: the array y_0..y_K.
 
-    y_k = i^k d^(2k+1)_x v(tau, 0): the orders 1, 3, ..., 2K+1 of the
-    free evolution's convolution at the wall x = 0, one batch of K+1
-    samples.  An order that exhausts the quadrature's panel budget raises
-    QuadratureError naming k, with sample = k and the best estimate of y_k
-    and its error.
+    y_k = i^k d^(2k+1)_x v(tau, 0), the odd-power Taylor data of the
+    smoothed state at the wall: the orders 1, 3, ..., 2K+1 of the free
+    evolution's convolution at x = 0, one batch of K+1 samples.  An order
+    that exhausts the quadrature's panel budget raises QuadratureError
+    naming k, with sample = k and the best estimate of y_k and its error.
     """
     if tau <= 0:
         raise ValueError("tau must be positive")
@@ -306,4 +282,4 @@ def flat_coefficients(v0, tau, K):
         k = exc.sample
         raise QuadratureError(f"{exc}, seed order k={k}", _IPOW[k % 4] * exc.value,
                               exc.err_estimate, k) from exc
-    return FlatSeed(tau, np.array(_IPOW)[np.arange(K + 1) % 4] * values)
+    return np.array(_IPOW)[np.arange(K + 1) % 4] * values

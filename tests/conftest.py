@@ -1,5 +1,4 @@
 """Shared fixtures: canonical data sets and comparison helpers."""
-import numpy as np
 import pytest
 
 from schroflat.cli import pulse_datum, reference_datum, sine_profile

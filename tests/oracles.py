@@ -8,7 +8,8 @@ versions the batched code replaced, kept as oracles: an adaptive quadrature
 per integral (and the seed as one integral per order), and scalar Taylor
 recurrences per time sample.  The free propagator E(t,x) and its
 derivatives as translates (fundamental_solution, kernel_derivative), which
-the package evaluates only in product form, the one-integral interface of
+the package evaluates only in product form, the per-order odd kernel that
+builds its own tables (odd_kernel), the one-integral interface of
 the package's batched loop (IntegrationProblem, integrate), the one-sample
 control series (control_at) and the checks that only tests need (the
 seed's state series, the Cauchy product of coefficient arrays, Gevrey
@@ -26,8 +27,8 @@ from typing import Callable
 import numpy as np
 
 from schroflat.gevrey import _SNAP_EXPONENT, _kappa
-from schroflat.kernel import MAX_ORDER, KernelError, _check_times, horner, odd_kernel
-from schroflat import quadrature
+from schroflat.kernel import MAX_ORDER, KernelError, derivative_coefficients, horner
+from schroflat import kernel, quadrature
 from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES, WEIGHTS_GAUSS,
                                   WEIGHTS_KRONROD, QuadratureError, integrate_batch)
 from schroflat.beam import BeamResult, BeamSnapshot
@@ -36,6 +37,13 @@ from schroflat.smoothing import _IPOW
 
 
 # ------------------------------------------------------------- kernel
+
+def _check_times(t):
+    t = np.asarray(t, dtype=np.float64)
+    if np.any(t == 0):
+        raise KernelError("kernel is singular at t = 0")
+    return t
+
 
 def fundamental_solution(t, x):
     """E(t,x) = e^{i x^2 / 4t} / sqrt(4 pi i t), principal branch of the root.
@@ -96,6 +104,23 @@ def kernel_derivative(t, x, m):
     else:
         vals = horner(derivative_coefficients_one(t, m), x) * fundamental_solution(t, x)
     return vals[0] if scalar else vals
+
+
+def odd_kernel(t, x, y, m=0):
+    """d^m/dx^m (E(t,x-y) - E(t,x+y)) through the package's kernel.odd_kernel,
+    with the tables built here.
+
+    t, x and y are scalars or arrays that broadcast together (t and x
+    against y's trailing axes); a scalar y gives a scalar value.  m is one
+    order, or a tuple of orders stacked on a leading axis.
+    """
+    t = _check_times(t)
+    orders = (m,) if np.ndim(m) == 0 else tuple(m)
+    ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
+    t, xa = np.broadcast_arrays(t, np.asarray(x, dtype=np.float64))
+    vals = kernel.odd_kernel(t, xa, ya, derivative_coefficients(t, xa, orders))
+    vals = vals if np.ndim(m) else vals[0]
+    return vals[..., 0] if np.ndim(y) == 0 else vals
 
 
 # ------------------------------------------------------- one integral
@@ -244,11 +269,11 @@ def flat_coefficients_per_order(v0, tau, K):
     return y
 
 
-def seed_series(seed, x):
+def seed_series(y, x):
     """Sum y_k (-i)^k x^(2k+1)/(2k+1)! -- the smoothed state at t=tau."""
     total = 0.0 + 0.0j
-    for k in range(seed.K, -1, -1):
-        total += seed.y[k] * _MIPOW[k % 4] * x ** (2 * k + 1) / math.factorial(2 * k + 1)
+    for k in range(y.size - 1, -1, -1):
+        total += y[k] * _MIPOW[k % 4] * x ** (2 * k + 1) / math.factorial(2 * k + 1)
     return total
 
 
@@ -332,14 +357,14 @@ def step_jet_one(t, s, order):
 def flat_output_derivatives_one(fo, t):
     """y^(m)(t), m = 0..jet_order, by scalar Taylor arithmetic at one t."""
     dt = t - fo.tau
-    K = fo.seed.K
+    K = fo.K
     n = fo.jet_order
     ybar = np.zeros(n + 1, dtype=np.complex128)
     for m in range(min(n, K) + 1):
         acc = 0.0 + 0.0j
         for j in range(K, m, -1):
-            acc += fo.seed.y[j] * dt ** (j - m) / math.factorial(j - m)
-        ybar[m] = acc + fo.seed.y[m]
+            acc += fo.y[j] * dt ** (j - m) / math.factorial(j - m)
+        ybar[m] = acc + fo.y[m]
     delta = fo.T - fo.tau
     orders = np.arange(n + 1)
     facts = np.array([math.factorial(j) for j in orders], dtype=np.float64)

@@ -38,7 +38,6 @@ from schroflat import (
     flat_output_derivatives,
     free_evolution,
     lift_initial_data,
-    odd_kernel,
     simulate,
     state_series,
 )
@@ -47,7 +46,7 @@ from schroflat.schrodinger_sim import grid_l2_norm
 from schroflat.smoothing import PiecewiseProfile
 from schroflat.cli import builtin_scenarios, sine_profile, synthesize_control
 
-from oracles import kernel_derivative
+from oracles import kernel_derivative, odd_kernel
 
 
 @pytest.fixture
@@ -99,8 +98,7 @@ def flat_bundle():
     ref = builtin_scenarios()["reference"]
     sc = replace(ref, tau=1.4, s=1.6, sim=replace(ref.sim, T=2.0))
     t0 = time.perf_counter()
-    seed = flat_coefficients(sc.theta0, sc.tau, sc.K)
-    fo = FlatOutput(seed, sc.T, sc.s, sc.K_u)
+    fo = FlatOutput(sc.tau, flat_coefficients(sc.theta0, sc.tau, sc.K), sc.T, sc.s, sc.K_u)
     snapshots = _flat_phase_march(sc, fo, 0)
     runtime = time.perf_counter() - t0
     return {"sc": sc, "fo": fo, "snapshots": snapshots, "runtime": runtime}
@@ -150,10 +148,10 @@ def test_criterion_2_control_continuity_at_switch(announce, ref_bundle):
 
 
 def test_criterion_3_seed_coefficient_growth(announce, ref_bundle):
-    seed = ref_bundle["fo"].seed
-    tau = seed.tau
-    ratios = [abs(seed.y[k]) * tau ** k / (2.0 ** k * math.factorial(k))
-              for k in range(seed.K + 1)]
+    fo = ref_bundle["fo"]
+    tau = fo.tau
+    ratios = [abs(fo.y[k]) * tau ** k / (2.0 ** k * math.factorial(k))
+              for k in range(fo.K + 1)]
     C = max(ratios[:9])          # fitted on k <= 8
     worst = max(ratios[9:])      # verified on 9 <= k <= 15
     ok = worst <= C * (1.0 + 1e-12)
@@ -166,8 +164,8 @@ def test_criterion_4_flat_output_endpoint_jets(announce, ref_bundle):
     fo = ref_bundle["fo"]
     at_start = flat_output_derivatives(fo, fo.tau)[:, 0]
     at_end = flat_output_derivatives(fo, fo.T)[:, 0]
-    K = fo.seed.K
-    start_exact = (all(at_start[k] == fo.seed.y[k] for k in range(K + 1))
+    K = fo.K
+    start_exact = (all(at_start[k] == fo.y[k] for k in range(K + 1))
                    and bool(np.all(at_start[K + 1:] == 0.0)))
     end_exact = bool(np.all(at_end == 0.0))
     announce(4, "flat output endpoint jets", start_exact and end_exact,
@@ -232,7 +230,7 @@ def test_criterion_6_kernel_and_quadrature_oracles(announce, ref_bundle):
     integrands += [lambda y, m=2 * k + 1: -2.0 * kernel_derivative(0.35, y, m) * theta0(y)
                    for k in range(4)]
     seed = flat_coefficients(theta0, 0.35, 3)
-    adaptive += [seed.y[k] / 1j ** k for k in range(4)]
+    adaptive += [seed[k] / 1j ** k for k in range(4)]
     worst_quad = 0.0
     for f, value in zip(integrands, adaptive):
         dense = _dense_composite(f, bps)

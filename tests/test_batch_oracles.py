@@ -59,15 +59,14 @@ def test_phase1_batch_matches_per_sample_loop(name):
 def test_seed_batch_matches_per_order_integrals(name, K):
     v0, _, _, _ = _phase1_setting(name)
     tau = builtin_scenarios()[name].tau
-    y = flat_coefficients(v0, tau, K).y
+    y = flat_coefficients(v0, tau, K)
     expect = flat_coefficients_per_order(v0, tau, K)
     assert np.all(np.abs(y - expect) <= 1e-14 * np.abs(expect))
 
 
 def _flat_output(name):
     sc = builtin_scenarios()[name]
-    seed = flat_coefficients(sc.theta0, sc.tau, sc.K)
-    fo = FlatOutput(seed, sc.T, sc.s, sc.K_u)
+    fo = FlatOutput(sc.tau, flat_coefficients(sc.theta0, sc.tau, sc.K), sc.T, sc.s, sc.K_u)
     times = sc.sim.times()
     return fo, np.concatenate([[sc.tau], times[times > sc.tau]])
 

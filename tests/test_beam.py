@@ -2,7 +2,8 @@
 import numpy as np
 import pytest
 
-from schroflat import BeamData, SimConfig, beam_controls, beam_simulate, beam_terminal_report, extend_odd_smooth, lift_initial_data
+from schroflat import (BeamData, SimConfig, beam_controls, beam_simulate, extend_odd_smooth,
+                       lift_initial_data)
 from schroflat.beam import (
     EXTENSION_SUPPORT,
     BeamError,

@@ -18,7 +18,7 @@ from schroflat import (BeamData, FlatOutput, PiecewiseProfile, control_trace,
 from schroflat.cli import builtin_scenarios, sine_profile
 from schroflat.flatness import _analytic_derivatives
 from schroflat.gevrey import step_function
-from schroflat.smoothing import PHASE_FLATNESS, PHASE_SMOOTHING, FlatSeed
+from schroflat.smoothing import PHASE_FLATNESS, PHASE_SMOOTHING
 
 from oracles import control_at, seed_series
 
@@ -26,17 +26,16 @@ from oracles import control_at, seed_series
 @pytest.fixture(scope="module")
 def fo():
     from schroflat.cli import reference_datum
-    seed = flat_coefficients(reference_datum(), 0.35, 15)
-    return FlatOutput(seed, 0.5, 1.9)
+    return FlatOutput(0.35, flat_coefficients(reference_datum(), 0.35, 15), 0.5, 1.9)
 
 
 # --------------------------------------------------------------- endpoints
 
 def test_seed_jets_reproduced_exactly_at_start(fo):
     derivs = flat_output_derivatives(fo, fo.tau)[:, 0]
-    K = fo.seed.K
+    K = fo.K
     # bit-exact: the step factor contributes an exact (1, 0, 0, ...) there
-    assert all(derivs[k] == fo.seed.y[k] for k in range(K + 1))
+    assert all(derivs[k] == fo.y[k] for k in range(K + 1))
     assert np.all(derivs[K + 1:] == 0.0)
 
 
@@ -53,7 +52,7 @@ def test_control_and_derivative_zero_at_terminal_time(fo):
 
 def test_control_at_start_matches_seed_series(fo):
     u, _, _ = control_at(fo, fo.tau)
-    expect = seed_series(fo.seed, 1.0)
+    expect = seed_series(fo.y, 1.0)
     assert abs(u - expect) <= 1e-14 * abs(expect)
 
 
@@ -86,7 +85,7 @@ def test_flat_output_factorizes(fo):
         sigma = (t - fo.tau) / (fo.T - fo.tau)
         phi = step_function(sigma, fo.s)
         ybar = sum(y_j * (t - fo.tau) ** j / math.factorial(j)
-                   for j, y_j in enumerate(fo.seed.y))
+                   for j, y_j in enumerate(fo.y))
         y = flat_output_derivatives(fo, t)[0, 0]
         assert abs(y - phi * ybar) <= 1e-14 * abs(y)
 
@@ -103,7 +102,7 @@ def test_first_derivative_matches_difference_quotient(fo):
 
 def test_analytic_part_at_start_is_seed(fo):
     ybar = _analytic_derivatives(fo, np.array([fo.tau]), fo.jet_order)
-    assert ybar[0, 0] == fo.seed.y[0]
+    assert ybar[0, 0] == fo.y[0]
 
 
 def test_tail_is_last_retained_term(fo):
@@ -152,30 +151,30 @@ def test_derivatives_truncation_is_exact(fo):
     ts = np.linspace(fo.tau, fo.T, 9)
     full = flat_output_derivatives(fo, ts)
     assert full.shape == (fo.jet_order + 1, ts.size)
-    for m in (0, 1, 5, fo.seed.K, fo.K_u + 1):
+    for m in (0, 1, 5, fo.K, fo.K_u + 1):
         assert full[: m + 1].tobytes() == flat_output_derivatives(fo, ts, m).tobytes(), m
 
 
 # -------------------------------------------------------------- validation
 
-def _seed(tau=0.35, K=3):
+def _seed(K=3):
     y = np.zeros(K + 1, dtype=np.complex128)
     y[0] = 1.0
-    return FlatSeed(tau=tau, y=y)
+    return y
 
 
 def test_flat_output_validation():
     with pytest.raises(ValueError, match="tau < T"):
-        FlatOutput(_seed(tau=0.6), 0.5, 1.9)
+        FlatOutput(0.6, _seed(), 0.5, 1.9)
     with pytest.raises(ValueError, match="2T/3"):
-        FlatOutput(_seed(tau=0.3), 0.5, 1.9)
+        FlatOutput(0.3, _seed(), 0.5, 1.9)
     with pytest.raises(ValueError, match="s must lie"):
-        FlatOutput(_seed(), 0.5, 2.3)
+        FlatOutput(0.35, _seed(), 0.5, 2.3)
 
 
 @pytest.mark.parametrize("K_u", [0, 1, 8, 34])
 def test_truncation_sets_the_jet_order(K_u):
-    fo = FlatOutput(_seed(), 0.5, 1.9, K_u)
+    fo = FlatOutput(0.35, _seed(), 0.5, 1.9, K_u)
     assert fo.jet_order == K_u + 6
     assert flat_output_derivatives(fo, 0.4).shape[0] == K_u + 7
     u, du, tail = control_at(fo, 0.4)
@@ -185,7 +184,7 @@ def test_truncation_sets_the_jet_order(K_u):
 @pytest.mark.parametrize("K_u", [-1, 35])
 def test_truncation_out_of_range(K_u):
     with pytest.raises(ValueError, match="K_u"):
-        FlatOutput(_seed(), 0.5, 1.9, K_u)
+        FlatOutput(0.35, _seed(), 0.5, 1.9, K_u)
 
 
 def test_time_domain_enforced(fo):

@@ -7,12 +7,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from schroflat import KernelError, odd_kernel
+from schroflat import KernelError
 from schroflat.kernel import MAX_ORDER, derivative_coefficients
 
 from conftest import assert_close
 from oracles import (derivative_coefficients_one, fundamental_solution, kernel_derivative,
-                     taylor_shift)
+                     odd_kernel, taylor_shift)
 
 E_ORACLES = [
     (0.35, 1.0, 0.47562208202851321877 - 0.033879780162444889769j),
@@ -166,6 +166,10 @@ def test_singular_time_rejected():
         kernel_derivative(0.0, 1.0, 2)
     with pytest.raises(KernelError):
         odd_kernel(0.0, 1.0, 0.5, 0)
+    # the tables guard every order, order 0 too, whose table has no 1/t term
+    # to overflow
+    with pytest.raises(KernelError):
+        derivative_coefficients(0.0, 1.0, (0,))
 
 
 def test_order_cap_enforced():

@@ -6,8 +6,9 @@ convolutions for the discontinuous two-indicator datum.
 import numpy as np
 import pytest
 
-from schroflat import ControlTrace, FlatSeed, PiecewiseProfile, QuadratureError, boundary_trace, flat_coefficients, free_evolution
-from schroflat import kernel, odd_kernel, quadrature, smoothing
+from schroflat import (ControlTrace, FlatOutput, PiecewiseProfile, QuadratureError,
+                       boundary_trace, flat_coefficients, free_evolution)
+from schroflat import kernel, quadrature, smoothing
 from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
 from schroflat.cli import builtin_scenarios, pulse_datum
 from schroflat.kernel import derivative_coefficients
@@ -15,7 +16,7 @@ from schroflat.quadrature import NODES, integrate_batch
 from schroflat.smoothing import PHASE_SMOOTHING, _convolutions
 
 from conftest import assert_close
-from oracles import seed_series
+from oracles import odd_kernel, seed_series
 
 I_TRACE = {
     0.1: -0.013427952255356212345 + 0.13368495946283665694j,
@@ -180,14 +181,13 @@ def _record_kernel_rows(monkeypatch):
     exponentials are computed.
     """
     calls = []
-    product_form = kernel._product_form
 
     def recorded(t, x, y, tables):
         t_rows = np.broadcast_to(t, y.shape)[:, 0]
         calls.append(np.column_stack([t_rows, y[:, 0], y[:, -1]]))
-        return product_form(t, x, y, tables)
+        return kernel.odd_kernel(t, x, y, tables)
 
-    monkeypatch.setattr(smoothing, "_product_form", recorded)
+    monkeypatch.setattr(smoothing, "odd_kernel", recorded)
     return calls
 
 
@@ -308,27 +308,28 @@ def ref_seed():
 
 def test_seed_frozen_coefficients(ref_seed):
     for k, expected in SEEDS.items():
-        assert_close(ref_seed.y[k], expected, rel=1e-9)
+        assert_close(ref_seed[k], expected, rel=1e-9)
 
 
 def test_seed_bound_constant(ref_seed):
-    assert abs(ref_seed.bound_constant - BOUND_CONSTANT) < 1e-12
+    fo = FlatOutput(0.35, ref_seed, 0.5, 1.9)
+    assert abs(fo.bound_constant - BOUND_CONSTANT) < 1e-12
 
 
 def test_seed_series_at_origin(ref_seed):
     assert seed_series(ref_seed, 0.0) == 0.0
     # leading behavior ~ y_0 * x near the Dirichlet wall
     x = 1e-8
-    assert abs(seed_series(ref_seed, x) - ref_seed.y[0] * x) < 1e-20
+    assert abs(seed_series(ref_seed, x) - ref_seed[0] * x) < 1e-20
 
 
 def test_seed_shape_validation():
     with pytest.raises(ValueError):
-        FlatSeed(tau=-1.0, y=np.zeros(1, dtype=np.complex128))
+        FlatOutput(-1.0, np.zeros(1, dtype=np.complex128), 0.5, 1.9)
     with pytest.raises(ValueError, match="1-d"):
-        FlatSeed(tau=0.35, y=np.zeros(0, dtype=np.complex128))
+        FlatOutput(0.35, np.zeros(0, dtype=np.complex128), 0.5, 1.9)
     with pytest.raises(ValueError, match="1-d"):
-        FlatSeed(tau=0.35, y=np.zeros((2, 2), dtype=np.complex128))
+        FlatOutput(0.35, np.zeros((2, 2), dtype=np.complex128), 0.5, 1.9)
 
 
 def test_seed_budget_failure_names_the_order(monkeypatch):
@@ -340,7 +341,7 @@ def test_seed_budget_failure_names_the_order(monkeypatch):
     with pytest.raises(QuadratureError, match=r"seed order k=14$") as exc:
         flat_coefficients(pulse_datum(), 0.35, 15)
     assert exc.value.sample == 14
-    assert exc.value.value == seed.y[14]
+    assert exc.value.value == seed[14]
     assert exc.value.err_estimate > 0.0
 
 
