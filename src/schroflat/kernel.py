@@ -138,11 +138,17 @@ def odd_kernel(t, x, y, tables):
     # a leading order 0 (p_0 = 1) skips the padded steps: A is its lone
     # coefficient, and B vanishes
     lead = int(not tables[0, ..., 1:].any())
+    # A vanishes where every even coefficient of the other orders does, as
+    # for odd orders at the wall x = 0: its Horner pass is then skipped
+    with_a = tables[lead:, ..., 0::2].any()
     for part, a, b in ((vals.real, even.real, odd.real), (vals.imag, even.imag, odd.imag)):
         np.multiply(a[:lead, ..., 0], sin_t, out=part[:lead])
-        np.multiply(_even_poly(a[lead:], y2), sin_t, out=part[lead:])
-        if top > 0:
-            part[lead:] += _even_poly(b[lead:], y2) * ycos_t
+        if with_a:
+            np.multiply(_even_poly(a[lead:], y2), sin_t, out=part[lead:])
+            if top > 0:
+                part[lead:] += _even_poly(b[lead:], y2) * ycos_t
+        elif top > 0:
+            np.multiply(_even_poly(b[lead:], y2), ycos_t, out=part[lead:])
     # then G times the phase factor e^{i(x^2+y^2)/4t} of C, in real
     # arithmetic; the theta factors go first, so the peak memory stays low
     sin_t = ycos_t = None

@@ -15,7 +15,10 @@ with theta_k = dt w_k / 2 = 2 (dt/h^2) sin^2(k pi / 2Nx) and |r_k| = 1, so
 the recurrence is exact up to rounding and needs no linear solve.  The
 callers advance it in chunks of at most CHUNK steps, each chunk in a few
 array operations whose scratch arrays hold at most CHUNK rows of Nx - 1
-modes.  The dense S costs O(Nx^2) memory and needs no FFT module.
+modes.  The dense S costs O(Nx^2) memory and needs no FFT module, but only
+2 Nx sines: its entries repeat the values sin(m pi / Nx), m = jk mod 2 Nx.
+The powers r_k^j of a chunk are the cosines and sines of the real angles
+j phi_k, phi_k = -2 atan(theta_k), with no complex exponential.
 """
 import numpy as np
 
@@ -25,18 +28,21 @@ CHUNK = 256
 def sine_modes(nx, lam):
     """(S, theta, powers) for a grid of nx intervals and lam = dt/h^2.
 
-    S[j-1, k-1] = sin(jk pi / nx) is symmetric; theta[k-1] =
-    2 lam sin^2(k pi / 2nx); powers[j] = r^j for j = 0 .. CHUNK, each row
-    taken from the Cayley factor's phase -2 atan(theta) rather than by
-    repeated multiplication.
+    S[j-1, k-1] = sin(jk pi / nx) is symmetric and takes only the 2 nx
+    values sin(m pi / nx), m = jk mod 2 nx: they are computed once and
+    gathered, every entry rounded once from an argument below 2 pi.
+    theta[k-1] = 2 lam sin^2(k pi / 2nx); powers[j] = r^j for
+    j = 0 .. CHUNK, each row the cosine and sine of the real angle
+    j phase, phase = -2 atan(theta) the Cayley factor's phase, rather than
+    a product of repeated multiplications.
     """
     k = np.arange(1, nx)
-    # reduce jk modulo the period 2 nx first, so the sine's argument stays
-    # below 2 pi and every entry is rounded once
-    S = np.sin(np.pi / nx * (np.outer(k, k) % (2 * nx)))
+    S = np.sin(np.pi / nx * np.arange(2 * nx))[np.outer(k, k) % (2 * nx)]
     theta = 2.0 * lam * np.sin(0.5 * np.pi / nx * k) ** 2
-    phase = -2.0 * np.arctan(theta)
-    powers = np.exp(1j * np.arange(CHUNK + 1)[:, None] * phase[None, :])
+    angle = np.arange(CHUNK + 1)[:, None] * (-2.0 * np.arctan(theta))
+    powers = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=powers.real)
+    np.sin(angle, out=powers.imag)
     return S, theta, powers
 
 

@@ -18,7 +18,9 @@ bounds on Taylor coefficients) live here as well.
 The package also marches both equations in sine modes, chunks of steps at
 a time.  The step-by-step banded solves of the same two schemes are kept
 here, with a grid solve of the beam's Poisson lift; they need scipy, which
-the package itself does not import.
+the package itself does not import.  So are the marches' tables computed
+entry by entry (sine_modes_direct), which the package gathers from their
+distinct values.
 """
 import math
 from dataclasses import dataclass
@@ -32,6 +34,7 @@ from schroflat import kernel, quadrature
 from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES, WEIGHTS_GAUSS,
                                   WEIGHTS_KRONROD, QuadratureError, integrate_batch)
 from schroflat.beam import BeamResult, BeamSnapshot
+from schroflat.sine_modes import CHUNK
 from schroflat.flatness import _MIPOW, control_trace
 from schroflat.smoothing import _IPOW
 
@@ -427,6 +430,17 @@ def verify_gevrey_bound(t, coeffs, bound):
 
 
 # ------------------------------------------------------------- marches
+
+def sine_modes_direct(nx, lam):
+    """sine_modes' tables entry by entry: one sine per entry of S, and r^j
+    as the complex exponential of i j phase."""
+    k = np.arange(1, nx)
+    S = np.sin(np.pi / nx * (np.outer(k, k) % (2 * nx)))
+    theta = 2.0 * lam * np.sin(0.5 * np.pi / nx * k) ** 2
+    phase = -2.0 * np.arctan(theta)
+    powers = np.exp(1j * np.arange(CHUNK + 1)[:, None] * phase[None, :])
+    return S, theta, powers
+
 
 def march_banded(theta, ub, lam, snap_idx):
     """Crank-Nicolson frames by one tridiagonal solve per step."""

@@ -118,20 +118,28 @@ def test_load_scenario_builds_only_the_named_builtin(tmp_path, monkeypatch):
     assert all(name in str(exc.value) for name in builtin_scenarios())
 
 
+# the loader cli picked, libyaml's where PyYAML has it, and the pure-Python
+# one it falls back to, which a machine with libyaml would not run otherwise
+YAML_LOADERS = (cli._YAML_LOADER, yaml.SafeLoader)
+
+
 @pytest.mark.parametrize("name", sorted(_BUILTINS))
-def test_builtin_mapping_as_yaml_file_gives_the_builtin(name, tmp_path):
+def test_builtin_mapping_as_yaml_file_gives_the_builtin(name, tmp_path, monkeypatch):
     # every builtin is the mapping a scenario file would hold: written out
     # and loaded back, it gives the same scenario, datum bytes included
     path = tmp_path / f"{name}.yaml"
     path.write_text(yaml.safe_dump(_BUILTINS[name]))
-    got, want = load_scenario(str(path)), builtin_scenarios()[name]
-    for field in dataclasses.fields(Scenario):
-        g, w = getattr(got, field.name), getattr(want, field.name)
-        if isinstance(w, schroflat.PiecewiseProfile):
-            assert g.breakpoints == w.breakpoints
-            assert [a.tobytes() for a in g.pieces] == [b.tobytes() for b in w.pieces]
-        else:
-            assert g == w, field.name
+    want = builtin_scenarios()[name]
+    for loader in YAML_LOADERS:
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        got = load_scenario(str(path))
+        for field in dataclasses.fields(Scenario):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            if isinstance(w, schroflat.PiecewiseProfile):
+                assert g.breakpoints == w.breakpoints
+                assert [a.tobytes() for a in g.pieces] == [b.tobytes() for b in w.pieces]
+            else:
+                assert g == w, (loader, field.name)
 
 
 def test_run_scenario_writes_artifacts(tmp_path):
@@ -176,9 +184,11 @@ def test_csv_writers_write_each_cell_as_fmt(tmp_path):
     levels, sizes = np.arange(6), 16 * 2 ** np.arange(6)
     assert lines("level,Nx,terminal", levels, sizes, vals) == ["level,Nx,terminal"] + [
         f"{i},{16 * 2 ** i},{_fmt(v)}" for i, v in enumerate(vals)]
-    # both field layouts, two snapshots stacked in time order
+    # both field layouts, three snapshots stacked in time order, the last
+    # two sharing one grid array, as the snapshots of a march do
     snaps = [SimpleNamespace(t=1e-300, grid=t, values=u, eta=vals, eta_t=-vals),
-             SimpleNamespace(t=-0.0, grid=vals, values=u[::-1], eta=t, eta_t=vals)]
+             SimpleNamespace(t=-0.0, grid=vals, values=u[::-1], eta=t, eta_t=vals),
+             SimpleNamespace(t=2.0, grid=vals, values=-u, eta=-t, eta_t=t)]
     st, x, values = _snapshot_columns(snaps, "values")
     assert lines("t,x,re,im", st, x, values.real, values.imag) == ["t,x,re,im"] + [
         row(s.t, x, v.real, v.imag) for s in snaps for x, v in zip(s.grid, s.values)]
@@ -464,18 +474,23 @@ def test_main_study_exit_codes(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("kind", ["directory", "binary"])
-def test_main_config_error_on_unreadable_scenario(tmp_path, capsys, kind):
+def test_main_config_error_on_unreadable_scenario(tmp_path, capsys, monkeypatch, kind):
     source = tmp_path
     if kind == "binary":
         source = tmp_path / "binary.yaml"
         source.write_bytes(b"\xff\xfe\x00tau")
-    rc = main(["run", "--scenario", str(source), "--out-dir", str(tmp_path / "o")])
-    assert rc == EXIT_CONFIG
-    assert "config error: scenario" in capsys.readouterr().err
+    for loader in YAML_LOADERS:
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        rc = main(["run", "--scenario", str(source), "--out-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG, loader
+        assert "config error: scenario" in capsys.readouterr().err
 
 
-def test_main_config_error_on_bad_yaml(tmp_path, capsys):
+def test_main_config_error_on_bad_yaml(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("tau: [unclosed\n")
-    rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
-    assert rc == EXIT_CONFIG
+    for loader in YAML_LOADERS:
+        monkeypatch.setattr(cli, "_YAML_LOADER", loader)
+        rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG, loader
+        assert "config error" in capsys.readouterr().err

@@ -4,7 +4,9 @@ Both marches apply the implicit trapezoidal step exactly in sine modes,
 chunks of steps at a time, where the oracles solve one banded system per
 step.  The arithmetic differs, so the results agree to rounding amplified
 by the step count: frames within 1e-10 max|theta|, beam energies within
-1e-9 relative and beam fields within 1e-9 of their largest value.
+1e-9 relative and beam fields within 1e-9 of their largest value.  The
+tables both marches share equal their entry-by-entry formulas, S bit for
+bit.
 """
 import numpy as np
 import pytest
@@ -12,13 +14,27 @@ import pytest
 from schroflat import BeamData, SimConfig, beam_controls, beam_simulate, simulate
 from schroflat.cli import builtin_scenarios, pulse_datum, sine_profile, synthesize_control
 from schroflat.schrodinger_sim import _march
-from schroflat.sine_modes import CHUNK
+from schroflat.sine_modes import CHUNK, sine_modes
 from schroflat.smoothing import PiecewiseProfile
 
-from oracles import beam_simulate_banded, march_banded
+from oracles import beam_simulate_banded, march_banded, sine_modes_direct
 
 FRAME_TOL = 1e-10
 ENERGY_TOL = 1e-9
+
+
+@pytest.mark.parametrize("lam", [1e-2, 0.5, 20.0, 1e3])
+@pytest.mark.parametrize("nx", [16, 17, 128, 200, 400, 1601])
+def test_sine_mode_tables_match_direct_formulas(nx, lam):
+    # S gathers the very sines the direct table computes, bit for bit; the
+    # powers' real cos/sin agree with exp in value, but row 0's imaginary
+    # part is sin(-0.0) = -0.0 where exp gives +0.0
+    S, theta, powers = sine_modes(nx, lam)
+    S_ref, theta_ref, powers_ref = sine_modes_direct(nx, lam)
+    assert S.tobytes() == S_ref.tobytes()
+    assert theta.tobytes() == theta_ref.tobytes()
+    assert powers.shape == powers_ref.shape == (CHUNK + 1, nx - 1)
+    np.testing.assert_array_equal(powers, powers_ref)
 
 
 def _assert_frames_close(frames, reference, theta_max):
