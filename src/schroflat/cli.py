@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .flatness import DIAGNOSTICS, MAX_SERIES_TRUNCATION, synthesize
-from .schrodinger_sim import SimConfig, simulate, terminal_report
+from .schrodinger_sim import MAX_NX, SimConfig, simulate, terminal_report
 from .smoothing import MAX_SEED_ORDER, PHASE_NAMES, PiecewiseProfile
 from .beam import (BeamData, BeamError, beam_controls, beam_simulate,
                    beam_terminal_report)
@@ -223,7 +223,7 @@ def scenario_from_dict(d, name):
     try:
         sim = SimConfig(T=T, **sizes)
     except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"sim: {exc}") from exc
+        raise ScenarioError(f"sim.{exc}") from exc
     return Scenario(
         name=name,
         equation=d.get("equation", "schrodinger"),
@@ -414,6 +414,12 @@ def run_scenario(sc: Scenario, out_dir):
 def convergence_study(sc: Scenario, levels, out_dir):
     if levels < 3:
         raise ScenarioError("levels: need at least 3 refinement levels")
+    # the finest level's grid, checked before level 0 runs; Nx >= 16 keeps
+    # levels within MAX_NX's bit length whatever the grid
+    if levels > MAX_NX.bit_length() or sc.sim.Nx * 2 ** (levels - 1) > MAX_NX:
+        raise ScenarioError(
+            f"levels: {levels} levels refine Nx={sc.sim.Nx} beyond the finest "
+            f"grid, Nx={MAX_NX}")
     free = sc.equation == "schrodinger" and sc.control == "none"
     if free:
         # a free run is scored against the exact evolution of sin(pi x)

@@ -18,6 +18,12 @@ import numpy as np
 
 from .sine_modes import CHUNK, apply_sine, complex_product, sine_modes
 
+# The finest grid a run takes.  sine_modes builds a dense (Nx-1)^2 float
+# table and an int64 index temporary of the same size: 0.5 GB each at this
+# bound, 3.2 GB at Nx = 20,000.  It sits above every builtin and the
+# Nx = 3,200 of a 5-level reference study.
+MAX_NX = 8192
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -27,12 +33,16 @@ class SimConfig:
     snapshot_count: int = 9
 
     def __post_init__(self):
-        if self.Nx < 16 or self.Nt < 16:
-            raise ValueError("need Nx >= 16 and Nt >= 16")
+        # each message names its field
+        if not 16 <= self.Nx <= MAX_NX:
+            raise ValueError(f"Nx: need 16 <= Nx <= {MAX_NX}, got {self.Nx}")
+        if self.Nt < 16:
+            raise ValueError(f"Nt: need Nt >= 16, got {self.Nt}")
         if not 0.0 < self.T < np.inf:     # also false for nan
-            raise ValueError("final time must be positive and finite")
+            raise ValueError("T: final time must be positive and finite")
         if self.snapshot_count < 2:
-            raise ValueError("need at least initial and terminal snapshots")
+            raise ValueError(
+                "snapshot_count: need at least initial and terminal snapshots")
 
     @property
     def dx(self):

@@ -20,6 +20,13 @@ unit interval and the breakpoints become panel edges.  The datum factor
 v0(y) depends on the node alone, not on the sample, so the helper
 evaluates it once per distinct panel of each integrand call and multiplies
 it in after the kernel part; the quadrature itself knows nothing of it.
+
+The trace's samples start from a finer mesh than the datum's breakpoints:
+the kernel's phase (x-y)^2/4t turns faster as t falls, so the mesh that
+the latest time converges on from the breakpoints is one every earlier
+time refines.  boundary_trace integrates that time alone first and starts
+the whole batch from its converged panel edges, which spares each sample
+the bisections that would rediscover them.
 """
 import math
 from dataclasses import dataclass
@@ -178,14 +185,19 @@ def _distinct_panels(*keys):
     return order[new], inverse
 
 
-def _convolutions(v0, t, x, orders, abs_tol=1e-10):
-    """Flat arrays (values, errs, panels) of the odd-folded convolutions
-    of d^m_x (E(t,x-y) - E(t,x+y)) v0(y) over y in [0, v0.support], at the
-    points (t[j], x[j]) and the derivative orders m: sample
-    j*len(orders) + i is order orders[i] at point j.
+def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None):
+    """(values, errs, panels, edges): flat arrays of the odd-folded
+    convolutions of d^m_x (E(t,x-y) - E(t,x+y)) v0(y) over y in
+    [0, v0.support], at the points (t[j], x[j]) and the derivative orders
+    m, with their error estimates and panel counts (sample j*len(orders) + i
+    is order orders[i] at point j), and the interior panel edges the batch
+    converged on, on the quadrature's unit interval.
 
-    The support is rescaled to the quadrature's unit interval, so the
-    datum's breakpoints become panel edges.  The derivative tables of the
+    The support is rescaled to the quadrature's unit interval.  Every
+    sample starts from the interior panel edges `edges` on that interval,
+    by default the rescaled datum breakpoints; edges that refine them, such
+    as the converged edges of another call, keep every panel off the
+    datum's discontinuities.  The derivative tables of the
     points are built once per call and handed to odd_kernel.  Within each
     integrand call the kernel runs once per distinct (point, panel) row,
     for all orders at once, and every sample's row picks its own order;
@@ -203,7 +215,8 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10):
     n_orders = len(orders)
     tables = derivative_coefficients(t, x, orders)
     support = v0.support
-    bps = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
+    if edges is None:
+        edges = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
 
     def integrand(sig, s):
         point, which = np.divmod(s[:, 0], n_orders)
@@ -220,13 +233,14 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10):
         return values * v0(support * sig[first])[inverse]
 
     try:
-        values, errs, panels = integrate_batch(integrand, t.size * n_orders, bps, abs_tol)
+        values, errs, panels, edges = integrate_batch(integrand, t.size * n_orders,
+                                                      edges, abs_tol)
     except QuadratureError as exc:
         j, i = divmod(exc.sample, n_orders)
         raise QuadratureError(
             f"{exc} at t={float(t[j])!r}, x={float(x[j])!r}, m={orders[i]}",
             support * exc.value, support * exc.err_estimate, exc.sample) from exc
-    return support * values, support * errs, panels
+    return support * values, support * errs, panels, edges
 
 
 def free_evolution(theta0, t, x):
@@ -235,27 +249,52 @@ def free_evolution(theta0, t, x):
     t and x may be arrays that broadcast together: all points then go
     through one batched quadrature, and the values take their shape.
     """
-    values, _, _ = _convolutions(theta0, t, x, (0,))
+    values = _convolutions(theta0, t, x, (0,))[0]
     shape = np.broadcast_shapes(np.shape(t), np.shape(x))
     return complex(values[0]) if shape == () else values.reshape(shape)
+
+
+def _trace_edges(v0, t_grid, orders, abs_tol):
+    """The panel edges every sample of a trace over t_grid starts from.
+
+    The latest time is integrated alone from the datum's breakpoints, with
+    the trace's orders and abs_tol, and the edges it converges on (the
+    union over its orders) are returned.  A grid of at most one time
+    returns None, the datum's breakpoints, so its one time is integrated
+    once.  If the latest time exhausts the panel budget, the
+    QuadratureError's sample is its index in the trace's batch.
+    """
+    latest = t_grid.size - 1
+    if latest < 1:
+        return None
+    try:
+        return _convolutions(v0, t_grid[latest:], 1.0, orders, abs_tol)[3]
+    except QuadratureError as exc:
+        exc.sample += latest * len(orders)
+        raise
 
 
 def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     """Phase-1 control samples u(t)=v(t,1) and u'(t)=i*v_xx(t,1).
 
     v0 is the datum the free evolution smooths, integrated over its own
-    support with its own breakpoints as panel edges.  derivative=False
-    skips the v_xx integrals when only u itself is needed.  u and v_xx at
-    every time are the interleaved samples of one batch, and share the
-    kernel's exponentials wherever their panels coincide.  abs_tol is each
+    support.  Every sample starts from the panel edges that the latest
+    time converges on from the datum's breakpoints (_trace_edges), and
+    then subdivides by its own rules to its own tolerance; the times are
+    increasing, as ControlTrace requires.  derivative=False skips the v_xx
+    integrals when only u itself is needed.  u and v_xx at every time are
+    the interleaved samples of one batch, and share the kernel's
+    exponentials wherever their panels coincide.  abs_tol is each
     integral's absolute tolerance.  A sample that exhausts the quadrature's
-    panel budget raises QuadratureError naming its time.
+    panel budget raises QuadratureError naming its time, with its index in
+    the batch as the sample: the index in t_grid when derivative=False.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
     orders = (0, 2) if derivative else (0,)
-    values, errs, _ = _convolutions(v0, t_grid, 1.0, orders, abs_tol)
+    edges = _trace_edges(v0, t_grid, orders, abs_tol)
+    values, errs, _, _ = _convolutions(v0, t_grid, 1.0, orders, abs_tol, edges)
     values = values.reshape(t_grid.size, len(orders))
     err = errs.reshape(t_grid.size, len(orders)).sum(axis=1)
     du = 1j * values[:, 1] if derivative else np.zeros(t_grid.size, dtype=np.complex128)
@@ -277,7 +316,7 @@ def flat_coefficients(v0, tau, K):
     if not 0 <= K <= MAX_SEED_ORDER:
         raise ValueError(f"K={K} outside the supported truncation range")
     try:
-        values, _, _ = _convolutions(v0, tau, 0.0, tuple(range(1, 2 * K + 2, 2)))
+        values = _convolutions(v0, tau, 0.0, tuple(range(1, 2 * K + 2, 2)))[0]
     except QuadratureError as exc:
         k = exc.sample
         raise QuadratureError(f"{exc}, seed order k={k}", _IPOW[k % 4] * exc.value,

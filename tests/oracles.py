@@ -140,7 +140,7 @@ def integrate(problem: IntegrationProblem):
 
     The one-sample case of integrate_batch.
     """
-    values, errs, _ = integrate_batch(
+    values, errs, _, _ = integrate_batch(
         lambda x, s: problem.integrand(x.ravel()), 1, problem.breakpoints,
         problem.abs_tol)
     return complex(values[0]), float(errs[0])

@@ -1,9 +1,13 @@
 """The batched synthesis against its per-sample oracles (tests/oracles.py).
 
-Phase 1 runs every time sample through one adaptive Gauss-Kronrod loop;
-each sample must be subdivided exactly as when integrated alone, so the
-panel counts agree sample by sample and the values agree to rounding (a
-batch's panel sums go through matrix products of other row counts).
+Phase 1 runs every time sample through one adaptive Gauss-Kronrod loop,
+from the panel edges its latest time converges on; each sample must be
+subdivided exactly as when integrated alone from those starting edges, so
+the panel counts agree sample by sample and the values agree to rounding
+(a batch's panel sums go through matrix products of other row counts).
+Against the per-sample oracle started from the datum's own breakpoints,
+which subdivides otherwise on the beam, each sample agrees within the sum
+of both error estimates.
 The flat-output seed integrates its K+1 orders as the samples of one such
 loop; each order must agree with its own adaptive integral to 1e-14
 relative (rounding of the same panel sums).
@@ -17,7 +21,7 @@ import pytest
 from schroflat import FlatOutput, boundary_trace, control_trace, flat_coefficients
 from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
 from schroflat.cli import builtin_scenarios
-from schroflat.smoothing import MAX_SEED_ORDER, _convolutions
+from schroflat.smoothing import MAX_SEED_ORDER, _convolutions, _trace_edges
 
 from oracles import (boundary_trace_per_sample, control_series_one,
                      flat_coefficients_per_order)
@@ -36,22 +40,62 @@ def _phase1_setting(name):
     return sc.theta0, t1, {}, (0,)
 
 
+def _starting_edges(v0, times, settings, orders):
+    """The trace's starting panel edges, on the quadrature's unit interval."""
+    return _trace_edges(v0, times, orders, settings.get("abs_tol", 1e-10))
+
+
 @pytest.mark.parametrize("name", ["gentle", "reference", "beam"])
 def test_phase1_batch_matches_per_sample_loop(name):
     v0, times, settings, orders = _phase1_setting(name)
     derivative = orders == (0, 2)
+    edges = _starting_edges(v0, times, settings, orders)
     u, du, err, panels = boundary_trace_per_sample(
-        v0, times, support=v0.support, breakpoints=v0.breakpoints,
+        v0, times, support=v0.support, breakpoints=tuple(v0.support * edges),
         derivative=derivative, **settings)
     trace = boundary_trace(v0, times, derivative=derivative, **settings)
     assert np.all(np.abs(trace.u - u) <= 1e-14 * np.abs(u))
     assert np.all(np.abs(trace.du - du) <= 1e-14 * np.abs(du))
     assert np.all(np.abs(trace.err - err) <= 1e-6 * err + 1e-8 * np.abs(u))
     # the orders are interleaved samples of the trace's one batch
-    _, _, used = _convolutions(v0, times, 1.0, orders, **settings)
+    _, _, used, _ = _convolutions(v0, times, 1.0, orders, edges=edges, **settings)
     used = used.reshape(times.size, len(orders))
     for row, m in enumerate(orders):
         assert np.array_equal(used[:, row], panels[row]), f"subdivision differs (m={m})"
+
+
+def test_phase1_trace_agrees_with_the_oracle_from_the_breakpoints():
+    # the beam's samples start from the latest time's mesh, not from the
+    # datum's breakpoints as the oracle does: they subdivide otherwise, and
+    # each agrees with the oracle within the sum of both error estimates
+    v0, times, settings, orders = _phase1_setting("beam")
+    u, du, err, _ = boundary_trace_per_sample(
+        v0, times, support=v0.support, breakpoints=v0.breakpoints, **settings)
+    trace = boundary_trace(v0, times, **settings)
+    assert np.all(np.abs(trace.u - u) <= trace.err + err)
+    assert np.all(np.abs(trace.du - du) <= trace.err + err)
+
+
+@pytest.mark.parametrize("name", ["gentle", "reference"])
+def test_phase1_trace_from_the_datum_breakpoints_where_the_latest_time_keeps_them(name):
+    # the latest time accepts the datum's own panels ({0} and
+    # {0, 0.2, 0.5, 0.7}), so the batch is the one the breakpoints start
+    v0, times, settings, orders = _phase1_setting(name)
+    assert np.array_equal(_starting_edges(v0, times, settings, orders), v0.breakpoints)
+    values, errs, _, _ = _convolutions(v0, times, 1.0, orders, **settings)
+    trace = boundary_trace(v0, times, derivative=False, **settings)
+    assert np.array_equal(trace.u, values) and np.array_equal(trace.err, errs)
+
+
+@pytest.mark.parametrize("name", ["gentle", "reference", "beam"])
+def test_phase1_starting_edges_keep_the_datum_breakpoints(name):
+    # accepted panels tile the unit interval from the breakpoints, so no
+    # starting panel straddles a discontinuity of the datum
+    v0, times, settings, orders = _phase1_setting(name)
+    edges = _starting_edges(v0, times, settings, orders)
+    bps = [b / v0.support for b in v0.breakpoints if 0.0 < b / v0.support < 1.0]
+    assert np.all(np.isin(bps, edges))
+    assert np.all((edges > 0.0) & (edges < 1.0)) and np.all(np.diff(edges) > 0)
 
 
 @pytest.mark.parametrize("K", [15, MAX_SEED_ORDER])

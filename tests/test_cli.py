@@ -243,6 +243,44 @@ def test_convergence_study_eigenmode(tmp_path):
         convergence_study(sc, 2, tmp_path / "bad")
 
 
+def test_convergence_study_checks_its_finest_level_first(tmp_path, monkeypatch):
+    # reference's Nx=200 doubles to 12,800 at level 6 and eigenmode-check's
+    # 128 to 16,384 at level 7, above the ceiling: the study fails before
+    # level 0 runs or its directory is made
+    def no_run(*args):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    monkeypatch.setattr(cli, "simulate", no_run)
+    for name, levels in (("reference", 7), ("eigenmode-check", 8), ("reference", 10 ** 6)):
+        with pytest.raises(ScenarioError, match=r"^levels: "):
+            convergence_study(builtin_scenarios()[name], levels, tmp_path / "study")
+    assert not (tmp_path / "study").exists()
+
+
+def test_main_study_exits_2_above_the_finest_grid(tmp_path, capsys):
+    rc = main(["study", "--scenario", "reference", "--levels", "7",
+               "--out-dir", str(tmp_path / "study")])
+    assert rc == EXIT_CONFIG
+    assert "config error: levels: 7 levels" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("nx, ok", [(8192, True), (8193, False), (20000, False)])
+def test_scenario_grid_ceiling(tmp_path, capsys, nx, ok):
+    # parsed, never run: a grid above the ceiling names sim.Nx and exits 2
+    d = {"theta0": "pulse", "sim": {"Nx": nx, "Nt": 64, "snapshot_count": 3}}
+    if ok:
+        assert scenario_from_dict(d, "fine").sim.Nx == nx
+        return
+    cfg = tmp_path / "fine.yaml"
+    cfg.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"config error: sim.Nx: need 16 <= Nx <= 8192, got {nx}" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_convergence_study_resynthesizes_each_level(tmp_path):
     # every level's row is what a run at that level's grid reports: the
     # control is synthesized on the level's own time grid, not interpolated

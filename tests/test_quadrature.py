@@ -131,7 +131,7 @@ def test_batch_samples_keep_their_own_subdivision():
     def batch(x, s):
         return np.exp(1j * freqs[s] * x) / (1.0 + x)
 
-    values, errs, panels = integrate_batch(batch, freqs.size, breakpoints=(0.3,))
+    values, errs, panels, _ = integrate_batch(batch, freqs.size, breakpoints=(0.3,))
     for s, om in enumerate(freqs):
         calls = []
 
@@ -154,7 +154,7 @@ def test_batch_splits_large_generations():
         return np.ones(x.shape, dtype=np.complex128)
 
     n = PANELS_PER_CALL + 5
-    values, _, panels = integrate_batch(batch, n)
+    values, _, panels, _ = integrate_batch(batch, n)
     assert max(sizes) <= PANELS_PER_CALL
     assert np.all(panels == 1) and np.allclose(values, 1.0, rtol=0, atol=1e-15)
     empty = integrate_batch(batch, 0)

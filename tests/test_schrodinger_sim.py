@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from schroflat import ControlTrace, SimConfig, simulate, terminal_report
-from schroflat.schrodinger_sim import grid_l2_norm
+from schroflat.schrodinger_sim import MAX_NX, grid_l2_norm
 from schroflat.cli import sine_profile
 
 
@@ -19,6 +19,14 @@ def test_config_validation():
             SimConfig(Nx=64, Nt=64, T=T)
     with pytest.raises(ValueError):
         SimConfig(Nx=64, Nt=64, T=0.5, snapshot_count=1)
+
+
+def test_config_bounds_the_grid():
+    # the ceiling is checked, not allocated: a config holds no table
+    assert SimConfig(Nx=MAX_NX, Nt=16, T=0.5).Nx == MAX_NX
+    with pytest.raises(ValueError, match=r"^Nx: need 16 <= Nx <= 8192, got 8193$"):
+        SimConfig(Nx=MAX_NX + 1, Nt=16, T=0.5)
+    assert MAX_NX >= 200 * 2 ** 4     # a 5-level study of the builtin grids
 
 
 def test_config_grids():

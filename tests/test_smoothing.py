@@ -13,7 +13,7 @@ from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
 from schroflat.cli import builtin_scenarios, pulse_datum
 from schroflat.kernel import derivative_coefficients
 from schroflat.quadrature import NODES, integrate_batch
-from schroflat.smoothing import PHASE_SMOOTHING, _convolutions
+from schroflat.smoothing import PHASE_SMOOTHING, _convolutions, _trace_edges
 
 from conftest import assert_close
 from oracles import odd_kernel, seed_series
@@ -105,7 +105,7 @@ def test_boundary_trace_frozen_values(ref_datum):
 def test_boundary_trace_with_derivative(ref_datum):
     trace = boundary_trace(ref_datum, np.array([0.35]))
     # du = i * v_xx(t,1); cross-check against the raw convolution
-    (v2,), _, _ = _convolutions(ref_datum, 0.35, 1.0, (2,))
+    (v2,), _, _, _ = _convolutions(ref_datum, 0.35, 1.0, (2,))
     assert abs(trace.du[0] - 1j * v2) < 1e-12
 
 
@@ -113,7 +113,7 @@ def test_boundary_trace_with_derivative(ref_datum):
 def test_convolution_integrates_over_the_datum_breakpoints(ref_datum, t):
     # the datum carries its jumps, so every entry point splits the
     # quadrature at them and the three values agree bit for bit
-    (value,), _, _ = _convolutions(ref_datum, t, 1.0, (0,))
+    (value,), _, _, _ = _convolutions(ref_datum, t, 1.0, (0,))
     assert value == free_evolution(ref_datum, t, 1.0)
     assert value == boundary_trace(ref_datum, np.array([t]), derivative=False).u[0]
 
@@ -157,7 +157,7 @@ def test_trace_at_small_time_fits_the_panel_budget():
     # at t=1e-5 the kernel turns through about 1/(4t) radians over the
     # support: the one sample takes 25,007 panels, more than 2**14 and
     # within the quadrature's one budget of 2**16
-    (value,), (err,), (panels,) = _convolutions(pulse_datum(), 1e-5, 1.0, (0,))
+    (value,), (err,), (panels,), _ = _convolutions(pulse_datum(), 1e-5, 1.0, (0,))
     assert panels == 25007
     trace = boundary_trace(pulse_datum(), [1e-5], derivative=False)
     assert trace.u[0] == value and trace.err[0] == err
@@ -240,7 +240,7 @@ def test_datum_integrals_gather_once_per_distinct_panel(monkeypatch):
         return integrate_batch(counted, *args)
 
     monkeypatch.setattr(smoothing, "integrate_batch", recorded)
-    values, errs, panels = _convolutions(Datum(), times, 1.0, (0,))
+    values, errs, panels, _ = _convolutions(Datum(), times, 1.0, (0,))
     assert datum_rows == [distinct for _, distinct in calls]
     assert calls[0] == (8, 2) and len(calls) > 1
     assert sum(datum_rows) < sum(rows for rows, _ in calls)
@@ -275,20 +275,76 @@ def test_convolutions_build_the_tables_once_per_call(monkeypatch, ref_datum):
 def test_orders_share_the_kernel_per_distinct_time_and_panel(monkeypatch, beam_phase1):
     # u (m=0) and v_xx (m=2) are one batch: each integrand call computes the
     # exponentials of a (time, panel) row once for both orders, so the trace
-    # costs fewer kernel rows than the two orders integrated apart, and
-    # visits the same rows they do (each order subdivides as if alone)
+    # costs fewer kernel rows than the two orders integrated apart from the
+    # trace's starting edges, and visits the same rows they do (each order
+    # subdivides as if alone); both sides count the latest-time pass
     ext, times, settings = beam_phase1
     fused = _record_kernel_rows(monkeypatch)
     boundary_trace(ext, times, derivative=True, **settings)
     apart = _record_kernel_rows(monkeypatch)
-    boundary_trace(ext, times, derivative=False, **settings)
-    _convolutions(ext, times, 1.0, (2,), **settings)
+    edges = _trace_edges(ext, times, (0, 2), **settings)
+    for m in (0, 2):
+        _convolutions(ext, times, 1.0, (m,), edges=edges, **settings)
     for rows in fused:
         assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     count = lambda calls: sum(rows.shape[0] for rows in calls)
     assert count(fused) < count(apart)
     distinct = lambda calls: np.unique(np.concatenate(calls), axis=0)
     assert np.array_equal(distinct(fused), distinct(apart))
+
+
+def _record_batches(monkeypatch):
+    """The panel counts of every quadrature batch that smoothing runs."""
+    batches = []
+
+    def recorded(*args):
+        result = integrate_batch(*args)
+        batches.append(result[2])
+        return result
+
+    monkeypatch.setattr(smoothing, "integrate_batch", recorded)
+    return batches
+
+
+def test_beam_trace_starts_from_the_latest_time_mesh(monkeypatch, beam_phase1):
+    # the run's trace ends at tau, which converges on the cutoff half's
+    # quarters, and every earlier sample starts there instead of bisecting
+    # down to them again: 19,122 panels with the 12-panel latest-time pass,
+    # against 26,890 from the datum's breakpoints
+    ext, times, settings = beam_phase1
+    tau = builtin_scenarios()["beam"].tau
+    times = np.append(times[times < tau], tau)
+    batches = _record_batches(monkeypatch)
+    boundary_trace(ext, times, derivative=True, **settings)
+    assert [b.size for b in batches] == [2, 2 * times.size]
+    assert sum(int(b.sum()) for b in batches) <= 19_200
+    edges = _trace_edges(ext, times, (0, 2), **settings)
+    assert np.array_equal(ext.support * edges, [1.0, 1.25, 1.5, 1.75])
+
+
+def test_trace_of_one_time_is_one_batch(monkeypatch, ref_datum):
+    # a lone time starts from the datum's breakpoints: no latest-time pass
+    batches = _record_batches(monkeypatch)
+    boundary_trace(ref_datum, [0.35])
+    assert [b.size for b in batches] == [2]
+
+
+def test_trace_of_no_times_is_empty(ref_datum):
+    trace = boundary_trace(ref_datum, np.zeros(0))
+    assert trace.t.size == trace.u.size == trace.err.size == 0
+
+
+def test_trace_budget_failure_at_the_latest_time_names_it(monkeypatch, ref_datum):
+    # here the latest time fails first, in the pass that finds the starting
+    # mesh: the error names it, with its index in t_grid as the sample
+    _panel_budget(monkeypatch, 40)
+    times = np.array([0.001, 0.002])
+    with pytest.raises(QuadratureError, match=r"t=0\.002") as exc:
+        boundary_trace(ref_datum, times, derivative=False)
+    assert exc.value.sample == 1
+    with pytest.raises(QuadratureError) as alone:
+        boundary_trace(ref_datum, times[1:], derivative=False)
+    assert exc.value.value == alone.value.value
 
 
 def test_boundary_trace_rejects_nonpositive_times(ref_datum):
