@@ -20,7 +20,7 @@ import numpy as np
 import yaml
 
 from .flatness import DIAGNOSTICS, MAX_SERIES_TRUNCATION, synthesize
-from .schrodinger_sim import MAX_NX, SimConfig, simulate, terminal_report
+from .schrodinger_sim import MAX_NT, MAX_NX, SimConfig, simulate, terminal_report
 from .smoothing import MAX_SEED_ORDER, PHASE_NAMES, PiecewiseProfile
 from .beam import (BeamData, BeamError, beam_controls, beam_simulate,
                    beam_terminal_report)
@@ -224,6 +224,12 @@ def scenario_from_dict(d, name):
         sim = SimConfig(T=T, **sizes)
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"sim.{exc}") from exc
+    # the snapshot index array is allocated before the march: at most one
+    # snapshot per time level bounds it by Nt
+    if sim.snapshot_count > sim.Nt + 1:
+        raise ScenarioError(
+            f"sim.snapshot_count: need snapshot_count <= Nt + 1 = {sim.Nt + 1}, "
+            f"got {sim.snapshot_count}")
     return Scenario(
         name=name,
         equation=d.get("equation", "schrodinger"),
@@ -414,12 +420,16 @@ def run_scenario(sc: Scenario, out_dir):
 def convergence_study(sc: Scenario, levels, out_dir):
     if levels < 3:
         raise ScenarioError("levels: need at least 3 refinement levels")
-    # the finest level's grid, checked before level 0 runs; Nx >= 16 keeps
-    # levels within MAX_NX's bit length whatever the grid
+    # the finest level's grid and time grid, checked before level 0 runs;
+    # Nx >= 16 keeps levels within MAX_NX's bit length whatever the grid
     if levels > MAX_NX.bit_length() or sc.sim.Nx * 2 ** (levels - 1) > MAX_NX:
         raise ScenarioError(
             f"levels: {levels} levels refine Nx={sc.sim.Nx} beyond the finest "
             f"grid, Nx={MAX_NX}")
+    if sc.sim.Nt * 2 ** (levels - 1) > MAX_NT:
+        raise ScenarioError(
+            f"levels: {levels} levels refine Nt={sc.sim.Nt} beyond the finest "
+            f"time grid, Nt={MAX_NT}")
     free = sc.equation == "schrodinger" and sc.control == "none"
     if free:
         # a free run is scored against the exact evolution of sin(pi x)

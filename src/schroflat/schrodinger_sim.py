@@ -24,6 +24,14 @@ from .sine_modes import CHUNK, apply_sine, complex_product, sine_modes
 # Nx = 3,200 of a 5-level reference study.
 MAX_NX = 8192
 
+# The most time steps a run takes.  A synthesized Schrodinger run holds
+# about 0.7 kB per step at its peak (tracemalloc at Nt = 128,000, Nx = 16:
+# the phase-1 batch and the phase-2 series), so about 0.75 GB at this
+# bound; computed, not run.  A beam run holds about 1.7 kB per step at
+# Nt = 16,000.  It sits above every builtin (Nt <= 4,000), the 20,000 steps
+# of perfbench's march-fine and the 64,000 of a 5-level reference study.
+MAX_NT = 2 ** 20
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -36,8 +44,8 @@ class SimConfig:
         # each message names its field
         if not 16 <= self.Nx <= MAX_NX:
             raise ValueError(f"Nx: need 16 <= Nx <= {MAX_NX}, got {self.Nx}")
-        if self.Nt < 16:
-            raise ValueError(f"Nt: need Nt >= 16, got {self.Nt}")
+        if not 16 <= self.Nt <= MAX_NT:
+            raise ValueError(f"Nt: need 16 <= Nt <= {MAX_NT}, got {self.Nt}")
         if not 0.0 < self.T < np.inf:     # also false for nan
             raise ValueError("T: final time must be positive and finite")
         if self.snapshot_count < 2:

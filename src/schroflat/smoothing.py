@@ -18,8 +18,11 @@ datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
 beam.ExtendedDatum: [0, 2]): the support is rescaled to the quadrature's
 unit interval and the breakpoints become panel edges.  The datum factor
 v0(y) depends on the node alone, not on the sample, so the helper
-evaluates it once per distinct panel of each integrand call and multiplies
-it in after the kernel part; the quadrature itself knows nothing of it.
+evaluates it first, once per distinct panel of each integrand call, and
+multiplies it in after the kernel part; the quadrature itself knows
+nothing of it.  The kernel runs only on the rows whose panel the datum
+does not vanish on, such as the reference datum's zero piece [0, 0.2]:
+there the product is zero whatever the kernel returns.
 
 The trace's samples start from a finer mesh than the datum's breakpoints:
 the kernel's phase (x-y)^2/4t turns faster as t falls, so the mesh that
@@ -54,6 +57,13 @@ class PiecewiseProfile:
     interior breakpoints are the midpoint of the one-sided limits (the L2
     representative); the domain endpoints take one-sided limits and points
     outside [0,1] evaluate to zero.
+
+    A 2-D array whose every row lies strictly inside one piece, as the
+    quadrature's panels do, is evaluated by rows: one piece is looked up
+    per row, and one Horner pass per distinct piece size runs with each
+    row's coefficients broadcast along it.  Any other input is evaluated
+    per element.  Both give every node the same Horner steps, so the same
+    bits.
     """
 
     support = 1.0
@@ -71,6 +81,12 @@ class PiecewiseProfile:
             if p.ndim != 1 or not np.all(np.isfinite(p)):
                 raise ValueError("piece coefficients must be finite 1-d arrays")
         self.edges = np.array([0.0, *self.breakpoints, 1.0])
+        # the pieces zero-padded to one table, and their own sizes, for the
+        # evaluation by rows; each row's Horner pass stops at its own size
+        self._sizes = np.array([p.size for p in self.pieces])
+        self._table = np.zeros((len(self.pieces), self._sizes.max()), dtype=np.complex128)
+        for row, p in zip(self._table, self.pieces):
+            row[:p.size] = p
 
     @classmethod
     def zero(cls):
@@ -94,9 +110,32 @@ class PiecewiseProfile:
             pieces.append(cr + 1j * ci)
         return cls(tuple(edges[1:-1]), pieces)
 
+    def _by_rows(self, xa):
+        """The values at a 2-D xa whose every row lies strictly inside one
+        piece, or None if some row does not."""
+        if xa.ndim != 2 or xa.size == 0:
+            return None
+        piece = np.searchsorted(self.edges, xa[:, 0], side="right") - 1
+        if piece.min() < 0 or piece.max() >= len(self.pieces):
+            return None
+        if not (np.all(xa > self.edges[piece, None])
+                and np.all(xa < self.edges[piece + 1, None])):
+            return None
+        sizes = self._sizes[piece]
+        if sizes.min() == sizes.max():
+            return horner(self._table[piece, None, :sizes[0]], xa)
+        out = np.empty(xa.shape, dtype=np.complex128)
+        for size in set(sizes.tolist()):
+            rows = sizes == size
+            out[rows] = horner(self._table[piece[rows], None, :size], xa[rows])
+        return out
+
     def __call__(self, x):
         scalar = np.ndim(x) == 0
         xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        out = self._by_rows(xa)
+        if out is not None:
+            return out
         out = np.zeros(xa.shape, dtype=np.complex128)
         idx = np.searchsorted(self.edges, xa, side="right") - 1
         np.clip(idx, 0, len(self.pieces) - 1, out=idx)
@@ -199,10 +238,14 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None):
     as the converged edges of another call, keep every panel off the
     datum's discontinuities.  The derivative tables of the
     points are built once per call and handed to odd_kernel.  Within each
-    integrand call the kernel runs once per distinct (point, panel) row,
-    for all orders at once, and every sample's row picks its own order;
-    the datum factor v0(y) depends on the node alone, so it is evaluated
-    once per distinct panel and multiplied in after the kernel part.  Each
+    integrand call the datum factor v0(y), which depends on the node alone,
+    is evaluated first, once per distinct panel.  The kernel then runs, for
+    all orders at once, only on the (point, panel) rows whose panel's datum
+    values are not all exactly zero; the other rows are exact zeros, and
+    every sample's row picks its own order.  A batch of one order hands its
+    work-list rows to the kernel as they are, each a distinct (point,
+    panel) row; a batch of several orders first finds its distinct rows.
+    The datum factor is multiplied in after the kernel part.  Each
     sample is still subdivided as if integrated alone.  Values and errors
     are scaled back by the support, also the best value and estimate of a
     sample that exhausts its budget and raises QuadratureError naming its
@@ -220,17 +263,36 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None):
 
     def integrand(sig, s):
         point, which = np.divmod(s[:, 0], n_orders)
-        # a kernel row is a panel of a point, a datum row a panel alone,
-        # each named by its end nodes
-        first, inverse = _distinct_panels(point, sig[:, 0], sig[:, -1])
-        rows = point[first, None]
-        vals = odd_kernel(t[rows], x[rows], support * sig[first], tables[:, rows])
+
+        def kernel(rows):
+            p = point[rows, None]
+            return odd_kernel(t[p], x[p], support * sig[rows], tables[:, p])
+
+        # a datum row is a panel alone, named by its end nodes
+        first, inverse = _distinct_panels(sig[:, 0], sig[:, -1])
+        datum = v0(support * sig[first])
+        live = datum.any(axis=1)[inverse]
+        if n_orders == 1:
+            # each work-list row is a distinct (point, panel) row already
+            rows = slice(None)
+        else:
+            # a kernel row is a panel of a point, shared by its orders
+            rows, to_row = _distinct_panels(point, sig[:, 0], sig[:, -1])
+            live = live[rows]
+        # the kernel runs only where the datum is not all zero: elsewhere
+        # the product is zero whatever the kernel returns
+        if live.all():
+            vals = kernel(rows)
+        else:
+            vals = np.zeros((n_orders, live.size, sig.shape[1]), dtype=np.complex128)
+            hot = np.flatnonzero(live)
+            if hot.size:
+                vals[:, hot] = kernel(hot if n_orders == 1 else rows[hot])
         # a named operand, not a temporary: numpy would reuse a temporary's
         # buffer for the product, and the in-place complex multiply rounds
         # differently
-        values = vals[which, inverse]
-        first, inverse = _distinct_panels(sig[:, 0], sig[:, -1])
-        return values * v0(support * sig[first])[inverse]
+        values = vals[0] if n_orders == 1 else vals[which, to_row]
+        return values * datum[inverse]
 
     try:
         values, errs, panels, edges = integrate_batch(integrand, t.size * n_orders,
@@ -286,15 +348,20 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     the interleaved samples of one batch, and share the kernel's
     exponentials wherever their panels coincide.  abs_tol is each
     integral's absolute tolerance.  A sample that exhausts the quadrature's
-    panel budget raises QuadratureError naming its time, with its index in
-    the batch as the sample: the index in t_grid when derivative=False.
+    panel budget raises QuadratureError naming its time, with the time's
+    index in t_grid as the sample.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
     orders = (0, 2) if derivative else (0,)
-    edges = _trace_edges(v0, t_grid, orders, abs_tol)
-    values, errs, _, _ = _convolutions(v0, t_grid, 1.0, orders, abs_tol, edges)
+    try:
+        edges = _trace_edges(v0, t_grid, orders, abs_tol)
+        values, errs, _, _ = _convolutions(v0, t_grid, 1.0, orders, abs_tol, edges)
+    except QuadratureError as exc:
+        # batch sample j * len(orders) + i is order orders[i] at t_grid[j]
+        exc.sample //= len(orders)
+        raise
     values = values.reshape(t_grid.size, len(orders))
     err = errs.reshape(t_grid.size, len(orders)).sum(axis=1)
     du = 1j * values[:, 1] if derivative else np.zeros(t_grid.size, dtype=np.complex128)

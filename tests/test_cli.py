@@ -281,6 +281,43 @@ def test_scenario_grid_ceiling(tmp_path, capsys, nx, ok):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("Nt, snapshot_count, field", [
+    (2 ** 20, 3, None), (64, 65, None), (2 ** 20 + 1, 3, "sim.Nt"), (10 ** 12, 3, "sim.Nt"),
+    (64, 66, "sim.snapshot_count"), (64, 10 ** 12, "sim.snapshot_count")])
+def test_scenario_time_grid_ceiling(tmp_path, capsys, Nt, snapshot_count, field):
+    # parsed, never run: more time steps than the ceiling, or more snapshots
+    # than time levels, name the setting and exit 2
+    d = {"theta0": "pulse", "sim": {"Nx": 32, "Nt": Nt, "snapshot_count": snapshot_count}}
+    if field is None:
+        sim = scenario_from_dict(d, "long").sim
+        assert (sim.Nt, sim.snapshot_count) == (Nt, snapshot_count)
+        return
+    cfg = tmp_path / "long.yaml"
+    cfg.write_text(yaml.safe_dump(d))
+    rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
+    assert rc == EXIT_CONFIG
+    assert f"config error: {field}: need " in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_study_exits_2_above_the_finest_time_grid(tmp_path, capsys, monkeypatch):
+    # Nt = 2**18 doubles beyond MAX_NT = 2**20 at level 3, while Nx = 16
+    # stays far below its ceiling: the study fails before level 0 runs
+    def no_run(*args):
+        raise AssertionError("a level ran")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    cfg = tmp_path / "long.yaml"
+    cfg.write_text(yaml.safe_dump(
+        {"theta0": "pulse", "sim": {"Nx": 16, "Nt": 2 ** 18, "snapshot_count": 3}}))
+    rc = main(["study", "--scenario", str(cfg), "--levels", "4",
+               "--out-dir", str(tmp_path / "study")])
+    assert rc == EXIT_CONFIG
+    assert ("config error: levels: 4 levels refine Nt=262144 beyond the finest "
+            "time grid, Nt=1048576") in capsys.readouterr().err
+    assert not (tmp_path / "study").exists()
+
+
 def test_convergence_study_resynthesizes_each_level(tmp_path):
     # every level's row is what a run at that level's grid reports: the
     # control is synthesized on the level's own time grid, not interpolated

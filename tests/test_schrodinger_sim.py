@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from schroflat import ControlTrace, SimConfig, simulate, terminal_report
-from schroflat.schrodinger_sim import MAX_NX, grid_l2_norm
+from schroflat.schrodinger_sim import MAX_NT, MAX_NX, grid_l2_norm
 from schroflat.cli import sine_profile
 
 
@@ -27,6 +27,14 @@ def test_config_bounds_the_grid():
     with pytest.raises(ValueError, match=r"^Nx: need 16 <= Nx <= 8192, got 8193$"):
         SimConfig(Nx=MAX_NX + 1, Nt=16, T=0.5)
     assert MAX_NX >= 200 * 2 ** 4     # a 5-level study of the builtin grids
+
+
+def test_config_bounds_the_time_grid():
+    # checked, not allocated: a config holds no time grid
+    assert SimConfig(Nx=16, Nt=MAX_NT, T=0.5).Nt == MAX_NT
+    with pytest.raises(ValueError, match=r"^Nt: need 16 <= Nt <= 1048576, got 1048577$"):
+        SimConfig(Nx=16, Nt=MAX_NT + 1, T=0.5)
+    assert MAX_NT >= 4000 * 2 ** 4     # a 5-level study of the builtin time grids
 
 
 def test_config_grids():

@@ -9,8 +9,9 @@ import pytest
 from schroflat import (ControlTrace, FlatOutput, PiecewiseProfile, QuadratureError,
                        boundary_trace, flat_coefficients, free_evolution)
 from schroflat import kernel, quadrature, smoothing
-from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
-from schroflat.cli import builtin_scenarios, pulse_datum
+from schroflat.beam import BeamData, beam_controls, extend_odd_smooth, lift_initial_data
+from schroflat.cli import (builtin_scenarios, main, pulse_datum, reference_datum,
+                           synthesize_control)
 from schroflat.kernel import derivative_coefficients
 from schroflat.quadrature import NODES, integrate_batch
 from schroflat.smoothing import PHASE_SMOOTHING, _convolutions, _trace_edges
@@ -77,6 +78,73 @@ def test_profile_from_callable_interpolates():
 def test_profile_from_callable_single_piece_high_degree(sine):
     xs = np.linspace(0.0, 1.0, 501)
     assert np.max(np.abs(sine(xs) - np.sin(np.pi * xs))) < 1e-12
+
+
+def _mixed_profile():
+    """Pieces of sizes 3, 1 and 2, the middle one a signed zero."""
+    return PiecewiseProfile((0.3, 0.6), [[1 + 2j, -0.5j, 3.0], [complex(-0.0, -0.0)],
+                                         [2.0, -1.0 + 0.5j]])
+
+
+_PROFILES = {"reference": reference_datum, "pulse": pulse_datum, "mixed": _mixed_profile}
+
+
+def _bits(values):
+    """The bit patterns of complex values, sign bits included."""
+    return np.atleast_1d(np.asarray(values, dtype=np.complex128)).view(np.uint64)
+
+
+def _panel_rows(edges):
+    """Gauss-Kronrod node rows strictly inside each piece: six panels per
+    piece and two of width 1e-9 against its edges."""
+    panels = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        cuts = np.linspace(a, b, 7)
+        panels += [(a, a + 1e-9), *zip(cuts[:-1], cuts[1:]), (b - 1e-9, b)]
+    lo, hi = np.array(panels).T
+    return 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * NODES
+
+
+@pytest.mark.parametrize("name", sorted(_PROFILES))
+def test_profile_rows_match_the_per_element_path(name):
+    # rows strictly inside one piece take the row path; every other row
+    # sends the whole array per element; either way each node has the bits
+    # of the per-element path
+    profile = _PROFILES[name]()
+    inside = _panel_rows(profile.edges)
+    line = np.linspace(-0.01, 0.01, NODES.size)
+    # rows ending on each edge: 0, the breakpoints and 1
+    touching = np.array([np.linspace(max(e - 0.05, 0.0), max(e, 0.05), NODES.size)
+                         for e in profile.edges])
+    crossing = np.array([b + line for b in profile.breakpoints] or [0.5 + line])
+    outside = np.array([line, 1.0 + line, 1.5 + line])
+    for rows in (inside, touching, crossing, outside, np.vstack([inside, crossing])):
+        per_element = profile(rows.ravel()).reshape(rows.shape)
+        assert np.array_equal(_bits(profile(rows)), _bits(per_element))
+    by_rows = profile(inside)
+    for i in (0, inside.shape[0] // 2, -1):
+        assert np.array_equal(_bits(profile(inside[i])), _bits(by_rows[i]))
+        assert np.array_equal(_bits(profile(float(inside[i, 3]))), _bits(by_rows[i, 3]))
+
+
+def test_profile_rows_take_one_horner_pass_per_piece_size(monkeypatch):
+    # the row path runs one Horner pass per distinct piece size, the
+    # per-element path one per piece
+    passes = []
+
+    def counted(coeffs, x):
+        passes.append(x.shape[0])
+        return kernel.horner(coeffs, x)
+
+    monkeypatch.setattr(smoothing, "horner", counted)
+    for profile, n_sizes in ((reference_datum(), 1), (_mixed_profile(), 3)):
+        rows = _panel_rows(profile.edges)
+        passes.clear()
+        profile(rows)
+        assert len(passes) == n_sizes and sum(passes) == rows.shape[0]
+        passes.clear()
+        profile(rows.ravel())
+        assert len(passes) == len(profile.pieces)
 
 
 @pytest.mark.parametrize("bps,pieces", [
@@ -153,6 +221,20 @@ def test_trace_budget_failure_names_sample_time(monkeypatch, ref_datum):
     boundary_trace(ref_datum, times[1:], derivative=False)
 
 
+def test_derivative_trace_budget_failure_names_sample_time(monkeypatch, ref_datum):
+    # the beam's trace interleaves u and v_xx in one batch; the error still
+    # names the failing time by its index in t_grid, not by 2j + i
+    _panel_budget(monkeypatch, 40)
+    times = np.array([0.001, 0.2, 0.35])
+    with pytest.raises(QuadratureError, match=r"t=0\.001") as exc:
+        boundary_trace(ref_datum, times, derivative=True)
+    assert exc.value.sample == 0
+    with pytest.raises(QuadratureError) as alone:
+        boundary_trace(ref_datum, times[:1], derivative=True)
+    assert exc.value.value == alone.value.value
+    boundary_trace(ref_datum, times[1:], derivative=True)
+
+
 def test_trace_at_small_time_fits_the_panel_budget():
     # at t=1e-5 the kernel turns through about 1/(4t) radians over the
     # support: the one sample takes 25,007 panels, more than 2**14 and
@@ -189,6 +271,51 @@ def _record_kernel_rows(monkeypatch):
 
     monkeypatch.setattr(smoothing, "odd_kernel", recorded)
     return calls
+
+
+def _synthesize(name):
+    """The builtin scenario's control synthesis, as its run makes it."""
+    sc = builtin_scenarios()[name]
+    if sc.equation == "beam":
+        return beam_controls(BeamData(sc.eta0, sc.eta1), sc.tau, sc.T, sc.s, sc.K,
+                             sc.K_u, cfg=sc.sim, cutoff_s=sc.cutoff_s)
+    return synthesize_control(sc)
+
+
+@pytest.mark.parametrize("name, points", [
+    ("gentle", 105_882), ("reference", 308_700), ("beam", 220_626)])
+def test_synthesis_kernel_points(monkeypatch, name, points):
+    # the kernel's work in a builtin synthesis, a deterministic count: on
+    # reference it skips the 58,842 points of the panels of the datum's zero
+    # piece (367,542 with them); the pulse and the beam's extension vanish
+    # on no panel
+    calls = _record_kernel_rows(monkeypatch)
+    _synthesize(name)
+    assert NODES.size * sum(rows.shape[0] for rows in calls) == points
+
+
+def test_kernel_skips_the_panels_where_the_datum_vanishes(monkeypatch):
+    # the reference datum is zero on [0, 0.2], a breakpoint interval: no
+    # kernel row of its trace or its seed lies there
+    calls = _record_kernel_rows(monkeypatch)
+    _synthesize("reference")
+    rows = np.concatenate(calls)
+    assert rows.shape[0] > 0
+    assert np.all(rows[:, 1] > 0.2)
+
+
+def test_zero_run_calls_no_kernel(monkeypatch, tmp_path):
+    # every panel of the zero datum vanishes: no kernel call at all, and
+    # the run writes exact zeros, none of them negative
+    calls = _record_kernel_rows(monkeypatch)
+    assert main(["run", "--scenario", "zero", "--out-dir", str(tmp_path)]) == 0
+    assert calls == []
+    assert "terminal_l2=0.0\n" in (tmp_path / "report.txt").read_text()
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert [p.name for p in tables] == ["control.csv", "field.csv", "norms.csv"]
+    for path in tables:
+        lines = path.read_text().splitlines()[1:]
+        assert "-0.0" not in {cell for line in lines for cell in line.split(",")}
 
 
 def test_datum_evaluated_once_per_distinct_panel(monkeypatch, beam_phase1):
@@ -344,6 +471,20 @@ def test_trace_budget_failure_at_the_latest_time_names_it(monkeypatch, ref_datum
     assert exc.value.sample == 1
     with pytest.raises(QuadratureError) as alone:
         boundary_trace(ref_datum, times[1:], derivative=False)
+    assert exc.value.value == alone.value.value
+
+
+def test_derivative_trace_budget_failure_at_the_latest_time_names_it(monkeypatch,
+                                                                    ref_datum):
+    # the latest-time pass of a derivative trace names its time by its index
+    # in t_grid too
+    _panel_budget(monkeypatch, 40)
+    times = np.array([0.001, 0.002])
+    with pytest.raises(QuadratureError, match=r"t=0\.002") as exc:
+        boundary_trace(ref_datum, times, derivative=True)
+    assert exc.value.sample == 1
+    with pytest.raises(QuadratureError) as alone:
+        boundary_trace(ref_datum, times[1:], derivative=True)
     assert exc.value.value == alone.value.value
 
 
