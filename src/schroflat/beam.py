@@ -11,7 +11,9 @@ Both controls come from the Schrodinger control's two-phase synthesis
 (flatness.synthesize), applied to a compactly supported odd extension of
 the lifted datum: theta0 on (0,1) continues as -theta0(2-x) damped to zero
 by a smooth cutoff over (1, 2), then extends oddly to the negatives.  The
-extension names its own support [0, 2] and its breakpoints.
+extension names its own support [0, 2] and its breakpoints, and gives the
+derivative trace its jumps and its second derivative (ExtendedCurvature),
+whose free evolution is the hinge moment up to the jumps' terms.
 
 The certification march is the implicit trapezoidal rule for the beam,
 applied exactly in the sine modes of the hinged fourth difference (see
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flatness import DEFAULT_SERIES_TRUNCATION, synthesize
-from .gevrey import step_function
+from .gevrey import step_function, step_jet
 from .kernel import horner
 from .schrodinger_sim import SimConfig
 from .sine_modes import CHUNK, chunk_states, sine_modes
@@ -163,17 +165,62 @@ class ExtendedDatum:
         out *= sign
         return complex(out[0]) if scalar else out
 
+    def second_derivative(self):
+        """The datum whose free evolution gives the trace's v_xx."""
+        return ExtendedCurvature(self)
+
+    def jumps(self):
+        """(points, [g], [g']): the jumps of the extension g and of g' on
+        [0, 2], right limit minus left one, with g zero for y < 0.
+
+        At y = 0 and theta0's breakpoints b they are theta0's own.  At y = 1
+        the reflection starts at -theta0(1) with slope theta0'(1), since the
+        cutoff phi is 1 with zero slope there.  At its images 2-b, where
+        the reflected copy z = 2-y passes b downwards, they are
+        phi [theta0](b) and phi' [theta0](b) - phi [theta0'](b), phi and phi'
+        taken at y - 1 = 1 - b.  At y = 2 every derivative of phi vanishes.
+        """
+        b, dg, dg1 = self.theta0.jumps()
+        phi = step_jet(1.0 - b[1:-1], self.cutoff_s, 1).real
+        return (np.concatenate([b, 2.0 - b[1:-1]]),
+                np.concatenate([dg[:-1], [2.0 * dg[-1]], phi[0] * dg[1:-1]]),
+                np.concatenate([dg1[:-1], [0.0], phi[1] * dg[1:-1] - phi[0] * dg1[1:-1]]))
+
+
+class ExtendedCurvature:
+    """The second derivative g'' of an ExtendedDatum g on [0, 2], zero
+    elsewhere; a datum on g's support and breakpoints.
+
+    With z = 2-y and the cutoff phi = phi(y-1) on (1, 2), and z = y and
+    phi = 1 elsewhere, it is theta0''(z) phi - 2 theta0'(z) phi' +
+    theta0(z) phi'', negated on (1, 2).  One step_jet call gives phi and its
+    two derivatives.  A quadrature panel never straddles y = 1, so its row
+    of z lies inside one piece of theta0, and the profiles evaluate it by
+    rows.
+    """
+
+    def __init__(self, ext: ExtendedDatum):
+        self.support = ext.support
+        self.breakpoints = ext.breakpoints
+        self.cutoff_s = ext.cutoff_s
+        self.theta0 = ext.theta0
+        self.slope = ext.theta0.derivative()
+        self.curvature = self.slope.derivative()
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=np.float64)
+        outer = y > 1.0
+        z = np.where(outer, 2.0 - y, y)
+        phi = step_jet(y - 1.0, self.cutoff_s, 2).real
+        value = (self.curvature(z) * phi[0] - 2.0 * self.slope(z) * phi[1]
+                 + self.theta0(z) * (2.0 * phi[2]))
+        return np.where(outer, -value, value)
+
 
 def extend_odd_smooth(theta0: PiecewiseProfile, cutoff_s: float = 1.9) -> ExtendedDatum:
     if abs(theta0(0.0)) > _ENDPOINT_TOL or abs(theta0(1.0)) > _ENDPOINT_TOL:
         raise BeamError("extension requires theta0 vanishing at both ends")
     return ExtendedDatum(theta0, cutoff_s)
-
-
-def _eta0_moment_at_right(eta0: PiecewiseProfile):
-    c = eta0.pieces[-1]
-    j = np.arange(c.size)
-    return float(np.real(np.sum(c * j * (j - 1))))
 
 
 @dataclass(eq=False)
@@ -210,7 +257,7 @@ def beam_controls(data: BeamData, tau, T, s, K=DEFAULT_SERIES_TRUNCATION,
     u1[1:] = full.u.real
     u2[1:] = full.du.imag
     # compatibility values at t=0: u1 = eta0(1) = 0, u2 = eta0''(1)
-    u2[0] = _eta0_moment_at_right(data.eta0)
+    u2[0] = data.eta0.derivative(2)(1.0).real
     w = np.zeros(times.size)
     w[1:] = full.u.imag
     u2_avg = np.diff(w) / cfg.dt

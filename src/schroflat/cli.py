@@ -20,7 +20,8 @@ import numpy as np
 import yaml
 
 from .flatness import DIAGNOSTICS, MAX_SERIES_TRUNCATION, synthesize
-from .schrodinger_sim import MAX_NT, MAX_NX, SimConfig, simulate, terminal_report
+from .schrodinger_sim import (MAX_FRAME_CELLS, MAX_NT, MAX_NX, SimConfig, simulate,
+                              terminal_report)
 from .smoothing import MAX_SEED_ORDER, PHASE_NAMES, PiecewiseProfile
 from .beam import (BeamData, BeamError, beam_controls, beam_simulate,
                    beam_terminal_report)
@@ -230,6 +231,11 @@ def scenario_from_dict(d, name):
         raise ScenarioError(
             f"sim.snapshot_count: need snapshot_count <= Nt + 1 = {sim.Nt + 1}, "
             f"got {sim.snapshot_count}")
+    # every snapshot's frame is kept and written (MAX_FRAME_CELLS)
+    if sim.snapshot_count * (sim.Nx + 1) > MAX_FRAME_CELLS:
+        raise ScenarioError(
+            f"sim.snapshot_count, sim.Nx: need snapshot_count * (Nx + 1) <= "
+            f"{MAX_FRAME_CELLS}, got {sim.snapshot_count} * {sim.Nx + 1}")
     return Scenario(
         name=name,
         equation=d.get("equation", "schrodinger"),
@@ -430,6 +436,11 @@ def convergence_study(sc: Scenario, levels, out_dir):
         raise ScenarioError(
             f"levels: {levels} levels refine Nt={sc.sim.Nt} beyond the finest "
             f"time grid, Nt={MAX_NT}")
+    finest = sc.sim.Nx * 2 ** (levels - 1)
+    if sc.sim.snapshot_count * (finest + 1) > MAX_FRAME_CELLS:
+        raise ScenarioError(
+            f"levels: {levels} levels refine Nx={sc.sim.Nx} to {finest}, where "
+            f"snapshot_count={sc.sim.snapshot_count} frames exceed {MAX_FRAME_CELLS} cells")
     free = sc.equation == "schrodinger" and sc.control == "none"
     if free:
         # a free run is scored against the exact evolution of sin(pi x)

@@ -32,6 +32,16 @@ MAX_NX = 8192
 # of perfbench's march-fine and the 64,000 of a 5-level reference study.
 MAX_NT = 2 ** 20
 
+# The most frame cells, snapshot_count * (Nx + 1), a run keeps and writes.
+# The march holds every snapshot's frame, 16 bytes a cell, and field.csv
+# writes one row per cell: about 62 bytes a cell on disk, and 315 bytes a
+# cell of peak memory while the text is built (a free run of Nx = 256 with
+# 4,097 snapshots: 1.05 million cells, 330 MB above the interpreter and a
+# 65 MB file).  So this bound is about 1.3 GB of peak memory and a 260 MB
+# file.  It takes Nx = 8192 with 511 snapshots, or every step of Nx = 200
+# and Nt = 20,000; at MAX_NX and MAX_NT together a run would keep 137 GB.
+MAX_FRAME_CELLS = 2 ** 22
+
 
 @dataclass(frozen=True)
 class SimConfig:

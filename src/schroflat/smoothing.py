@@ -13,16 +13,22 @@ y_k = i^k d^(2k+1)_x v(tau, 0).  The seed orders, like the trace's time
 samples, are the samples of one batched quadrature, and the seed is the
 plain array y_0..y_K that flatness.FlatOutput takes beside tau.
 
-One helper, _convolutions, poses every integral against the datum.  A
-datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
-beam.ExtendedDatum: [0, 2]): the support is rescaled to the quadrature's
-unit interval and the breakpoints become panel edges.  The datum factor
-v0(y) depends on the node alone, not on the sample, so the helper
-evaluates it first, once per distinct panel of each integrand call, and
-multiplies it in after the kernel part; the quadrature itself knows
-nothing of it.  The kernel runs only on the rows whose panel the datum
-does not vanish on, such as the reference datum's zero piece [0, 0.2]:
-there the product is zero whatever the kernel returns.
+Away from the wall every integral is of order 0.  The trace's v_xx(t,1),
+which the beam's hinge moment reads, is the integral of d^2_x F = d^2_y F
+against v0; integrated by parts twice it is the free evolution of v0''
+plus closed-form terms at the points where v0 or v0' jumps, so u and v_xx
+are the order-0 integrals of v0 and v0'', samples of one batch.
+
+One helper, _convolutions, poses every integral against a tuple of data.
+A datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
+beam.ExtendedDatum and its second derivative: [0, 2]): the support is
+rescaled to the quadrature's unit interval and the breakpoints become
+panel edges.  The datum factor v0(y) depends on the node alone, not on the
+sample, so the helper evaluates it first, once per distinct panel of each
+integrand call, and multiplies it in after the kernel part; the quadrature
+itself knows nothing of it.  The kernel runs only on the rows whose panel
+some datum does not vanish on, such as the reference datum's zero piece
+[0, 0.2]: there the product is zero whatever the kernel returns.
 
 The trace's samples start from a finer mesh than the datum's breakpoints:
 the kernel's phase (x-y)^2/4t turns faster as t falls, so the mesh that
@@ -153,6 +159,31 @@ class PiecewiseProfile:
                 out[hit] = 0.5 * (left + right)
         return complex(out[0]) if scalar else out
 
+    def derivative(self, n=1):
+        """The n-th derivative, piece by piece, on the same breakpoints."""
+        pieces = []
+        for c in self.pieces:
+            for _ in range(n):
+                c = c[1:] * np.arange(1, c.size)
+            pieces.append(c if c.size else [0.0])
+        return PiecewiseProfile(self.breakpoints, pieces)
+
+    def second_derivative(self):
+        """The datum whose free evolution gives the trace's v_xx."""
+        return self.derivative(2)
+
+    def _jumps(self):
+        """Right limit minus left limit at 0, each breakpoint and 1, with
+        the profile zero outside [0, 1]."""
+        right = horner(self._table, self.edges[:-1])
+        left = horner(self._table, self.edges[1:])
+        return np.append(right, 0.0) - np.insert(left, 0, 0.0)
+
+    def jumps(self):
+        """(points, [p], [p']): the jumps of the profile and of its
+        derivative at 0, the breakpoints and 1 (see _jumps)."""
+        return self.edges, self._jumps(), self.derivative()._jumps()
+
     def l2_norm(self):
         """Exact L2 norm: |p|^2 integrates in closed form per piece."""
         total = 0.0
@@ -224,13 +255,16 @@ def _distinct_panels(*keys):
     return order[new], inverse
 
 
-def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None):
+def _convolutions(data, t, x, orders, abs_tol=1e-10, edges=None):
     """(values, errs, panels, edges): flat arrays of the odd-folded
-    convolutions of d^m_x (E(t,x-y) - E(t,x+y)) v0(y) over y in
-    [0, v0.support], at the points (t[j], x[j]) and the derivative orders
-    m, with their error estimates and panel counts (sample j*len(orders) + i
-    is order orders[i] at point j), and the interior panel edges the batch
-    converged on, on the quadrature's unit interval.
+    convolutions of d^m_x (E(t,x-y) - E(t,x+y)) v(y) over y in
+    [0, support], at the points (t[j], x[j]), for every datum v of the
+    tuple data and every derivative order m of orders, with their error
+    estimates and panel counts (sample (j*len(data) + d)*len(orders) + i
+    is datum data[d] and order orders[i] at point j), and the interior
+    panel edges the batch converged on, on the quadrature's unit interval.
+    The data share the support and the breakpoints of data[0]; the orders
+    are (0,), or any orders at the wall x = 0 (odd_kernel).
 
     The support is rescaled to the quadrature's unit interval.  Every
     sample starts from the interior panel edges `edges` on that interval,
@@ -238,13 +272,13 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None):
     as the converged edges of another call, keep every panel off the
     datum's discontinuities.  The derivative tables of the
     points are built once per call and handed to odd_kernel.  Within each
-    integrand call the datum factor v0(y), which depends on the node alone,
-    is evaluated first, once per distinct panel.  The kernel then runs, for
-    all orders at once, only on the (point, panel) rows whose panel's datum
-    values are not all exactly zero; the other rows are exact zeros, and
-    every sample's row picks its own order.  A batch of one order hands its
-    work-list rows to the kernel as they are, each a distinct (point,
-    panel) row; a batch of several orders first finds its distinct rows.
+    integrand call every datum is evaluated first, once per distinct panel
+    of its own samples.  The kernel then runs, for all orders at once,
+    only on the (point, panel) rows where some sample's datum values are
+    not all exactly zero; the other rows are exact zeros, and every
+    sample's row picks its own order.  A batch of one sample per point
+    hands its work-list rows to the kernel as they are, each a distinct
+    (point, panel) row; a batch of several first finds its distinct rows.
     The datum factor is multiplied in after the kernel part.  Each
     sample is still subdivided as if integrated alone.  Values and errors
     are scaled back by the support, also the best value and estimate of a
@@ -256,51 +290,66 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None):
     if np.any(t <= 0):
         raise ValueError("convolution requires t > 0")
     n_orders = len(orders)
-    tables = derivative_coefficients(t, x, orders)
-    support = v0.support
+    per_point = len(data) * n_orders
+    tables = derivative_coefficients(t, orders)
+    support = data[0].support
     if edges is None:
-        edges = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
+        edges = tuple(b / support for b in data[0].breakpoints if 0.0 < b / support < 1.0)
 
     def integrand(sig, s):
-        point, which = np.divmod(s[:, 0], n_orders)
+        point, which = np.divmod(s[:, 0], per_point)
 
         def kernel(rows):
             p = point[rows, None]
             return odd_kernel(t[p], x[p], support * sig[rows], tables[:, p])
 
-        # a datum row is a panel alone, named by its end nodes
+        # a datum row is a panel alone, named by its end nodes; each datum
+        # runs on the distinct panels of its own samples
         first, inverse = _distinct_panels(sig[:, 0], sig[:, -1])
-        datum = v0(support * sig[first])
-        live = datum.any(axis=1)[inverse]
-        if n_orders == 1:
+        if len(data) == 1:
+            d = 0
+            datum = data[0](support * sig[first])[None]
+        else:
+            d = which // n_orders
+            datum = np.zeros((len(data),) + first.shape + sig.shape[1:], dtype=np.complex128)
+            for k, v in enumerate(data):
+                need = np.zeros(first.size, dtype=bool)
+                need[inverse[d == k]] = True
+                if need.any():
+                    datum[k, need] = v(support * sig[first[need]])
+        live = datum.any(axis=2)[d, inverse]
+        if per_point == 1:
             # each work-list row is a distinct (point, panel) row already
             rows = slice(None)
+            hot_rows = live
         else:
-            # a kernel row is a panel of a point, shared by its orders
+            # a kernel row is a panel of a point, shared by its samples
             rows, to_row = _distinct_panels(point, sig[:, 0], sig[:, -1])
-            live = live[rows]
-        # the kernel runs only where the datum is not all zero: elsewhere
+            hot_rows = np.zeros(rows.size, dtype=bool)
+            hot_rows[to_row[live]] = True
+        # the kernel runs only where some datum is not all zero: elsewhere
         # the product is zero whatever the kernel returns
-        if live.all():
+        if hot_rows.all():
             vals = kernel(rows)
         else:
-            vals = np.zeros((n_orders, live.size, sig.shape[1]), dtype=np.complex128)
-            hot = np.flatnonzero(live)
+            vals = np.zeros((n_orders, hot_rows.size, sig.shape[1]), dtype=np.complex128)
+            hot = np.flatnonzero(hot_rows)
             if hot.size:
-                vals[:, hot] = kernel(hot if n_orders == 1 else rows[hot])
+                vals[:, hot] = kernel(hot if per_point == 1 else rows[hot])
         # a named operand, not a temporary: numpy would reuse a temporary's
         # buffer for the product, and the in-place complex multiply rounds
         # differently
-        values = vals[0] if n_orders == 1 else vals[which, to_row]
-        return values * datum[inverse]
+        values = vals[0] if per_point == 1 else vals[which % n_orders, to_row]
+        return values * datum[d, inverse]
 
     try:
-        values, errs, panels, edges = integrate_batch(integrand, t.size * n_orders,
+        values, errs, panels, edges = integrate_batch(integrand, t.size * per_point,
                                                       edges, abs_tol)
     except QuadratureError as exc:
-        j, i = divmod(exc.sample, n_orders)
+        j, i = divmod(exc.sample, per_point)
+        name = f"m={orders[i % n_orders]}" + (f", datum {i // n_orders}" if len(data) > 1 else "")
         raise QuadratureError(
-            f"{exc} at t={float(t[j])!r}, x={float(x[j])!r}, m={orders[i]}",
+            f"{exc} at t={float(t[j])!r}, x={float(x[j])!r}, {name}",
             support * exc.value, support * exc.err_estimate, exc.sample) from exc
     return support * values, support * errs, panels, edges
 
@@ -311,29 +360,45 @@ def free_evolution(theta0, t, x):
     t and x may be arrays that broadcast together: all points then go
     through one batched quadrature, and the values take their shape.
     """
-    values = _convolutions(theta0, t, x, (0,))[0]
+    values = _convolutions((theta0,), t, x, (0,))[0]
     shape = np.broadcast_shapes(np.shape(t), np.shape(x))
     return complex(values[0]) if shape == () else values.reshape(shape)
 
 
-def _trace_edges(v0, t_grid, orders, abs_tol):
+def _trace_edges(data, t_grid, abs_tol):
     """The panel edges every sample of a trace over t_grid starts from.
 
     The latest time is integrated alone from the datum's breakpoints, with
-    the trace's orders and abs_tol, and the edges it converges on (the
-    union over its orders) are returned.  A grid of at most one time
-    returns None, the datum's breakpoints, so its one time is integrated
-    once.  If the latest time exhausts the panel budget, the
-    QuadratureError's sample is its index in the trace's batch.
+    the trace's data and abs_tol, and the edges it converges on (the union
+    over its data) are returned.  A grid of at most one time returns None,
+    the datum's breakpoints, so its one time is integrated once.  If the
+    latest time exhausts the panel budget, the QuadratureError's sample is
+    its index in the trace's batch.
     """
     latest = t_grid.size - 1
     if latest < 1:
         return None
     try:
-        return _convolutions(v0, t_grid[latest:], 1.0, orders, abs_tol)[3]
+        return _convolutions(data, t_grid[latest:], 1.0, (0,), abs_tol)[3]
     except QuadratureError as exc:
-        exc.sample += latest * len(orders)
+        exc.sample += latest * len(data)
         raise
+
+
+def _jump_terms(v0, t, x):
+    """sum over the jumps b of v0 of F(t,x,b) [v0'](b) - F_y(t,x,b) [v0](b).
+
+    These are the boundary terms of integrating the convolution of
+    d^2_x F = d^2_y F against v0 by parts twice, with v0 zero outside its
+    support; [.] is the right limit minus the left one.  F_y is
+    -E'(t,x-y) - E'(t,x+y), and E'(t,z) = (i z / 2t) E(t,z).
+    """
+    b, dg, dg1 = v0.jumps()
+    t = t[:, None]
+    near, far = (np.exp(1j * z * z / (4.0 * t)) / np.sqrt(4j * np.pi * t)
+                 for z in (x - b, x + b))
+    f_y = -0.5j / t * ((x - b) * near + (x + b) * far)
+    return ((near - far) * dg1 - f_y * dg).sum(axis=1)
 
 
 def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
@@ -344,27 +409,35 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     time converges on from the datum's breakpoints (_trace_edges), and
     then subdivides by its own rules to its own tolerance; the times are
     increasing, as ControlTrace requires.  derivative=False skips the v_xx
-    integrals when only u itself is needed.  u and v_xx at every time are
-    the interleaved samples of one batch, and share the kernel's
-    exponentials wherever their panels coincide.  abs_tol is each
-    integral's absolute tolerance.  A sample that exhausts the quadrature's
-    panel budget raises QuadratureError naming its time, with the time's
-    index in t_grid as the sample.
+    integrals when only u itself is needed.
+
+    v_xx(t,1) is the integral of d^2_y F against v0; two integrations by
+    parts make it the free evolution of v0's second derivative,
+    v0.second_derivative(), plus the closed-form terms of v0's jumps
+    (_jump_terms).  u and v_xx at every time are then the interleaved
+    samples of one order-0 batch, which share the kernel's exponentials
+    wherever their panels coincide.  abs_tol is each integral's absolute
+    tolerance, and err sums both samples' estimates.  A sample that
+    exhausts the quadrature's panel budget raises QuadratureError naming
+    its time, with the time's index in t_grid as the sample.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
-    orders = (0, 2) if derivative else (0,)
+    data = (v0, v0.second_derivative()) if derivative else (v0,)
     try:
-        edges = _trace_edges(v0, t_grid, orders, abs_tol)
-        values, errs, _, _ = _convolutions(v0, t_grid, 1.0, orders, abs_tol, edges)
+        edges = _trace_edges(data, t_grid, abs_tol)
+        values, errs, _, _ = _convolutions(data, t_grid, 1.0, (0,), abs_tol, edges)
     except QuadratureError as exc:
-        # batch sample j * len(orders) + i is order orders[i] at t_grid[j]
-        exc.sample //= len(orders)
+        # batch sample j * len(data) + d is datum data[d] at t_grid[j]
+        exc.sample //= len(data)
         raise
-    values = values.reshape(t_grid.size, len(orders))
-    err = errs.reshape(t_grid.size, len(orders)).sum(axis=1)
-    du = 1j * values[:, 1] if derivative else np.zeros(t_grid.size, dtype=np.complex128)
+    values = values.reshape(t_grid.size, len(data))
+    err = errs.reshape(t_grid.size, len(data)).sum(axis=1)
+    if derivative:
+        du = 1j * (values[:, 1] + _jump_terms(v0, t_grid, 1.0))
+    else:
+        du = np.zeros(t_grid.size, dtype=np.complex128)
     phase = np.full(t_grid.size, PHASE_SMOOTHING, dtype=np.uint8)
     return ControlTrace(t_grid, values[:, 0], du, phase, err)
 
@@ -383,7 +456,7 @@ def flat_coefficients(v0, tau, K):
     if not 0 <= K <= MAX_SEED_ORDER:
         raise ValueError(f"K={K} outside the supported truncation range")
     try:
-        values = _convolutions(v0, tau, 0.0, tuple(range(1, 2 * K + 2, 2)))[0]
+        values = _convolutions((v0,), tau, 0.0, tuple(range(1, 2 * K + 2, 2)))[0]
     except QuadratureError as exc:
         k = exc.sample
         raise QuadratureError(f"{exc}, seed order k={k}", _IPOW[k % 4] * exc.value,

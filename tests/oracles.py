@@ -9,8 +9,11 @@ per integral (and the seed as one integral per order), and scalar Taylor
 recurrences per time sample.  The free propagator E(t,x) and its
 derivatives as translates (fundamental_solution, kernel_derivative), which
 the package evaluates only in product form, the per-order odd kernel that
-builds its own tables (odd_kernel), the one-integral interface of
-the package's batched loop (IntegrationProblem, integrate), the one-sample
+builds its own tables (odd_kernel), the kernel at any x and order with
+its shifted tables (general_odd_kernel, shifted_coefficients), which give
+the beam's hinge moment as the order-2 integral against the datum itself,
+the one-integral interface of the package's batched loop
+(IntegrationProblem, integrate), the one-sample
 control series (control_at) and the checks that only tests need (the
 seed's state series, the Cauchy product of coefficient arrays, Gevrey
 bounds on Taylor coefficients) live here as well.
@@ -109,9 +112,71 @@ def kernel_derivative(t, x, m):
     return vals[0] if scalar else vals
 
 
+def shifted_coefficients(t, x, orders):
+    """Tables of q_m(y) = p_m(x+y), ascending in y, for each order m in orders.
+
+    t and x broadcast together.  Returns an array of shape (len(orders),)
+    + that shape + (max(orders)+1,): order m's table holds p_m^(k)(x)/k!,
+    zero-padded above degree m, from one pass of the recurrence
+    q_0 = 1, q_{m+1} = q_m' + (i (x+y) / 2t) q_m.  The package builds the
+    tables at the wall x = 0 only (kernel.derivative_coefficients).
+    """
+    top = max(orders)
+    if min(orders) < 0 or top > MAX_ORDER:
+        raise KernelError(f"derivative order outside [0, {MAX_ORDER}] in {tuple(orders)}")
+    t, x = np.broadcast_arrays(_check_times(t), np.asarray(x, dtype=np.float64))
+    half = 1j / (2.0 * t[..., None])
+    shift = half * x[..., None]
+    c = np.zeros(t.shape + (top + 1,), dtype=np.complex128)
+    c[..., 0] = 1.0
+    built = [c]
+    for m in range(top):
+        c = np.zeros_like(c)
+        c[..., : m + 1] = np.arange(1, m + 2) * built[m][..., 1 : m + 2]
+        c[..., 1 : m + 2] += half * built[m][..., : m + 1]
+        c[..., : m + 1] += shift * built[m][..., : m + 1]
+        built.append(c)
+    if not np.all(np.isfinite(c)):
+        raise KernelError(f"coefficient overflow at order {top}")
+    return np.stack([built[m] for m in orders])
+
+
+def _even_poly(c, y2):
+    acc = c[..., -1]
+    for j in range(c.shape[-1] - 2, -1, -1):
+        acc = acc * y2 + c[..., j]
+    return acc
+
+
+def general_odd_kernel(t, x, y, m=0):
+    """d^m/dx^m (E(t,x-y) - E(t,x+y)) at any x and order m, in product form.
+
+    With C = e^{i(x^2+y^2)/4t} / sqrt(4 pi i t) and theta = xy/2t, split
+    p_m(x+-y) = A(y) +- B(y) into its even and odd parts in y, read off the
+    tables of shifted_coefficients:
+
+        d^m F = -2 C (i A sin(theta) + B cos(theta)).
+
+    The package's kernel has order 0 at any x and the orders at the wall;
+    this one gives the hinge moment as the order-2 integral against the
+    datum itself.  t, x and y broadcast together; m is one order.
+    """
+    t = _check_times(t)
+    y = np.asarray(y, dtype=np.float64)
+    t, x, y = np.broadcast_arrays(t, np.asarray(x, dtype=np.float64), y)
+    c = shifted_coefficients(t, x, (m,))[0] * (-2.0 / np.sqrt(4j * np.pi * t))[..., None]
+    theta = x * y / (2.0 * t)
+    y2 = y * y
+    even, odd = 1j * c[..., 0::2], c[..., 1::2]
+    value = _even_poly(even, y2) * np.sin(theta)
+    if m > 0:
+        value = value + _even_poly(odd, y2) * y * np.cos(theta)
+    return value * np.exp(1j * (x * x + y2) / (4.0 * t))
+
+
 def odd_kernel(t, x, y, m=0):
     """d^m/dx^m (E(t,x-y) - E(t,x+y)) through the package's kernel.odd_kernel,
-    with the tables built here.
+    with the tables built here: order 0 at any x, any order at x = 0.
 
     t, x and y are scalars or arrays that broadcast together (t and x
     against y's trailing axes); a scalar y gives a scalar value.  m is one
@@ -121,7 +186,7 @@ def odd_kernel(t, x, y, m=0):
     orders = (m,) if np.ndim(m) == 0 else tuple(m)
     ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
     t, xa = np.broadcast_arrays(t, np.asarray(x, dtype=np.float64))
-    vals = kernel.odd_kernel(t, xa, ya, derivative_coefficients(t, xa, orders))
+    vals = kernel.odd_kernel(t, xa, ya, derivative_coefficients(t, orders))
     vals = vals if np.ndim(m) else vals[0]
     return vals[..., 0] if np.ndim(y) == 0 else vals
 
@@ -229,30 +294,46 @@ def integrate_one(problem):
 
 
 def convolution_one(v0, t, x, m=0, support=1.0, breakpoints=(), abs_tol=1e-10):
-    """(value, err, panels) of one odd-folded kernel convolution."""
+    """(value, err, panels) of one odd-folded kernel convolution: through
+    the package's kernel where it has the order m at x, else through
+    general_odd_kernel."""
+    kern = odd_kernel if m == 0 or x == 0.0 else general_odd_kernel
+
     def integrand(sig):
         y = support * sig
-        return odd_kernel(t, x, y, m) * v0(y)
+        return kern(t, x, y, m) * v0(y)
 
     bps = tuple(b / support for b in breakpoints if 0.0 < b / support < 1.0)
     value, err, used = integrate_one(IntegrationProblem(integrand, bps, abs_tol=abs_tol))
     return support * value, support * err, used
 
 
+def jump_terms_one(v0, t, x=1.0):
+    """sum over the jumps b of v0 of F(t,x,b) [v0'](b) - F_y(t,x,b) [v0](b),
+    with F and F_y = -E'(t,x-y) - E'(t,x+y) from the translates."""
+    b, dg, dg1 = v0.jumps()
+    f = kernel_derivative(t, x - b, 0) - kernel_derivative(t, x + b, 0)
+    f_y = -kernel_derivative(t, x - b, 1) - kernel_derivative(t, x + b, 1)
+    return complex(np.sum(f * dg1 - f_y * dg))
+
+
 def boundary_trace_per_sample(v0, t_grid, support=1.0, breakpoints=(),
                               derivative=True, abs_tol=1e-10):
-    """u, du, err and per-sample panel counts (m=0 and m=2), one sample at a time."""
+    """u, du, err and per-sample panel counts (of v0 and of its second
+    derivative), one sample at a time: v_xx(t,1) as the convolution of the
+    second derivative plus the jump terms, as the package forms it."""
     n = len(t_grid)
     u = np.zeros(n, dtype=np.complex128)
     du = np.zeros(n, dtype=np.complex128)
     err = np.zeros(n)
     panels = np.zeros((2, n), dtype=np.int64)
     settings = (support, breakpoints, abs_tol)
+    curvature = v0.second_derivative() if derivative else None
     for i, t in enumerate(t_grid):
         u[i], err[i], panels[0, i] = convolution_one(v0, t, 1.0, 0, *settings)
         if derivative:
-            v2, e2, panels[1, i] = convolution_one(v0, t, 1.0, 2, *settings)
-            du[i] = 1j * v2
+            v2, e2, panels[1, i] = convolution_one(curvature, t, 1.0, 0, *settings)
+            du[i] = 1j * (v2 + jump_terms_one(v0, t))
             err[i] = err[i] + e2
     return u, du, err, panels
 

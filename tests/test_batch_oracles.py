@@ -23,12 +23,13 @@ from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
 from schroflat.cli import builtin_scenarios
 from schroflat.smoothing import MAX_SEED_ORDER, _convolutions, _trace_edges
 
-from oracles import (boundary_trace_per_sample, control_series_one,
+from oracles import (boundary_trace_per_sample, control_series_one, convolution_one,
                      flat_coefficients_per_order)
 
 
 def _phase1_setting(name):
-    """(datum, times, settings, orders) of a builtin scenario's phase 1."""
+    """(datum, times, settings, data) of a builtin scenario's phase 1; data
+    are the datum and, on the beam, its second derivative."""
     sc = builtin_scenarios()[name]
     times = sc.sim.times()
     t1 = times[(times > 0) & (times <= sc.tau)]
@@ -36,20 +37,20 @@ def _phase1_setting(name):
         ext = extend_odd_smooth(lift_initial_data(BeamData(sc.eta0, sc.eta1)),
                                 sc.cutoff_s)
         # every 4th sample keeps the per-sample oracle fast
-        return ext, t1[::4], dict(abs_tol=1e-8), (0, 2)
-    return sc.theta0, t1, {}, (0,)
+        return ext, t1[::4], dict(abs_tol=1e-8), (ext, ext.second_derivative())
+    return sc.theta0, t1, {}, (sc.theta0,)
 
 
-def _starting_edges(v0, times, settings, orders):
+def _starting_edges(v0, times, settings, data):
     """The trace's starting panel edges, on the quadrature's unit interval."""
-    return _trace_edges(v0, times, orders, settings.get("abs_tol", 1e-10))
+    return _trace_edges(data, times, settings.get("abs_tol", 1e-10))
 
 
 @pytest.mark.parametrize("name", ["gentle", "reference", "beam"])
 def test_phase1_batch_matches_per_sample_loop(name):
-    v0, times, settings, orders = _phase1_setting(name)
-    derivative = orders == (0, 2)
-    edges = _starting_edges(v0, times, settings, orders)
+    v0, times, settings, data = _phase1_setting(name)
+    derivative = len(data) == 2
+    edges = _starting_edges(v0, times, settings, data)
     u, du, err, panels = boundary_trace_per_sample(
         v0, times, support=v0.support, breakpoints=tuple(v0.support * edges),
         derivative=derivative, **settings)
@@ -57,32 +58,37 @@ def test_phase1_batch_matches_per_sample_loop(name):
     assert np.all(np.abs(trace.u - u) <= 1e-14 * np.abs(u))
     assert np.all(np.abs(trace.du - du) <= 1e-14 * np.abs(du))
     assert np.all(np.abs(trace.err - err) <= 1e-6 * err + 1e-8 * np.abs(u))
-    # the orders are interleaved samples of the trace's one batch
-    _, _, used, _ = _convolutions(v0, times, 1.0, orders, edges=edges, **settings)
-    used = used.reshape(times.size, len(orders))
-    for row, m in enumerate(orders):
-        assert np.array_equal(used[:, row], panels[row]), f"subdivision differs (m={m})"
+    # the data are interleaved samples of the trace's one batch
+    _, _, used, _ = _convolutions(data, times, 1.0, (0,), edges=edges, **settings)
+    used = used.reshape(times.size, len(data))
+    for row in range(len(data)):
+        assert np.array_equal(used[:, row], panels[row]), f"subdivision differs (datum {row})"
 
 
 def test_phase1_trace_agrees_with_the_oracle_from_the_breakpoints():
     # the beam's samples start from the latest time's mesh, not from the
     # datum's breakpoints as the oracle does: they subdivide otherwise, and
-    # each agrees with the oracle within the sum of both error estimates
-    v0, times, settings, orders = _phase1_setting("beam")
+    # each agrees with the oracle within the sum of both error estimates.
+    # v_xx also agrees with the order-2 integral against the datum itself
+    # within the sum of the error estimates of u, v_xx and that integral
+    v0, times, settings, _ = _phase1_setting("beam")
     u, du, err, _ = boundary_trace_per_sample(
         v0, times, support=v0.support, breakpoints=v0.breakpoints, **settings)
     trace = boundary_trace(v0, times, **settings)
     assert np.all(np.abs(trace.u - u) <= trace.err + err)
     assert np.all(np.abs(trace.du - du) <= trace.err + err)
+    for t, du_t, err_t in zip(times, trace.du, trace.err):
+        v2, err2, _ = convolution_one(v0, t, 1.0, 2, v0.support, v0.breakpoints, **settings)
+        assert abs(du_t - 1j * v2) <= err_t + err2, t
 
 
 @pytest.mark.parametrize("name", ["gentle", "reference"])
 def test_phase1_trace_from_the_datum_breakpoints_where_the_latest_time_keeps_them(name):
     # the latest time accepts the datum's own panels ({0} and
     # {0, 0.2, 0.5, 0.7}), so the batch is the one the breakpoints start
-    v0, times, settings, orders = _phase1_setting(name)
-    assert np.array_equal(_starting_edges(v0, times, settings, orders), v0.breakpoints)
-    values, errs, _, _ = _convolutions(v0, times, 1.0, orders, **settings)
+    v0, times, settings, data = _phase1_setting(name)
+    assert np.array_equal(_starting_edges(v0, times, settings, data), v0.breakpoints)
+    values, errs, _, _ = _convolutions(data, times, 1.0, (0,), **settings)
     trace = boundary_trace(v0, times, derivative=False, **settings)
     assert np.array_equal(trace.u, values) and np.array_equal(trace.err, errs)
 
@@ -91,8 +97,8 @@ def test_phase1_trace_from_the_datum_breakpoints_where_the_latest_time_keeps_the
 def test_phase1_starting_edges_keep_the_datum_breakpoints(name):
     # accepted panels tile the unit interval from the breakpoints, so no
     # starting panel straddles a discontinuity of the datum
-    v0, times, settings, orders = _phase1_setting(name)
-    edges = _starting_edges(v0, times, settings, orders)
+    v0, times, settings, data = _phase1_setting(name)
+    edges = _starting_edges(v0, times, settings, data)
     bps = [b / v0.support for b in v0.breakpoints if 0.0 < b / v0.support < 1.0]
     assert np.all(np.isin(bps, edges))
     assert np.all((edges > 0.0) & (edges < 1.0)) and np.all(np.diff(edges) > 0)

@@ -2,18 +2,13 @@
 import numpy as np
 import pytest
 
-from schroflat import (BeamData, SimConfig, beam_controls, beam_simulate, extend_odd_smooth,
-                       lift_initial_data)
-from schroflat.beam import (
-    EXTENSION_SUPPORT,
-    BeamError,
-    _eta0_moment_at_right,
-    poisson_profile,
-)
+from schroflat import (BeamData, SimConfig, beam_controls, beam_simulate, boundary_trace,
+                       extend_odd_smooth, lift_initial_data)
+from schroflat.beam import EXTENSION_SUPPORT, BeamError, poisson_profile
 from schroflat.smoothing import PiecewiseProfile
-from schroflat.cli import pulse_datum, reference_datum, sine_profile
+from schroflat.cli import builtin_scenarios, main, pulse_datum, reference_datum, sine_profile
 
-from oracles import poisson_solve_grid
+from oracles import convolution_one, jump_terms_one, kernel_derivative, poisson_solve_grid
 
 
 # ------------------------------------------------------------ data lifting
@@ -55,9 +50,21 @@ def test_beam_data_requires_hinged_displacement():
         BeamData(PiecewiseProfile((), [[1.0]]), PiecewiseProfile.zero())
 
 
-def test_moment_extraction():
+def test_profile_derivative_gives_the_moment_at_right():
+    # beam_controls takes u2(0) = eta0''(1) from the piece derivatives
     cubic = PiecewiseProfile((), [[0.0, 0.0, 0.0, 1.0]])
-    assert _eta0_moment_at_right(cubic) == 6.0  # (x^3)'' at x=1
+    assert cubic.derivative(2)(1.0) == 6.0  # (x^3)'' at x=1
+    # piece by piece on the same breakpoints; a constant's derivative is 0
+    prof = PiecewiseProfile((0.5,), [[1.0, 2.0, 3.0], [4.0]])
+    d1 = prof.derivative()
+    assert d1.breakpoints == (0.5,)
+    assert d1(0.25) == 2.0 + 6.0 * 0.25 and d1(0.75) == 0.0
+    assert prof.derivative(2)(0.25) == 6.0 and prof.derivative(3)(0.25) == 0.0
+    # the jumps of the profile and of its slope, zero outside [0, 1]
+    points, dp, dp1 = prof.jumps()
+    assert np.array_equal(points, [0.0, 0.5, 1.0])
+    assert np.array_equal(dp, [1.0, 4.0 - 2.75, -4.0])
+    assert np.array_equal(dp1, [2.0, -5.0, 0.0])
 
 
 # ------------------------------------------------------------ odd extension
@@ -95,6 +102,56 @@ def test_extension_breakpoints_include_reflections():
     prof = PiecewiseProfile((0.2, 0.5), [[0.0], [0.25], [0.0]])
     ext = extend_odd_smooth(prof)
     assert ext.breakpoints == (0.2, 0.5, 1.0, 1.5, 1.8)
+
+
+def _broken_extension():
+    """The odd extension of a theta0 that jumps and kinks at 0.5: on
+    (0, 0.5) 2x + 0.3i x(1-x), on (0.5, 1) 1.5(1-x).  Its reflection
+    jumps and kinks at 1.5."""
+    theta0 = PiecewiseProfile((0.5,), [[0.0, 2.0 + 0.3j, -0.3j], [1.5, -1.5]])
+    return extend_odd_smooth(theta0, cutoff_s=1.6)
+
+
+@pytest.mark.parametrize("ext", [_broken_extension(), extend_odd_smooth(pulse_datum())],
+                         ids=["broken", "pulse"])
+def test_extension_second_derivative_matches_differences(ext):
+    # g'' against the second central difference of g, away from the
+    # breakpoints, on both halves of the support
+    curvature = ext.second_derivative()
+    assert curvature.support == ext.support and curvature.breakpoints == ext.breakpoints
+    y = np.array([0.1, 0.3, 0.7, 0.95, 1.05, 1.3, 1.7, 1.9])
+    h = 1e-4
+    diff = (ext(y + h) - 2.0 * ext(y) + ext(y - h)) / (h * h)
+    np.testing.assert_allclose(curvature(y), diff, rtol=0, atol=1e-5 * np.abs(diff).max())
+    # panel rows as the quadrature passes them give the point-by-point bits,
+    # and so does a row across y = 1
+    for rows in ([[0.6, 0.7, 0.8], [1.1, 1.2, 1.3], [1.55, 1.6, 1.65]], [[0.9, 1.0, 1.1]]):
+        rows = np.array(rows)
+        assert np.array_equal(curvature(rows), curvature(rows.ravel()).reshape(rows.shape))
+    assert curvature(2.5) == 0.0
+
+
+def test_extension_jumps_match_one_sided_limits():
+    # [g] and [g'] at 0, the break, y = 1 and the reflected break against
+    # one-sided extrapolations of g; left of y = 0 the datum counts as zero
+    ext = _broken_extension()
+    points, dg, dg1 = ext.jumps()
+    assert np.array_equal(points, [0.0, 0.5, 1.0, 1.5])
+    h = 1e-5
+
+    def limit(b, side):
+        """(value, slope) of g at b from the side -1 or +1."""
+        if b == 0.0 and side < 0:
+            return 0.0, 0.0
+        near, far = ext(b + side * h), ext(b + 2 * side * h)
+        return 2.0 * near - far, side * (far - near) / h
+
+    for b, jump, jump1 in zip(points, dg, dg1):
+        (left, left1), (right, right1) = limit(b, -1), limit(b, 1)
+        assert abs(jump - (right - left)) <= 1e-8, b
+        assert abs(jump1 - (right1 - left1)) <= 1e-3, b
+    # the datum jumps at its break and at the reflection, and kinks there
+    assert abs(dg[1]) > 0.1 and abs(dg[3]) > 0.1 and abs(dg1[3]) > 0.1
 
 
 def test_extension_rejects_nonvanishing_endpoint():
@@ -211,3 +268,81 @@ def test_averaged_moment_consistent_where_smooth(controls):
     sel = (t_mid > 1.0) & (t_mid < 1.3)
     mean = 0.5 * (ctl.u2[:-1] + ctl.u2[1:])
     assert np.max(np.abs(ctl.u2_avg[sel] - mean[sel])) < 1e-2
+
+
+# ------------------------------------------------------- the hinge moment
+
+# v_xx(t,1) of the builtin beam's extended datum: the integral over [0, 2]
+# of (p_2 E)(t,1-y) - (p_2 E)(t,1+y), p_2(z) = i/2t - z^2/4t^2, against the
+# datum, by mpmath.quad at 30 digits on int(3/(4t)) + 40 equal panels (43 s
+# and 209 s on one core), with the sine fit's double coefficients and the
+# cutoff's closed form
+HINGE_ORACLES = {
+    1e-3: 0.0324141633832505 - 0.0148116313695645j,
+    2.5e-4: -3.7567821801144e-5 - 6.79320253586822e-5j,
+}
+
+
+def _builtin_extension():
+    sc = builtin_scenarios()["beam"]
+    return extend_odd_smooth(lift_initial_data(BeamData(sc.eta0, sc.eta1)), sc.cutoff_s)
+
+
+def test_hinge_moment_matches_high_precision_oracle():
+    # at these times the order-2 integral of the datum lost 6.5e-8 and
+    # 1.6e-4 to cancellation; the second derivative's integral keeps
+    # within its own error estimate
+    times = np.array(sorted(HINGE_ORACLES))
+    trace = boundary_trace(_builtin_extension(), times, abs_tol=1e-8)
+    for t, du, err in zip(times, trace.du, trace.err):
+        assert abs(du / 1j - HINGE_ORACLES[t]) <= err, t
+        assert err <= 2e-8
+
+
+def _lifted_extension(theta0):
+    return extend_odd_smooth(lift_initial_data(BeamData(theta0, PiecewiseProfile.zero())))
+
+
+@pytest.mark.parametrize("t", [0.05, 0.3])
+def test_kinked_eta0_jump_terms_match_the_order_two_integral(t):
+    # a hat eta0 kinks at 0.3 and its reflection at 1.7: the terms
+    # F [g'] of the two kinks are far above the error estimates, and with
+    # them the trace agrees with the order-2 integral of the datum itself
+    hat = PiecewiseProfile((0.3,), [[0.0, 1.0], [0.3 / 0.7, -0.3 / 0.7]])
+    ext = _lifted_extension(hat)
+    points, dg, dg1 = ext.jumps()
+    assert np.count_nonzero(np.abs(dg1[1:]) > 0.1) == 2
+    trace = boundary_trace(ext, [t], abs_tol=1e-8)
+    v2, err2, _ = convolution_one(ext, t, 1.0, 2, ext.support, ext.breakpoints, abs_tol=1e-8)
+    jumps = jump_terms_one(ext, t)
+    assert abs(jumps) > 1e3 * (trace.err[0] + err2)
+    assert abs(trace.du[0] / 1j - v2) <= trace.err[0] + err2
+
+
+def test_wall_jump_term_counts_a_nonzero_theta0_at_zero():
+    # extend_odd_smooth accepts |theta0(0)| <= 1e-8, and the odd extension
+    # then jumps by 2 theta0(0) across y = 0: its term 2 E'(t,1) theta0(0),
+    # here 2.8e-7, is far above the error estimates, and with it the trace
+    # agrees with the order-2 integral of the datum itself
+    theta0 = PiecewiseProfile((), [[1e-9, 1.0 - 1e-9, -1.0]])
+    ext = extend_odd_smooth(theta0)
+    points, dg, dg1 = ext.jumps()
+    assert points[0] == 0.0 and dg[0] == 1e-9
+    t = 0.01
+    trace = boundary_trace(ext, [t], abs_tol=1e-8)
+    v2, err2, _ = convolution_one(ext, t, 1.0, 2, ext.support, ext.breakpoints, abs_tol=1e-8)
+    wall = 2.0 * kernel_derivative(t, 1.0, 1) * 1e-9
+    assert abs(wall) > 10 * (trace.err[0] + err2)
+    assert abs(trace.du[0] / 1j - v2) <= trace.err[0] + err2
+
+
+def test_builtin_beam_runs_at_32000_steps(tmp_path):
+    # dt = 6.25e-5: the order-2 integral of the datum exhausted its panel
+    # budget at the first sample; the second derivative's takes 7,460
+    cfg = tmp_path / "beam.yaml"
+    cfg.write_text("equation: beam\ntau: 1.4\nT: 2.0\ns: 1.6\n"
+                   "sim: {Nx: 16, Nt: 32000, snapshot_count: 3}\n"
+                   "eta0: sine\neta1: zero\n")
+    assert main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    report = (tmp_path / "o" / "report.txt").read_text()
+    assert float(report.split("quad_err_max=")[1].split()[0]) <= 1e-7

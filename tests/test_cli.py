@@ -245,16 +245,23 @@ def test_convergence_study_eigenmode(tmp_path):
 
 def test_convergence_study_checks_its_finest_level_first(tmp_path, monkeypatch):
     # reference's Nx=200 doubles to 12,800 at level 6 and eigenmode-check's
-    # 128 to 16,384 at level 7, above the ceiling: the study fails before
-    # level 0 runs or its directory is made
+    # 128 to 16,384 at level 7, above the ceiling, and 1,025 frames of Nx=16
+    # refined to 4,096 at level 8 exceed MAX_FRAME_CELLS: the study fails
+    # before level 0 runs or its directory is made
     def no_run(*args):
         raise AssertionError("a level ran")
 
     monkeypatch.setattr(cli, "run_scenario", no_run)
     monkeypatch.setattr(cli, "simulate", no_run)
-    for name, levels in (("reference", 7), ("eigenmode-check", 8), ("reference", 10 ** 6)):
+    builtins = builtin_scenarios()
+    frames = scenario_from_dict(
+        {"theta0": "pulse", "sim": {"Nx": 16, "Nt": 1024, "snapshot_count": 1025}}, "frames")
+    for sc, levels in ((builtins["reference"], 7), (builtins["eigenmode-check"], 8),
+                       (builtins["reference"], 10 ** 6), (frames, 9)):
         with pytest.raises(ScenarioError, match=r"^levels: "):
-            convergence_study(builtin_scenarios()[name], levels, tmp_path / "study")
+            convergence_study(sc, levels, tmp_path / "study")
+    with pytest.raises(ScenarioError, match=r"exceed 4194304 cells$"):
+        convergence_study(frames, 9, tmp_path / "study")
     assert not (tmp_path / "study").exists()
 
 
@@ -283,10 +290,13 @@ def test_scenario_grid_ceiling(tmp_path, capsys, nx, ok):
 
 @pytest.mark.parametrize("Nt, snapshot_count, field", [
     (2 ** 20, 3, None), (64, 65, None), (2 ** 20 + 1, 3, "sim.Nt"), (10 ** 12, 3, "sim.Nt"),
-    (64, 66, "sim.snapshot_count"), (64, 10 ** 12, "sim.snapshot_count")])
+    (64, 66, "sim.snapshot_count"), (64, 10 ** 12, "sim.snapshot_count"),
+    (2 ** 17, 127_100, None), (2 ** 17, 127_101, "sim.snapshot_count, sim.Nx"),
+    (2 ** 20, 2 ** 20 + 1, "sim.snapshot_count, sim.Nx")])
 def test_scenario_time_grid_ceiling(tmp_path, capsys, Nt, snapshot_count, field):
-    # parsed, never run: more time steps than the ceiling, or more snapshots
-    # than time levels, name the setting and exit 2
+    # parsed, never run: more time steps than the ceiling, more snapshots
+    # than time levels, or more frame cells than MAX_FRAME_CELLS (127,100
+    # frames of 33 cells fit 2**22) name the settings and exit 2
     d = {"theta0": "pulse", "sim": {"Nx": 32, "Nt": Nt, "snapshot_count": snapshot_count}}
     if field is None:
         sim = scenario_from_dict(d, "long").sim

@@ -7,12 +7,12 @@ import mpmath
 import numpy as np
 import pytest
 
-from schroflat import KernelError
+from schroflat import KernelError, kernel
 from schroflat.kernel import MAX_ORDER, derivative_coefficients
 
 from conftest import assert_close
-from oracles import (derivative_coefficients_one, fundamental_solution, kernel_derivative,
-                     odd_kernel, taylor_shift)
+from oracles import (derivative_coefficients_one, fundamental_solution, general_odd_kernel,
+                     kernel_derivative, odd_kernel, shifted_coefficients, taylor_shift)
 
 E_ORACLES = [
     (0.35, 1.0, 0.47562208202851321877 - 0.033879780162444889769j),
@@ -83,11 +83,15 @@ def test_scalar_and_array_agree():
 
 
 def test_odd_kernel_is_difference_of_translates():
+    # the package's two cases, order 0 away from the wall and odd orders at
+    # it, and the general oracle's orders at x = 1
     y = np.linspace(0.05, 0.95, 10)
-    for m in (0, 1, 3):
-        expect = (kernel_derivative(0.35, 1.0 - y, m)
-                  - kernel_derivative(0.35, 1.0 + y, m))
-        np.testing.assert_allclose(odd_kernel(0.35, 1.0, y, m), expect, rtol=1e-14)
+    for x, m, kern in ((1.0, 0, odd_kernel), (0.0, 1, odd_kernel), (0.0, 3, odd_kernel),
+                       (1.0, 1, general_odd_kernel), (1.0, 2, general_odd_kernel),
+                       (1.0, 3, general_odd_kernel)):
+        expect = (kernel_derivative(0.35, x - y, m)
+                  - kernel_derivative(0.35, x + y, m))
+        np.testing.assert_allclose(kern(0.35, x, y, m), expect, rtol=1e-14)
 
 
 def _mp_derivative_polynomials(t, order):
@@ -111,15 +115,17 @@ def test_odd_kernel_against_mpmath(t):
     # theta = xy/2t = k pi) no evaluation from the rounded phase theta keeps
     # relative accuracy, so the bound adds a few ulps of theta times
     # |dF/dtheta| <= |d^m E(t,x-y)| + |d^m E(t,x+y)|; as y -> 0 that term
-    # shrinks with theta and excuses no cancellation.  At the wall x = 0,
-    # the seed's point, theta is 0 and the even orders vanish exactly.
+    # shrinks with theta and excuses no cancellation.  Order 0 runs at any
+    # x; at the wall x = 0, the seed's point, theta is 0 and the even
+    # orders vanish exactly.
     y = np.concatenate([np.geomspace(1e-9, 1e-2, 8), np.linspace(0.02, 1.99, 200)])
-    for x in (1.0, 0.0):
-        _assert_against_mpmath(t, x, y, range(9))
+    for x in (1.0, 0.4):
+        _assert_against_mpmath(t, x, y, (0,))
+    _assert_against_mpmath(t, 0.0, y, range(9))
 
 
 def _assert_against_mpmath(t, x, y, orders):
-    got = [odd_kernel(t, x, y, m) for m in orders]
+    got = {m: odd_kernel(t, x, y, m) for m in orders}
     eps = np.finfo(np.float64).eps
     with mpmath.workdps(50):
         tm = mpmath.mpf(t)
@@ -139,12 +145,12 @@ def _assert_against_mpmath(t, x, y, orders):
 
 
 def test_odd_kernel_orders_share_one_evaluation():
-    # a tuple of orders stacks the single-order results bit for bit: the
-    # zero padding of the lower orders' tables adds exact zeros.  The
-    # second case is the seed's: orders 1, 3, ..., 31 at the wall x = 0.
+    # a tuple of orders at the wall stacks the single-order results bit for
+    # bit: the zero padding of the lower orders' tables adds exact zeros.
+    # The second case is the seed's: orders 1, 3, ..., 31.
     t = np.array([[0.01], [0.35]])
     y = np.linspace(0.0, 2.0, 15)[None, :] + np.zeros((2, 1))
-    for x, orders in ((1.0, (0, 2, 5)), (0.0, tuple(range(1, 32, 2)))):
+    for x, orders in ((0.0, (0, 2, 5)), (0.0, tuple(range(1, 32, 2)))):
         stacked = odd_kernel(t, x, y, orders)
         assert stacked.shape == (len(orders), 2, 15)
         for row, m in zip(stacked, orders):
@@ -153,10 +159,20 @@ def test_odd_kernel_orders_share_one_evaluation():
 
 def test_odd_kernel_odd_in_y():
     y = np.linspace(0.1, 1.5, 8)
-    v_plus = odd_kernel(0.2, 0.6, y, 2)
-    v_minus = odd_kernel(0.2, 0.6, -y, 2)
-    np.testing.assert_allclose(v_minus, -v_plus, rtol=1e-14)
-    assert odd_kernel(0.2, 0.6, 0.0, 2) == 0.0
+    for x, m in ((0.6, 0), (0.0, 3)):
+        v_plus = odd_kernel(0.2, x, y, m)
+        v_minus = odd_kernel(0.2, x, -y, m)
+        np.testing.assert_allclose(v_minus, -v_plus, rtol=1e-14)
+        assert odd_kernel(0.2, x, 0.0, m) == 0.0
+
+
+def test_derivative_orders_away_from_the_wall_rejected():
+    # the kernel has order 0 at any x and the derivative orders at x = 0 only
+    t = np.array([[0.35]])
+    y = np.linspace(0.1, 0.9, 15)[None, :]
+    for x in (1.0, 1e-300):
+        with pytest.raises(KernelError, match="wall"):
+            kernel.odd_kernel(t, np.array([[x]]), y, derivative_coefficients(t, (0, 2)))
 
 
 def test_singular_time_rejected():
@@ -169,7 +185,7 @@ def test_singular_time_rejected():
     # the tables guard every order, order 0 too, whose table has no 1/t term
     # to overflow
     with pytest.raises(KernelError):
-        derivative_coefficients(0.0, 1.0, (0,))
+        derivative_coefficients(0.0, (0,))
 
 
 def test_order_cap_enforced():
@@ -180,7 +196,7 @@ def test_order_cap_enforced():
 
 
 def test_poly_coefficient_parity():
-    p, q = derivative_coefficients(0.35, 0.0, (7, 6))
+    p, q = derivative_coefficients(0.35, (7, 6))
     assert np.all(p[0::2] == 0)  # even slots vanish for odd order
     assert np.all(q[1::2] == 0)
 
@@ -188,27 +204,27 @@ def test_poly_coefficient_parity():
 def test_coefficients_vectorized_over_time():
     # one table for a batch of times equals the per-time tables bit for bit
     ts = np.array([0.05, 0.35, 1.0, 2.5])
-    table = derivative_coefficients(ts, 0.0, (9,))[0]
+    table = derivative_coefficients(ts, (9,))[0]
     assert table.shape == (4, 10)
     for t, row in zip(ts, table):
-        assert np.array_equal(row, derivative_coefficients(float(t), 0.0, (9,))[0])
+        assert np.array_equal(row, derivative_coefficients(float(t), (9,))[0])
 
 
 @pytest.mark.parametrize("t", [1e-3, 0.05, 0.35, 1.4])
 def test_one_pass_tables_match_per_order_shift(t):
-    # each order's table from the one pass against its own recurrence run,
-    # Taylor-shifted to x: bitwise at x = 0 for every order; bitwise at
-    # x = 1 for the trace's orders (0 and 2) and the one between and above;
-    # elsewhere within rounding of the table's largest coefficient.  At
-    # x = 0.4 order 2 already rounds differently at some t: the pass forms
-    # p_2(x) as h + (xh)(xh), the shift as h + x(x h^2).
-    at_zero = derivative_coefficients(t, 0.0, range(MAX_ORDER + 1))
+    # each order's table from the one pass against its own recurrence run:
+    # bitwise for every order.  The oracle's tables shifted to x against
+    # the Taylor shift: bitwise at x = 1 for orders 0 to 3, elsewhere within
+    # rounding of the table's largest coefficient.  At x = 0.4 order 2
+    # already rounds differently at some t: the pass forms p_2(x) as
+    # h + (xh)(xh), the shift as h + x(x h^2).
+    at_zero = derivative_coefficients(t, range(MAX_ORDER + 1))
     for m, table in enumerate(at_zero):
         assert table[: m + 1].tobytes() == derivative_coefficients_one(t, m).tobytes(), m
         assert np.all(table[m + 1:] == 0)
     orders = range(32)
     for x, exact in ((0.4, 2), (1.0, 4)):
-        tables = derivative_coefficients(t, x, orders)
+        tables = shifted_coefficients(t, x, orders)
         for m in orders:
             ref = taylor_shift(derivative_coefficients_one(t, m), x)
             got = tables[m, : m + 1]
@@ -220,29 +236,33 @@ def test_one_pass_tables_match_per_order_shift(t):
 
 
 def test_tables_broadcast_time_and_position():
-    # one (t, x) per row: each row's tables equal its own call's bit for bit
+    # one t per row: each row's tables equal its own call's bit for bit;
+    # so do the oracle's tables of one (t, x) per row
     t = np.array([[0.1], [0.35], [1.0]])
     x = np.array([[1.0], [0.4], [0.7]])
-    tables = derivative_coefficients(t, x, (2, 0, 5))
-    assert tables.shape == (3, 3, 1, 6)
+    tables = derivative_coefficients(t, (2, 0, 5))
+    shifted = shifted_coefficients(t, x, (2, 0, 5))
+    assert tables.shape == shifted.shape == (3, 3, 1, 6)
     for i in range(3):
-        one = derivative_coefficients(float(t[i, 0]), float(x[i, 0]), (2, 0, 5))
+        one = derivative_coefficients(float(t[i, 0]), (2, 0, 5))
         assert tables[:, i, 0].tobytes() == one.tobytes()
+        one = shifted_coefficients(float(t[i, 0]), float(x[i, 0]), (2, 0, 5))
+        assert shifted[:, i, 0].tobytes() == one.tobytes()
 
 
 def test_table_orders_outside_range_rejected():
     with pytest.raises(KernelError):
-        derivative_coefficients(0.35, 0.0, (1, MAX_ORDER + 1))
+        derivative_coefficients(0.35, (1, MAX_ORDER + 1))
     with pytest.raises(KernelError):
-        derivative_coefficients(0.35, 1.0, (-1, 2))
+        derivative_coefficients(0.35, (-1, 2))
 
 
 def test_odd_kernel_per_point_time_and_position():
-    # a batch of (t, x) samples, one per point, matches scalar calls
+    # a batch of (t, x) samples, one per point, matches scalar calls: order
+    # 0 anywhere, the derivative orders at the wall
     t = np.array([0.1, 0.35, 0.35, 1.0])
-    x = np.array([1.0, 1.0, 0.4, 0.7])
     y = np.array([0.3, 0.6, 0.2, 0.9])
-    for m in (0, 2, 3):
+    for x, m in ((np.array([1.0, 1.0, 0.4, 0.7]), 0), (np.zeros(4), 2), (np.zeros(4), 3)):
         batch = odd_kernel(t, x, y, m)
         for i in range(4):
             assert batch[i] == odd_kernel(float(t[i]), float(x[i]), float(y[i]), m)

@@ -17,7 +17,7 @@ from schroflat.quadrature import NODES, integrate_batch
 from schroflat.smoothing import PHASE_SMOOTHING, _convolutions, _trace_edges
 
 from conftest import assert_close
-from oracles import odd_kernel, seed_series
+from oracles import convolution_one, odd_kernel, seed_series
 
 I_TRACE = {
     0.1: -0.013427952255356212345 + 0.13368495946283665694j,
@@ -171,17 +171,21 @@ def test_boundary_trace_frozen_values(ref_datum):
 
 
 def test_boundary_trace_with_derivative(ref_datum):
+    # du = i * v_xx(t,1): the datum is piecewise constant, so its second
+    # derivative vanishes and the jump terms carry the whole of v_xx; they
+    # agree with the order-2 integral of the datum itself
     trace = boundary_trace(ref_datum, np.array([0.35]))
-    # du = i * v_xx(t,1); cross-check against the raw convolution
-    (v2,), _, _, _ = _convolutions(ref_datum, 0.35, 1.0, (2,))
-    assert abs(trace.du[0] - 1j * v2) < 1e-12
+    v2, err2, _ = convolution_one(ref_datum, 0.35, 1.0, 2,
+                                  breakpoints=ref_datum.breakpoints)
+    assert abs(trace.du[0] - 1j * v2) <= trace.err[0] + err2 + 1e-14 * abs(v2)
+    assert abs(v2) > 0.1
 
 
 @pytest.mark.parametrize("t", [0.05, 0.35])
 def test_convolution_integrates_over_the_datum_breakpoints(ref_datum, t):
     # the datum carries its jumps, so every entry point splits the
     # quadrature at them and the three values agree bit for bit
-    (value,), _, _, _ = _convolutions(ref_datum, t, 1.0, (0,))
+    (value,), _, _, _ = _convolutions((ref_datum,), t, 1.0, (0,))
     assert value == free_evolution(ref_datum, t, 1.0)
     assert value == boundary_trace(ref_datum, np.array([t]), derivative=False).u[0]
 
@@ -239,7 +243,7 @@ def test_trace_at_small_time_fits_the_panel_budget():
     # at t=1e-5 the kernel turns through about 1/(4t) radians over the
     # support: the one sample takes 25,007 panels, more than 2**14 and
     # within the quadrature's one budget of 2**16
-    (value,), (err,), (panels,), _ = _convolutions(pulse_datum(), 1e-5, 1.0, (0,))
+    (value,), (err,), (panels,), _ = _convolutions((pulse_datum(),), 1e-5, 1.0, (0,))
     assert panels == 25007
     trace = boundary_trace(pulse_datum(), [1e-5], derivative=False)
     assert trace.u[0] == value and trace.err[0] == err
@@ -283,7 +287,7 @@ def _synthesize(name):
 
 
 @pytest.mark.parametrize("name, points", [
-    ("gentle", 105_882), ("reference", 308_700), ("beam", 220_626)])
+    ("gentle", 105_882), ("reference", 308_700), ("beam", 250_278)])
 def test_synthesis_kernel_points(monkeypatch, name, points):
     # the kernel's work in a builtin synthesis, a deterministic count: on
     # reference it skips the 58,842 points of the panels of the datum's zero
@@ -319,26 +323,46 @@ def test_zero_run_calls_no_kernel(monkeypatch, tmp_path):
 
 
 def test_datum_evaluated_once_per_distinct_panel(monkeypatch, beam_phase1):
-    # the datum factor depends on the node alone, so on the builtin beam's
-    # phase-1 grid it sees each distinct panel of an integrand call once:
-    # far fewer points than the kernel, which sees every (time, panel) row
+    # the datum factors depend on the node alone, so on the builtin beam's
+    # phase-1 grid the datum g and its second derivative g'' each see a
+    # panel at most once per integrand call, and between them every panel
+    # of the call's kernel rows: far fewer points than the kernel, which
+    # sees every (time, panel) row
     ext, times, settings = beam_phase1
+    events = []
 
-    class CountedDatum:
-        support = ext.support
-        breakpoints = ext.breakpoints
-        points = 0
+    class Counted:
+        def __init__(self, datum):
+            self.datum = datum
+            self.support, self.breakpoints = datum.support, datum.breakpoints
 
         def __call__(self, y):
-            self.points += np.size(y)
-            return ext(y)
+            events.append(("datum", y[:, [0, -1]]))
+            return self.datum(y)
 
-    calls = _record_kernel_rows(monkeypatch)
-    datum = CountedDatum()
-    boundary_trace(datum, times, derivative=True, **settings)
-    panels = sum(np.unique(rows[:, 1:], axis=0).shape[0] for rows in calls)
-    assert datum.points == NODES.size * panels
-    assert 5 * datum.points < NODES.size * sum(rows.shape[0] for rows in calls)
+    g, curvature = Counted(ext), Counted(ext.second_derivative())
+    g.second_derivative, g.jumps = lambda: curvature, ext.jumps
+
+    def recorded(t, x, y, tables):
+        events.append(("kernel", y[:, [0, -1]]))
+        return kernel.odd_kernel(t, x, y, tables)
+
+    monkeypatch.setattr(smoothing, "odd_kernel", recorded)
+    boundary_trace(g, times, derivative=True, **settings)
+    datum_points = kernel_points = 0
+    seen = []
+    for kind, ends in events:
+        if kind == "datum":
+            assert np.unique(ends, axis=0).shape[0] == ends.shape[0]
+            seen.append(ends)
+            datum_points += NODES.size * ends.shape[0]
+            continue
+        # the datum calls of an integrand call precede its kernel call
+        assert np.array_equal(np.unique(np.concatenate(seen), axis=0),
+                              np.unique(ends, axis=0))
+        seen = []
+        kernel_points += NODES.size * ends.shape[0]
+    assert not seen and 0 < 5 * datum_points < kernel_points
 
 
 def test_datum_integrals_gather_once_per_distinct_panel(monkeypatch):
@@ -367,7 +391,7 @@ def test_datum_integrals_gather_once_per_distinct_panel(monkeypatch):
         return integrate_batch(counted, *args)
 
     monkeypatch.setattr(smoothing, "integrate_batch", recorded)
-    values, errs, panels, _ = _convolutions(Datum(), times, 1.0, (0,))
+    values, errs, panels, _ = _convolutions((Datum(),), times, 1.0, (0,))
     assert datum_rows == [distinct for _, distinct in calls]
     assert calls[0] == (8, 2) and len(calls) > 1
     assert sum(datum_rows) < sum(rows for rows, _ in calls)
@@ -386,32 +410,35 @@ def test_convolutions_build_the_tables_once_per_call(monkeypatch, ref_datum):
     # the points of a call, however many integrand calls its quadrature makes
     builds = []
 
-    def counted(t, x, orders):
+    def counted(t, orders):
         builds.append(np.shape(t))
-        return derivative_coefficients(t, x, orders)
+        return derivative_coefficients(t, orders)
 
     for module in (kernel, smoothing):
         monkeypatch.setattr(module, "derivative_coefficients", counted)
     kernel_calls = _record_kernel_rows(monkeypatch)
     times = np.array([0.001, 0.05, 0.35])
-    _convolutions(ref_datum, times, 1.0, (0, 2))
+    _convolutions((ref_datum,), times, 0.0, (1, 3))
     assert len(kernel_calls) > 1
     assert builds == [times.shape]
 
 
-def test_orders_share_the_kernel_per_distinct_time_and_panel(monkeypatch, beam_phase1):
-    # u (m=0) and v_xx (m=2) are one batch: each integrand call computes the
-    # exponentials of a (time, panel) row once for both orders, so the trace
-    # costs fewer kernel rows than the two orders integrated apart from the
-    # trace's starting edges, and visits the same rows they do (each order
-    # subdivides as if alone); both sides count the latest-time pass
+def test_datum_and_curvature_share_the_kernel_per_distinct_time_and_panel(
+        monkeypatch, beam_phase1):
+    # u (the datum g) and v_xx (its second derivative g'') are one order-0
+    # batch: each integrand call computes the exponentials of a (time,
+    # panel) row once for both, so the trace costs fewer kernel rows than
+    # g and g'' integrated apart from the trace's starting edges, and
+    # visits the same rows they do (each subdivides as if alone); both
+    # sides count the latest-time pass
     ext, times, settings = beam_phase1
     fused = _record_kernel_rows(monkeypatch)
     boundary_trace(ext, times, derivative=True, **settings)
     apart = _record_kernel_rows(monkeypatch)
-    edges = _trace_edges(ext, times, (0, 2), **settings)
-    for m in (0, 2):
-        _convolutions(ext, times, 1.0, (m,), edges=edges, **settings)
+    data = (ext, ext.second_derivative())
+    edges = _trace_edges(data, times, **settings)
+    for v in data:
+        _convolutions((v,), times, 1.0, (0,), edges=edges, **settings)
     for rows in fused:
         assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     count = lambda calls: sum(rows.shape[0] for rows in calls)
@@ -434,19 +461,20 @@ def _record_batches(monkeypatch):
 
 
 def test_beam_trace_starts_from_the_latest_time_mesh(monkeypatch, beam_phase1):
-    # the run's trace ends at tau, which converges on the cutoff half's
-    # quarters, and every earlier sample starts there instead of bisecting
-    # down to them again: 19,122 panels with the 12-panel latest-time pass,
-    # against 26,890 from the datum's breakpoints
+    # the run's trace ends at tau, where g'' converges on the cutoff half's
+    # quarters and its outer eighths, and every earlier sample of g and g''
+    # starts there instead of bisecting down to them again: 23,164 panels
+    # with the 16-panel latest-time pass, against 30,890 from the datum's
+    # breakpoints
     ext, times, settings = beam_phase1
     tau = builtin_scenarios()["beam"].tau
     times = np.append(times[times < tau], tau)
     batches = _record_batches(monkeypatch)
     boundary_trace(ext, times, derivative=True, **settings)
     assert [b.size for b in batches] == [2, 2 * times.size]
-    assert sum(int(b.sum()) for b in batches) <= 19_200
-    edges = _trace_edges(ext, times, (0, 2), **settings)
-    assert np.array_equal(ext.support * edges, [1.0, 1.25, 1.5, 1.75])
+    assert sum(int(b.sum()) for b in batches) <= 23_200
+    edges = _trace_edges((ext, ext.second_derivative()), times, **settings)
+    assert np.array_equal(ext.support * edges, [1.0, 1.125, 1.25, 1.5, 1.75, 1.875])
 
 
 def test_trace_of_one_time_is_one_batch(monkeypatch, ref_datum):
