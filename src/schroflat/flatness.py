@@ -215,8 +215,10 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
 
     diags, keyed by DIAGNOSTICS: continuity_gap |u(tau+) - u(tau-)| between
     those two samples, its gap_budget (the series tail plus the trace's
-    own error estimate at tau), tail_max and quad_err_max over the
-    returned samples of each phase, and seed_bound_constant.
+    own error estimate at tau, which with derivative=True bounds v_xx as
+    well as u, so the budget is wider than u's gap needs), tail_max and
+    quad_err_max over the returned samples of each phase, and
+    seed_bound_constant.
     """
     times = np.asarray(times, dtype=np.float64)
     t1 = times[(times > 0) & (times < tau)]

@@ -45,6 +45,8 @@ import numpy as np
 from .kernel import MAX_ORDER, derivative_coefficients, horner, odd_kernel
 from .quadrature import QuadratureError, integrate_batch
 
+_EPS = np.finfo(np.float64).eps
+
 # i^k, indexed by k mod 4
 _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
@@ -201,8 +203,9 @@ class ControlTrace:
 
     du is the control's time derivative.  It is zero on phase-1 samples
     synthesized with derivative=False, which every Schrodinger run uses.
-    err holds the quadrature error estimate in phase 1 and the magnitude of
-    the last retained series term in phase 2.
+    err holds the quadrature error estimate in phase 1, of u and, where
+    du is synthesized, of du too, and the magnitude of the last retained
+    series term in phase 2.
     """
 
     t: np.ndarray
@@ -306,17 +309,13 @@ def _convolutions(data, t, x, orders, abs_tol=1e-10, edges=None):
         # a datum row is a panel alone, named by its end nodes; each datum
         # runs on the distinct panels of its own samples
         first, inverse = _distinct_panels(sig[:, 0], sig[:, -1])
-        if len(data) == 1:
-            d = 0
-            datum = data[0](support * sig[first])[None]
-        else:
-            d = which // n_orders
-            datum = np.zeros((len(data),) + first.shape + sig.shape[1:], dtype=np.complex128)
-            for k, v in enumerate(data):
-                need = np.zeros(first.size, dtype=bool)
-                need[inverse[d == k]] = True
-                if need.any():
-                    datum[k, need] = v(support * sig[first[need]])
+        d = which // n_orders
+        datum = np.zeros((len(data),) + first.shape + sig.shape[1:], dtype=np.complex128)
+        for k, v in enumerate(data):
+            need = np.zeros(first.size, dtype=bool)
+            need[inverse[d == k]] = True
+            if need.any():
+                datum[k, need] = v(support * sig[first[need]])
         live = datum.any(axis=2)[d, inverse]
         if per_point == 1:
             # each work-list row is a distinct (point, panel) row already
@@ -386,19 +385,31 @@ def _trace_edges(data, t_grid, abs_tol):
 
 
 def _jump_terms(v0, t, x):
-    """sum over the jumps b of v0 of F(t,x,b) [v0'](b) - F_y(t,x,b) [v0](b).
+    """(terms, rounding): the sum over the jumps b of v0 of
+    F(t,x,b) [v0'](b) - F_y(t,x,b) [v0](b) at every time of t, and a
+    bound on its rounding error.
 
     These are the boundary terms of integrating the convolution of
     d^2_x F = d^2_y F against v0 by parts twice, with v0 zero outside its
     support; [.] is the right limit minus the left one.  F_y is
-    -E'(t,x-y) - E'(t,x+y), and E'(t,z) = (i z / 2t) E(t,z).
+    -E'(t,x-y) - E'(t,x+y), and E'(t,z) = (i z / 2t) E(t,z).  Each
+    translate E(t,z) carries the rounding of its phase z^2/4t, a few ulps
+    of a number that grows like 1/t, on top of a few ulps of its own; the
+    bound sums both over the magnitudes of the terms before they cancel.
+    At b = 0 the two translates are the same numbers, so F is an exact 0.
     """
     b, dg, dg1 = v0.jumps()
     t = t[:, None]
     near, far = (np.exp(1j * z * z / (4.0 * t)) / np.sqrt(4j * np.pi * t)
                  for z in (x - b, x + b))
     f_y = -0.5j / t * ((x - b) * near + (x + b) * far)
-    return ((near - far) * dg1 - f_y * dg).sum(axis=1)
+    terms = ((near - far) * dg1 - f_y * dg).sum(axis=1)
+    amplitude = 1.0 / np.sqrt(4.0 * np.pi * t)
+    slope_jumps = np.abs(np.where(b == 0.0, 0.0, dg1))
+    rounding = sum(_EPS * (8.0 + 0.75 * z * z / t) * amplitude
+                   * (slope_jumps + 0.5 * np.abs(z) / t * np.abs(dg))
+                   for z in (x - b, x + b))
+    return terms, rounding.sum(axis=1)
 
 
 def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
@@ -417,7 +428,8 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     (_jump_terms).  u and v_xx at every time are then the interleaved
     samples of one order-0 batch, which share the kernel's exponentials
     wherever their panels coincide.  abs_tol is each integral's absolute
-    tolerance, and err sums both samples' estimates.  A sample that
+    tolerance.  err bounds both u and v_xx: it sums both samples'
+    estimates and the jump terms' rounding.  A sample that
     exhausts the quadrature's panel budget raises QuadratureError naming
     its time, with the time's index in t_grid as the sample.
     """
@@ -435,7 +447,9 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     values = values.reshape(t_grid.size, len(data))
     err = errs.reshape(t_grid.size, len(data)).sum(axis=1)
     if derivative:
-        du = 1j * (values[:, 1] + _jump_terms(v0, t_grid, 1.0))
+        terms, rounding = _jump_terms(v0, t_grid, 1.0)
+        du = 1j * (values[:, 1] + terms)
+        err = err + rounding
     else:
         du = np.zeros(t_grid.size, dtype=np.complex128)
     phase = np.full(t_grid.size, PHASE_SMOOTHING, dtype=np.uint8)

@@ -1,11 +1,12 @@
 """Hinged beam: data lifting, odd extension, implicit march, dual controls."""
+import mpmath
 import numpy as np
 import pytest
 
 from schroflat import (BeamData, SimConfig, beam_controls, beam_simulate, boundary_trace,
                        extend_odd_smooth, lift_initial_data)
 from schroflat.beam import EXTENSION_SUPPORT, BeamError, poisson_profile
-from schroflat.smoothing import PiecewiseProfile
+from schroflat.smoothing import PiecewiseProfile, _jump_terms
 from schroflat.cli import builtin_scenarios, main, pulse_datum, reference_datum, sine_profile
 
 from oracles import convolution_one, jump_terms_one, kernel_derivative, poisson_solve_grid
@@ -317,6 +318,29 @@ def test_kinked_eta0_jump_terms_match_the_order_two_integral(t):
     jumps = jump_terms_one(ext, t)
     assert abs(jumps) > 1e3 * (trace.err[0] + err2)
     assert abs(trace.du[0] / 1j - v2) <= trace.err[0] + err2
+
+
+@pytest.mark.parametrize("t", [1e-5, 1e-3, 0.3])
+def test_jump_terms_rounding_bound_holds_against_mpmath(t):
+    # the hat's kinks at 0.3 and 1.7: the translates' phases (1 -+ b)^2/4t
+    # carry the rounding that grows like 1/t, 6.5e-10 of 217 at t = 1e-5;
+    # the bound holds it and stays far below the terms themselves
+    hat = PiecewiseProfile((0.3,), [[0.0, 1.0], [0.3 / 0.7, -0.3 / 0.7]])
+    ext = _lifted_extension(hat)
+    points, dg, dg1 = ext.jumps()
+    with mpmath.workdps(40):
+        tm = mpmath.mpf(t)
+
+        def translate(z, m):
+            e = mpmath.exp(1j * z * z / (4 * tm)) / mpmath.sqrt(4j * mpmath.pi * tm)
+            return e * (1j * z / (2 * tm)) ** m
+
+        exact = complex(mpmath.fsum(
+            (translate(1 - b, 0) - translate(1 + b, 0)) * complex(j1)
+            + (translate(1 - b, 1) + translate(1 + b, 1)) * complex(j0)
+            for b, j0, j1 in zip(map(mpmath.mpf, points), dg, dg1)))
+    terms, rounding = _jump_terms(ext, np.array([t]), 1.0)
+    assert abs(terms[0] - exact) <= rounding[0] <= 1e-9 * abs(exact)
 
 
 def test_wall_jump_term_counts_a_nonzero_theta0_at_zero():
