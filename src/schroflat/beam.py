@@ -12,8 +12,8 @@ Both controls come from the Schrodinger control's two-phase synthesis
 the lifted datum: theta0 on (0,1) continues as -theta0(2-x) damped to zero
 by a smooth cutoff over (1, 2), then extends oddly to the negatives.  The
 extension names its own support [0, 2] and its breakpoints, and gives the
-derivative trace its jumps and its second derivative (ExtendedCurvature),
-whose free evolution is the hinge moment up to the jumps' terms.
+derivative trace its jumps and g'' beside g (with_curvature): the free
+evolution of g'' is the hinge moment up to the jumps' terms.
 
 The certification march is the implicit trapezoidal rule for the beam,
 applied exactly in the sine modes of the hinged fourth difference (see
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flatness import DEFAULT_SERIES_TRUNCATION, synthesize
-from .gevrey import step_function, step_jet
+from .gevrey import step_jet
 from .kernel import horner
 from .schrodinger_sim import SimConfig
 from .sine_modes import CHUNK, chunk_states, sine_modes
@@ -124,7 +124,7 @@ def lift_initial_data(data: BeamData) -> PiecewiseProfile:
 
 @dataclass(eq=False)
 class ExtendedDatum:
-    """Odd, compactly supported extension of theta0 to the line.
+    """Odd, compactly supported extension g of theta0 to the line.
 
     Callable on the whole line: a negative y takes minus the value at -y,
     so the extension is odd, and |y| >= 2 gives zero; the reflected copy
@@ -139,6 +139,10 @@ class ExtendedDatum:
     cutoff_s: float = 1.9
     support = EXTENSION_SUPPORT
 
+    def __post_init__(self):
+        self._slope = self.theta0.derivative()
+        self._curvature = self._slope.derivative()
+
     @property
     def breakpoints(self):
         # the reflected copy on (1, support) inherits the original kinks at 2-b
@@ -147,27 +151,35 @@ class ExtendedDatum:
                 if 1.0 < 2.0 - b < EXTENSION_SUPPORT}
         return tuple(sorted(pts))
 
-    def cutoff(self, y):
-        return step_function(np.asarray(y) - 1.0, self.cutoff_s)
+    def _jet(self, y, order):
+        """g, and for order 2 also g'', at y, stacked on a leading axis.
+
+        With z = |y| and phi = 1 on [0, 1], and z = 2-|y| and the cutoff
+        phi = phi(|y|-1) on (1, 2), g = theta0(z) phi and g'' = theta0''(z)
+        phi - 2 theta0'(z) phi' + theta0(z) phi'', both negated on (1, 2) and
+        for y < 0, and zero from |y| >= 2 on (theta0 is zero outside [0, 1]
+        and phi is 0).  A quadrature panel never straddles y = 1, so its row
+        of z lies inside one piece of theta0, evaluated by rows.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        r = np.abs(y)
+        outer = r > 1.0
+        z = np.where(outer, 2.0 - r, r)
+        phi = step_jet(r - 1.0, self.cutoff_s, order).real
+        theta = self.theta0(z)
+        jet = [theta * phi[0]]
+        if order:
+            jet.append(self._curvature(z) * phi[0] - 2.0 * self._slope(z) * phi[1]
+                       + theta * (2.0 * phi[2]))
+        return np.where(outer != (y < 0.0), -1.0, 1.0) * np.stack(jet)
 
     def __call__(self, y):
-        scalar = np.ndim(y) == 0
-        ya = np.atleast_1d(np.asarray(y, dtype=np.float64))
-        sign = np.where(ya < 0.0, -1.0, 1.0)
-        ya = np.abs(ya)
-        out = np.zeros(ya.shape, dtype=np.complex128)
-        inner = ya <= 1.0
-        if np.any(inner):
-            out[inner] = self.theta0(ya[inner])
-        ext = (ya > 1.0) & (ya < EXTENSION_SUPPORT)
-        if np.any(ext):
-            out[ext] = -self.theta0(2.0 - ya[ext]) * self.cutoff(ya[ext])
-        out *= sign
-        return complex(out[0]) if scalar else out
+        g = self._jet(y, 0)[0]
+        return complex(g) if np.ndim(y) == 0 else g
 
-    def second_derivative(self):
-        """The datum whose free evolution gives the trace's v_xx."""
-        return ExtendedCurvature(self)
+    def with_curvature(self, y):
+        """g and g'' at y, stacked: the data of the trace's u and v_xx."""
+        return self._jet(y, 2)
 
     def jumps(self):
         """(points, [g], [g']): the jumps of the extension g and of g' on
@@ -185,36 +197,6 @@ class ExtendedDatum:
         return (np.concatenate([b, 2.0 - b[1:-1]]),
                 np.concatenate([dg[:-1], [2.0 * dg[-1]], phi[0] * dg[1:-1]]),
                 np.concatenate([dg1[:-1], [0.0], phi[1] * dg[1:-1] - phi[0] * dg1[1:-1]]))
-
-
-class ExtendedCurvature:
-    """The second derivative g'' of an ExtendedDatum g on [0, 2], zero
-    elsewhere; a datum on g's support and breakpoints.
-
-    With z = 2-y and the cutoff phi = phi(y-1) on (1, 2), and z = y and
-    phi = 1 elsewhere, it is theta0''(z) phi - 2 theta0'(z) phi' +
-    theta0(z) phi'', negated on (1, 2).  One step_jet call gives phi and its
-    two derivatives.  A quadrature panel never straddles y = 1, so its row
-    of z lies inside one piece of theta0, and the profiles evaluate it by
-    rows.
-    """
-
-    def __init__(self, ext: ExtendedDatum):
-        self.support = ext.support
-        self.breakpoints = ext.breakpoints
-        self.cutoff_s = ext.cutoff_s
-        self.theta0 = ext.theta0
-        self.slope = ext.theta0.derivative()
-        self.curvature = self.slope.derivative()
-
-    def __call__(self, y):
-        y = np.asarray(y, dtype=np.float64)
-        outer = y > 1.0
-        z = np.where(outer, 2.0 - y, y)
-        phi = step_jet(y - 1.0, self.cutoff_s, 2).real
-        value = (self.curvature(z) * phi[0] - 2.0 * self.slope(z) * phi[1]
-                 + self.theta0(z) * (2.0 * phi[2]))
-        return np.where(outer, -value, value)
 
 
 def extend_odd_smooth(theta0: PiecewiseProfile, cutoff_s: float = 1.9) -> ExtendedDatum:

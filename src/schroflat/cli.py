@@ -205,6 +205,21 @@ def _horizon(value):
     return T
 
 
+# the keys a scenario mapping may hold, and its sim mapping's keys with
+# their defaults
+_SETTINGS = ("equation", "tau", "T", "s", "K", "K_u", "control", "sim", "theta0", "eta0",
+             "eta1", "cutoff_s")
+_SIM_DEFAULTS = {"Nx": 200, "Nt": 4000, "snapshot_count": 11}
+
+
+def _known_keys(d, fields, section=""):
+    """Reject a key outside fields, such as a misspelt setting, which
+    would otherwise leave its default in force without a word."""
+    for key in d:
+        if key not in fields:
+            raise ScenarioError(f"{section}{key}: unknown setting")
+
+
 def _setting(d, field, kind, default, section=""):
     try:
         return kind(d.get(field, default))
@@ -215,12 +230,14 @@ def _setting(d, field, kind, default, section=""):
 def scenario_from_dict(d, name):
     if not isinstance(d, dict):
         raise ScenarioError("config: top level must be a mapping")
+    _known_keys(d, _SETTINGS)
     T = _setting(d, "T", _horizon, 0.5)
     simd = d.get("sim", {})
     if not isinstance(simd, dict):
         raise ScenarioError("sim: expected a mapping of Nx, Nt, snapshot_count")
+    _known_keys(simd, _SIM_DEFAULTS, "sim.")
     sizes = {field: _setting(simd, field, _integer, default, "sim.")
-             for field, default in (("Nx", 200), ("Nt", 4000), ("snapshot_count", 11))}
+             for field, default in _SIM_DEFAULTS.items()}
     try:
         sim = SimConfig(T=T, **sizes)
     except (TypeError, ValueError) as exc:

@@ -78,25 +78,6 @@ def _kappa(s):
     return 1.0 / (s - 1.0)
 
 
-def step_function(t, s):
-    """Evaluate phi_s pointwise; scalar or array argument.
-
-    Dividing numerator and denominator by the first exponential turns the
-    ratio into a sigmoid in d = (1-t)^(-kappa) - t^(-kappa), which avoids
-    0/0 when both exponentials underflow.
-    """
-    kappa = _kappa(s)
-    t_arr = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t_arr)
-    out[t_arr <= 0.0] = 1.0
-    inner = (t_arr > 0.0) & (t_arr < 1.0)
-    ti = t_arr[inner]
-    d = (1.0 - ti) ** (-kappa) - ti ** (-kappa)
-    with np.errstate(over="ignore", under="ignore"):
-        out[inner] = 1.0 / (1.0 + np.exp(d))
-    return out if np.ndim(t) else float(out)
-
-
 def _finite(c):
     if not np.all(np.isfinite(c)):
         raise ValueError("jet coefficients must be finite")

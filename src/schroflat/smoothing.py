@@ -19,15 +19,16 @@ against v0; integrated by parts twice it is the free evolution of v0''
 plus closed-form terms at the points where v0 or v0' jumps, so u and v_xx
 are the order-0 integrals of v0 and v0'', samples of one batch.
 
-One helper, _convolutions, poses every integral against a tuple of data.
-A datum names its support and its breakpoints (PiecewiseProfile: [0, 1];
-beam.ExtendedDatum and its second derivative: [0, 2]): the support is
-rescaled to the quadrature's unit interval and the breakpoints become
-panel edges.  The datum factor v0(y) depends on the node alone, not on the
-sample, so the helper evaluates it first, once per distinct panel of each
-integrand call, and multiplies it in after the kernel part; the quadrature
-itself knows nothing of it.  The kernel runs only on the rows whose panel
-some datum does not vanish on, such as the reference datum's zero piece
+One helper, _convolutions, poses every integral against a datum v0, and
+against v0'' too where asked.  A datum names its support and its
+breakpoints (PiecewiseProfile: [0, 1]; beam.ExtendedDatum: [0, 2]): the
+support is rescaled to the quadrature's unit interval and the breakpoints
+become panel edges.  The factors v0(y), or v0(y) and v0''(y) from one
+with_curvature call, depend on the node alone, not on the sample, so the
+helper evaluates them first, once per distinct panel of each integrand
+call, and multiplies them in after the kernel part; the quadrature itself
+knows nothing of them.  The kernel runs only on the rows whose panel some
+datum does not vanish on, such as the reference datum's zero piece
 [0, 0.2]: there the product is zero whatever the kernel returns.
 
 The trace's samples start from a finer mesh than the datum's breakpoints:
@@ -86,8 +87,8 @@ class PiecewiseProfile:
             raise ValueError("need exactly one piece per subinterval")
         self.pieces = [np.atleast_1d(np.asarray(p, dtype=np.complex128)) for p in pieces]
         for p in self.pieces:
-            if p.ndim != 1 or not np.all(np.isfinite(p)):
-                raise ValueError("piece coefficients must be finite 1-d arrays")
+            if p.ndim != 1 or p.size == 0 or not np.all(np.isfinite(p)):
+                raise ValueError("piece coefficients must be finite, non-empty 1-d arrays")
         self.edges = np.array([0.0, *self.breakpoints, 1.0])
         # the pieces zero-padded to one table, and their own sizes, for the
         # evaluation by rows; each row's Horner pass stops at its own size
@@ -170,9 +171,9 @@ class PiecewiseProfile:
             pieces.append(c if c.size else [0.0])
         return PiecewiseProfile(self.breakpoints, pieces)
 
-    def second_derivative(self):
-        """The datum whose free evolution gives the trace's v_xx."""
-        return self.derivative(2)
+    def with_curvature(self, x):
+        """The profile and its second derivative at x, stacked."""
+        return np.stack([self(x), self.derivative(2)(x)])
 
     def _jumps(self):
         """Right limit minus left limit at 0, each breakpoint and 1, with
@@ -258,16 +259,16 @@ def _distinct_panels(*keys):
     return order[new], inverse
 
 
-def _convolutions(data, t, x, orders, abs_tol=1e-10, edges=None):
+def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False):
     """(values, errs, panels, edges): flat arrays of the odd-folded
     convolutions of d^m_x (E(t,x-y) - E(t,x+y)) v(y) over y in
-    [0, support], at the points (t[j], x[j]), for every datum v of the
-    tuple data and every derivative order m of orders, with their error
-    estimates and panel counts (sample (j*len(data) + d)*len(orders) + i
-    is datum data[d] and order orders[i] at point j), and the interior
-    panel edges the batch converged on, on the quadrature's unit interval.
-    The data share the support and the breakpoints of data[0]; the orders
-    are (0,), or any orders at the wall x = 0 (odd_kernel).
+    [0, support], at the points (t[j], x[j]), for the datum v = v0 (d = 0)
+    and, with curvature, v = v0'' (d = 1), and every derivative order m of
+    orders, with their error estimates and panel counts (sample
+    (j*n + d)*len(orders) + i is datum d of n and order orders[i] at point
+    j), and the interior panel edges the batch converged on, on the
+    quadrature's unit interval.  The orders are (0,), or any orders at the
+    wall x = 0 (odd_kernel).
 
     The support is rescaled to the quadrature's unit interval.  Every
     sample starts from the interior panel edges `edges` on that interval,
@@ -275,8 +276,9 @@ def _convolutions(data, t, x, orders, abs_tol=1e-10, edges=None):
     as the converged edges of another call, keep every panel off the
     datum's discontinuities.  The derivative tables of the
     points are built once per call and handed to odd_kernel.  Within each
-    integrand call every datum is evaluated first, once per distinct panel
-    of its own samples.  The kernel then runs, for all orders at once,
+    integrand call the data are evaluated first, by one call of
+    v0.with_curvature or v0, once per distinct panel of the call.  The
+    kernel then runs, for all orders at once,
     only on the (point, panel) rows where some sample's datum values are
     not all exactly zero; the other rows are exact zeros, and every
     sample's row picks its own order.  A batch of one sample per point
@@ -293,11 +295,11 @@ def _convolutions(data, t, x, orders, abs_tol=1e-10, edges=None):
     if np.any(t <= 0):
         raise ValueError("convolution requires t > 0")
     n_orders = len(orders)
-    per_point = len(data) * n_orders
+    per_point = (2 if curvature else 1) * n_orders
     tables = derivative_coefficients(t, orders)
-    support = data[0].support
+    support = v0.support
     if edges is None:
-        edges = tuple(b / support for b in data[0].breakpoints if 0.0 < b / support < 1.0)
+        edges = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
 
     def integrand(sig, s):
         point, which = np.divmod(s[:, 0], per_point)
@@ -306,16 +308,11 @@ def _convolutions(data, t, x, orders, abs_tol=1e-10, edges=None):
             p = point[rows, None]
             return odd_kernel(t[p], x[p], support * sig[rows], tables[:, p])
 
-        # a datum row is a panel alone, named by its end nodes; each datum
-        # runs on the distinct panels of its own samples
+        # a datum row is a panel alone, named by its end nodes
         first, inverse = _distinct_panels(sig[:, 0], sig[:, -1])
+        nodes = support * sig[first]
+        datum = v0.with_curvature(nodes) if curvature else v0(nodes)[None]
         d = which // n_orders
-        datum = np.zeros((len(data),) + first.shape + sig.shape[1:], dtype=np.complex128)
-        for k, v in enumerate(data):
-            need = np.zeros(first.size, dtype=bool)
-            need[inverse[d == k]] = True
-            if need.any():
-                datum[k, need] = v(support * sig[first[need]])
         live = datum.any(axis=2)[d, inverse]
         if per_point == 1:
             # each work-list row is a distinct (point, panel) row already
@@ -346,7 +343,7 @@ def _convolutions(data, t, x, orders, abs_tol=1e-10, edges=None):
                                                       edges, abs_tol)
     except QuadratureError as exc:
         j, i = divmod(exc.sample, per_point)
-        name = f"m={orders[i % n_orders]}" + (f", datum {i // n_orders}" if len(data) > 1 else "")
+        name = f"m={orders[i % n_orders]}" + (f", datum {i // n_orders}" if curvature else "")
         raise QuadratureError(
             f"{exc} at t={float(t[j])!r}, x={float(x[j])!r}, {name}",
             support * exc.value, support * exc.err_estimate, exc.sample) from exc
@@ -359,28 +356,28 @@ def free_evolution(theta0, t, x):
     t and x may be arrays that broadcast together: all points then go
     through one batched quadrature, and the values take their shape.
     """
-    values = _convolutions((theta0,), t, x, (0,))[0]
+    values = _convolutions(theta0, t, x, (0,))[0]
     shape = np.broadcast_shapes(np.shape(t), np.shape(x))
     return complex(values[0]) if shape == () else values.reshape(shape)
 
 
-def _trace_edges(data, t_grid, abs_tol):
+def _trace_edges(v0, t_grid, abs_tol, curvature):
     """The panel edges every sample of a trace over t_grid starts from.
 
     The latest time is integrated alone from the datum's breakpoints, with
-    the trace's data and abs_tol, and the edges it converges on (the union
-    over its data) are returned.  A grid of at most one time returns None,
-    the datum's breakpoints, so its one time is integrated once.  If the
-    latest time exhausts the panel budget, the QuadratureError's sample is
-    its index in the trace's batch.
+    the trace's abs_tol and data (v0, and v0'' with curvature), and the
+    edges it converges on (the union over its data) are returned.  A grid
+    of at most one time returns None, the datum's breakpoints, so its one
+    time is integrated once.  If the latest time exhausts the panel
+    budget, the QuadratureError's sample is its index in the trace's batch.
     """
     latest = t_grid.size - 1
     if latest < 1:
         return None
     try:
-        return _convolutions(data, t_grid[latest:], 1.0, (0,), abs_tol)[3]
+        return _convolutions(v0, t_grid[latest:], 1.0, (0,), abs_tol, None, curvature)[3]
     except QuadratureError as exc:
-        exc.sample += latest * len(data)
+        exc.sample += latest * (2 if curvature else 1)
         raise
 
 
@@ -423,29 +420,29 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     integrals when only u itself is needed.
 
     v_xx(t,1) is the integral of d^2_y F against v0; two integrations by
-    parts make it the free evolution of v0's second derivative,
-    v0.second_derivative(), plus the closed-form terms of v0's jumps
-    (_jump_terms).  u and v_xx at every time are then the interleaved
-    samples of one order-0 batch, which share the kernel's exponentials
-    wherever their panels coincide.  abs_tol is each integral's absolute
-    tolerance.  err bounds both u and v_xx: it sums both samples'
-    estimates and the jump terms' rounding.  A sample that
+    parts make it the free evolution of v0's second derivative plus the
+    closed-form terms of v0's jumps (_jump_terms).  u and v_xx at every
+    time are then the interleaved samples of one order-0 batch, which
+    share the kernel's exponentials wherever their panels coincide; one
+    v0.with_curvature call gives both data on a panel.  abs_tol is each
+    integral's absolute tolerance.  err bounds both u and v_xx: it sums
+    both samples' estimates and the jump terms' rounding.  A sample that
     exhausts the quadrature's panel budget raises QuadratureError naming
     its time, with the time's index in t_grid as the sample.
     """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
-    data = (v0, v0.second_derivative()) if derivative else (v0,)
+    n_data = 2 if derivative else 1
     try:
-        edges = _trace_edges(data, t_grid, abs_tol)
-        values, errs, _, _ = _convolutions(data, t_grid, 1.0, (0,), abs_tol, edges)
+        edges = _trace_edges(v0, t_grid, abs_tol, derivative)
+        values, errs, _, _ = _convolutions(v0, t_grid, 1.0, (0,), abs_tol, edges, derivative)
     except QuadratureError as exc:
-        # batch sample j * len(data) + d is datum data[d] at t_grid[j]
-        exc.sample //= len(data)
+        # batch sample j * n_data + d is datum d at t_grid[j]
+        exc.sample //= n_data
         raise
-    values = values.reshape(t_grid.size, len(data))
-    err = errs.reshape(t_grid.size, len(data)).sum(axis=1)
+    values = values.reshape(t_grid.size, n_data)
+    err = errs.reshape(t_grid.size, n_data).sum(axis=1)
     if derivative:
         terms, rounding = _jump_terms(v0, t_grid, 1.0)
         du = 1j * (values[:, 1] + terms)
@@ -470,7 +467,7 @@ def flat_coefficients(v0, tau, K):
     if not 0 <= K <= MAX_SEED_ORDER:
         raise ValueError(f"K={K} outside the supported truncation range")
     try:
-        values = _convolutions((v0,), tau, 0.0, tuple(range(1, 2 * K + 2, 2)))[0]
+        values = _convolutions(v0, tau, 0.0, tuple(range(1, 2 * K + 2, 2)))[0]
     except QuadratureError as exc:
         k = exc.sample
         raise QuadratureError(f"{exc}, seed order k={k}", _IPOW[k % 4] * exc.value,

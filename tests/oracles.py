@@ -16,7 +16,8 @@ the one-integral interface of the package's batched loop
 (IntegrationProblem, integrate), the one-sample
 control series (control_at) and the checks that only tests need (the
 seed's state series, the Cauchy product of coefficient arrays, Gevrey
-bounds on Taylor coefficients) live here as well.
+bounds on Taylor coefficients, the step profile in its closed sigmoid
+form) live here as well.
 
 The package also marches both equations in sine modes, chunks of steps at
 a time.  The step-by-step banded solves of the same two schemes are kept
@@ -317,6 +318,17 @@ def jump_terms_one(v0, t, x=1.0):
     return complex(np.sum(f * dg1 - f_y * dg))
 
 
+class CurvatureDatum:
+    """The second derivative of a datum v0 as a datum of its own: row 1
+    of v0.with_curvature, on v0's support and breakpoints."""
+
+    def __init__(self, v0):
+        self.v0, self.support, self.breakpoints = v0, v0.support, v0.breakpoints
+
+    def __call__(self, y):
+        return self.v0.with_curvature(y)[1]
+
+
 def boundary_trace_per_sample(v0, t_grid, support=1.0, breakpoints=(),
                               derivative=True, abs_tol=1e-10):
     """u, du, err and per-sample panel counts (of v0 and of its second
@@ -328,7 +340,7 @@ def boundary_trace_per_sample(v0, t_grid, support=1.0, breakpoints=(),
     err = np.zeros(n)
     panels = np.zeros((2, n), dtype=np.int64)
     settings = (support, breakpoints, abs_tol)
-    curvature = v0.second_derivative() if derivative else None
+    curvature = CurvatureDatum(v0)
     for i, t in enumerate(t_grid):
         u[i], err[i], panels[0, i] = convolution_one(v0, t, 1.0, 0, *settings)
         if derivative:
@@ -406,6 +418,26 @@ def _pow(u, alpha):
             acc += ((alpha + 1.0) * k - j) * u[k] * w[j - k]
         w[j] = acc / (j * u[0])
     return w
+
+
+def step_function(t, s):
+    """Evaluate phi_s pointwise; scalar or array argument.  The oracle of
+    step_jet's value, which the package takes from the ratio a/(a+b).
+
+    Dividing numerator and denominator by the first exponential turns the
+    ratio into a sigmoid in d = (1-t)^(-kappa) - t^(-kappa), which avoids
+    0/0 when both exponentials underflow.
+    """
+    kappa = _kappa(s)
+    t_arr = np.asarray(t, dtype=np.float64)
+    out = np.zeros_like(t_arr)
+    out[t_arr <= 0.0] = 1.0
+    inner = (t_arr > 0.0) & (t_arr < 1.0)
+    ti = t_arr[inner]
+    d = (1.0 - ti) ** (-kappa) - ti ** (-kappa)
+    with np.errstate(over="ignore", under="ignore"):
+        out[inner] = 1.0 / (1.0 + np.exp(d))
+    return out if np.ndim(t) else float(out)
 
 
 def step_jet_one(t, s, order):

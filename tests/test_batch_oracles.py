@@ -28,8 +28,9 @@ from oracles import (boundary_trace_per_sample, control_series_one, convolution_
 
 
 def _phase1_setting(name):
-    """(datum, times, settings, data) of a builtin scenario's phase 1; data
-    are the datum and, on the beam, its second derivative."""
+    """(datum, times, settings, curvature) of a builtin scenario's phase 1;
+    curvature says whether the trace also integrates the datum's second
+    derivative, as on the beam."""
     sc = builtin_scenarios()[name]
     times = sc.sim.times()
     t1 = times[(times > 0) & (times <= sc.tau)]
@@ -37,20 +38,19 @@ def _phase1_setting(name):
         ext = extend_odd_smooth(lift_initial_data(BeamData(sc.eta0, sc.eta1)),
                                 sc.cutoff_s)
         # every 4th sample keeps the per-sample oracle fast
-        return ext, t1[::4], dict(abs_tol=1e-8), (ext, ext.second_derivative())
-    return sc.theta0, t1, {}, (sc.theta0,)
+        return ext, t1[::4], dict(abs_tol=1e-8), True
+    return sc.theta0, t1, {}, False
 
 
-def _starting_edges(v0, times, settings, data):
+def _starting_edges(v0, times, settings, curvature):
     """The trace's starting panel edges, on the quadrature's unit interval."""
-    return _trace_edges(data, times, settings.get("abs_tol", 1e-10))
+    return _trace_edges(v0, times, settings.get("abs_tol", 1e-10), curvature)
 
 
 @pytest.mark.parametrize("name", ["gentle", "reference", "beam"])
 def test_phase1_batch_matches_per_sample_loop(name):
-    v0, times, settings, data = _phase1_setting(name)
-    derivative = len(data) == 2
-    edges = _starting_edges(v0, times, settings, data)
+    v0, times, settings, derivative = _phase1_setting(name)
+    edges = _starting_edges(v0, times, settings, derivative)
     u, du, err, panels = boundary_trace_per_sample(
         v0, times, support=v0.support, breakpoints=tuple(v0.support * edges),
         derivative=derivative, **settings)
@@ -59,9 +59,10 @@ def test_phase1_batch_matches_per_sample_loop(name):
     assert np.all(np.abs(trace.du - du) <= 1e-14 * np.abs(du))
     assert np.all(np.abs(trace.err - err) <= 1e-6 * err + 1e-8 * np.abs(u))
     # the data are interleaved samples of the trace's one batch
-    _, _, used, _ = _convolutions(data, times, 1.0, (0,), edges=edges, **settings)
-    used = used.reshape(times.size, len(data))
-    for row in range(len(data)):
+    _, _, used, _ = _convolutions(v0, times, 1.0, (0,), edges=edges,
+                                  curvature=derivative, **settings)
+    used = used.reshape(times.size, 1 + derivative)
+    for row in range(1 + derivative):
         assert np.array_equal(used[:, row], panels[row]), f"subdivision differs (datum {row})"
 
 
@@ -86,9 +87,9 @@ def test_phase1_trace_agrees_with_the_oracle_from_the_breakpoints():
 def test_phase1_trace_from_the_datum_breakpoints_where_the_latest_time_keeps_them(name):
     # the latest time accepts the datum's own panels ({0} and
     # {0, 0.2, 0.5, 0.7}), so the batch is the one the breakpoints start
-    v0, times, settings, data = _phase1_setting(name)
-    assert np.array_equal(_starting_edges(v0, times, settings, data), v0.breakpoints)
-    values, errs, _, _ = _convolutions(data, times, 1.0, (0,), **settings)
+    v0, times, settings, curvature = _phase1_setting(name)
+    assert np.array_equal(_starting_edges(v0, times, settings, curvature), v0.breakpoints)
+    values, errs, _, _ = _convolutions(v0, times, 1.0, (0,), **settings)
     trace = boundary_trace(v0, times, derivative=False, **settings)
     assert np.array_equal(trace.u, values) and np.array_equal(trace.err, errs)
 
@@ -97,8 +98,8 @@ def test_phase1_trace_from_the_datum_breakpoints_where_the_latest_time_keeps_the
 def test_phase1_starting_edges_keep_the_datum_breakpoints(name):
     # accepted panels tile the unit interval from the breakpoints, so no
     # starting panel straddles a discontinuity of the datum
-    v0, times, settings, data = _phase1_setting(name)
-    edges = _starting_edges(v0, times, settings, data)
+    v0, times, settings, curvature = _phase1_setting(name)
+    edges = _starting_edges(v0, times, settings, curvature)
     bps = [b / v0.support for b in v0.breakpoints if 0.0 < b / v0.support < 1.0]
     assert np.all(np.isin(bps, edges))
     assert np.all((edges > 0.0) & (edges < 1.0)) and np.all(np.diff(edges) > 0)

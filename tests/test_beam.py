@@ -9,7 +9,8 @@ from schroflat.beam import EXTENSION_SUPPORT, BeamError, poisson_profile
 from schroflat.smoothing import PiecewiseProfile, _jump_terms
 from schroflat.cli import builtin_scenarios, main, pulse_datum, reference_datum, sine_profile
 
-from oracles import convolution_one, jump_terms_one, kernel_derivative, poisson_solve_grid
+from oracles import (convolution_one, jump_terms_one, kernel_derivative, poisson_solve_grid,
+                     step_function)
 
 
 # ------------------------------------------------------------ data lifting
@@ -88,15 +89,15 @@ def test_extension_matches_datum_inside():
 def test_extension_fades_reflection():
     prof = pulse_datum()
     ext = extend_odd_smooth(prof, cutoff_s=1.6)
-    # just past the wall the fade factor is ~1 and the reflection dominates
-    y = 1.0 + 1e-3
-    expect = -prof(2.0 - y) * ext.cutoff(y)
-    assert abs(ext(y) - expect) < 1e-15
-    # the fade spans the whole outer interval
-    assert ext.cutoff(1.0) == 1.0
-    assert ext.cutoff(EXTENSION_SUPPORT) == 0.0
-    mid = ext.cutoff(1.5)
-    assert 0.0 < mid < 1.0
+    # the reflection times the closed-form step profile: just past the wall
+    # the fade factor is ~1 and the reflection dominates, and the fade
+    # spans the whole outer interval
+    y = np.array([1.0 + 1e-3, 1.25, 1.5, 1.75, 1.9])
+    fade = step_function(y - 1.0, 1.6)
+    assert fade[0] == 1.0 and np.all(np.diff(fade) < 0.0) and fade[-1] > 0.0
+    expect = -prof(2.0 - y) * fade
+    assert np.all(np.abs(ext(y) - expect) <= 1e-15 * np.abs(prof(2.0 - y)))
+    assert ext(EXTENSION_SUPPORT) == 0.0
 
 
 def test_extension_breakpoints_include_reflections():
@@ -113,23 +114,69 @@ def _broken_extension():
     return extend_odd_smooth(theta0, cutoff_s=1.6)
 
 
+def _extension_leibniz_terms(ext, y):
+    """(terms, scales) of g and of g'' at y: their Leibniz terms as
+    mpmath numbers, and the size of each term's rounding.
+
+    On (1, 2) g is -theta0(z) phi with z = 2-y and the sigmoid form of the
+    cutoff phi = phi(y-1); g'' is the sum of -theta0''(z) phi,
+    2 theta0'(z) phi' and -theta0(z) phi''.  On [0, 1] g is theta0 and g''
+    is theta0''; g is odd.  theta0's piece polynomials are exact, and phi's
+    derivatives come from mpmath.diff.  A term's scale takes theta0's
+    factor as its Horner sum sum_j |c_j| z^j, which bounds the rounding of
+    the polynomial's value, and phi's factor as at least 1: step_jet forms
+    phi's coefficients from the O(1) Taylor coefficients of its two
+    exponentials, so it rounds them relative to 1 at least, and a
+    derivative far below that, as in the flat layer past y = 1, keeps only
+    an absolute accuracy.
+    """
+    theta0 = ext.theta0
+    sign, r = (-1, -y) if y < 0 else (1, y)
+    outer = r > 1.0
+    z = 2.0 - r if outer else r
+    coeffs = theta0.pieces[int(np.searchsorted(theta0.edges, z, side="right")) - 1]
+    coeffs = [mpmath.mpc(complex(c)) for c in coeffs]
+    z = mpmath.mpf(2) - mpmath.mpf(r) if outer else mpmath.mpf(r)
+    theta, size = [], []
+    for _ in range(3):
+        theta.append(mpmath.polyval(coeffs[::-1], z))
+        size.append(mpmath.polyval([abs(c) for c in coeffs[::-1]], z))
+        coeffs = [k * c for k, c in enumerate(coeffs)][1:] or [mpmath.mpc(0)]
+    if not outer:
+        return [[sign * theta[0]], [sign * theta[2]]], [[size[0]], [size[2]]]
+    kappa = mpmath.mpf(1.0 / (ext.cutoff_s - 1.0))
+
+    def phi(u):
+        return 1 / (1 + mpmath.exp((1 - u) ** -kappa - u ** -kappa))
+
+    p = [mpmath.diff(phi, mpmath.mpf(r) - 1, k) for k in range(3)]
+    q = [max(abs(p_k), 1) for p_k in p]
+    return ([[-sign * theta[0] * p[0]],
+             [-sign * theta[2] * p[0], 2 * sign * theta[1] * p[1], -sign * theta[0] * p[2]]],
+            [[size[0] * q[0]], [size[2] * q[0], 2 * size[1] * q[1], size[0] * q[2]]])
+
+
 @pytest.mark.parametrize("ext", [_broken_extension(), extend_odd_smooth(pulse_datum())],
                          ids=["broken", "pulse"])
-def test_extension_second_derivative_matches_differences(ext):
-    # g'' against the second central difference of g, away from the
-    # breakpoints, on both halves of the support
-    curvature = ext.second_derivative()
-    assert curvature.support == ext.support and curvature.breakpoints == ext.breakpoints
-    y = np.array([0.1, 0.3, 0.7, 0.95, 1.05, 1.3, 1.7, 1.9])
-    h = 1e-4
-    diff = (ext(y + h) - 2.0 * ext(y) + ext(y - h)) / (h * h)
-    np.testing.assert_allclose(curvature(y), diff, rtol=0, atol=1e-5 * np.abs(diff).max())
+def test_extension_with_curvature_matches_mpmath(ext):
+    # g and g'' against a 30-digit oracle on both halves of the support and
+    # for y < 0, away from the breakpoints, within 1e-13 of the sum of the
+    # rounding scales of their Leibniz terms
+    y = np.array([0.1, 0.7, 1.05, 1.3, 1.7, 1.9, -0.3, -1.6])
+    jet = ext.with_curvature(y)
+    with mpmath.workdps(30):
+        for k, y_k in enumerate(y):
+            for row, (terms, scales) in enumerate(zip(*_extension_leibniz_terms(ext, y_k))):
+                exact = complex(mpmath.fsum(terms))
+                assert abs(jet[row, k] - exact) <= 1e-13 * float(mpmath.fsum(scales)), (row, y_k)
     # panel rows as the quadrature passes them give the point-by-point bits,
-    # and so does a row across y = 1
+    # and so does a row across y = 1; row 0 is the extension's own value
     for rows in ([[0.6, 0.7, 0.8], [1.1, 1.2, 1.3], [1.55, 1.6, 1.65]], [[0.9, 1.0, 1.1]]):
         rows = np.array(rows)
-        assert np.array_equal(curvature(rows), curvature(rows.ravel()).reshape(rows.shape))
-    assert curvature(2.5) == 0.0
+        jet = ext.with_curvature(rows)
+        assert np.array_equal(jet, ext.with_curvature(rows.ravel()).reshape(jet.shape))
+        assert np.array_equal(jet[0], ext(rows))
+    assert np.all(ext.with_curvature(2.5) == 0.0)
 
 
 def test_extension_jumps_match_one_sided_limits():

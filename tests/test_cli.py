@@ -86,6 +86,14 @@ def test_scenario_from_dict_rejects_bad_profiles():
         scenario_from_dict([1, 2], "x")
 
 
+def test_scenario_from_dict_names_an_unknown_setting():
+    base = {"tau": 1.4, "T": 2.0, "s": 1.6, "theta0": "pulse"}
+    with pytest.raises(ScenarioError, match=r"^cutof_s: unknown setting$"):
+        scenario_from_dict({**base, "cutof_s": 1.5}, "x")
+    with pytest.raises(ScenarioError, match=r"^sim\.nt: unknown setting$"):
+        scenario_from_dict({**base, "sim": {"nt": 64}}, "x")
+
+
 def test_load_scenario_builtin_and_yaml(tmp_path):
     assert load_scenario("zero").name == "zero"
     cfg = tmp_path / "sc.yaml"
@@ -469,6 +477,12 @@ _HUGE = "1" + "0" * 400
     ("schrodinger", f"s: {_HUGE}"),
     ("beam", f"cutoff_s: {_HUGE}"),
     ("schrodinger", f"theta0: {{pieces: [[{_HUGE}]]}}"),
+    # a piece without coefficients
+    ("schrodinger", "theta0: {breakpoints: [], pieces: [[]]}"),
+    ("beam", "eta1: {breakpoints: [], pieces: [[]]}"),
+    # a misspelt setting would leave its default in force
+    ("schrodinger", "cutof_s: 1.5"),
+    ("schrodinger", "sim: {Nx: 32, Nt: 64, snapshot_count: 3, nt: 64}"),
 ])
 def test_main_config_error_on_out_of_range_setting(tmp_path, capsys, equation, entry):
     # rejected with the scenario, before any integral is computed; the

@@ -17,10 +17,9 @@ from schroflat import (BeamData, FlatOutput, PiecewiseProfile, control_trace,
                        lift_initial_data, state_series, synthesize)
 from schroflat.cli import builtin_scenarios, sine_profile
 from schroflat.flatness import _analytic_derivatives
-from schroflat.gevrey import step_function
 from schroflat.smoothing import PHASE_FLATNESS, PHASE_SMOOTHING
 
-from oracles import control_at, seed_series
+from oracles import control_at, seed_series, step_function
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from schroflat import step_function, step_jet
+from schroflat import step_jet
 from schroflat.gevrey import MAX_JET_ORDER, _div, _exp, _pow
 
 from conftest import assert_close
-from oracles import GevreyBound, _mul, verify_gevrey_bound
+from oracles import GevreyBound, _mul, step_function, verify_gevrey_bound
 
 
 # ------------------------------------------------------------ step values

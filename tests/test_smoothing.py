@@ -17,7 +17,7 @@ from schroflat.quadrature import NODES, integrate_batch
 from schroflat.smoothing import PHASE_SMOOTHING, _convolutions, _trace_edges
 
 from conftest import assert_close
-from oracles import convolution_one, odd_kernel, seed_series
+from oracles import CurvatureDatum, convolution_one, odd_kernel, seed_series
 
 I_TRACE = {
     0.1: -0.013427952255356212345 + 0.13368495946283665694j,
@@ -185,7 +185,7 @@ def test_boundary_trace_with_derivative(ref_datum):
 def test_convolution_integrates_over_the_datum_breakpoints(ref_datum, t):
     # the datum carries its jumps, so every entry point splits the
     # quadrature at them and the three values agree bit for bit
-    (value,), _, _, _ = _convolutions((ref_datum,), t, 1.0, (0,))
+    (value,), _, _, _ = _convolutions(ref_datum, t, 1.0, (0,))
     assert value == free_evolution(ref_datum, t, 1.0)
     assert value == boundary_trace(ref_datum, np.array([t]), derivative=False).u[0]
 
@@ -243,7 +243,7 @@ def test_trace_at_small_time_fits_the_panel_budget():
     # at t=1e-5 the kernel turns through about 1/(4t) radians over the
     # support: the one sample takes 25,007 panels, more than 2**14 and
     # within the quadrature's one budget of 2**16
-    (value,), (err,), (panels,), _ = _convolutions((pulse_datum(),), 1e-5, 1.0, (0,))
+    (value,), (err,), (panels,), _ = _convolutions(pulse_datum(), 1e-5, 1.0, (0,))
     assert panels == 25007
     trace = boundary_trace(pulse_datum(), [1e-5], derivative=False)
     assert trace.u[0] == value and trace.err[0] == err
@@ -324,10 +324,10 @@ def test_zero_run_calls_no_kernel(monkeypatch, tmp_path):
 
 def test_datum_evaluated_once_per_distinct_panel(monkeypatch, beam_phase1):
     # the datum factors depend on the node alone, so on the builtin beam's
-    # phase-1 grid the datum g and its second derivative g'' each see a
-    # panel at most once per integrand call, and between them every panel
-    # of the call's kernel rows: far fewer points than the kernel, which
-    # sees every (time, panel) row
+    # phase-1 grid the pair of the datum g and its second derivative g''
+    # sees a panel at most once per integrand call, and every panel of the
+    # call's kernel rows: far fewer points than the kernel, which sees
+    # every (time, panel) row
     ext, times, settings = beam_phase1
     events = []
 
@@ -336,12 +336,12 @@ def test_datum_evaluated_once_per_distinct_panel(monkeypatch, beam_phase1):
             self.datum = datum
             self.support, self.breakpoints = datum.support, datum.breakpoints
 
-        def __call__(self, y):
+        def with_curvature(self, y):
             events.append(("datum", y[:, [0, -1]]))
-            return self.datum(y)
+            return self.datum.with_curvature(y)
 
-    g, curvature = Counted(ext), Counted(ext.second_derivative())
-    g.second_derivative, g.jumps = lambda: curvature, ext.jumps
+    g = Counted(ext)
+    g.jumps = ext.jumps
 
     def recorded(t, x, y, tables):
         events.append(("kernel", y[:, [0, -1]]))
@@ -357,7 +357,7 @@ def test_datum_evaluated_once_per_distinct_panel(monkeypatch, beam_phase1):
             seen.append(ends)
             datum_points += NODES.size * ends.shape[0]
             continue
-        # the datum calls of an integrand call precede its kernel call
+        # the datum call of an integrand call precedes its kernel call
         assert np.array_equal(np.unique(np.concatenate(seen), axis=0),
                               np.unique(ends, axis=0))
         seen = []
@@ -391,7 +391,7 @@ def test_datum_integrals_gather_once_per_distinct_panel(monkeypatch):
         return integrate_batch(counted, *args)
 
     monkeypatch.setattr(smoothing, "integrate_batch", recorded)
-    values, errs, panels, _ = _convolutions((Datum(),), times, 1.0, (0,))
+    values, errs, panels, _ = _convolutions(Datum(), times, 1.0, (0,))
     assert datum_rows == [distinct for _, distinct in calls]
     assert calls[0] == (8, 2) and len(calls) > 1
     assert sum(datum_rows) < sum(rows for rows, _ in calls)
@@ -418,7 +418,7 @@ def test_convolutions_build_the_tables_once_per_call(monkeypatch, ref_datum):
         monkeypatch.setattr(module, "derivative_coefficients", counted)
     kernel_calls = _record_kernel_rows(monkeypatch)
     times = np.array([0.001, 0.05, 0.35])
-    _convolutions((ref_datum,), times, 0.0, (1, 3))
+    _convolutions(ref_datum, times, 0.0, (1, 3))
     assert len(kernel_calls) > 1
     assert builds == [times.shape]
 
@@ -435,10 +435,10 @@ def test_datum_and_curvature_share_the_kernel_per_distinct_time_and_panel(
     fused = _record_kernel_rows(monkeypatch)
     boundary_trace(ext, times, derivative=True, **settings)
     apart = _record_kernel_rows(monkeypatch)
-    data = (ext, ext.second_derivative())
-    edges = _trace_edges(data, times, **settings)
+    data = (ext, CurvatureDatum(ext))
+    edges = _trace_edges(ext, times, curvature=True, **settings)
     for v in data:
-        _convolutions((v,), times, 1.0, (0,), edges=edges, **settings)
+        _convolutions(v, times, 1.0, (0,), edges=edges, **settings)
     for rows in fused:
         assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     count = lambda calls: sum(rows.shape[0] for rows in calls)
@@ -473,7 +473,7 @@ def test_beam_trace_starts_from_the_latest_time_mesh(monkeypatch, beam_phase1):
     boundary_trace(ext, times, derivative=True, **settings)
     assert [b.size for b in batches] == [2, 2 * times.size]
     assert sum(int(b.sum()) for b in batches) <= 23_200
-    edges = _trace_edges((ext, ext.second_derivative()), times, **settings)
+    edges = _trace_edges(ext, times, curvature=True, **settings)
     assert np.array_equal(ext.support * edges, [1.0, 1.125, 1.25, 1.5, 1.75, 1.875])
 
 
