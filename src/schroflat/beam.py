@@ -28,7 +28,7 @@ from .flatness import DEFAULT_SERIES_TRUNCATION, synthesize
 from .gevrey import step_jet
 from .kernel import horner
 from .schrodinger_sim import SimConfig
-from .sine_modes import CHUNK, chunk_states, sine_modes
+from .sine_modes import CHUNK, chunk_states, power_rows, sine_modes
 from .smoothing import ControlTrace, PiecewiseProfile
 
 EXTENSION_SUPPORT = 2.0
@@ -309,7 +309,8 @@ def beam_simulate(data, u1, u2, cfg: SimConfig, u2_avg):
     moment = 2.0 * u2_avg
 
     nx = cfg.Nx
-    S, th, powers = sine_modes(nx, dt / (h * h))
+    S, th, phase = sine_modes(nx, dt / (h * h))
+    powers = power_rows(phase, np.arange(CHUNK + 1))
     w = 2.0 * th / dt
     z = (2.0 / nx) * (w * (S @ eta) + 1j * (S @ p))
     # step k's boundary rows: b[-2] = U, b[-1] = -2U + h^2 M with

@@ -10,13 +10,15 @@ Boundary data enter through the right-hand side at both time levels of the
 step.  The scheme is not solved step by step: in the sine modes of the
 interior (see sine_modes) each step multiplies a mode by its unit-modulus
 Cayley factor and adds the boundary forcing, so whole chunks of steps are
-applied at once and the field is rebuilt only at snapshot times.
+applied at once and the field is rebuilt only at snapshot times.  A run
+without boundary data (no control, or an all-zero one) skips the forcing
+products and computes only the powers of the Cayley factors it reads.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sine_modes import CHUNK, apply_sine, complex_product, sine_modes
+from .sine_modes import CHUNK, apply_sine, complex_product, power_rows, sine_modes
 
 # The finest grid a run takes.  sine_modes builds a dense (Nx-1)^2 float
 # table and an int64 index temporary of the same size: 0.5 GB each at this
@@ -103,23 +105,34 @@ def _march(theta, ub, lam, snap_idx):
     The interior field is v = S c in sine modes.  The boundary values enter
     the last interior row as (i lam/2)(u_m + u_{m+1}); the datum's left end
     value enters the first row at the first step's old level only, since
-    marched fields are clamped to 0 there.
+    marched fields are clamped to 0 there.  A march whose boundary sums
+    u_m + u_{m+1} all vanish adds no forcing product and builds only the
+    power rows it reads: r^1 and r^n for each chunk length n it steps.
     """
     nx = theta.size - 1
-    S, th, powers = sine_modes(nx, lam)
+    S, th, phase = sine_modes(nx, lam)
     kick = 1j * lam / nx / (1.0 + 1j * th)
+    f = ub[:-1] + ub[1:]
+    forced = f.any()
+    rows = np.arange(CHUNK + 1) if forced else np.array([1])
+    table = power_rows(phase, rows)
+    powers = dict(zip(rows.tolist(), table))
     c = (2.0 / nx) * apply_sine(S, theta[1:-1])
     # folded in as r^-1 times its forcing, so the first step adds it once
     c += kick * S[0] * theta[0] * powers[1].conj()
-    # c after L steps of a chunk starting at m: r^L c + f[m:m+L] @ gain[-L:]
-    gain = kick * S[-1] * powers[CHUNK - 1::-1]
-    f = ub[:-1] + ub[1:]
+    if forced:
+        # c after L steps of a chunk starting at m: r^L c + f[m:m+L] @ gain[-L:]
+        gain = kick * S[-1] * table[CHUNK - 1::-1]
     out = np.empty((snap_idx.size, theta.size), dtype=np.complex128)
     step = 0
     for i, idx in enumerate(snap_idx):
         while step < idx:
             n = min(CHUNK, idx - step)
-            c = powers[n] * c + complex_product(f[step:step + n], gain[CHUNK - n:])
+            if n not in powers:
+                powers[n] = power_rows(phase, np.array([n]))[0]
+            c = powers[n] * c
+            if forced:
+                c += complex_product(f[step:step + n], gain[CHUNK - n:])
             step += n
         if idx == 0:
             out[i] = theta

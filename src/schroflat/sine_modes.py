@@ -18,7 +18,10 @@ array operations whose scratch arrays hold at most CHUNK rows of Nx - 1
 modes.  The dense S costs O(Nx^2) memory and needs no FFT module, but only
 2 Nx sines: its entries repeat the values sin(m pi / Nx), m = jk mod 2 Nx.
 The powers r_k^j of a chunk are the cosines and sines of the real angles
-j phi_k, phi_k = -2 atan(theta_k), with no complex exponential.
+j phi_k, phi_k = -2 atan(theta_k), with no complex exponential.  They are
+built row by row on request (power_rows): a march with boundary forcing
+reads every row j = 0 .. CHUNK, a march without it only r^1 and the r^n
+of the chunk lengths n it steps.
 """
 import numpy as np
 
@@ -26,24 +29,32 @@ CHUNK = 256
 
 
 def sine_modes(nx, lam):
-    """(S, theta, powers) for a grid of nx intervals and lam = dt/h^2.
+    """(S, theta, phase) for a grid of nx intervals and lam = dt/h^2.
 
     S[j-1, k-1] = sin(jk pi / nx) is symmetric and takes only the 2 nx
     values sin(m pi / nx), m = jk mod 2 nx: they are computed once and
     gathered, every entry rounded once from an argument below 2 pi.
-    theta[k-1] = 2 lam sin^2(k pi / 2nx); powers[j] = r^j for
-    j = 0 .. CHUNK, each row the cosine and sine of the real angle
-    j phase, phase = -2 atan(theta) the Cayley factor's phase, rather than
-    a product of repeated multiplications.
+    theta[k-1] = 2 lam sin^2(k pi / 2nx), and phase = -2 atan(theta) is
+    the phase of the Cayley factor r (see power_rows).
     """
     k = np.arange(1, nx)
     S = np.sin(np.pi / nx * np.arange(2 * nx))[np.outer(k, k) % (2 * nx)]
     theta = 2.0 * lam * np.sin(0.5 * np.pi / nx * k) ** 2
-    angle = np.arange(CHUNK + 1)[:, None] * (-2.0 * np.arctan(theta))
+    return S, theta, -2.0 * np.arctan(theta)
+
+
+def power_rows(phase, j):
+    """r^j for an integer array j, one row each: the cosine and sine of the
+    real angle j phase, rather than a product of repeated multiplications.
+
+    A row depends only on its j, so rows built on request equal the rows
+    of the full table power_rows(phase, np.arange(CHUNK + 1)) bit for bit.
+    """
+    angle = j[:, None] * phase
     powers = np.empty(angle.shape, dtype=np.complex128)
     np.cos(angle, out=powers.real)
     np.sin(angle, out=powers.imag)
-    return S, theta, powers
+    return powers
 
 
 def complex_product(a, b):

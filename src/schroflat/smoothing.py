@@ -70,9 +70,10 @@ class PiecewiseProfile:
     A 2-D array whose every row lies strictly inside one piece, as the
     quadrature's panels do, is evaluated by rows: one piece is looked up
     per row, and one Horner pass per distinct piece size runs with each
-    row's coefficients broadcast along it.  Any other input is evaluated
-    per element.  Both give every node the same Horner steps, so the same
-    bits.
+    row's coefficients broadcast along it; rows that all lie in one piece
+    take its own coefficients, with nothing broadcast.  Any other input is
+    evaluated per element.  All give every node the same Horner steps, so
+    the same bits.
     """
 
     support = 1.0
@@ -130,6 +131,8 @@ class PiecewiseProfile:
         if not (np.all(xa > self.edges[piece, None])
                 and np.all(xa < self.edges[piece + 1, None])):
             return None
+        if piece.min() == piece.max():
+            return horner(self.pieces[piece[0]], xa)
         sizes = self._sizes[piece]
         if sizes.min() == sizes.max():
             return horner(self._table[piece, None, :sizes[0]], xa)

@@ -24,7 +24,9 @@ a time.  The step-by-step banded solves of the same two schemes are kept
 here, with a grid solve of the beam's Poisson lift; they need scipy, which
 the package itself does not import.  So are the marches' tables computed
 entry by entry (sine_modes_direct), which the package gathers from their
-distinct values.
+distinct values, and the Schrodinger march that always forms the full
+table of powers and a forcing product per chunk (march_chunked), which the
+package skips when the boundary data vanish.
 """
 import math
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from schroflat import kernel, quadrature
 from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES, WEIGHTS_GAUSS,
                                   WEIGHTS_KRONROD, QuadratureError, integrate_batch)
 from schroflat.beam import BeamResult, BeamSnapshot
-from schroflat.sine_modes import CHUNK
+from schroflat.sine_modes import CHUNK, apply_sine, complex_product, sine_modes
 from schroflat.flatness import _MIPOW, control_trace
 from schroflat.smoothing import _IPOW
 
@@ -553,6 +555,40 @@ def sine_modes_direct(nx, lam):
     phase = -2.0 * np.arctan(theta)
     powers = np.exp(1j * np.arange(CHUNK + 1)[:, None] * phase[None, :])
     return S, theta, powers
+
+
+def march_chunked(theta, ub, lam, snap_idx):
+    """Crank-Nicolson frames in sine modes with the full table of powers
+    r^0 .. r^CHUNK and a forcing product every chunk, zero or not.
+
+    The package's march skips both where the boundary data vanish: it adds
+    no forcing product and builds only the powers it reads.
+    """
+    nx = theta.size - 1
+    S, th, phase = sine_modes(nx, lam)
+    angle = np.arange(CHUNK + 1)[:, None] * phase
+    powers = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=powers.real)
+    np.sin(angle, out=powers.imag)
+    kick = 1j * lam / nx / (1.0 + 1j * th)
+    c = (2.0 / nx) * apply_sine(S, theta[1:-1])
+    c += kick * S[0] * theta[0] * powers[1].conj()
+    gain = kick * S[-1] * powers[CHUNK - 1::-1]
+    f = ub[:-1] + ub[1:]
+    out = np.empty((snap_idx.size, theta.size), dtype=np.complex128)
+    step = 0
+    for i, idx in enumerate(snap_idx):
+        while step < idx:
+            n = min(CHUNK, idx - step)
+            c = powers[n] * c + complex_product(f[step:step + n], gain[CHUNK - n:])
+            step += n
+        if idx == 0:
+            out[i] = theta
+        else:
+            out[i, 0] = 0.0
+            out[i, 1:-1] = apply_sine(S, c)
+            out[i, -1] = ub[idx]
+    return out
 
 
 def march_banded(theta, ub, lam, snap_idx):

@@ -6,18 +6,23 @@ step.  The arithmetic differs, so the results agree to rounding amplified
 by the step count: frames within 1e-10 max|theta|, beam energies within
 1e-9 relative and beam fields within 1e-9 of their largest value.  The
 tables both marches share equal their entry-by-entry formulas, S bit for
-bit.
+bit.  The Schrodinger march, which skips the forcing products and the
+unread powers where the boundary data vanish, equals march_chunked, which
+never does, bit for bit.
 """
+import dataclasses
+
 import numpy as np
 import pytest
 
+from schroflat import schrodinger_sim
 from schroflat import BeamData, SimConfig, beam_controls, beam_simulate, simulate
 from schroflat.cli import builtin_scenarios, pulse_datum, sine_profile, synthesize_control
 from schroflat.schrodinger_sim import _march
-from schroflat.sine_modes import CHUNK, sine_modes
-from schroflat.smoothing import PiecewiseProfile
+from schroflat.sine_modes import CHUNK, complex_product, power_rows, sine_modes
+from schroflat.smoothing import ControlTrace, PiecewiseProfile
 
-from oracles import beam_simulate_banded, march_banded, sine_modes_direct
+from oracles import beam_simulate_banded, march_banded, march_chunked, sine_modes_direct
 
 FRAME_TOL = 1e-10
 ENERGY_TOL = 1e-9
@@ -29,12 +34,19 @@ def test_sine_mode_tables_match_direct_formulas(nx, lam):
     # S gathers the very sines the direct table computes, bit for bit; the
     # powers' real cos/sin agree with exp in value, but row 0's imaginary
     # part is sin(-0.0) = -0.0 where exp gives +0.0
-    S, theta, powers = sine_modes(nx, lam)
+    S, theta, phase = sine_modes(nx, lam)
     S_ref, theta_ref, powers_ref = sine_modes_direct(nx, lam)
     assert S.tobytes() == S_ref.tobytes()
     assert theta.tobytes() == theta_ref.tobytes()
+    powers = power_rows(phase, np.arange(CHUNK + 1))
     assert powers.shape == powers_ref.shape == (CHUNK + 1, nx - 1)
     np.testing.assert_array_equal(powers, powers_ref)
+    assert np.all(np.signbit(powers[0].imag))
+    # rows built on request, alone or a few at a time, are the full
+    # table's rows bit for bit, row 0's -0.0 included
+    for j in ([0], [1], [CHUNK], [1, 208, CHUNK], [0, 37, 166, 167, CHUNK - 1]):
+        rows = power_rows(phase, np.array(j))
+        assert rows.tobytes() == powers[j].tobytes()
 
 
 def _assert_frames_close(frames, reference, theta_max):
@@ -42,7 +54,7 @@ def _assert_frames_close(frames, reference, theta_max):
     assert np.max(np.abs(frames - reference)) <= FRAME_TOL * theta_max
 
 
-def _march_both(theta0, trace, cfg):
+def _march_both(theta0, trace, cfg, oracle=march_banded):
     x = np.linspace(0.0, 1.0, cfg.Nx + 1)
     theta = np.asarray(theta0(x), dtype=np.complex128)
     times = cfg.times()
@@ -50,7 +62,7 @@ def _march_both(theta0, trace, cfg):
           else trace.interpolate(times))
     snaps = simulate(theta0, trace, cfg)
     frames = np.array([s.values for s in snaps])
-    reference = march_banded(theta, ub, cfg.dt / cfg.dx ** 2, cfg.snapshot_indices())
+    reference = oracle(theta, ub, cfg.dt / cfg.dx ** 2, cfg.snapshot_indices())
     return frames, reference, np.max(np.abs(frames))
 
 
@@ -66,6 +78,61 @@ def test_free_run_matches_banded_march():
     cfg = SimConfig(Nx=400, Nt=4000, T=0.5, snapshot_count=9)
     frames, reference, theta_max = _march_both(pulse_datum(), None, cfg)
     _assert_frames_close(frames, reference, theta_max)
+
+
+def _skewed_pulse(x):
+    # a left end value off zero, so the first step reads r^1
+    return pulse_datum()(x) + 0.3j * (1.0 - x) + 0.7 * x
+
+
+@pytest.mark.parametrize("nx", [16, 17, 128, 400])
+def test_free_run_matches_chunked_march_bit_for_bit(nx):
+    # snapshots 167 and 166 steps apart: chunks of 166 and 167 steps, not
+    # of CHUNK; the free run skips the zero forcing products and builds
+    # only r^1, r^166 and r^167, and keeps every bit of the full march
+    cfg = SimConfig(Nx=nx, Nt=1000, T=0.5, snapshot_count=7)
+    assert set(np.diff(cfg.snapshot_indices()).tolist()) == {166, 167}
+    frames, chunked, _ = _march_both(_skewed_pulse, None, cfg, march_chunked)
+    assert frames.tobytes() == chunked.tobytes()
+
+
+def test_forced_run_matches_chunked_march_bit_for_bit():
+    sc = builtin_scenarios()["gentle"]
+    sc = dataclasses.replace(sc, sim=SimConfig(Nx=64, Nt=1000, T=sc.T, snapshot_count=7))
+    trace, _, _ = synthesize_control(sc)
+    frames, chunked, _ = _march_both(sc.theta0, trace, sc.sim, march_chunked)
+    assert frames.tobytes() == chunked.tobytes()
+
+
+def test_free_run_builds_only_the_power_rows_it_reads(monkeypatch):
+    # 20,000 steps in 10 gaps of 2,000: chunks of CHUNK and 208 steps
+    built, products = [], []
+
+    def counted_rows(phase, j):
+        built.extend(j.tolist())
+        return power_rows(phase, j)
+
+    def counted_product(a, b):
+        products.append(a.size)
+        return complex_product(a, b)
+
+    monkeypatch.setattr(schrodinger_sim, "power_rows", counted_rows)
+    monkeypatch.setattr(schrodinger_sim, "complex_product", counted_product)
+    cfg = SimConfig(Nx=16, Nt=20000, T=0.5, snapshot_count=11)
+    t = cfg.times()
+    zero = np.zeros_like(t)
+
+    def trace(u):
+        return ControlTrace(t, u, zero, zero, zero)
+
+    # no control, or an all-zero one as the zero builtin synthesizes
+    for control in (None, trace(zero)):
+        built.clear()
+        simulate(sine_profile(), control, cfg)
+        assert sorted(built) == [1, 208, CHUNK] and products == []
+    built.clear()
+    simulate(sine_profile(), trace(1e-3 * np.sin(t)), cfg)
+    assert sorted(built) == list(range(CHUNK + 1)) and len(products) == 80
 
 
 @pytest.mark.parametrize("nx, nt, snap_idx", [

@@ -118,7 +118,10 @@ def test_profile_rows_match_the_per_element_path(name):
                          for e in profile.edges])
     crossing = np.array([b + line for b in profile.breakpoints] or [0.5 + line])
     outside = np.array([line, 1.0 + line, 1.5 + line])
-    for rows in (inside, touching, crossing, outside, np.vstack([inside, crossing])):
+    # _panel_rows puts eight rows in each piece: the first eight share one
+    one_piece = inside[:8]
+    for rows in (inside, one_piece, touching, crossing, outside,
+                 np.vstack([inside, crossing])):
         per_element = profile(rows.ravel()).reshape(rows.shape)
         assert np.array_equal(_bits(profile(rows)), _bits(per_element))
     by_rows = profile(inside)
@@ -129,11 +132,12 @@ def test_profile_rows_match_the_per_element_path(name):
 
 def test_profile_rows_take_one_horner_pass_per_piece_size(monkeypatch):
     # the row path runs one Horner pass per distinct piece size, the
-    # per-element path one per piece
+    # per-element path one per piece; rows all in one piece take that
+    # piece's own 1-d coefficients
     passes = []
 
     def counted(coeffs, x):
-        passes.append(x.shape[0])
+        passes.append((x.shape[0], coeffs.ndim))
         return kernel.horner(coeffs, x)
 
     monkeypatch.setattr(smoothing, "horner", counted)
@@ -141,10 +145,14 @@ def test_profile_rows_take_one_horner_pass_per_piece_size(monkeypatch):
         rows = _panel_rows(profile.edges)
         passes.clear()
         profile(rows)
-        assert len(passes) == n_sizes and sum(passes) == rows.shape[0]
+        assert len(passes) == n_sizes and sum(n for n, _ in passes) == rows.shape[0]
         passes.clear()
         profile(rows.ravel())
         assert len(passes) == len(profile.pieces)
+        for piece in range(len(profile.pieces)):
+            passes.clear()
+            profile(rows[8 * piece:8 * piece + 8])
+            assert passes == [(8, 1)]
 
 
 @pytest.mark.parametrize("bps,pieces", [
