@@ -158,14 +158,16 @@ class ExtendedDatum:
         phi = phi(|y|-1) on (1, 2), g = theta0(z) phi and g'' = theta0''(z)
         phi - 2 theta0'(z) phi' + theta0(z) phi'', both negated on (1, 2) and
         for y < 0, and zero from |y| >= 2 on (theta0 is zero outside [0, 1]
-        and phi is 0).  A quadrature panel never straddles y = 1, so its row
-        of z lies inside one piece of theta0, evaluated by rows.
+        and phi is 0).  phi and its derivatives are step_jet's real
+        coefficients (phi''/2 for phi''), which scale theta0's complex values.
+        A quadrature panel never straddles y = 1, so its row of z lies
+        inside one piece of theta0, evaluated by rows.
         """
         y = np.asarray(y, dtype=np.float64)
         r = np.abs(y)
         outer = r > 1.0
         z = np.where(outer, 2.0 - r, r)
-        phi = step_jet(r - 1.0, self.cutoff_s, order).real
+        phi = step_jet(r - 1.0, self.cutoff_s, order)
         theta = self.theta0(z)
         jet = [theta * phi[0]]
         if order:
@@ -193,7 +195,7 @@ class ExtendedDatum:
         taken at y - 1 = 1 - b.  At y = 2 every derivative of phi vanishes.
         """
         b, dg, dg1 = self.theta0.jumps()
-        phi = step_jet(1.0 - b[1:-1], self.cutoff_s, 1).real
+        phi = step_jet(1.0 - b[1:-1], self.cutoff_s, 1)
         return (np.concatenate([b, 2.0 - b[1:-1]]),
                 np.concatenate([dg[:-1], [2.0 * dg[-1]], phi[0] * dg[1:-1]]),
                 np.concatenate([dg1[:-1], [0.0], phi[1] * dg[1:-1] - phi[0] * dg1[1:-1]]))

@@ -124,14 +124,16 @@ def _analytic_derivatives(fo: FlatOutput, t: np.ndarray, order: int) -> np.ndarr
     """ybar^(m)(t) = sum_{j>=m} y_j (t-tau)^(j-m)/(j-m)!, m = 0..order."""
     dt = t - fo.tau
     K = fo.K
-    y = fo.y
+    # the seed's real and imaginary parts as rows against the real powers:
+    # the products and the quotients by (j-m)! round as the complex ones
+    yri = np.stack([fo.y.real, fo.y.imag], axis=1)[..., None]
     powers = [dt ** p for p in range(K + 1)]
     out = np.zeros((order + 1,) + t.shape, dtype=np.complex128)
     for m in range(min(order, K) + 1):
-        acc = np.zeros(t.shape, dtype=np.complex128)
+        acc = np.zeros((2,) + t.shape, dtype=np.float64)
         for j in range(K, m, -1):
-            acc += y[j] * powers[j - m] / math.factorial(j - m)
-        out[m] = acc + y[m]
+            acc += (yri[j] * powers[j - m]) * (1.0 / math.factorial(j - m))
+        out.real[m], out.imag[m] = acc + yri[m]
     return out
 
 

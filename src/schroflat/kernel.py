@@ -44,11 +44,13 @@ def derivative_coefficients(t, orders):
     c = np.zeros(t.shape + (top + 1,), dtype=np.complex128)
     c[..., 0] = 1.0
     built = [c]
-    for m in range(top):
-        c = np.zeros_like(c)
-        c[..., : m + 1] = np.arange(1, m + 2) * built[m][..., 1 : m + 2]
-        c[..., 1 : m + 2] += half * built[m][..., : m + 1]
-        built.append(c)
+    # an overflow is reported below, as a KernelError, not as a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(top):
+            c = np.zeros_like(c)
+            c[..., : m + 1] = np.arange(1, m + 2) * built[m][..., 1 : m + 2]
+            c[..., 1 : m + 2] += half * built[m][..., : m + 1]
+            built.append(c)
     if not np.all(np.isfinite(c)):
         raise KernelError(f"coefficient overflow at order {top}")
     return np.stack([built[m] for m in orders])
@@ -87,48 +89,54 @@ def odd_kernel(t, x, y, tables):
       (a padded zero keeps Horner's partial sums exactly zero).
 
     Other orders away from the wall raise KernelError.  The products over
-    the points run in real arithmetic (numpy's complex products round
-    differently in its vector and scalar loops), so a point's value does
-    not depend on its batch.  y holds the quadrature nodes; t and x are
-    float arrays of one shape that broadcasts against y's trailing axes,
-    for instance one (t, x) per row of y.
+    the points run in real arithmetic, on the real and imaginary parts as
+    separate contiguous arrays (numpy's complex products round differently
+    in its vector and scalar loops), so a point's value does not depend on
+    its batch.  y holds the quadrature nodes; t and x are float arrays of
+    one shape that broadcasts against y's trailing axes, for instance one
+    (t, x) per row of y.
     """
     shape = np.broadcast_shapes(t.shape, y.shape)
-    # the order axis leads, the points' axes align with the nodes' trailing ones
-    tables = tables.reshape(tables.shape[:1] + (1,) * (len(shape) - t.ndim)
-                            + tables.shape[1:])
-    vals = np.empty(tables.shape[:1] + shape, dtype=np.complex128)
+    # the phase factor e^{i(x^2+y^2)/4t} of C
+    phase = y * y
+    phase += x * x
+    phase /= 4.0 * t
+    rot = np.zeros(shape, dtype=np.complex128)
+    rot.imag = phase
+    np.exp(rot, out=rot)
     amplitude = -2.0 / np.sqrt(4j * np.pi * t)
     if tables.shape[-1] == 1:
         # G = -2 i sin(theta) / sqrt(4 pi i t), with the i in the amplitude
+        i_amp = 1j * amplitude
         sin_t = x * y
         sin_t /= 2.0 * t
         np.sin(sin_t, out=sin_t)
-        y2 = y * y
-        i_amp = 1j * amplitude
-        np.multiply(i_amp.real, sin_t, out=vals.real)
-        np.multiply(i_amp.imag, sin_t, out=vals.imag)
-        sin_t = None
+        gr = i_amp.real * sin_t
+        gi = np.multiply(i_amp.imag, sin_t, out=sin_t)
     else:
         if np.any(x != 0.0):
             raise KernelError("derivative orders are supported at the wall x = 0 only")
+        # the order axis leads, the points' axes align with the nodes' trailing ones
+        tables = tables.reshape(tables.shape[:1] + (1,) * (len(shape) - t.ndim)
+                                + tables.shape[1:])
         # G = -2 p_m(y) / sqrt(4 pi i t): y times the odd coefficients as a
         # polynomial in y^2, with the amplitude in the coefficients
         odd = (tables * amplitude[..., None])[..., 1::2]
         y2 = y * y
-        for part, b in ((vals.real, odd.real), (vals.imag, odd.imag)):
-            np.multiply(_even_poly(b, y2), y, out=part)
-    # then G times the phase factor e^{i(x^2+y^2)/4t} of C, in real
-    # arithmetic
-    rot = np.zeros(shape, dtype=np.complex128)
-    np.add(y2, x * x, out=rot.imag)
-    y2 = None
-    rot.imag /= 4.0 * t
-    np.exp(rot, out=rot)
-    gi_s = vals.imag * rot.imag
-    gr_s = vals.real * rot.imag
-    vals.real *= rot.real
+        gr = _even_poly(odd.real, y2) * y
+        gi = _even_poly(odd.imag, y2) * y
+    # then G times the phase factor in real arithmetic
+    cos, sin = rot.real, rot.imag
+    if gr.shape == shape:
+        # one order: its product takes the phase factor's place, and a
+        # scratch array the phase's
+        vals, gr_s = rot, np.multiply(gr, sin, out=phase)
+    else:
+        vals, gr_s = np.empty(gr.shape, dtype=np.complex128), gr * sin
+    gi_s = gi * sin
+    gi *= cos
+    gi += gr_s
+    np.multiply(gr, cos, out=vals.real)
     vals.real -= gi_s
-    vals.imag *= rot.real
-    vals.imag += gr_s
-    return vals
+    vals.imag[...] = gi
+    return vals.reshape((-1,) + shape)

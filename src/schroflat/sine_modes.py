@@ -33,12 +33,17 @@ def sine_modes(nx, lam):
 
     S[j-1, k-1] = sin(jk pi / nx) is symmetric and takes only the 2 nx
     values sin(m pi / nx), m = jk mod 2 nx: they are computed once and
-    gathered, every entry rounded once from an argument below 2 pi.
+    gathered, every entry rounded once from an argument below 2 pi.  The
+    index jk is formed in int32, half the size of a default integer table:
+    jk < nx^2, and (schrodinger_sim.MAX_NX - 1)^2 < 2^31.
     theta[k-1] = 2 lam sin^2(k pi / 2nx), and phase = -2 atan(theta) is
     the phase of the Cayley factor r (see power_rows).
     """
+    k32 = np.arange(1, nx, dtype=np.int32)
+    index = np.multiply.outer(k32, k32)
+    index %= 2 * nx
+    S = np.sin(np.pi / nx * np.arange(2 * nx))[index]
     k = np.arange(1, nx)
-    S = np.sin(np.pi / nx * np.arange(2 * nx))[np.outer(k, k) % (2 * nx)]
     theta = 2.0 * lam * np.sin(0.5 * np.pi / nx * k) ** 2
     return S, theta, -2.0 * np.arctan(theta)
 

@@ -9,7 +9,9 @@ per integral (and the seed as one integral per order), and scalar Taylor
 recurrences per time sample.  The free propagator E(t,x) and its
 derivatives as translates (fundamental_solution, kernel_derivative), which
 the package evaluates only in product form, the per-order odd kernel that
-builds its own tables (odd_kernel), the kernel at any x and order with
+builds its own tables (odd_kernel), the order-0 kernel on interleaved
+complex buffers that the package's contiguous real one replaced
+(order0_kernel_interleaved), the kernel at any x and order with
 its shifted tables (general_odd_kernel, shifted_coefficients), which give
 the beam's hinge moment as the order-2 integral against the datum itself,
 the one-integral interface of the package's batched loop
@@ -192,6 +194,36 @@ def odd_kernel(t, x, y, m=0):
     vals = kernel.odd_kernel(t, xa, ya, derivative_coefficients(t, orders))
     vals = vals if np.ndim(m) else vals[0]
     return vals[..., 0] if np.ndim(y) == 0 else vals
+
+
+def order0_kernel_interleaved(t, x, y):
+    """kernel.odd_kernel at order 0 as the package once computed it: the
+    same real operations in the same order, but with G written into the
+    real and imaginary parts of a complex array and the phase factor's
+    argument into the imaginary part of complex zeros.  Shape (1,) + the
+    broadcast shape of t and y, as odd_kernel's.
+    """
+    shape = np.broadcast_shapes(t.shape, y.shape)
+    vals = np.empty((1,) + shape, dtype=np.complex128)
+    amplitude = -2.0 / np.sqrt(4j * np.pi * t)
+    sin_t = x * y
+    sin_t /= 2.0 * t
+    np.sin(sin_t, out=sin_t)
+    y2 = y * y
+    i_amp = 1j * amplitude
+    np.multiply(i_amp.real, sin_t, out=vals.real)
+    np.multiply(i_amp.imag, sin_t, out=vals.imag)
+    rot = np.zeros(shape, dtype=np.complex128)
+    np.add(y2, x * x, out=rot.imag)
+    rot.imag /= 4.0 * t
+    np.exp(rot, out=rot)
+    gi_s = vals.imag * rot.imag
+    gr_s = vals.real * rot.imag
+    vals.real *= rot.real
+    vals.real -= gi_s
+    vals.imag *= rot.real
+    vals.imag += gr_s
+    return vals
 
 
 # ------------------------------------------------------- one integral

@@ -428,17 +428,28 @@ def test_synthesis_bytes_do_not_depend_on_blas_threads():
 
 
 def test_main_numerical_error_exit(tmp_path, capsys):
-    # s this close to 1 underflows both step exponentials mid-interval,
-    # which must surface as a numerical failure, not a crash or silence
+    # a horizon of microseconds overflows the seed's order-61 kernel table
+    # (i/2 tau)^61, which must surface as a numerical failure, not a crash
+    # or silence; the zero datum keeps phase 1 free of kernel work
     cfg = tmp_path / "hard.yaml"
     cfg.write_text(
         "equation: schrodinger\n"
-        "tau: 1.4\nT: 2.0\ns: 1.001\nK: 6\nK_u: 6\n"
+        "tau: 2.5e-6\nT: 3.0e-6\ns: 1.6\nK: 30\nK_u: 6\n"
         "sim: {Nx: 32, Nt: 64, snapshot_count: 3}\n"
-        "theta0: pulse\n")
+        "theta0: zero\n")
     rc = main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")])
     assert rc == EXIT_NUMERICAL
-    assert "numerical error" in capsys.readouterr().err
+    assert ("numerical error (KernelError): coefficient overflow at order 61"
+            in capsys.readouterr().err)
+
+
+def test_main_runs_just_above_the_least_gevrey_order(tmp_path):
+    # s = 1.106 passes the rule s >= 1.105614... (s = 1.105 is a config
+    # error), and its step has jets at every time of phase 2
+    cfg = tmp_path / "s.yaml"
+    cfg.write_text("tau: 1.4\nT: 2.0\ns: 1.106\n"
+                   "sim: {Nx: 32, Nt: 64, snapshot_count: 3}\ntheta0: pulse\n")
+    assert main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
 
 
 # a 401-digit integer, beyond the range of a float
@@ -449,6 +460,10 @@ _HUGE = "1" + "0" * 400
     ("schrodinger", "K: 31"),
     ("schrodinger", "K_u: 80"),
     ("beam", "cutoff_s: 2.5"),
+    # so close to 1 that both exponentials of the step underflow at t = 1/2:
+    # caught here, not after phase 1
+    ("schrodinger", "s: 1.105"),
+    ("beam", "cutoff_s: 1.1"),
     ("schrodinger", "K: abc"),
     ("schrodinger", "tau: [1, 2]"),
     ("schrodinger", "sim: 5"),

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 from schroflat import KernelError, kernel
+from schroflat.cli import load_scenario
 from schroflat.kernel import MAX_ORDER, derivative_coefficients
+from schroflat.quadrature import NODES
 
 from conftest import assert_close
 from oracles import (derivative_coefficients_one, fundamental_solution, general_odd_kernel,
-                     kernel_derivative, odd_kernel, shifted_coefficients, taylor_shift)
+                     kernel_derivative, odd_kernel, order0_kernel_interleaved,
+                     shifted_coefficients, taylor_shift)
 
 E_ORACLES = [
     (0.35, 1.0, 0.47562208202851321877 - 0.033879780162444889769j),
@@ -188,6 +191,13 @@ def test_singular_time_rejected():
         derivative_coefficients(0.0, (0,))
 
 
+def test_table_overflow_is_a_kernel_error():
+    # at t = 1e-6 the order-61 table's leading coefficient (i/2t)^61 passes
+    # the float range: an error the caller can report, not a warning
+    with pytest.raises(KernelError, match="overflow at order 61"):
+        derivative_coefficients(1e-6, (1, 61))
+
+
 def test_order_cap_enforced():
     with pytest.raises(KernelError):
         kernel_derivative(0.35, 1.0, MAX_ORDER + 1)
@@ -270,3 +280,21 @@ def test_odd_kernel_per_point_time_and_position():
             kernel_derivative(t, x, m),
             [kernel_derivative(float(ti), float(xi), m) for ti, xi in zip(t, x)],
             rtol=1e-15)
+
+
+@pytest.mark.parametrize("name", ["gentle", "reference", "beam"])
+def test_order0_kernel_matches_the_interleaved_one_bit_for_bit(name):
+    # every phase-1 time of the builtin's grid and t = 1e-4, at x = 1, on
+    # Gauss-Kronrod rows of 16 panels over the datum's support
+    sc = load_scenario(name)
+    times = sc.sim.times()
+    t = np.append(times[(times > 0) & (times < sc.tau)], 1e-4)[:, None, None]
+    support = 2.0 if sc.equation == "beam" else 1.0
+    edges = np.linspace(0.0, support, 17)
+    y = (edges[:-1, None] + 0.5 * np.diff(edges)[:, None] * (NODES + 1.0))[None]
+    t, y = (a.reshape(-1, a.shape[-1]) for a in np.broadcast_arrays(t, y))
+    t = t[:, :1].copy()
+    x = np.ones_like(t)
+    got = kernel.odd_kernel(t, x, y, derivative_coefficients(t, (0,)))
+    assert got.shape == (1,) + y.shape
+    assert got.tobytes() == order0_kernel_interleaved(t, x, y).tobytes()

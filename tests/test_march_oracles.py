@@ -18,7 +18,7 @@ import pytest
 from schroflat import schrodinger_sim
 from schroflat import BeamData, SimConfig, beam_controls, beam_simulate, simulate
 from schroflat.cli import builtin_scenarios, pulse_datum, sine_profile, synthesize_control
-from schroflat.schrodinger_sim import _march
+from schroflat.schrodinger_sim import MAX_NX, _march
 from schroflat.sine_modes import CHUNK, complex_product, power_rows, sine_modes
 from schroflat.smoothing import ControlTrace, PiecewiseProfile
 
@@ -47,6 +47,10 @@ def test_sine_mode_tables_match_direct_formulas(nx, lam):
     for j in ([0], [1], [CHUNK], [1, 208, CHUNK], [0, 37, 166, 167, CHUNK - 1]):
         rows = power_rows(phase, np.array(j))
         assert rows.tobytes() == powers[j].tobytes()
+
+
+def test_sine_mode_index_fits_int32_up_to_the_grid_ceiling():
+    assert (MAX_NX - 1) ** 2 <= np.iinfo(np.int32).max
 
 
 def _assert_frames_close(frames, reference, theta_max):
