@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .flatness import DEFAULT_SERIES_TRUNCATION, synthesize
-from .gevrey import step_jet
+from .gevrey import check_order, step_jet
 from .kernel import horner
 from .schrodinger_sim import SimConfig
 from .sine_modes import CHUNK, chunk_states, power_rows, sine_modes
@@ -202,6 +202,7 @@ class ExtendedDatum:
 
 
 def extend_odd_smooth(theta0: PiecewiseProfile, cutoff_s: float = 1.9) -> ExtendedDatum:
+    check_order(cutoff_s)
     if abs(theta0(0.0)) > _ENDPOINT_TOL or abs(theta0(1.0)) > _ENDPOINT_TOL:
         raise BeamError("extension requires theta0 vanishing at both ends")
     return ExtendedDatum(theta0, cutoff_s)

@@ -429,12 +429,17 @@ def run_beam(sc: Scenario, out: Path):
         "runtime_synthesis_s": t1 - t0,
         "runtime_simulation_s": t2 - t1,
     }
+    # cells shared by two columns are formatted once: the trace's times are
+    # the grid's after t = 0, and u1 after t = 0 is the trace's re_u
+    t_cells = list(map(repr, result.times.tolist()))
     if controls is not None:
+        _, re_u, im_u, phase = _control_columns(controls.trace)
+        re_cells = list(map(repr, re_u.tolist()))
         write_csv(out / "control.csv", "t,re_u,im_u,phase,u1,u2",
-                  *_control_columns(controls.trace), controls.u1[1:], controls.u2[1:])
+                  t_cells[1:], re_cells, im_u, phase, re_cells, controls.u2[1:])
     write_csv(out / "field.csv", "t,x,eta,eta_t",
               *_snapshot_columns(result.snapshots, "eta", "eta_t"))
-    write_csv(out / "energy.csv", "t,energy", result.times, result.energy)
+    write_csv(out / "energy.csv", "t,energy", t_cells, result.energy)
     write_report(out / "report.txt", entries)
     return entries
 

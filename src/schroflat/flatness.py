@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gevrey import MAX_JET_ORDER, step_jet
+from .gevrey import MAX_JET_ORDER, check_order, step_jet
 from .smoothing import PHASE_FLATNESS, ControlTrace, boundary_trace, flat_coefficients
 
 # (-i)^k, indexed by k mod 4
@@ -220,8 +220,10 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
     own error estimate at tau, which with derivative=True bounds v_xx as
     well as u, so the budget is wider than u's gap needs), tail_max and
     quad_err_max over the returned samples of each phase, and
-    seed_bound_constant.
+    seed_bound_constant.  A Gevrey order s that step_jet cannot evaluate
+    at every time (gevrey.check_order) raises ValueError before phase 1.
     """
+    check_order(s)
     times = np.asarray(times, dtype=np.float64)
     t1 = times[(times > 0) & (times < tau)]
     t2 = times[times > tau]

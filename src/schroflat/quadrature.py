@@ -6,9 +6,9 @@ the error estimate.  The rule is exact for polynomials of degree 31.
 
 integrate_batch is the package's one integration entry point.  One
 adaptive loop integrates a whole batch of integrands (samples): its work
-list holds (sample, panel) pairs, and every pending panel of every sample
-is evaluated in one vectorized call per refinement generation, which keeps
-the Python overhead away from the innermost kernel evaluations.  The
+list holds (sample, panel) pairs, and the pending panels of all samples
+form one refinement generation, evaluated in a few vectorized calls, which
+keeps the Python overhead away from the innermost kernel evaluations.  The
 samples may be time points of one convolution or the orders of the
 flat-output seed.  Each sample is subdivided by the rules it would follow
 if integrated alone from the batch's starting edges, and its value equals
@@ -25,9 +25,14 @@ numpy's pairwise sum of its sorted panels, the summation of a lone
 integral, taken for all samples with the same panel count at once as the
 rows of one array.
 
-A generation of a large batch goes to the integrand in calls of at most
-PANELS_PER_CALL panels, 2**16 points, which bounds the memory of one call
-whatever the batch size.
+The integrand works in two stages.  Once per generation, the quadrature
+finds the generation's distinct panels (samples of a batch share most of
+theirs) and hands their node table to the integrand, which does there the
+work that depends on the node alone.  The function that call returns then
+gives the values of the generation's rows, in calls of at most
+PANELS_PER_CALL rows, 2**16 points, which bounds the memory of one call
+whatever the batch size; each row names its panel in the table and its
+sample.
 """
 import math
 
@@ -86,9 +91,9 @@ _SUM_WEIGHTS = np.zeros((2 * NODES.size, 4))
 _SUM_WEIGHTS[0::2, 0] = _SUM_WEIGHTS[1::2, 1] = WEIGHTS_KRONROD
 _SUM_WEIGHTS[2 * GAUSS_IDX, 2] = _SUM_WEIGHTS[2 * GAUSS_IDX + 1, 3] = WEIGHTS_GAUSS
 
-# Panels per vectorized integrand call: a bound of 2**16 points.  The
-# integrand's temporaries scale with it, and so does the peak resident
-# memory of a run; larger calls were not faster.
+# Work-list rows per call of the integrand's row stage: a bound of 2**16
+# points.  The integrand's temporaries scale with it, and so does the peak
+# resident memory of a run; larger calls were not faster.
 PANELS_PER_CALL = 2 ** 16 // NODES.size
 
 # A panel whose error estimate is at the rounding floor of its own L1 mass
@@ -116,11 +121,10 @@ class QuadratureError(RuntimeError):
         self.sample = sample
 
 
-def _panel_sums(f, lo, hi, sample):
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    xs = mid[:, None] + half[:, None] * NODES[None, :]
-    fv = np.asarray(f(xs, sample[:, None]), dtype=np.complex128).reshape(xs.shape)
+def _panel_sums(values, half):
+    """(Kronrod sum, error estimate, L1 scale) of the panels of half-widths
+    half whose values at the nodes are the rows of values."""
+    fv = np.asarray(values, dtype=np.complex128).reshape(half.size, NODES.size)
     sums = (np.ascontiguousarray(fv).view(np.float64) @ _SUM_WEIGHTS).view(np.complex128)
     kron = half * sums[:, 0]
     gauss = half * sums[:, 1]
@@ -130,10 +134,40 @@ def _panel_sums(f, lo, hi, sample):
     return kron, err, scale
 
 
-def _evaluate(f, lo, hi, sample):
-    chunks = [_panel_sums(f, lo[a:a + PANELS_PER_CALL], hi[a:a + PANELS_PER_CALL],
-                          sample[a:a + PANELS_PER_CALL])
-              for a in range(0, lo.size, PANELS_PER_CALL)]
+def _distinct_panels(*keys):
+    """(first, inverse): one row index per distinct tuple of keys, such as
+    a panel's end points, in sorted order, and the index into first of
+    every row's tuple.  One key is sorted by np.argsort, several by
+    np.lexsort, which is several times slower."""
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys[::-1])
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = False
+    for key in keys:
+        k = key[order]
+        new[1:] |= k[1:] != k[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _evaluate(integrand, lo, hi, sample):
+    """The panel sums of one generation's rows: one integrand call on the
+    node table of the distinct panels, then one call of the function it
+    returns per PANELS_PER_CALL rows.  Each call's values are summed, and
+    freed, before the next call runs."""
+    # every row of a generation lies at one depth of bisection below the
+    # starting edges, so its left edge names its panel; only rounding at
+    # widths of an ulp could give two panels one left edge
+    first, panel = _distinct_panels(lo)
+    if np.any(hi[first[panel]] != hi):
+        first, panel = _distinct_panels(lo, hi)
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    rows = integrand(mid[first, None] + half[first, None] * NODES[None, :])
+    chunks = []
+    for a in range(0, lo.size, PANELS_PER_CALL):
+        b = a + PANELS_PER_CALL
+        chunks.append(_panel_sums(rows(panel[a:b], sample[a:b]), half[a:b]))
     return tuple(np.concatenate(parts) for parts in zip(*chunks))
 
 
@@ -168,13 +202,17 @@ def _sample_sums(owner, lo, vals, errs, samples):
 def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10):
     """Integrals over [0,1] of a batch of integrands in one adaptive loop.
 
-    integrand(x, s) evaluates the integrands at the nodes x, an array with
-    one row of Gauss-Kronrod nodes per panel; s is the column of the
-    panels' sample indices and broadcasts against x.  The work list holds
-    (sample, panel) pairs and every sample keeps its own decisions: the
-    tolerance max(abs_tol, REL_TOL * its own total), the rounding floor,
-    the summed-error shortcut, the two-generation stall and the budget of
-    MAX_SUBDIVISIONS panels.  Per-sample sums over the work list come from
+    The integrand is called once per refinement generation as
+    integrand(nodes), where nodes holds one row of Gauss-Kronrod nodes per
+    distinct panel of the generation.  It returns a function
+    rows(panel, sample), which the quadrature calls on at most
+    PANELS_PER_CALL work-list rows at a time: panel holds each row's index
+    into nodes and sample its sample index, and rows returns one row of
+    values per work-list row, its sample's integrand at its panel's nodes.
+    The work list holds (sample, panel) pairs and every sample keeps its
+    own decisions: the tolerance max(abs_tol, REL_TOL * its own total), the
+    rounding floor, the summed-error shortcut, the two-generation stall and
+    the budget of MAX_SUBDIVISIONS panels.  Per-sample sums over the work list come from
     np.bincount, so each sample is subdivided by the rules of a lone
     integral.  The budget only decides when to raise.
 

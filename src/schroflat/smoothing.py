@@ -25,11 +25,12 @@ breakpoints (PiecewiseProfile: [0, 1]; beam.ExtendedDatum: [0, 2]): the
 support is rescaled to the quadrature's unit interval and the breakpoints
 become panel edges.  The factors v0(y), or v0(y) and v0''(y) from one
 with_curvature call, depend on the node alone, not on the sample, so the
-helper evaluates them first, once per distinct panel of each integrand
-call, and multiplies them in after the kernel part; the quadrature itself
-knows nothing of them.  The kernel runs only on the rows whose panel some
-datum does not vanish on, such as the reference datum's zero piece
-[0, 0.2]: there the product is zero whatever the kernel returns.
+helper evaluates them once per generation of the quadrature, on the node
+table of its distinct panels, and multiplies them in after the kernel
+part; the quadrature itself knows nothing of them.  The kernel runs only
+on the rows whose panel some datum does not vanish on, such as the
+reference datum's zero piece [0, 0.2]: there the product is zero whatever
+the kernel returns.
 
 The trace's samples start from a finer mesh than the datum's breakpoints:
 the kernel's phase (x-y)^2/4t turns faster as t falls, so the mesh that
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import MAX_ORDER, derivative_coefficients, horner, odd_kernel
-from .quadrature import QuadratureError, integrate_batch
+from .quadrature import QuadratureError, _distinct_panels, integrate_batch
 
 _EPS = np.finfo(np.float64).eps
 
@@ -248,20 +249,6 @@ class ControlTrace:
         return re + 1j * im
 
 
-def _distinct_panels(*keys):
-    """(first, inverse): one row index per distinct tuple of keys, such as
-    a panel's end nodes, and the index into first of every row's tuple."""
-    order = np.lexsort(keys[::-1])
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = False
-    for key in keys:
-        k = key[order]
-        new[1:] |= k[1:] != k[:-1]
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
 def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False):
     """(values, errs, panels, edges): flat arrays of the odd-folded
     convolutions of d^m_x (E(t,x-y) - E(t,x+y)) v(y) over y in
@@ -278,16 +265,19 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False):
     by default the rescaled datum breakpoints; edges that refine them, such
     as the converged edges of another call, keep every panel off the
     datum's discontinuities.  The derivative tables of the
-    points are built once per call and handed to odd_kernel.  Within each
-    integrand call the data are evaluated first, by one call of
-    v0.with_curvature or v0, once per distinct panel of the call.  The
-    kernel then runs, for all orders at once,
-    only on the (point, panel) rows where some sample's datum values are
-    not all exactly zero; the other rows are exact zeros, and every
-    sample's row picks its own order.  A batch of one sample per point
-    hands its work-list rows to the kernel as they are, each a distinct
-    (point, panel) row; a batch of several first finds its distinct rows.
-    The datum factor is multiplied in after the kernel part.  Each
+    points are built once per call and handed to odd_kernel.  Once per
+    generation of the quadrature, the data are evaluated on the node table
+    of the generation's distinct panels, by one call of v0.with_curvature
+    or v0, and the panels where every datum vanishes are marked.  In each
+    bounded call of the generation's rows the kernel then runs, for all
+    orders at once, only on the (point, panel) rows where some sample's
+    datum values are not all exactly zero, with the nodes gathered from
+    the table; the other rows are exact zeros, and every sample's row
+    picks its own order.  A batch of one sample per point hands its
+    work-list rows to the kernel as they are, each a distinct (point,
+    panel) row; a batch of several first finds its distinct rows by the
+    integer key point * (panels in the table) + panel.  The datum factor
+    is multiplied in after the kernel part.  Each
     sample is still subdivided as if integrated alone.  Values and errors
     are scaled back by the support, also the best value and estimate of a
     sample that exhausts its budget and raises QuadratureError naming its
@@ -304,42 +294,45 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False):
     if edges is None:
         edges = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
 
-    def integrand(sig, s):
-        point, which = np.divmod(s[:, 0], per_point)
+    def integrand(nodes):
+        # the node-only work, once per generation: the datum factors and
+        # the panels where every datum vanishes
+        y = support * nodes
+        datum = v0.with_curvature(y) if curvature else v0(y)[None]
+        live_panels = datum.any(axis=2)
+        n_panels = y.shape[0]
 
-        def kernel(rows):
-            p = point[rows, None]
-            return odd_kernel(t[p], x[p], support * sig[rows], tables[:, p])
+        def rows(panel, s):
+            point, which = np.divmod(s, per_point)
+            d = which // n_orders
+            live = live_panels[d, panel]
+            if per_point == 1:
+                # each work-list row is a distinct (point, panel) row already
+                row_point, row_panel = point, panel
+                hot = np.flatnonzero(live)
+            else:
+                # a kernel row is a panel of a point, shared by its samples
+                first, to_row = _distinct_panels(point * n_panels + panel)
+                row_point, row_panel = point[first], panel[first]
+                hot_rows = np.zeros(first.size, dtype=bool)
+                hot_rows[to_row[live]] = True
+                hot = np.flatnonzero(hot_rows)
+            # the kernel runs only where some datum is not all zero:
+            # elsewhere the product is zero whatever the kernel returns
+            p = row_point[hot, None]
+            if hot.size == row_point.size:
+                vals = odd_kernel(t[p], x[p], y[row_panel], tables[:, p])
+            else:
+                vals = np.zeros((n_orders, row_point.size, y.shape[1]), dtype=np.complex128)
+                if hot.size:
+                    vals[:, hot] = odd_kernel(t[p], x[p], y[row_panel[hot]], tables[:, p])
+            # a named operand, not a temporary: numpy would reuse a
+            # temporary's buffer for the product, and the in-place complex
+            # multiply rounds differently
+            values = vals[0] if per_point == 1 else vals[which % n_orders, to_row]
+            return values * datum[d, panel]
 
-        # a datum row is a panel alone, named by its end nodes
-        first, inverse = _distinct_panels(sig[:, 0], sig[:, -1])
-        nodes = support * sig[first]
-        datum = v0.with_curvature(nodes) if curvature else v0(nodes)[None]
-        d = which // n_orders
-        live = datum.any(axis=2)[d, inverse]
-        if per_point == 1:
-            # each work-list row is a distinct (point, panel) row already
-            rows = slice(None)
-            hot_rows = live
-        else:
-            # a kernel row is a panel of a point, shared by its samples
-            rows, to_row = _distinct_panels(point, sig[:, 0], sig[:, -1])
-            hot_rows = np.zeros(rows.size, dtype=bool)
-            hot_rows[to_row[live]] = True
-        # the kernel runs only where some datum is not all zero: elsewhere
-        # the product is zero whatever the kernel returns
-        if hot_rows.all():
-            vals = kernel(rows)
-        else:
-            vals = np.zeros((n_orders, hot_rows.size, sig.shape[1]), dtype=np.complex128)
-            hot = np.flatnonzero(hot_rows)
-            if hot.size:
-                vals[:, hot] = kernel(hot if per_point == 1 else rows[hot])
-        # a named operand, not a temporary: numpy would reuse a temporary's
-        # buffer for the product, and the in-place complex multiply rounds
-        # differently
-        values = vals[0] if per_point == 1 else vals[which % n_orders, to_row]
-        return values * datum[d, inverse]
+        return rows
 
     try:
         values, errs, panels, edges = integrate_batch(integrand, t.size * per_point,

@@ -15,7 +15,8 @@ complex buffers that the package's contiguous real one replaced
 its shifted tables (general_odd_kernel, shifted_coefficients), which give
 the beam's hinge moment as the order-2 integral against the datum itself,
 the one-integral interface of the package's batched loop
-(IntegrationProblem, integrate), the one-sample
+(IntegrationProblem, integrate) and a per-row integrand posed in that
+loop's two stages (per_row), the one-sample
 control series (control_at) and the checks that only tests need (the
 seed's state series, the Cauchy product of coefficient arrays, Gevrey
 bounds on Taylor coefficients, the step profile in its closed sigmoid
@@ -235,13 +236,20 @@ class IntegrationProblem:
     abs_tol: float = 1e-10
 
 
+def per_row(f):
+    """integrate_batch's two-stage integrand from a per-row one: f(x, s)
+    takes one row of nodes per work-list row, gathered from the
+    generation's node table, and the column of the rows' samples."""
+    return lambda nodes: lambda panel, sample: f(nodes[panel], sample[:, None])
+
+
 def integrate(problem: IntegrationProblem):
     """Integral of problem.integrand over [0,1] -> (value, err_estimate).
 
     The one-sample case of integrate_batch.
     """
     values, errs, _, _ = integrate_batch(
-        lambda x, s: problem.integrand(x.ravel()), 1, problem.breakpoints,
+        per_row(lambda x, s: problem.integrand(x.ravel())), 1, problem.breakpoints,
         problem.abs_tol)
     return complex(values[0]), float(errs[0])
 
@@ -272,8 +280,9 @@ def panel_sums(f, lo, hi):
 def _panel_sums(f, lo, hi):
     # the package's panel sums: this oracle checks the adaptive loop around
     # them, and panel_sums checks the sums themselves
-    return quadrature._panel_sums(lambda x, s: f(x.ravel()), lo, hi,
-                                  np.zeros(lo.size, dtype=np.intp))
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    return quadrature._panel_sums(f((mid[:, None] + half[:, None] * NODES).ravel()), half)
 
 
 def integrate_one(problem):

@@ -218,6 +218,35 @@ def test_run_beam_scenario_smoke(tmp_path):
         assert "np.float64" not in (tmp_path / "beam" / name).read_text()
 
 
+def test_run_beam_formats_shared_cells_once(tmp_path, monkeypatch):
+    # control.csv's t is the grid after t = 0 and its u1 the trace's re_u,
+    # bit for bit, so run_beam formats each of them once: the three CSVs
+    # keep the bytes of every column formatted on its own
+    made = {}
+
+    def recorded(name, fn):
+        def wrapped(*args, **kwargs):
+            made[name] = fn(*args, **kwargs)
+            return made[name]
+        monkeypatch.setattr(cli, name, wrapped)
+
+    recorded("beam_controls", cli.beam_controls)
+    recorded("beam_simulate", cli.beam_simulate)
+    run_scenario(builtin_scenarios()["beam"], tmp_path / "run")
+    controls, result = made["beam_controls"], made["beam_simulate"]
+    assert controls.trace.t.tobytes() == result.times[1:].tobytes()
+    assert controls.u1[1:].tobytes() == controls.trace.u.real.tobytes()
+    apart = tmp_path / "apart"
+    apart.mkdir()
+    write_csv(apart / "control.csv", "t,re_u,im_u,phase,u1,u2",
+              *_control_columns(controls.trace), controls.u1[1:], controls.u2[1:])
+    write_csv(apart / "field.csv", "t,x,eta,eta_t",
+              *_snapshot_columns(result.snapshots, "eta", "eta_t"))
+    write_csv(apart / "energy.csv", "t,energy", result.times, result.energy)
+    for name in ("control.csv", "field.csv", "energy.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (apart / name).read_bytes()
+
+
 def _report(path):
     return dict(line.split("=", 1) for line in path.read_text().splitlines())
 

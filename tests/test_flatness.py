@@ -12,9 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schroflat import (BeamData, FlatOutput, PiecewiseProfile, control_trace,
-                       extend_odd_smooth, flat_coefficients, flat_output_derivatives,
-                       lift_initial_data, state_series, synthesize)
+from schroflat import (BeamData, FlatOutput, PiecewiseProfile, beam_controls,
+                       control_trace, extend_odd_smooth, flat_coefficients,
+                       flat_output_derivatives, lift_initial_data, state_series,
+                       synthesize)
+from schroflat import flatness
 from schroflat.cli import builtin_scenarios, sine_profile
 from schroflat.flatness import _analytic_derivatives
 from schroflat.smoothing import PHASE_FLATNESS, PHASE_SMOOTHING
@@ -238,3 +240,21 @@ def test_switch_sample_off_the_grid_stays_out_of_the_trace():
     _check_trace_and_diags(trace, times, sc.tau, diags)
     assert diags["gap_budget"] > control_trace(fo, [sc.tau]).err[0]
     assert diags["continuity_gap"] <= 10.0 * diags["gap_budget"]
+
+
+def test_gevrey_order_rejected_before_phase1(monkeypatch):
+    # s = 1.1 breaks the Gevrey rule (s >= 1.105614...): synthesize and the
+    # beam's extension reject it before any phase-1 integral
+    def phase1(*args, **kwargs):
+        raise AssertionError("phase 1 ran")
+
+    monkeypatch.setattr(flatness, "boundary_trace", phase1)
+    sc = builtin_scenarios()["gentle"]
+    with pytest.raises(ValueError, match="s=1.1;"):
+        synthesize(sc.theta0, sc.sim.times(), 1.4, 2.0, 1.1, 15, 15)
+    beam = builtin_scenarios()["beam"]
+    data = BeamData(beam.eta0, beam.eta1)
+    with pytest.raises(ValueError, match="s=1.1;"):
+        extend_odd_smooth(lift_initial_data(data), cutoff_s=1.1)
+    with pytest.raises(ValueError, match="s=1.1;"):
+        beam_controls(data, beam.tau, beam.T, beam.s, cfg=beam.sim, cutoff_s=1.1)

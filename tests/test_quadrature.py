@@ -9,7 +9,7 @@ from schroflat.quadrature import (GAUSS_IDX, NODES, PANELS_PER_CALL, WEIGHTS_GAU
                                   WEIGHTS_KRONROD, _panel_sums, _sample_sums,
                                   integrate_batch)
 
-from oracles import IntegrationProblem, integrate, integrate_function, panel_sums
+from oracles import IntegrationProblem, integrate, integrate_function, panel_sums, per_row
 
 
 def test_rule_tables():
@@ -53,8 +53,9 @@ def test_panel_sums_match_complex_products():
     def f(x):
         return np.exp(1j * 1e4 * x) * (1.0 + x)
 
-    kron, err, scale = _panel_sums(lambda x, s: f(x), lo, hi,
-                                   np.zeros(lo.size, dtype=np.intp))
+    half = 0.5 * (hi - lo)
+    fv = f(0.5 * (lo + hi)[:, None] + half[:, None] * NODES[None, :])
+    kron, err, scale = _panel_sums(fv, half)
     kron_c, err_c, scale_c = panel_sums(f, lo, hi)
     bound = 2 * NODES.size * np.finfo(np.float64).eps * scale
     dk = kron - kron_c
@@ -117,7 +118,7 @@ def test_budget_exhaustion_carries_best_value(monkeypatch):
         return np.where(s == 1, f(x), np.exp(1j * x) * (1.0 + s))
 
     with pytest.raises(QuadratureError) as exc_batch:
-        integrate_batch(batch, 3, abs_tol=1e-15)
+        integrate_batch(per_row(batch), 3, abs_tol=1e-15)
     assert exc_batch.value.sample == 1
     assert exc_batch.value.value == exc.value.value
     assert exc_batch.value.err_estimate == exc.value.err_estimate
@@ -131,7 +132,7 @@ def test_batch_samples_keep_their_own_subdivision():
     def batch(x, s):
         return np.exp(1j * freqs[s] * x) / (1.0 + x)
 
-    values, errs, panels, _ = integrate_batch(batch, freqs.size, breakpoints=(0.3,))
+    values, errs, panels, _ = integrate_batch(per_row(batch), freqs.size, breakpoints=(0.3,))
     for s, om in enumerate(freqs):
         calls = []
 
@@ -154,11 +155,76 @@ def test_batch_splits_large_generations():
         return np.ones(x.shape, dtype=np.complex128)
 
     n = PANELS_PER_CALL + 5
-    values, _, panels, _ = integrate_batch(batch, n)
+    values, _, panels, _ = integrate_batch(per_row(batch), n)
     assert max(sizes) <= PANELS_PER_CALL
     assert np.all(panels == 1) and np.allclose(values, 1.0, rtol=0, atol=1e-15)
-    empty = integrate_batch(batch, 0)
+    empty = integrate_batch(per_row(batch), 0)
     assert all(a.size == 0 for a in empty)
+
+
+def test_integrand_stages_once_per_generation(monkeypatch):
+    # the node stage sees each generation's distinct panels once, however
+    # many bounded row calls the generation takes, and the row calls name
+    # every work-list row once: two samples of one frequency share their
+    # panels, and the first generation is the two starting panels
+    freqs = np.array([0.0, 3.0, 40.0, 400.0, 400.0])
+    expected = integrate_batch(per_row(lambda x, s: np.exp(1j * freqs[s] * x) / (1.0 + x)),
+                               freqs.size, breakpoints=(0.3,))
+    monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 3)
+    generations = []
+
+    def integrand(nodes):
+        rows_seen = []
+        generations.append((nodes, rows_seen))
+
+        def rows(panel, sample):
+            assert panel.size <= 3
+            rows_seen.extend(zip(panel.tolist(), sample.tolist()))
+            x = nodes[panel]
+            return np.exp(1j * freqs[sample, None] * x) / (1.0 + x)
+
+        return rows
+
+    values, errs, panels, edges = integrate_batch(integrand, freqs.size, breakpoints=(0.3,))
+    first_nodes, first_rows = generations[0]
+    assert np.array_equal(first_nodes[:, [0, -1]] > 0.3, [[False, False], [True, True]])
+    assert len(first_rows) == 2 * freqs.size
+    for nodes, rows_seen in generations:
+        assert np.unique(nodes, axis=0).shape[0] == nodes.shape[0]
+        assert len(set(rows_seen)) == len(rows_seen)
+        assert {panel for panel, _ in rows_seen} == set(range(nodes.shape[0]))
+    assert sum(len(rows_seen) for _, rows_seen in generations) == panels.sum()
+    assert any(len(rows_seen) > nodes.shape[0] for nodes, rows_seen in generations[1:])
+    # other call sizes round the panel sums otherwise: an error estimate,
+    # a difference of two sums, moves by the rounding of the value
+    assert np.all(np.abs(values - expected[0]) <= 1e-15 * np.abs(expected[0]))
+    assert np.all(np.abs(errs - expected[1]) <= 1e-15 * np.abs(expected[0]))
+    assert np.array_equal(panels, expected[2]) and np.array_equal(edges, expected[3])
+
+
+def test_generation_tells_panels_of_one_left_edge_apart():
+    # a generation's rows share a depth of bisection, so a left edge names
+    # a panel; rows that break this still get a table row per distinct
+    # pair of end points, and the sums of their own panels
+    lo = np.array([0.0, 0.0, 0.5, 0.0])
+    hi = np.array([0.5, 0.25, 1.0, 0.5])
+    sample = np.array([0, 1, 0, 2])
+    tables = []
+
+    def integrand(nodes):
+        tables.append(nodes)
+        return lambda panel, s: np.exp(1j * nodes[panel]) * (1.0 + s[:, None])
+
+    kron, err, scale = quadrature._evaluate(integrand, lo, hi, sample)
+    (nodes,) = tables
+    assert nodes.shape[0] == 3
+    # in the order of their end points: [0, 0.25], [0, 0.5], [0.5, 1]
+    assert np.array_equal(nodes[:, [0, -1]] < 0.25, [[True, True], [True, False],
+                                                     [False, False]])
+    half = 0.5 * (hi - lo)
+    x = 0.5 * (lo + hi)[:, None] + half[:, None] * NODES
+    want = _panel_sums(np.exp(1j * x) * (1.0 + sample[:, None]), half)
+    assert all(np.array_equal(a, b) for a, b in zip((kron, err, scale), want))
 
 
 def test_sample_sums_bitwise_equal_per_sample_sum():
@@ -219,14 +285,14 @@ def test_deterministic_bitwise():
                                  (0.7, 0.3)])
 def test_breakpoint_validation(bad):
     with pytest.raises(ValueError):
-        integrate_batch(lambda x, s: x, 1, breakpoints=bad)
+        integrate_batch(per_row(lambda x, s: x), 1, breakpoints=bad)
 
 
 def test_tolerance_validation():
     with pytest.raises(ValueError):
-        integrate_batch(lambda x, s: x, 1, abs_tol=0.0)
+        integrate_batch(per_row(lambda x, s: x), 1, abs_tol=0.0)
     with pytest.raises(ValueError):
-        integrate_batch(lambda x, s: x, 1, abs_tol=-1.0)
+        integrate_batch(per_row(lambda x, s: x), 1, abs_tol=-1.0)
 
 
 coef = st.complex_numbers(min_magnitude=0.0, max_magnitude=10.0,

@@ -17,7 +17,7 @@ from schroflat.quadrature import NODES, integrate_batch
 from schroflat.smoothing import PHASE_SMOOTHING, _convolutions, _trace_edges
 
 from conftest import assert_close
-from oracles import CurvatureDatum, convolution_one, odd_kernel, seed_series
+from oracles import CurvatureDatum, convolution_one, odd_kernel, per_row, seed_series
 
 I_TRACE = {
     0.1: -0.013427952255356212345 + 0.13368495946283665694j,
@@ -330,13 +330,53 @@ def test_zero_run_calls_no_kernel(monkeypatch, tmp_path):
         assert "-0.0" not in {cell for line in lines for cell in line.split(",")}
 
 
-def test_datum_evaluated_once_per_distinct_panel(monkeypatch, beam_phase1):
+def _record_stages(monkeypatch, events):
+    """Record each quadrature generation of smoothing's batches in events:
+    ("nodes", the end nodes of its table) at its node stage and ("rows",
+    the number of rows) at each row call."""
+
+    def recorded(integrand, *args):
+        def staged(nodes):
+            events.append(("nodes", nodes[:, [0, -1]]))
+            rows = integrand(nodes)
+
+            def counted(panel, sample):
+                events.append(("rows", panel.size))
+                return rows(panel, sample)
+
+            return counted
+
+        return integrate_batch(staged, *args)
+
+    monkeypatch.setattr(smoothing, "integrate_batch", recorded)
+
+
+def _generations(events):
+    """The recorded events split at each generation's node stage."""
+    starts = [i for i, (kind, _) in enumerate(events) if kind == "nodes"]
+    return [events[a:b] for a, b in zip(starts, [*starts[1:], len(events)])]
+
+
+def _assert_matches(result, expected):
+    # bounded calls of another size round the panel sums otherwise: an
+    # error estimate, a difference of two sums, moves by the rounding of
+    # the value
+    values, errs, panels, edges = result
+    assert np.all(np.abs(values - expected[0]) <= 1e-15 * np.abs(expected[0]))
+    assert np.all(np.abs(errs - expected[1]) <= 1e-15 * np.abs(expected[0]))
+    assert np.array_equal(panels, expected[2]) and np.array_equal(edges, expected[3])
+
+
+def test_datum_evaluated_once_per_generation(monkeypatch, beam_phase1):
     # the datum factors depend on the node alone, so on the builtin beam's
-    # phase-1 grid the pair of the datum g and its second derivative g''
-    # sees a panel at most once per integrand call, and every panel of the
-    # call's kernel rows: far fewer points than the kernel, which sees
-    # every (time, panel) row
+    # phase-1 grid one with_curvature call per quadrature generation gives
+    # g and g'' on the generation's distinct panels, never twice on one
+    # panel, also where the generation's rows go out in three bounded calls
+    # or more; the kernel rows of those calls lie on the same panels, far
+    # more points than the datum sees
     ext, times, settings = beam_phase1
+    edges = _trace_edges(ext, times, curvature=True, **settings)
+    expected = _convolutions(ext, times, 1.0, (0,), edges=edges, curvature=True, **settings)
     events = []
 
     class Counted:
@@ -348,37 +388,40 @@ def test_datum_evaluated_once_per_distinct_panel(monkeypatch, beam_phase1):
             events.append(("datum", y[:, [0, -1]]))
             return self.datum.with_curvature(y)
 
-    g = Counted(ext)
-    g.jumps = ext.jumps
-
     def recorded(t, x, y, tables):
         events.append(("kernel", y[:, [0, -1]]))
         return kernel.odd_kernel(t, x, y, tables)
 
+    monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 2000)
     monkeypatch.setattr(smoothing, "odd_kernel", recorded)
-    boundary_trace(g, times, derivative=True, **settings)
+    _record_stages(monkeypatch, events)
+    result = _convolutions(Counted(ext), times, 1.0, (0,), edges=edges, curvature=True,
+                           **settings)
+    _assert_matches(result, expected)
+    generations = _generations(events)
     datum_points = kernel_points = 0
-    seen = []
-    for kind, ends in events:
-        if kind == "datum":
-            assert np.unique(ends, axis=0).shape[0] == ends.shape[0]
-            seen.append(ends)
-            datum_points += NODES.size * ends.shape[0]
-            continue
-        # the datum call of an integrand call precedes its kernel call
-        assert np.array_equal(np.unique(np.concatenate(seen), axis=0),
-                              np.unique(ends, axis=0))
-        seen = []
-        kernel_points += NODES.size * ends.shape[0]
-    assert not seen and 0 < 5 * datum_points < kernel_points
+    for generation in generations:
+        (_, table), *calls = generation
+        datum = [ends for kind, ends in calls if kind == "datum"]
+        kernel_rows = [ends for kind, ends in calls if kind == "kernel"]
+        assert len(datum) == 1 and calls[0][0] == "datum"
+        assert np.array_equal(datum[0], ext.support * table)
+        assert np.unique(datum[0], axis=0).shape[0] == datum[0].shape[0]
+        assert np.array_equal(np.unique(np.concatenate(kernel_rows), axis=0),
+                              np.unique(datum[0], axis=0))
+        datum_points += NODES.size * datum[0].shape[0]
+        kernel_points += NODES.size * sum(ends.shape[0] for ends in kernel_rows)
+    assert max(sum(kind == "rows" for kind, _ in g) for g in generations) >= 3
+    assert 0 < 5 * datum_points < kernel_points
 
 
-def test_datum_integrals_gather_once_per_distinct_panel(monkeypatch):
-    # _convolutions evaluates the datum factor once per distinct panel of an
-    # integrand call: the samples at the two equal times split alike, and in
-    # the first generation all four samples hold the same two panels
+def test_datum_integrals_gather_once_per_generation(monkeypatch):
+    # _convolutions evaluates the datum factor once per quadrature
+    # generation, on its distinct panels: the samples at the two equal
+    # times split alike, and in the first generation all four samples hold
+    # the same two panels, whose eight rows go out in three calls
     times = np.array([0.5, 0.05, 0.05, 0.01])
-    calls, datum_rows = [], []
+    datum_rows = []
 
     def factor(y):
         return np.exp(0.5j * y) / (1.0 + y)
@@ -391,23 +434,23 @@ def test_datum_integrals_gather_once_per_distinct_panel(monkeypatch):
             datum_rows.append(y.shape[0])
             return factor(y)
 
-    def recorded(integrand, *args):
-        def counted(sig, s):
-            calls.append((sig.shape[0], np.unique(sig, axis=0).shape[0]))
-            return integrand(sig, s)
-
-        return integrate_batch(counted, *args)
-
-    monkeypatch.setattr(smoothing, "integrate_batch", recorded)
-    values, errs, panels, _ = _convolutions(Datum(), times, 1.0, (0,))
-    assert datum_rows == [distinct for _, distinct in calls]
-    assert calls[0] == (8, 2) and len(calls) > 1
-    assert sum(datum_rows) < sum(rows for rows, _ in calls)
+    expected = _convolutions(Datum(), times, 1.0, (0,))
+    datum_rows.clear()
+    events = []
+    monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 3)
+    _record_stages(monkeypatch, events)
+    result = _convolutions(Datum(), times, 1.0, (0,))
+    _assert_matches(result, expected)
+    generations = _generations(events)
+    assert datum_rows == [table.shape[0] for (_, table), *_ in generations]
+    assert datum_rows[0] == 2 and [n for _, n in generations[0][1:]] == [3, 3, 2]
+    assert len(generations) > 1 and sum(datum_rows) < result[2].sum()
 
     # the same batch with the factor folded into the integrand, in the same
     # order: (kernel) * (factor)
-    folded = integrate_batch(lambda y, s: odd_kernel(times[s], 1.0, y) * factor(y),
+    folded = integrate_batch(per_row(lambda y, s: odd_kernel(times[s], 1.0, y) * factor(y)),
                              times.size, breakpoints=(0.3,))
+    values, errs, panels, _ = expected
     assert np.all(np.abs(values - folded[0]) <= 1e-15 * np.abs(folded[0]))
     assert np.all(np.abs(errs - folded[1]) <= 1e-15 * folded[1])
     assert np.array_equal(panels, folded[2])
@@ -434,7 +477,7 @@ def test_convolutions_build_the_tables_once_per_call(monkeypatch, ref_datum):
 def test_datum_and_curvature_share_the_kernel_per_distinct_time_and_panel(
         monkeypatch, beam_phase1):
     # u (the datum g) and v_xx (its second derivative g'') are one order-0
-    # batch: each integrand call computes the exponentials of a (time,
+    # batch: each bounded row call computes the exponentials of a (time,
     # panel) row once for both, so the trace costs fewer kernel rows than
     # g and g'' integrated apart from the trace's starting edges, and
     # visits the same rows they do (each subdivides as if alone); both
