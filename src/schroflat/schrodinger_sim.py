@@ -20,10 +20,10 @@ import numpy as np
 
 from .sine_modes import CHUNK, apply_sine, complex_product, power_rows, sine_modes
 
-# The finest grid a run takes.  sine_modes builds a dense (Nx-1)^2 float
-# table and an int64 index temporary of the same size: 0.5 GB each at this
-# bound, 3.2 GB at Nx = 20,000.  It sits above every builtin and the
-# Nx = 3,200 of a 5-level reference study.
+# The finest grid a run takes.  sine_modes peaks at 1.5 times the size of
+# its dense (Nx-1)^2 float table S, int32 index included (tracemalloc: 201
+# MB at Nx = 4096): about 0.8 GB at this bound, 4.8 GB at Nx = 20,000.  It
+# sits above every builtin and the Nx = 3,200 of a 5-level reference study.
 MAX_NX = 8192
 
 # The most time steps a run takes.  A synthesized Schrodinger run holds

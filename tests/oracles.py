@@ -29,7 +29,9 @@ the package itself does not import.  So are the marches' tables computed
 entry by entry (sine_modes_direct), which the package gathers from their
 distinct values, and the Schrodinger march that always forms the full
 table of powers and a forcing product per chunk (march_chunked), which the
-package skips when the boundary data vanish.
+package skips when the boundary data vanish, and the beam march that
+rebuilds every step on the grid for its energy (beam_simulate_grid), where
+the package reads the energy from the modes.
 """
 import math
 from dataclasses import dataclass
@@ -43,7 +45,8 @@ from schroflat import kernel, quadrature
 from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES, WEIGHTS_GAUSS,
                                   WEIGHTS_KRONROD, QuadratureError, integrate_batch)
 from schroflat.beam import BeamResult, BeamSnapshot
-from schroflat.sine_modes import CHUNK, apply_sine, complex_product, sine_modes
+from schroflat.sine_modes import (CHUNK, apply_sine, chunk_states, complex_product,
+                                  power_rows, sine_modes)
 from schroflat.flatness import _MIPOW, control_trace
 from schroflat.smoothing import _IPOW
 
@@ -743,6 +746,85 @@ def beam_simulate_banded(data, u1, u2, cfg, u2_avg=None):
         if ptr < snap_idx.size and snap_idx[ptr] == k + 1:
             snapshots.append(snapshot(k + 1, eta, p))
             ptr += 1
+    return BeamResult(snapshots, times, energies)
+
+
+def _energies(eta, p, u1, u2, du1, h):
+    """E = (1/2) integral (eta_t^2 + eta_xx^2) dx, trapezoidal in x, per row.
+
+    eta and p hold interior values, one time level per row; u1, u2 and du1
+    are that level's displacement, moment and velocity at x = 1.  Both
+    integrands vanish at the hinge x = 0.
+    """
+    full = np.concatenate([np.zeros((eta.shape[0], 1)), eta, u1[:, None]], axis=1)
+    exx = (full[:, :-2] - 2.0 * full[:, 1:-1] + full[:, 2:]) / (h * h)
+    inner = np.sum(p ** 2 + exx ** 2, axis=1)
+    return 0.5 * h * (inner + 0.5 * (du1 ** 2 + u2 ** 2))
+
+
+def beam_simulate_grid(data, u1, u2, cfg, u2_avg):
+    """beam_simulate with every step's state rebuilt on the grid.
+
+    The same modal march, but each chunk of states goes back to the grid
+    through two dense Nx x Nx products, and the energy is the trapezoidal
+    sum of finite differences there (_energies).  Snapshots are rows of
+    those products.
+    """
+    x = np.linspace(0.0, 1.0, cfg.Nx + 1)
+    h = cfg.dx
+    dt = cfg.dt
+    eta = np.asarray(data.eta0(x[1:-1])).real.astype(np.float64)
+    p = np.asarray(data.eta1(x[1:-1])).real.astype(np.float64)
+    u1 = np.asarray(u1, dtype=np.float64)
+    u2 = np.asarray(u2, dtype=np.float64)
+    if u1.shape != (cfg.Nt + 1,) or u2.shape != (cfg.Nt + 1,):
+        raise ValueError("controls must be sampled on the simulation time grid")
+    # hinge velocity at x=1 for diagnostics; central in the interior, one
+    # sided at the ends
+    du1 = np.gradient(u1, dt)
+    u2_avg = np.asarray(u2_avg, dtype=np.float64)
+    if u2_avg.shape != (cfg.Nt,):
+        raise ValueError("u2_avg must hold one average per time step")
+    moment = 2.0 * u2_avg
+
+    nx = cfg.Nx
+    S, th, phase = sine_modes(nx, dt / (h * h))
+    powers = power_rows(phase, np.arange(CHUNK + 1))
+    w = 2.0 * th / dt
+    z = (2.0 / nx) * (w * (S @ eta) + 1j * (S @ p))
+    # step k's boundary rows: b[-2] = U, b[-1] = -2U + h^2 M with
+    # U = u1[k] + u1[k+1] and M the moment sum; they enter the velocity
+    # update as -(dt / 2h^4) b
+    kick = -1j * dt / (nx * h ** 4) / (1.0 + 1j * th)
+    from_u1 = kick * (S[-2] - 2.0 * S[-1])
+    from_moment = kick * h * h * S[-1]
+    u1_sum = u1[:-1] + u1[1:]
+
+    times = cfg.times()
+    snap_idx = cfg.snapshot_indices()
+    energies = np.empty(cfg.Nt + 1)
+    energies[0] = _energies(eta[None, :], p[None, :], u1[:1], u2[:1], du1[:1], h)[0]
+    snapshots = []
+
+    def snapshot(k, eta_v, p_v):
+        return BeamSnapshot(float(times[k]), x,
+                            np.concatenate([[0.0], eta_v, [u1[k]]]),
+                            np.concatenate([[0.0], p_v, [du1[k]]]))
+
+    if snap_idx[0] == 0:
+        snapshots.append(snapshot(0, eta, p))
+    for m in range(0, cfg.Nt, CHUNK):
+        n = min(CHUNK, cfg.Nt - m)
+        forcing = (np.outer(u1_sum[m:m + n], from_u1)
+                   + np.outer(moment[m:m + n], from_moment))
+        zs = chunk_states(z, powers, forcing)
+        z = zs[-1]
+        eta_c = (zs.real / w) @ S
+        p_c = zs.imag @ S
+        k = slice(m + 1, m + n + 1)
+        energies[k] = _energies(eta_c, p_c, u1[k], u2[k], du1[k], h)
+        for idx in snap_idx[(snap_idx > m) & (snap_idx <= m + n)]:
+            snapshots.append(snapshot(idx, eta_c[idx - m - 1], p_c[idx - m - 1]))
     return BeamResult(snapshots, times, energies)
 
 

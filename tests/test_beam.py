@@ -235,7 +235,7 @@ def test_free_beam_conserves_energy():
     zeros = np.zeros(cfg.Nt + 1)
     result = beam_simulate(data, zeros, zeros, cfg, np.zeros(cfg.Nt))
     drift = np.max(np.abs(result.energy - result.energy[0])) / result.energy[0]
-    assert drift < 1e-10
+    assert drift < 1e-14
     # bending energy of sin(pi x) is pi^4 / 4
     assert abs(result.energy[0] - np.pi ** 4 / 4.0) < 0.01
 

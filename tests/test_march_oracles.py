@@ -1,10 +1,14 @@
-"""The sine-mode marches against their banded oracles (tests/oracles.py).
+"""The sine-mode marches against their oracles (tests/oracles.py).
 
 Both marches apply the implicit trapezoidal step exactly in sine modes,
 chunks of steps at a time, where the oracles solve one banded system per
 step.  The arithmetic differs, so the results agree to rounding amplified
 by the step count: frames within 1e-10 max|theta|, beam energies within
 1e-9 relative and beam fields within 1e-9 of their largest value.  The
+beam march reads its energy from the modes and rebuilds the grid only at
+snapshots; beam_simulate_grid, the same modal march rebuilt on the grid
+every step, agrees with it to rounding alone: energies within 1e-12
+relative and snapshots within 1e-14 of their largest value.  The
 tables both marches share equal their entry-by-entry formulas, S bit for
 bit.  The Schrodinger march, which skips the forcing products and the
 unread powers where the boundary data vanish, equals march_chunked, which
@@ -22,10 +26,13 @@ from schroflat.schrodinger_sim import MAX_NX, _march
 from schroflat.sine_modes import CHUNK, complex_product, power_rows, sine_modes
 from schroflat.smoothing import ControlTrace, PiecewiseProfile
 
-from oracles import beam_simulate_banded, march_banded, march_chunked, sine_modes_direct
+from oracles import (beam_simulate_banded, beam_simulate_grid, march_banded, march_chunked,
+                     sine_modes_direct)
 
 FRAME_TOL = 1e-10
 ENERGY_TOL = 1e-9
+GRID_ENERGY_TOL = 1e-12
+GRID_FIELD_TOL = 1e-14
 
 
 @pytest.mark.parametrize("lam", [1e-2, 0.5, 20.0, 1e3])
@@ -159,38 +166,75 @@ def test_march_chunking_and_snapshots(nx, nt, snap_idx):
                          np.max(np.abs(theta)))
 
 
+def _assert_beam_results_close(got, want, energy_tol, field_tol):
+    np.testing.assert_array_equal(got.times, want.times)
+    assert np.max(np.abs(got.energy - want.energy) / want.energy) <= energy_tol
+    assert [s.t for s in got.snapshots] == [s.t for s in want.snapshots]
+    for field in ("eta", "eta_t"):
+        a = np.array([getattr(s, field) for s in got.snapshots])
+        b = np.array([getattr(s, field) for s in want.snapshots])
+        assert np.max(np.abs(a - b)) <= field_tol * np.max(np.abs(b))
+
+
 def _assert_beam_close(data, u1, u2, cfg, u2_avg=None):
     # without averages the oracle takes the endpoint mean of the moment
     # itself; the package is given that mean
     mean = (u2[:-1] + u2[1:]) / 2
     got = beam_simulate(data, u1, u2, cfg, mean if u2_avg is None else u2_avg)
     want = beam_simulate_banded(data, u1, u2, cfg, u2_avg=u2_avg)
-    np.testing.assert_array_equal(got.times, want.times)
-    assert np.max(np.abs(got.energy - want.energy) / want.energy) <= ENERGY_TOL
-    assert [s.t for s in got.snapshots] == [s.t for s in want.snapshots]
-    for field in ("eta", "eta_t"):
-        a = np.array([getattr(s, field) for s in got.snapshots])
-        b = np.array([getattr(s, field) for s in want.snapshots])
-        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+    _assert_beam_results_close(got, want, ENERGY_TOL, 1e-9)
 
 
-@pytest.mark.parametrize("averaged", [False, True])
-def test_beam_controlled_run_matches_banded_march(averaged):
+def _assert_beam_matches_grid(data, u1, u2, cfg, u2_avg=None):
+    # the same modal states; only the energy and snapshot formulas round
+    # differently
+    if u2_avg is None:
+        u2_avg = (u2[:-1] + u2[1:]) / 2
+    _assert_beam_results_close(beam_simulate(data, u1, u2, cfg, u2_avg),
+                               beam_simulate_grid(data, u1, u2, cfg, u2_avg),
+                               GRID_ENERGY_TOL, GRID_FIELD_TOL)
+
+
+@pytest.fixture(scope="module")
+def builtin_beam():
     sc = builtin_scenarios()["beam"]
-    assert sc.sim.Nt % CHUNK != 0
     data = BeamData(sc.eta0, sc.eta1)
     ctl = beam_controls(data, sc.tau, sc.T, sc.s, sc.K, sc.K_u, cfg=sc.sim,
                         cutoff_s=sc.cutoff_s)
-    _assert_beam_close(data, ctl.u1, ctl.u2, sc.sim,
+    return sc.sim, data, ctl
+
+
+@pytest.mark.parametrize("averaged", [False, True])
+def test_beam_controlled_run_matches_banded_march(averaged, builtin_beam):
+    cfg, data, ctl = builtin_beam
+    assert cfg.Nt % CHUNK != 0
+    _assert_beam_close(data, ctl.u1, ctl.u2, cfg,
                        u2_avg=ctl.u2_avg if averaged else None)
+
+
+def _short_run(nx, nt):
+    cfg = SimConfig(Nx=nx, Nt=nt, T=0.5, snapshot_count=5)
+    data = BeamData(sine_profile(), PiecewiseProfile((), [[0.0, 1.0, -1.0]]))
+    t = cfg.times()
+    return cfg, data, 0.1 * np.sin(9.0 * t), np.cos(5.0 * t), np.sin(5.0 * t[1:]) / 5.0
 
 
 @pytest.mark.parametrize("nx, nt", [(16, 100), (32, CHUNK), (16, 700)])
 def test_beam_short_runs_match_banded_march(nx, nt):
-    cfg = SimConfig(Nx=nx, Nt=nt, T=0.5, snapshot_count=5)
-    data = BeamData(sine_profile(), PiecewiseProfile((), [[0.0, 1.0, -1.0]]))
-    t = cfg.times()
-    u1 = 0.1 * np.sin(9.0 * t)
-    u2 = np.cos(5.0 * t)
+    cfg, data, u1, u2, u2_avg = _short_run(nx, nt)
     _assert_beam_close(data, u1, u2, cfg)
-    _assert_beam_close(data, u1, u2, cfg, u2_avg=np.sin(5.0 * t[1:]) / 5.0)
+    _assert_beam_close(data, u1, u2, cfg, u2_avg=u2_avg)
+
+
+@pytest.mark.parametrize("averaged", [False, True])
+def test_beam_controlled_run_matches_grid_energy_march(averaged, builtin_beam):
+    cfg, data, ctl = builtin_beam
+    _assert_beam_matches_grid(data, ctl.u1, ctl.u2, cfg,
+                              u2_avg=ctl.u2_avg if averaged else None)
+
+
+@pytest.mark.parametrize("nx, nt", [(16, 100), (32, CHUNK), (16, 700)])
+def test_beam_short_runs_match_grid_energy_march(nx, nt):
+    cfg, data, u1, u2, u2_avg = _short_run(nx, nt)
+    _assert_beam_matches_grid(data, u1, u2, cfg)
+    _assert_beam_matches_grid(data, u1, u2, cfg, u2_avg=u2_avg)
