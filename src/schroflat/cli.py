@@ -31,8 +31,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-# the synthesis diagnostics of a run without control
-NO_CONTROL_DIAGS = dict.fromkeys(DIAGNOSTICS, 0.0)
+# the synthesis diagnostics of a run without control: no phase-1 integral
+NO_CONTROL_DIAGS = {**dict.fromkeys(DIAGNOSTICS, 0.0), "phase1_integrals": 0}
 
 
 class ScenarioError(ValueError):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gevrey import MAX_JET_ORDER, check_order, step_jet
-from .smoothing import PHASE_FLATNESS, ControlTrace, boundary_trace, flat_coefficients
+from .smoothing import PHASE_FLATNESS, ControlTrace, _boundary_trace, flat_coefficients
 
 # (-i)^k, indexed by k mod 4
 _MIPOW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
@@ -202,7 +202,7 @@ def control_trace(fo: FlatOutput, t_grid) -> ControlTrace:
 
 # the synthesis diagnostics, in report order
 DIAGNOSTICS = ("continuity_gap", "gap_budget", "tail_max", "quad_err_max",
-               "seed_bound_constant")
+               "seed_bound_constant", "phase1_integrals")
 
 
 def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
@@ -219,16 +219,18 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
     those two samples, its gap_budget (the series tail plus the trace's
     own error estimate at tau, which with derivative=True bounds v_xx as
     well as u, so the budget is wider than u's gap needs), tail_max and
-    quad_err_max over the returned samples of each phase, and
-    seed_bound_constant.  A Gevrey order s that step_jet cannot evaluate
-    at every time (gevrey.check_order) raises ValueError before phase 1.
+    quad_err_max over the returned samples of each phase,
+    seed_bound_constant, and phase1_integrals, the number of times phase
+    1 integrated (smoothing.boundary_trace): its latest-time pass, its
+    interpolants' points and its direct samples.  A Gevrey order s that
+    step_jet cannot evaluate at every time (gevrey.check_order) raises
+    ValueError before phase 1.
     """
     check_order(s)
     times = np.asarray(times, dtype=np.float64)
     t1 = times[(times > 0) & (times < tau)]
     t2 = times[times > tau]
-    trace1 = boundary_trace(v0, np.append(t1, tau), derivative=derivative,
-                            abs_tol=abs_tol)
+    trace1, integrals = _boundary_trace(v0, np.append(t1, tau), derivative, abs_tol)
     fo = FlatOutput(tau, flat_coefficients(v0, tau, K), T, s, K_u)
     trace2 = control_trace(fo, np.insert(t2, 0, tau))
     phase1 = trace1[: t1.size + int(np.any(times == tau))]
@@ -239,5 +241,6 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
         float(np.max(phase2.err, initial=0.0)),
         float(np.max(phase1.err, initial=0.0)),
         fo.bound_constant,
+        integrals,
     )))
     return ControlTrace.concat(phase1, phase2), fo, diags

@@ -199,7 +199,7 @@ def _sample_sums(owner, lo, vals, errs, samples):
     return values, sums
 
 
-def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10):
+def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10, tol_scale=1.0):
     """Integrals over [0,1] of a batch of integrands in one adaptive loop.
 
     The integrand is called once per refinement generation as
@@ -210,11 +210,12 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10):
     into nodes and sample its sample index, and rows returns one row of
     values per work-list row, its sample's integrand at its panel's nodes.
     The work list holds (sample, panel) pairs and every sample keeps its
-    own decisions: the tolerance max(abs_tol, REL_TOL * its own total), the
-    rounding floor, the summed-error shortcut, the two-generation stall and
-    the budget of MAX_SUBDIVISIONS panels.  Per-sample sums over the work list come from
-    np.bincount, so each sample is subdivided by the rules of a lone
-    integral.  The budget only decides when to raise.
+    own decisions: the tolerance tol_scale * max(abs_tol, REL_TOL * its
+    own total), with tol_scale a number or one per sample, the rounding
+    floor, the summed-error shortcut, the two-generation stall and the
+    budget of MAX_SUBDIVISIONS panels.  Per-sample sums over the work
+    list come from np.bincount, so each sample is subdivided by the rules
+    of a lone integral.  The budget only decides when to raise.
 
     Returns (values, errs, panels, edges): the integrals, their error
     estimates and the number of panels evaluated, one entry per sample,
@@ -259,7 +260,7 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10):
 
         total = np.hypot(acc_re + per_sample(smp, kron.real),
                          acc_im + per_sample(smp, kron.imag))
-        tol = np.maximum(abs_tol, REL_TOL * total)
+        tol = tol_scale * np.maximum(abs_tol, REL_TOL * total)
         gen_err = per_sample(smp, err)
         errsum = acc_err + gen_err
         # the width-proportional budget is only a splitting heuristic; once

@@ -9,9 +9,9 @@ which smooths arbitrary L2 data into an entire function of x.  The paper
 writes the state through its flat output,
 theta(t,x) = sum_k (-i)^k y^(k)(t) x^(2k+1)/(2k+1)!, so at t=tau the seed of
 the phase-2 flat output is the same free evolution read at the wall:
-y_k = i^k d^(2k+1)_x v(tau, 0).  The seed orders, like the trace's time
-samples, are the samples of one batched quadrature, and the seed is the
-plain array y_0..y_K that flatness.FlatOutput takes beside tau.
+y_k = i^k d^(2k+1)_x v(tau, 0).  The seed orders, like each round of the
+trace's time samples, are the samples of one batched quadrature, and the
+seed is the plain array y_0..y_K that flatness.FlatOutput takes beside tau.
 
 Away from the wall every integral is of order 0.  The trace's v_xx(t,1),
 which the beam's hinge moment reads, is the integral of d^2_x F = d^2_y F
@@ -32,12 +32,17 @@ on the rows whose panel some datum does not vanish on, such as the
 reference datum's zero piece [0, 0.2]: there the product is zero whatever
 the kernel returns.
 
-The trace's samples start from a finer mesh than the datum's breakpoints:
-the kernel's phase (x-y)^2/4t turns faster as t falls, so the mesh that
-the latest time converges on from the breakpoints is one every earlier
-time refines.  boundary_trace integrates that time alone first and starts
-the whole batch from its converged panel edges, which spares each sample
-the bisections that would rediscover them.
+The trace is analytic in t > 0, and its features shrink like t.  So
+boundary_trace splits (0, tau] into the dyadic intervals
+(tau/2^(j+1), tau/2^j] and integrates, on each interval that holds enough
+grid times, only the Chebyshev-Lobatto points of an interpolant, whose
+degree the decay of its Chebyshev coefficients chooses; it integrates the
+other grid times directly.  Its batches start from a finer mesh than the
+datum's breakpoints: the kernel's phase (x-y)^2/4t turns faster as t
+falls, so the mesh that the latest time converges on from the breakpoints
+is one every earlier time refines.  boundary_trace integrates that time
+alone first and starts every batch from its converged panel edges, which
+spares each sample the bisections that would rediscover them.
 """
 import math
 from dataclasses import dataclass
@@ -54,6 +59,23 @@ _IPOW = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
 # highest seed order K, whose 2K+1 kernel derivatives stay within MAX_ORDER
 MAX_SEED_ORDER = min(30, (MAX_ORDER - 1) // 2)
+
+# the trace's interpolants: Chebyshev-Lobatto points x_k = cos(pi k / 128),
+# k = 0..128, from 1 down to -1 (every smaller set of 2^m + 1 points is a
+# stride of them), the first interpolant's number of points, the multiple
+# of eps * max|value| that the coefficient tail may keep, and a bound on
+# the Lebesgue constant of every interpolant (_lebesgue(129) = 4.09)
+_LOBATTO = np.sin(np.pi * np.arange(128, -129, -2) / 256)
+_FIRST_POINTS = 33
+_TAIL_ROUNDING = 32.0
+
+
+def _lebesgue(n):
+    """A bound on the Lebesgue constant of n Chebyshev-Lobatto points."""
+    return 1.0 + 2.0 / np.pi * math.log(n - 1)
+
+
+_LEBESGUE = _lebesgue(_LOBATTO.size)
 
 PHASE_SMOOTHING = 0
 PHASE_FLATNESS = 1
@@ -249,7 +271,8 @@ class ControlTrace:
         return re + 1j * im
 
 
-def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False):
+def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False,
+                  tol_scale=1.0):
     """(values, errs, panels, edges): flat arrays of the odd-folded
     convolutions of d^m_x (E(t,x-y) - E(t,x+y)) v(y) over y in
     [0, support], at the points (t[j], x[j]), for the datum v = v0 (d = 0)
@@ -277,9 +300,10 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False):
     work-list rows to the kernel as they are, each a distinct (point,
     panel) row; a batch of several first finds its distinct rows by the
     integer key point * (panels in the table) + panel.  The datum factor
-    is multiplied in after the kernel part.  Each
-    sample is still subdivided as if integrated alone.  Values and errors
-    are scaled back by the support, also the best value and estimate of a
+    is multiplied in after the kernel part.  Each sample is still
+    subdivided as if integrated alone, to its tolerance times tol_scale, a
+    number or one per point (integrate_batch).  Values and errors are
+    scaled back by the support, also the best value and estimate of a
     sample that exhausts its budget and raises QuadratureError naming its
     (t, x, m), with its index in the batch as the sample.
     """
@@ -290,6 +314,7 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False):
     n_orders = len(orders)
     per_point = (2 if curvature else 1) * n_orders
     tables = derivative_coefficients(t, orders)
+    tol_scale = np.broadcast_to(tol_scale, t.shape)
     support = v0.support
     if edges is None:
         edges = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
@@ -335,8 +360,8 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False):
         return rows
 
     try:
-        values, errs, panels, edges = integrate_batch(integrand, t.size * per_point,
-                                                      edges, abs_tol)
+        values, errs, panels, edges = integrate_batch(integrand, t.size * per_point, edges,
+                                                      abs_tol, np.repeat(tol_scale, per_point))
     except QuadratureError as exc:
         j, i = divmod(exc.sample, per_point)
         name = f"m={orders[i % n_orders]}" + (f", datum {i // n_orders}" if curvature else "")
@@ -365,7 +390,7 @@ def _trace_edges(v0, t_grid, abs_tol, curvature):
     edges it converges on (the union over its data) are returned.  A grid
     of at most one time returns None, the datum's breakpoints, so its one
     time is integrated once.  If the latest time exhausts the panel
-    budget, the QuadratureError's sample is its index in the trace's batch.
+    budget, the QuadratureError's sample is its index in t_grid.
     """
     latest = t_grid.size - 1
     if latest < 1:
@@ -373,7 +398,7 @@ def _trace_edges(v0, t_grid, abs_tol, curvature):
     try:
         return _convolutions(v0, t_grid[latest:], 1.0, (0,), abs_tol, None, curvature)[3]
     except QuadratureError as exc:
-        exc.sample += latest * (2 if curvature else 1)
+        exc.sample = latest
         raise
 
 
@@ -405,40 +430,175 @@ def _jump_terms(v0, t, x):
     return terms, rounding.sum(axis=1)
 
 
-def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
-    """Phase-1 control samples u(t)=v(t,1) and u'(t)=i*v_xx(t,1).
+def _dyadic_intervals(t):
+    """(tops, index): the upper ends tau/2^j of the dyadic intervals
+    (tau/2^(j+1), tau/2^j] that cover the increasing positive times t, with
+    tau = t[-1], and the index j of each time's interval, found by exact
+    comparison with the ends."""
+    tau = t[-1]
+    tops = np.ldexp(tau, -np.arange(int(np.ceil(np.log2(tau / t[0]))) + 2))
+    return tops, np.searchsorted(-tops, -t, side="right") - 1
 
-    v0 is the datum the free evolution smooths, integrated over its own
-    support.  Every sample starts from the panel edges that the latest
-    time converges on from the datum's breakpoints (_trace_edges), and
-    then subdivides by its own rules to its own tolerance; the times are
-    increasing, as ControlTrace requires.  derivative=False skips the v_xx
-    integrals when only u itself is needed.
 
-    v_xx(t,1) is the integral of d^2_y F against v0; two integrations by
-    parts make it the free evolution of v0's second derivative plus the
-    closed-form terms of v0's jumps (_jump_terms).  u and v_xx at every
-    time are then the interleaved samples of one order-0 batch, which
-    share the kernel's exponentials wherever their panels coincide; one
-    v0.with_curvature call gives both data on a panel.  abs_tol is each
-    integral's absolute tolerance.  err bounds both u and v_xx: it sums
-    both samples' estimates and the jump terms' rounding.  A sample that
-    exhausts the quadrature's panel budget raises QuadratureError naming
-    its time, with the time's index in t_grid as the sample.
+def _lobatto_times(top):
+    """The _LOBATTO points on [top/2, top], from top down, with exact ends;
+    every k-th of them, for k a power of two, are the 128/k + 1 points."""
+    return top * (3.0 + _LOBATTO) / 4.0
+
+
+def _chebyshev_tails(values, errs):
+    """(passed, tail) of the interpolants through the columns of values,
+    each a datum's samples at n Lobatto points from the top down
+    (_lobatto_times), with their error estimates errs.
+
+    The Chebyshev coefficients are the discrete cosine transform of the
+    values: per degree, a weighted sum over the points of cosines read
+    from the points themselves, with no matrix product, so that their bits
+    do not depend on the BLAS.  tail sums the magnitudes of each column's
+    top quarter of coefficients.  The interpolants pass when, in every
+    column, none of those exceeds the larger of the smallest error
+    estimate and _TAIL_ROUNDING * eps * the largest magnitude of its
+    samples.
     """
+    n = values.shape[0]
+    x = _LOBATTO[::(_LOBATTO.size - 1) // (n - 1)]
+    phase = np.outer(np.arange(n), np.arange(n)) % (2 * n - 2)
+    cosines = x[np.minimum(phase, 2 * n - 2 - phase)]
+    ends = np.ones((n, 1))
+    ends[[0, -1]] = 0.5
+    coeffs = (2.0 / (n - 1)) * ends * (cosines[:, :, None] * (ends * values)).sum(axis=1)
+    top = np.abs(coeffs[3 * (n - 1) // 4:])
+    floor = np.maximum(errs.min(axis=0), _TAIL_ROUNDING * _EPS * np.abs(values).max(axis=0))
+    return bool(np.all(top <= floor)), top.sum(axis=0)
+
+
+def _trace_batch(v0, times, owners, scales, edges, abs_tol, curvature):
+    """(t, values, errs): one _convolutions batch of the distinct times of
+    times, sorted, with the samples of each time as a row, each integrated
+    to the tolerance times the least of the scales given for its time.  If
+    a sample exhausts the panel budget, the QuadratureError's sample is
+    the least of the owners (indices in the trace's grid) given for its
+    time."""
+    n_data = 2 if curvature else 1
+    first, inverse = _distinct_panels(times)
+    owner = np.full(first.size, np.iinfo(np.intp).max)
+    np.minimum.at(owner, inverse, owners)
+    scale = np.ones(first.size)
+    np.minimum.at(scale, inverse, scales)
+    t = times[first]
+    try:
+        values, errs, _, _ = _convolutions(v0, t, 1.0, (0,), abs_tol, edges, curvature,
+                                           scale)
+    except QuadratureError as exc:
+        # batch sample j * n_data + d is datum d at t[j]
+        exc.sample = int(owner[exc.sample // n_data])
+        raise
+    return t, values.reshape(t.size, n_data), errs.reshape(t.size, n_data)
+
+
+def _interpolate(points, values, errs, tail, t):
+    """(values, errs) at the times t of the barycentric interpolants
+    through values, samples at the n Lobatto points `points` from the top
+    down with their error estimates errs, and of their coefficient tail.
+
+    With the weights (-1)^k, halved at both ends, the interpolant at t is
+    sum_k q_k values[k] / sum_k q_k, q_k = w_k / (t - points[k]); the sums
+    over the points are plain weighted sums of the real and imaginary
+    parts, not matrix products.  A time equal to a point takes that
+    point's own samples and estimates.  Elsewhere err sums over the data
+    the Lebesgue constant of the points, at most _lebesgue(n), times the
+    largest estimate plus eps times the largest magnitude of the samples,
+    which bounds the interpolant's response to the samples' errors and
+    rounding, and adds the tail.
+    """
+    n = points.size
+    ascending = points[::-1]
+    at = np.minimum(np.searchsorted(ascending, t), n - 1)
+    hit = ascending[at] == t
+    out = np.empty((t.size, values.shape[1]), dtype=np.complex128)
+    out[hit] = values[::-1][at[hit]]
+    weights = np.where(np.arange(n) % 2, -1.0, 1.0)
+    weights[[0, -1]] *= 0.5
+    # a named operand: numpy would divide into the temporary's own buffer,
+    # a path several times slower than a fresh output
+    gap = t[~hit, None] - points
+    q = weights / gap
+    total = q.sum(axis=1)
+    # a real column at a time: one (times, points) temporary; adding 0.0
+    # turns the -0.0 of a zero datum's quotients into 0.0
+    parts = [(q * column).sum(axis=1) / total + 0.0
+             for column in values.view(np.float64).T]
+    out[~hit] = np.stack(parts, axis=1).view(np.complex128)
+    bound = _lebesgue(n) * (errs.max(axis=0) + _EPS * np.abs(values).max(axis=0)) + tail
+    err = np.full(t.size, bound.sum())
+    err[hit] = errs[::-1][at[hit]].sum(axis=1)
+    return out, err
+
+
+def _boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
+    """(trace, integrals): boundary_trace's trace, and the number of times
+    it integrated: the latest-time pass, the interpolants' points and the
+    direct samples."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
+    if np.any(np.diff(t_grid) <= 0):
+        raise ValueError("trace times must be strictly increasing")
     n_data = 2 if derivative else 1
-    try:
+    values = np.zeros((t_grid.size, n_data), dtype=np.complex128)
+    err = np.zeros(t_grid.size)
+    integrals = 0
+    if t_grid.size:
         edges = _trace_edges(v0, t_grid, abs_tol, derivative)
-        values, errs, _, _ = _convolutions(v0, t_grid, 1.0, (0,), abs_tol, edges, derivative)
-    except QuadratureError as exc:
-        # batch sample j * n_data + d is datum d at t_grid[j]
-        exc.sample //= n_data
-        raise
-    values = values.reshape(t_grid.size, n_data)
-    err = errs.reshape(t_grid.size, n_data).sum(axis=1)
+        integrals = int(edges is not None)
+        tops, index = _dyadic_intervals(t_grid)
+        counts = np.bincount(index, minlength=tops.size)
+        # each interval's grid times are a run of t_grid from first[j]
+        first = np.searchsorted(-index, -np.arange(tops.size))
+        grid = [np.arange(f, f + c) for f, c in zip(first, counts)]
+        # stride[j]: interval j's interpolant takes every stride-th of the
+        # _LOBATTO.size points, whose samples fill nodes[j] as they come
+        stride = {j: (_LOBATTO.size - 1) // (_FIRST_POINTS - 1)
+                  for j in np.flatnonzero(counts > _FIRST_POINTS).tolist()}
+        nodes = {}
+        direct = [grid[j] for j in np.flatnonzero(counts).tolist() if j not in stride]
+        while stride or direct:
+            # a doubled interpolant integrates only its new points
+            new = {j: slice(k, None, 2 * k) if j in nodes else slice(None, None, k)
+                   for j, k in stride.items()}
+            points = {j: _lobatto_times(tops[j])[new[j]] for j in new}
+            rows = np.concatenate([np.zeros(0, dtype=np.intp), *direct])
+            times = np.concatenate([t_grid[rows], *points.values()])
+            owners = np.concatenate([rows, *(np.full(p.size, first[j])
+                                             for j, p in points.items())])
+            # a point's estimate reaches an interpolated sample amplified by
+            # up to the Lebesgue constant: the points take that much less
+            scales = np.ones(times.size)
+            scales[rows.size:] = 1.0 / _LEBESGUE
+            t, batch_values, batch_errs = _trace_batch(v0, times, owners, scales, edges,
+                                                       abs_tol, derivative)
+            integrals += t.size
+            at = np.searchsorted(t, t_grid[rows])
+            values[rows], err[rows] = batch_values[at], batch_errs[at].sum(axis=1)
+            direct = []
+            for j, k in list(stride.items()):
+                node_values, node_errs = nodes.setdefault(j, (
+                    np.zeros((_LOBATTO.size, n_data), dtype=np.complex128),
+                    np.zeros((_LOBATTO.size, n_data))))
+                at = np.searchsorted(t, points[j])
+                node_values[new[j]], node_errs[new[j]] = batch_values[at], batch_errs[at]
+                passed, tail = _chebyshev_tails(node_values[::k], node_errs[::k])
+                if passed:
+                    del stride[j]
+                    values[grid[j]], err[grid[j]] = _interpolate(
+                        _lobatto_times(tops[j])[::k], node_values[::k], node_errs[::k], tail,
+                        t_grid[grid[j]])
+                elif k > 1 and 2 * (_LOBATTO.size - 1) // k + 1 <= counts[j]:
+                    # doubled, within its grid times: integrate the new points
+                    stride[j] = k // 2
+                else:
+                    del stride[j]
+                    direct.append(grid[j])
     if derivative:
         terms, rounding = _jump_terms(v0, t_grid, 1.0)
         du = 1j * (values[:, 1] + terms)
@@ -446,7 +606,56 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     else:
         du = np.zeros(t_grid.size, dtype=np.complex128)
     phase = np.full(t_grid.size, PHASE_SMOOTHING, dtype=np.uint8)
-    return ControlTrace(t_grid, values[:, 0], du, phase, err)
+    return ControlTrace(t_grid, values[:, 0], du, phase, err), integrals
+
+
+def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
+    """Phase-1 control samples u(t)=v(t,1) and u'(t)=i*v_xx(t,1).
+
+    v0 is the datum the free evolution smooths, integrated over its own
+    support; the times t_grid are increasing, as ControlTrace requires.
+    derivative=False skips the v_xx integrals when only u itself is
+    needed.  abs_tol is each integral's absolute tolerance.
+
+    The grid splits into the dyadic intervals (tau/2^(j+1), tau/2^j]
+    below its latest time tau (_dyadic_intervals).  On an interval of
+    more than 33 grid times the trace is the barycentric interpolant
+    through its samples at 33 Chebyshev-Lobatto points (_interpolate);
+    neighbouring intervals share their ends, and tau is a point.  An
+    interpolant whose top Chebyshev coefficients do not fall to its
+    samples' error or rounding level (_chebyshev_tails) doubles to 65,
+    then 129 points, integrating only the new ones.  An interval whose
+    points would outnumber its grid times, or that fails at 129, is
+    integrated directly at its grid times, as is every interval of at
+    most 33.  Each round of points and direct samples is one
+    _convolutions batch, every sample starting from the panel edges the
+    latest time converges on from the datum's breakpoints (_trace_edges)
+    and subdividing by its own rules to its own tolerance.
+
+    v_xx(t,1) is the integral of d^2_y F against v0; two integrations by
+    parts make it the free evolution of v0's second derivative plus the
+    closed-form terms of v0's jumps (_jump_terms).  u and v_xx at every
+    point are then the interleaved samples of one order-0 batch, which
+    share the kernel's exponentials wherever their panels coincide; one
+    v0.with_curvature call gives both data on a panel.  v_xx is
+    interpolated as u is, and the jump terms are evaluated at the grid
+    times themselves.
+
+    err bounds both u and v_xx.  At a direct sample, and at a grid time
+    equal to a point (tau among them), it sums both integrals' estimates.
+    At an interpolated time it sums over u and v_xx the Lebesgue constant
+    (at most 1 + (2/pi) log(n - 1), 4.09 at n = 129) times the sum of the
+    largest estimate and eps times the largest magnitude at the points,
+    plus the coefficient tail (_interpolate).  The points are integrated
+    to the tolerance over 4.09, so that this stays within the tolerance
+    a direct sample meets.  Where v_xx is
+    synthesized, the jump terms' rounding is added.  A sample that
+    exhausts the quadrature's panel budget raises QuadratureError naming
+    its time; the sample is the time's index in t_grid, or, for a point,
+    the index of the first grid time of its interval (of the earlier one,
+    for a point two intervals share).
+    """
+    return _boundary_trace(v0, t_grid, derivative, abs_tol)[0]
 
 
 def flat_coefficients(v0, tau, K):

@@ -6,7 +6,10 @@ holds (sample, panel) pairs, phase 2 as Taylor-coefficient arrays with a
 trailing sample axis.  The functions here are the one-sample-at-a-time
 versions the batched code replaced, kept as oracles: an adaptive quadrature
 per integral (and the seed as one integral per order), and scalar Taylor
-recurrences per time sample.  The free propagator E(t,x) and its
+recurrences per time sample.  The package's phase-1 trace integrates only
+the points of Chebyshev interpolants in time and the grid times too early
+to interpolate; the batched trace that integrates every grid time
+(boundary_trace_every_time) is kept as its oracle.  The free propagator E(t,x) and its
 derivatives as translates (fundamental_solution, kernel_derivative), which
 the package evaluates only in product form, the per-order odd kernel that
 builds its own tables (odd_kernel), the order-0 kernel on interleaved
@@ -48,7 +51,8 @@ from schroflat.beam import BeamResult, BeamSnapshot
 from schroflat.sine_modes import (CHUNK, apply_sine, chunk_states, complex_product,
                                   power_rows, sine_modes)
 from schroflat.flatness import _MIPOW, control_trace
-from schroflat.smoothing import _IPOW
+from schroflat.smoothing import (_IPOW, PHASE_SMOOTHING, ControlTrace, _convolutions,
+                                 _jump_terms, _trace_edges)
 
 
 # ------------------------------------------------------------- kernel
@@ -394,6 +398,34 @@ def boundary_trace_per_sample(v0, t_grid, support=1.0, breakpoints=(),
             du[i] = 1j * (v2 + jump_terms_one(v0, t))
             err[i] = err[i] + e2
     return u, du, err, panels
+
+
+def boundary_trace_every_time(v0, t_grid, derivative=True, abs_tol=1e-10):
+    """The phase-1 trace with every grid time integrated: one batch of all
+    times, from the panel edges the latest time converges on, as the
+    package's trace integrates its interpolants' points and direct
+    samples."""
+    t_grid = np.asarray(t_grid, dtype=np.float64)
+    if np.any(t_grid <= 0):
+        raise ValueError("trace times must be positive")
+    n_data = 2 if derivative else 1
+    edges = _trace_edges(v0, t_grid, abs_tol, derivative)
+    try:
+        values, errs, _, _ = _convolutions(v0, t_grid, 1.0, (0,), abs_tol, edges, derivative)
+    except QuadratureError as exc:
+        # batch sample j * n_data + d is datum d at t_grid[j]
+        exc.sample //= n_data
+        raise
+    values = values.reshape(t_grid.size, n_data)
+    err = errs.reshape(t_grid.size, n_data).sum(axis=1)
+    if derivative:
+        terms, rounding = _jump_terms(v0, t_grid, 1.0)
+        du = 1j * (values[:, 1] + terms)
+        err = err + rounding
+    else:
+        du = np.zeros(t_grid.size, dtype=np.complex128)
+    phase = np.full(t_grid.size, PHASE_SMOOTHING, dtype=np.uint8)
+    return ControlTrace(t_grid, values[:, 0], du, phase, err)
 
 
 def flat_coefficients_per_order(v0, tau, K):

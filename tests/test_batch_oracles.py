@@ -1,13 +1,17 @@
 """The batched synthesis against its per-sample oracles (tests/oracles.py).
 
-Phase 1 runs every time sample through one adaptive Gauss-Kronrod loop,
-from the panel edges its latest time converges on; each sample must be
-subdivided exactly as when integrated alone from those starting edges, so
-the panel counts agree sample by sample and the values agree to rounding
-(a batch's panel sums go through matrix products of other row counts).
-Against the per-sample oracle started from the datum's own breakpoints,
-which subdivides otherwise on the beam, each sample agrees within the sum
-of both error estimates.
+Phase 1 runs its time samples through adaptive Gauss-Kronrod loops, from
+the panel edges its latest time converges on; in the batch of every grid
+time (boundary_trace_every_time) each sample must be subdivided exactly as
+when integrated alone from those starting edges, so the panel counts agree
+sample by sample and the values agree to rounding (a batch's panel sums go
+through matrix products of other row counts).  The trace itself integrates
+only the points of Chebyshev interpolants and the grid times too early to
+interpolate: each of its samples agrees with the batch of every grid time
+within the sum of both error estimates and within 1e-12 of the trace's
+largest value.  Against the per-sample oracle started from the datum's own
+breakpoints, which subdivides otherwise on the beam, each sample agrees
+within the sum of both error estimates.
 The flat-output seed integrates its K+1 orders as the samples of one such
 loop; each order must agree with its own adaptive integral to 1e-14
 relative (rounding of the same panel sums).
@@ -20,17 +24,18 @@ import pytest
 
 from schroflat import FlatOutput, boundary_trace, control_trace, flat_coefficients
 from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
-from schroflat.cli import builtin_scenarios
+from schroflat.cli import SimConfig, builtin_scenarios
 from schroflat.smoothing import MAX_SEED_ORDER, _convolutions, _trace_edges
 
-from oracles import (boundary_trace_per_sample, control_series_one, convolution_one,
-                     flat_coefficients_per_order)
+from oracles import (boundary_trace_every_time, boundary_trace_per_sample, control_series_one,
+                     convolution_one, flat_coefficients_per_order)
 
 
-def _phase1_setting(name):
+def _phase1_setting(name, every=4):
     """(datum, times, settings, curvature) of a builtin scenario's phase 1;
     curvature says whether the trace also integrates the datum's second
-    derivative, as on the beam."""
+    derivative, as on the beam, where only every `every`-th time is
+    kept."""
     sc = builtin_scenarios()[name]
     times = sc.sim.times()
     t1 = times[(times > 0) & (times <= sc.tau)]
@@ -38,8 +43,23 @@ def _phase1_setting(name):
         ext = extend_odd_smooth(lift_initial_data(BeamData(sc.eta0, sc.eta1)),
                                 sc.cutoff_s)
         # every 4th sample keeps the per-sample oracle fast
-        return ext, t1[::4], dict(abs_tol=1e-8), True
+        return ext, t1[::every], dict(abs_tol=1e-8), True
     return sc.theta0, t1, {}, False
+
+
+def _run_phase1_setting(name):
+    """(datum, times, settings, curvature) of a phase 1 as a run poses it:
+    the grid times before tau, then tau.  beam-32k is the builtin beam on
+    the time grid of Nt = 32,000 steps."""
+    if name == "beam-32k":
+        v0, _, settings, curvature = _phase1_setting("beam")
+        sc = builtin_scenarios()["beam"]
+        times = SimConfig(Nx=16, Nt=32_000, T=sc.T, snapshot_count=3).times()
+    else:
+        v0, _, settings, curvature = _phase1_setting(name, every=1)
+        sc = builtin_scenarios()[name]
+        times = sc.sim.times()
+    return v0, np.append(times[(times > 0) & (times < sc.tau)], sc.tau), settings, curvature
 
 
 def _starting_edges(v0, times, settings, curvature):
@@ -54,7 +74,7 @@ def test_phase1_batch_matches_per_sample_loop(name):
     u, du, err, panels = boundary_trace_per_sample(
         v0, times, support=v0.support, breakpoints=tuple(v0.support * edges),
         derivative=derivative, **settings)
-    trace = boundary_trace(v0, times, derivative=derivative, **settings)
+    trace = boundary_trace_every_time(v0, times, derivative=derivative, **settings)
     assert np.all(np.abs(trace.u - u) <= 1e-14 * np.abs(u))
     assert np.all(np.abs(trace.du - du) <= 1e-14 * np.abs(du))
     assert np.all(np.abs(trace.err - err) <= 1e-6 * err + 1e-8 * np.abs(u))
@@ -90,8 +110,24 @@ def test_phase1_trace_from_the_datum_breakpoints_where_the_latest_time_keeps_the
     v0, times, settings, curvature = _phase1_setting(name)
     assert np.array_equal(_starting_edges(v0, times, settings, curvature), v0.breakpoints)
     values, errs, _, _ = _convolutions(v0, times, 1.0, (0,), **settings)
-    trace = boundary_trace(v0, times, derivative=False, **settings)
+    trace = boundary_trace_every_time(v0, times, derivative=False, **settings)
     assert np.array_equal(trace.u, values) and np.array_equal(trace.err, errs)
+
+
+@pytest.mark.parametrize("name", ["gentle", "reference", "beam", "beam-32k"])
+def test_phase1_interpolated_trace_agrees_with_every_time_integrated(name):
+    # the interpolants move each sample within the sum of both error
+    # estimates, and within 1e-12 of the largest |u| (and of the largest
+    # |v_xx|, on the beam); tau is an interpolant's point in both, so its
+    # sample is a quadrature sample of its own
+    v0, times, settings, derivative = _run_phase1_setting(name)
+    trace = boundary_trace(v0, times, derivative=derivative, **settings)
+    every = boundary_trace_every_time(v0, times, derivative=derivative, **settings)
+    assert np.array_equal(trace.t, every.t)
+    assert np.all(np.abs(trace.u - every.u) <= trace.err + every.err)
+    assert np.max(np.abs(trace.u - every.u)) <= 1e-12 * np.max(np.abs(every.u))
+    assert np.all(np.abs(trace.du - every.du) <= trace.err + every.err)
+    assert np.max(np.abs(trace.du - every.du)) <= 1e-12 * np.max(np.abs(every.du))
 
 
 @pytest.mark.parametrize("name", ["gentle", "reference", "beam"])

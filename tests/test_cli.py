@@ -254,18 +254,23 @@ def _report(path):
 def test_run_writes_one_diagnostics_contract_for_both_equations(tmp_path):
     from dataclasses import replace
     diag_keys = {"continuity_gap", "gap_budget", "tail_max", "quad_err_max",
-                 "seed_bound_constant"}
+                 "seed_bound_constant", "phase1_integrals"}
     reports = {}
     for name in ("gentle", "beam"):
-        sc = replace(builtin_scenarios()[name],
-                     sim=SimConfig(Nx=32, Nt=250, T=2.0, snapshot_count=3))
-        run_scenario(sc, tmp_path / name)
-        reports[name] = _report(tmp_path / name / "report.txt")
-    assert diag_keys <= set(reports["gentle"])
-    assert diag_keys <= set(reports["beam"])
-    beam = reports["beam"]
+        for control in ("synthesized", "none"):
+            sc = replace(builtin_scenarios()[name], control=control,
+                         sim=SimConfig(Nx=32, Nt=250, T=2.0, snapshot_count=3))
+            run_scenario(sc, tmp_path / name / control)
+            reports[name, control] = _report(tmp_path / name / control / "report.txt")
+    for report in reports.values():
+        assert diag_keys <= set(report)
+    beam = reports["beam", "synthesized"]
     gap, budget = float(beam["continuity_gap"]), float(beam["gap_budget"])
     assert gap <= 10.0 * max(budget, 1e-14)
+    # phase 1 counts the times it integrated; a run without control, none
+    for name in ("gentle", "beam"):
+        assert int(reports[name, "synthesized"]["phase1_integrals"]) > 0
+        assert reports[name, "none"]["phase1_integrals"] == "0"
 
 
 def test_convergence_study_eigenmode(tmp_path):

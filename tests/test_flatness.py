@@ -248,7 +248,7 @@ def test_gevrey_order_rejected_before_phase1(monkeypatch):
     def phase1(*args, **kwargs):
         raise AssertionError("phase 1 ran")
 
-    monkeypatch.setattr(flatness, "boundary_trace", phase1)
+    monkeypatch.setattr(flatness, "_boundary_trace", phase1)
     sc = builtin_scenarios()["gentle"]
     with pytest.raises(ValueError, match="s=1.1;"):
         synthesize(sc.theta0, sc.sim.times(), 1.4, 2.0, 1.1, 15, 15)

@@ -3,6 +3,7 @@
 Frozen constants are 50-digit reference evaluations of the folded-kernel
 convolutions for the discontinuous two-indicator datum.
 """
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,8 @@ from schroflat.quadrature import NODES, integrate_batch
 from schroflat.smoothing import PHASE_SMOOTHING, _convolutions, _trace_edges
 
 from conftest import assert_close
-from oracles import CurvatureDatum, convolution_one, odd_kernel, per_row, seed_series
+from oracles import (CurvatureDatum, boundary_trace_every_time, convolution_one, odd_kernel,
+                     per_row, seed_series)
 
 I_TRACE = {
     0.1: -0.013427952255356212345 + 0.13368495946283665694j,
@@ -295,11 +297,13 @@ def _synthesize(name):
 
 
 @pytest.mark.parametrize("name, points", [
-    ("gentle", 105_882), ("reference", 308_700), ("beam", 250_278)])
+    ("gentle", 56_070), ("reference", 181_419), ("beam", 92_610)])
 def test_synthesis_kernel_points(monkeypatch, name, points):
-    # the kernel's work in a builtin synthesis, a deterministic count: on
-    # reference it skips the 58,842 points of the panels of the datum's zero
-    # piece (367,542 with them); the pulse and the beam's extension vanish
+    # the kernel's work in a builtin synthesis, a deterministic count: the
+    # trace integrates its interpolants' points and the grid times too
+    # early to interpolate (105,882, 308,700 and 250,278 points with every
+    # grid time integrated); on reference it skips the panels of the
+    # datum's zero piece, while the pulse and the beam's extension vanish
     # on no panel
     calls = _record_kernel_rows(monkeypatch)
     _synthesize(name)
@@ -474,22 +478,40 @@ def test_convolutions_build_the_tables_once_per_call(monkeypatch, ref_datum):
     assert builds == [times.shape]
 
 
+def _record_convolutions(monkeypatch):
+    """The (times, starting edges, tolerance scales) of every _convolutions
+    batch that smoothing runs."""
+    batches = []
+
+    def recorded(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False,
+                 tol_scale=1.0):
+        batches.append((np.atleast_1d(t), edges, tol_scale))
+        return _convolutions(v0, t, x, orders, abs_tol, edges, curvature, tol_scale)
+
+    monkeypatch.setattr(smoothing, "_convolutions", recorded)
+    return batches
+
+
 def test_datum_and_curvature_share_the_kernel_per_distinct_time_and_panel(
         monkeypatch, beam_phase1):
     # u (the datum g) and v_xx (its second derivative g'') are one order-0
     # batch: each bounded row call computes the exponentials of a (time,
     # panel) row once for both, so the trace costs fewer kernel rows than
-    # g and g'' integrated apart from the trace's starting edges, and
-    # visits the same rows they do (each subdivides as if alone); both
-    # sides count the latest-time pass
+    # g and g'' integrated apart over the same batches of times (the
+    # latest-time pass, then the interpolants' points and the direct
+    # samples), and visits the same rows they do (each subdivides as if
+    # alone)
     ext, times, settings = beam_phase1
+    batches = _record_convolutions(monkeypatch)
     fused = _record_kernel_rows(monkeypatch)
     boundary_trace(ext, times, derivative=True, **settings)
+    monkeypatch.undo()
     apart = _record_kernel_rows(monkeypatch)
     data = (ext, CurvatureDatum(ext))
-    edges = _trace_edges(ext, times, curvature=True, **settings)
+    assert len(batches) == 3
     for v in data:
-        _convolutions(v, times, 1.0, (0,), edges=edges, **settings)
+        for t, edges, tol_scale in batches:
+            _convolutions(v, t, 1.0, (0,), edges=edges, tol_scale=tol_scale, **settings)
     for rows in fused:
         assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     count = lambda calls: sum(rows.shape[0] for rows in calls)
@@ -514,16 +536,18 @@ def _record_batches(monkeypatch):
 def test_beam_trace_starts_from_the_latest_time_mesh(monkeypatch, beam_phase1):
     # the run's trace ends at tau, where g'' converges on the cutoff half's
     # quarters and its outer eighths, and every earlier sample of g and g''
-    # starts there instead of bisecting down to them again: 23,164 panels
-    # with the 16-panel latest-time pass, against 30,890 from the datum's
-    # breakpoints
+    # starts there instead of bisecting down to them again: the 204 times
+    # of the interpolants' 33 points and the direct samples, then the 76 of
+    # the doubled interpolant and the interval integrated directly, take
+    # 7,922 panels with the 16-panel latest-time pass, against 9,300 from
+    # the datum's breakpoints
     ext, times, settings = beam_phase1
     tau = builtin_scenarios()["beam"].tau
     times = np.append(times[times < tau], tau)
     batches = _record_batches(monkeypatch)
     boundary_trace(ext, times, derivative=True, **settings)
-    assert [b.size for b in batches] == [2, 2 * times.size]
-    assert sum(int(b.sum()) for b in batches) <= 23_200
+    assert [b.size for b in batches] == [2, 2 * 204, 2 * 76]
+    assert sum(int(b.sum()) for b in batches) <= 7_950
     edges = _trace_edges(ext, times, curvature=True, **settings)
     assert np.array_equal(ext.support * edges, [1.0, 1.125, 1.25, 1.5, 1.75, 1.875])
 
@@ -533,6 +557,142 @@ def test_trace_of_one_time_is_one_batch(monkeypatch, ref_datum):
     batches = _record_batches(monkeypatch)
     boundary_trace(ref_datum, [0.35])
     assert [b.size for b in batches] == [2]
+
+
+def _integrated_times(batches):
+    """The times of every recorded _convolutions batch, joined."""
+    return np.concatenate([t for t, _, _ in batches])
+
+
+def test_reference_trace_doubles_its_interpolants_until_their_tails_fall(monkeypatch):
+    # reference's grid holds 1,401, 700, 350, 175, 87 and 44 times on its
+    # first six dyadic intervals below tau = 0.35, and 43 below them.  The
+    # first batch integrates those 43 and the 33 points of each of the six
+    # intervals, 193 with the five shared ends; the coefficient tails send
+    # the intervals 1 to 5 on, so the second integrates the 32 new points
+    # of the intervals 1 to 4 and the 44 grid times of interval 5, which
+    # 65 points would outnumber; interval 4 fails again at 65 and its 87
+    # grid times make the third batch, while 0 passes at 33 and 1 to 3 at 65
+    sc = builtin_scenarios()["reference"]
+    times = sc.sim.times()
+    t_grid = np.append(times[(times > 0) & (times < sc.tau)], sc.tau)
+    batches = _record_convolutions(monkeypatch)
+    trace, integrals = smoothing._boundary_trace(sc.theta0, t_grid, derivative=False)
+    assert [t.size for t, _, _ in batches] == [1, 236, 172, 87]
+    assert integrals == 496
+    tops, index = smoothing._dyadic_intervals(t_grid)
+    assert np.bincount(index)[:6].tolist() == [1401, 700, 350, 175, 87, 44]
+    second, third = batches[2][0], batches[3][0]
+    assert np.array_equal(third, t_grid[index == 4])
+    assert np.array_equal(second[:44], t_grid[index == 5])
+    for j in range(1, 5):
+        new = smoothing._lobatto_times(tops[j])[2::4]
+        assert np.all(np.isin(new, second))
+    # interval 0's sample times are the interpolant's, tau's its own
+    assert not np.isin(t_grid[index == 0][:-1], _integrated_times(batches[1:])).any()
+    assert trace.t[-1] == sc.tau and np.isin(sc.tau, batches[1][0])
+
+
+def test_trace_at_tau_is_its_own_quadrature_sample(ref_datum):
+    # tau is an interpolant's point: the trace keeps its sample and error
+    # estimate, as a lone integral from the latest time's mesh at the
+    # points' tolerance gives them to rounding
+    t_grid = np.linspace(0.01, 0.35, 400)
+    trace = boundary_trace(ref_datum, t_grid, derivative=False)
+    edges = _trace_edges(ref_datum, t_grid, 1e-10, False)
+    (value,), (err,), _, _ = _convolutions(ref_datum, 0.35, 1.0, (0,), 1e-10, edges,
+                                           tol_scale=1.0 / smoothing._LEBESGUE)
+    assert abs(trace.u[-1] - value) <= 1e-15 * abs(value)
+    assert abs(trace.err[-1] - err) <= 1e-15 * abs(value)
+
+
+def test_failing_tails_integrate_every_grid_time(monkeypatch, pulse):
+    # interpolants whose tails never fall double to 65 and 129 points where
+    # their intervals hold that many grid times, then integrate those grid
+    # times directly: the trace is the batch of every grid time to rounding
+    monkeypatch.setattr(smoothing, "_chebyshev_tails",
+                        lambda values, errs: (False, np.zeros(values.shape[1])))
+    sc = builtin_scenarios()["gentle"]
+    times = sc.sim.times()
+    t_grid = np.append(times[(times > 0) & (times < sc.tau)], sc.tau)
+    batches = _record_convolutions(monkeypatch)
+    trace, integrals = smoothing._boundary_trace(pulse, t_grid, derivative=False)
+    assert np.all(np.isin(t_grid, _integrated_times(batches[1:])))
+    assert integrals == sum(t.size for t, _, _ in batches) > t_grid.size
+    every = boundary_trace_every_time(pulse, t_grid, derivative=False)
+    assert np.all(np.abs(trace.u - every.u) <= 1e-14 * np.abs(every.u))
+    assert np.all(np.abs(trace.err - every.err) <= 1e-6 * every.err + 1e-8 * np.abs(every.u))
+
+
+def test_point_exhausting_the_budget_names_its_time_and_interval(monkeypatch, ref_datum):
+    # the 40 grid times on (0.001, 0.002] start from the 78 panels of their
+    # latest time and fit a budget of 100, but the interpolant's lowest
+    # point, 0.001, takes 121 at the points' tolerance: its error names that
+    # time, with the index of its interval's first grid time as the sample
+    t_grid = np.linspace(0.0012, 0.002, 40)
+    _panel_budget(monkeypatch, 100)
+    for derivative in (False, True):
+        with pytest.raises(QuadratureError, match=r"t=0\.001,") as exc:
+            boundary_trace(ref_datum, t_grid, derivative=derivative)
+        assert exc.value.sample == 0
+    every = boundary_trace_every_time(ref_datum, t_grid, derivative=False)
+    assert np.all(np.isfinite(every.u))
+
+
+def _mpmath_trace(v0, t):
+    """v(t, 1) of the piecewise polynomial v0 by mpmath.quad at 30 digits,
+    split at its breakpoints and into panels of a half turn or less of
+    the kernel's phase."""
+    with mpmath.workdps(30):
+        tm = mpmath.mpf(t)
+        scale = 1 / mpmath.sqrt(4j * mpmath.pi * tm)
+        total = mpmath.mpc(0)
+        for a, b, piece in zip(v0.edges[:-1], v0.edges[1:], v0.pieces):
+            coeffs = [mpmath.mpc(complex(c)) for c in piece[::-1]]
+            parts = int(np.ceil(0.75 / t / np.pi * (b - a))) + 1
+            ends = [mpmath.mpf(a) + (mpmath.mpf(b) - mpmath.mpf(a)) * k / parts
+                    for k in range(parts + 1)]
+            total += mpmath.quad(lambda y: scale * mpmath.polyval(coeffs, y) * (
+                mpmath.exp(1j * (1 - y) ** 2 / (4 * tm))
+                - mpmath.exp(1j * (1 + y) ** 2 / (4 * tm))), ends)
+        return complex(total)
+
+
+@pytest.mark.parametrize("name", ["gentle", "reference"])
+def test_interpolated_samples_meet_their_err_against_mpmath(monkeypatch, name):
+    # two grid times between the interpolants' points on each of the first
+    # four intervals, the lowest and one a third of the way up: on
+    # reference's first two intervals the points' own estimates sit at the
+    # quadrature's rounding floor (3e-16 and below), where err rests as
+    # much on its eps * max|value| and tail terms as on them
+    sc = builtin_scenarios()[name]
+    times = sc.sim.times()
+    t_grid = np.append(times[(times > 0) & (times < sc.tau)], sc.tau)
+    batches = _record_convolutions(monkeypatch)
+    trace = boundary_trace(sc.theta0, t_grid, derivative=False)
+    interpolated = ~np.isin(t_grid, _integrated_times(batches))
+    _, index = smoothing._dyadic_intervals(t_grid)
+    checked = 0
+    for j in range(4):
+        rows = np.flatnonzero((index == j) & interpolated)
+        if rows.size == 0:
+            continue
+        for i in (rows[0], rows[rows.size // 3]):
+            exact = _mpmath_trace(sc.theta0, t_grid[i])
+            assert abs(trace.u[i] - exact) <= trace.err[i], (t_grid[i], trace.err[i])
+            checked += 1
+    assert checked >= 6
+
+
+@pytest.mark.parametrize("name, integrals", [
+    ("gentle", 345), ("reference", 496), ("beam", 281)])
+def test_synthesis_phase1_integrals(name, integrals):
+    # the phase-1 times a builtin synthesis integrates, a deterministic
+    # count: the latest-time pass, the interpolants' points and the direct
+    # samples, against 2,800 (1,400 on the beam) with every grid time
+    synthesis = _synthesize(name)
+    diags = synthesis.diags if name == "beam" else synthesis[2]
+    assert diags["phase1_integrals"] == integrals
 
 
 def test_trace_of_no_times_is_empty(ref_datum):
