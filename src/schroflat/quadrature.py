@@ -11,8 +11,9 @@ form one refinement generation, evaluated in a few vectorized calls, which
 keeps the Python overhead away from the innermost kernel evaluations.  The
 samples may be time points of one convolution or the orders of the
 flat-output seed.  Each sample is subdivided by the rules it would follow
-if integrated alone from the batch's starting edges, and its value equals
-a lone integral's to rounding; a single integral is the one-sample case.
+if integrated alone from the batch's starting edges, bisected to its own
+starting width, and its value equals a lone integral's to rounding; a
+single integral is the one-sample case.
 The equality is not bitwise: the panel sums are matrix products, whose
 per-row rounding under BLAS depends on the number of rows in the call.
 Declared breakpoints are the starting panel edges, so no panel ever
@@ -30,9 +31,9 @@ finds the generation's distinct panels (samples of a batch share most of
 theirs) and hands their node table to the integrand, which does there the
 work that depends on the node alone.  The function that call returns then
 gives the values of the generation's rows, in calls of at most
-PANELS_PER_CALL rows, 2**16 points, which bounds the memory of one call
+PANELS_PER_CALL rows, 2**14 points, which bounds the memory of one call
 whatever the batch size; each row names its panel in the table and its
-sample.
+sample.  No sample starts from more panels than one call holds.
 """
 import math
 
@@ -91,10 +92,13 @@ _SUM_WEIGHTS = np.zeros((2 * NODES.size, 4))
 _SUM_WEIGHTS[0::2, 0] = _SUM_WEIGHTS[1::2, 1] = WEIGHTS_KRONROD
 _SUM_WEIGHTS[2 * GAUSS_IDX, 2] = _SUM_WEIGHTS[2 * GAUSS_IDX + 1, 3] = WEIGHTS_GAUSS
 
-# Work-list rows per call of the integrand's row stage: a bound of 2**16
-# points.  The integrand's temporaries scale with it, and so does the peak
-# resident memory of a run; larger calls were not faster.
-PANELS_PER_CALL = 2 ** 16 // NODES.size
+# Work-list rows per call of the integrand's row stage, and the most
+# panels a sample starts from: a bound of 2**14 points.  The integrand's
+# temporaries scale with it, and so does the peak resident memory of a
+# run.  Since samples start from panels sized to their integrands, the
+# first generation holds most rows, and calls of 2**16 points were both
+# slower and larger in memory.
+PANELS_PER_CALL = 2 ** 14 // NODES.size
 
 # A panel whose error estimate is at the rounding floor of its own L1 mass
 # cannot improve under bisection; integrands with large oscillatory
@@ -155,12 +159,10 @@ def _evaluate(integrand, lo, hi, sample):
     node table of the distinct panels, then one call of the function it
     returns per PANELS_PER_CALL rows.  Each call's values are summed, and
     freed, before the next call runs."""
-    # every row of a generation lies at one depth of bisection below the
-    # starting edges, so its left edge names its panel; only rounding at
-    # widths of an ulp could give two panels one left edge
-    first, panel = _distinct_panels(lo)
-    if np.any(hi[first[panel]] != hi):
-        first, panel = _distinct_panels(lo, hi)
+    # samples that start from panels of other widths hold panels of other
+    # depths in one generation, and two of those may share a left edge:
+    # both ends name a panel
+    first, panel = _distinct_panels(lo, hi)
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     rows = integrand(mid[first, None] + half[first, None] * NODES[None, :])
@@ -199,7 +201,28 @@ def _sample_sums(owner, lo, vals, errs, samples):
     return values, sums
 
 
-def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10, tol_scale=1.0):
+def _starting_panels(edges, samples, width):
+    """(lo, hi, sample) of every sample's starting panels: the panels
+    between edges, bisected a round at a time, as refinement bisects, until
+    none is wider than its sample's width.  A sample whose next round would
+    take it past PANELS_PER_CALL panels starts from the panels it has."""
+    lo = np.tile(edges[:-1], samples)
+    hi = np.tile(edges[1:], samples)
+    smp = np.repeat(np.arange(samples), edges.size - 1)
+    while True:
+        wide = hi - lo > width[smp]
+        grown = np.bincount(smp, minlength=samples) + np.bincount(smp[wide], minlength=samples)
+        wide &= grown[smp] <= PANELS_PER_CALL
+        if not wide.any():
+            return lo, hi, smp
+        mid = 0.5 * (lo[wide] + hi[wide])
+        lo = np.concatenate([lo[~wide], lo[wide], mid])
+        hi = np.concatenate([hi[~wide], mid, hi[wide]])
+        smp = np.concatenate([smp[~wide], smp[wide], smp[wide]])
+
+
+def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10, tol_scale=1.0,
+                    width=math.inf):
     """Integrals over [0,1] of a batch of integrands in one adaptive loop.
 
     The integrand is called once per refinement generation as
@@ -217,6 +240,14 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10, tol_scale
     list come from np.bincount, so each sample is subdivided by the rules
     of a lone integral.  The budget only decides when to raise.
 
+    Each sample starts from the panels between 0, the breakpoints and 1,
+    bisected until none is wider than width, a number or one per sample
+    (_starting_panels): an integrand that turns faster may start from
+    narrower panels and skip the generations that would bisect down to
+    them.  The default, inf, bisects nothing.  No sample starts from more
+    than PANELS_PER_CALL panels, and its starting panels count against its
+    budget.
+
     Returns (values, errs, panels, edges): the integrals, their error
     estimates and the number of panels evaluated, one entry per sample,
     and the mesh the batch converged on: the sorted distinct interior left
@@ -232,9 +263,7 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10, tol_scale
     if abs_tol <= 0:
         raise ValueError("tolerance must be positive")
     edges = np.array([0.0, *bps, 1.0])
-    lo = np.tile(edges[:-1], samples)
-    hi = np.tile(edges[1:], samples)
-    smp = np.repeat(np.arange(samples), edges.size - 1)
+    lo, hi, smp = _starting_panels(edges, samples, np.broadcast_to(width, samples))
     used = np.zeros(samples, dtype=np.int64)
     acc_re = np.zeros(samples)
     acc_im = np.zeros(samples)

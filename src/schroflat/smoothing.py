@@ -37,12 +37,18 @@ boundary_trace splits (0, tau] into the dyadic intervals
 (tau/2^(j+1), tau/2^j] and integrates, on each interval that holds enough
 grid times, only the Chebyshev-Lobatto points of an interpolant, whose
 degree the decay of its Chebyshev coefficients chooses; it integrates the
-other grid times directly.  Its batches start from a finer mesh than the
-datum's breakpoints: the kernel's phase (x-y)^2/4t turns faster as t
-falls, so the mesh that the latest time converges on from the breakpoints
-is one every earlier time refines.  boundary_trace integrates that time
-alone first and starts every batch from its converged panel edges, which
-spares each sample the bisections that would rediscover them.
+other grid times directly.
+
+Every sample starts from panels sized to its own kernel: the phase
+(x+y)^2/4t of the far translate turns faster as t falls, so _convolutions
+bisects each sample's starting panels until the phase turns through at
+most _PHASE_SPAN radians across each (integrate_batch's width), which
+spares the sample the generations that would bisect down to them.  The
+trace's batches also start from a finer mesh than the datum's breakpoints:
+the mesh that the latest time converges on from the breakpoints is one
+every earlier time refines, where the datum rather than the kernel asks
+for it.  boundary_trace integrates that time alone first and starts every
+batch from its converged panel edges.
 """
 import math
 from dataclasses import dataclass
@@ -68,6 +74,11 @@ MAX_SEED_ORDER = min(30, (MAX_ORDER - 1) // 2)
 _LOBATTO = np.sin(np.pi * np.arange(128, -129, -2) / 256)
 _FIRST_POINTS = 33
 _TAIL_ROUNDING = 32.0
+
+# the radians through which the kernel's far translate may turn across one
+# starting panel of a convolution: 12 and 16 ran as fast, and 12 gives the
+# reference trace's largest err 1.4e-9 where 16 gives 6.5e-9
+_PHASE_SPAN = 12.0
 
 
 def _lebesgue(n):
@@ -287,7 +298,11 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False,
     sample starts from the interior panel edges `edges` on that interval,
     by default the rescaled datum breakpoints; edges that refine them, such
     as the converged edges of another call, keep every panel off the
-    datum's discontinuities.  The derivative tables of the
+    datum's discontinuities.  Each point's panels are then bisected until
+    the far translate's phase (|x| + y)^2/4t turns through at most
+    _PHASE_SPAN radians across each: on the unit interval, a width of
+    2 _PHASE_SPAN t / ((|x| + support) support), up to one row call of
+    panels (integrate_batch).  The derivative tables of the
     points are built once per call and handed to odd_kernel.  Once per
     generation of the quadrature, the data are evaluated on the node table
     of the generation's distinct panels, by one call of v0.with_curvature
@@ -316,6 +331,7 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False,
     tables = derivative_coefficients(t, orders)
     tol_scale = np.broadcast_to(tol_scale, t.shape)
     support = v0.support
+    width = 2.0 * _PHASE_SPAN * t / ((np.abs(x) + support) * support)
     if edges is None:
         edges = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
 
@@ -361,7 +377,8 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False,
 
     try:
         values, errs, panels, edges = integrate_batch(integrand, t.size * per_point, edges,
-                                                      abs_tol, np.repeat(tol_scale, per_point))
+                                                      abs_tol, np.repeat(tol_scale, per_point),
+                                                      np.repeat(width, per_point))
     except QuadratureError as exc:
         j, i = divmod(exc.sample, per_point)
         name = f"m={orders[i % n_orders]}" + (f", datum {i // n_orders}" if curvature else "")
@@ -557,9 +574,10 @@ def _boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
         first = np.searchsorted(-index, -np.arange(tops.size))
         grid = [np.arange(f, f + c) for f, c in zip(first, counts)]
         # stride[j]: interval j's interpolant takes every stride-th of the
-        # _LOBATTO.size points, whose samples fill nodes[j] as they come
+        # _LOBATTO.size points, whose samples fill nodes[j] as they come;
+        # an interval too short to double its first points goes direct
         stride = {j: (_LOBATTO.size - 1) // (_FIRST_POINTS - 1)
-                  for j in np.flatnonzero(counts > _FIRST_POINTS).tolist()}
+                  for j in np.flatnonzero(counts >= 2 * _FIRST_POINTS - 1).tolist()}
         nodes = {}
         direct = [grid[j] for j in np.flatnonzero(counts).tolist() if j not in stride]
         while stride or direct:
@@ -618,19 +636,20 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     needed.  abs_tol is each integral's absolute tolerance.
 
     The grid splits into the dyadic intervals (tau/2^(j+1), tau/2^j]
-    below its latest time tau (_dyadic_intervals).  On an interval of
-    more than 33 grid times the trace is the barycentric interpolant
-    through its samples at 33 Chebyshev-Lobatto points (_interpolate);
-    neighbouring intervals share their ends, and tau is a point.  An
-    interpolant whose top Chebyshev coefficients do not fall to its
-    samples' error or rounding level (_chebyshev_tails) doubles to 65,
-    then 129 points, integrating only the new ones.  An interval whose
-    points would outnumber its grid times, or that fails at 129, is
-    integrated directly at its grid times, as is every interval of at
-    most 33.  Each round of points and direct samples is one
+    below its latest time tau (_dyadic_intervals).  On an interval of at
+    least 65 grid times, enough for one doubling, the trace is the
+    barycentric interpolant through its samples at 33 Chebyshev-Lobatto
+    points (_interpolate); neighbouring intervals share their ends, and
+    tau is a point.  An interpolant whose top Chebyshev coefficients do
+    not fall to its samples' error or rounding level (_chebyshev_tails)
+    doubles to 65, then 129 points, integrating only the new ones.  An
+    interval whose points would outnumber its grid times, or that fails
+    at 129, is integrated directly at its grid times, as is every interval
+    of at most 64.  Each round of points and direct samples is one
     _convolutions batch, every sample starting from the panel edges the
-    latest time converges on from the datum's breakpoints (_trace_edges)
-    and subdividing by its own rules to its own tolerance.
+    latest time converges on from the datum's breakpoints (_trace_edges),
+    bisected to the width its kernel's phase asks for, and subdividing by
+    its own rules to its own tolerance.
 
     v_xx(t,1) is the integral of d^2_y F against v0; two integrations by
     parts make it the free evolution of v0's second derivative plus the

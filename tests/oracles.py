@@ -51,8 +51,8 @@ from schroflat.beam import BeamResult, BeamSnapshot
 from schroflat.sine_modes import (CHUNK, apply_sine, chunk_states, complex_product,
                                   power_rows, sine_modes)
 from schroflat.flatness import _MIPOW, control_trace
-from schroflat.smoothing import (_IPOW, PHASE_SMOOTHING, ControlTrace, _convolutions,
-                                 _jump_terms, _trace_edges)
+from schroflat.smoothing import (_IPOW, _PHASE_SPAN, PHASE_SMOOTHING, ControlTrace,
+                                 _convolutions, _jump_terms, _trace_edges)
 
 
 # ------------------------------------------------------------- kernel
@@ -241,6 +241,7 @@ class IntegrationProblem:
     integrand: Callable[[np.ndarray], np.ndarray]
     breakpoints: tuple = ()
     abs_tol: float = 1e-10
+    width: float = math.inf
 
 
 def per_row(f):
@@ -257,7 +258,7 @@ def integrate(problem: IntegrationProblem):
     """
     values, errs, _, _ = integrate_batch(
         per_row(lambda x, s: problem.integrand(x.ravel())), 1, problem.breakpoints,
-        problem.abs_tol)
+        problem.abs_tol, width=problem.width)
     return complex(values[0]), float(errs[0])
 
 
@@ -294,10 +295,18 @@ def _panel_sums(f, lo, hi):
 
 def integrate_one(problem):
     """One adaptive integral -> (value, err, panels evaluated), with the
-    package's relative tolerance and panel budget."""
+    package's relative tolerance and panel budget.  The panels between the
+    breakpoints are bisected, a round at a time, until none is wider than
+    problem.width, unless a round would leave more than PANELS_PER_CALL."""
     f = problem.integrand
     edges = np.array([0.0, *problem.breakpoints, 1.0])
     lo, hi = edges[:-1].copy(), edges[1:].copy()
+    wide = hi - lo > problem.width
+    while wide.any() and lo.size + wide.sum() <= quadrature.PANELS_PER_CALL:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (np.concatenate([lo, mid[wide]]),
+                  np.concatenate([np.where(wide, mid, hi), hi[wide]]))
+        wide = hi - lo > problem.width
     acc_lo = []
     acc_val = []
     acc_err = []
@@ -347,15 +356,17 @@ def integrate_one(problem):
 def convolution_one(v0, t, x, m=0, support=1.0, breakpoints=(), abs_tol=1e-10):
     """(value, err, panels) of one odd-folded kernel convolution: through
     the package's kernel where it has the order m at x, else through
-    general_odd_kernel."""
+    general_odd_kernel.  Its panels start no wider than those over which
+    the kernel's far translate turns through _PHASE_SPAN radians."""
     kern = odd_kernel if m == 0 or x == 0.0 else general_odd_kernel
+    width = 2.0 * _PHASE_SPAN * t / ((abs(x) + support) * support)
 
     def integrand(sig):
         y = support * sig
         return kern(t, x, y, m) * v0(y)
 
     bps = tuple(b / support for b in breakpoints if 0.0 < b / support < 1.0)
-    value, err, used = integrate_one(IntegrationProblem(integrand, bps, abs_tol=abs_tol))
+    value, err, used = integrate_one(IntegrationProblem(integrand, bps, abs_tol, width))
     return support * value, support * err, used
 
 

@@ -9,7 +9,8 @@ from schroflat.quadrature import (GAUSS_IDX, NODES, PANELS_PER_CALL, WEIGHTS_GAU
                                   WEIGHTS_KRONROD, _panel_sums, _sample_sums,
                                   integrate_batch)
 
-from oracles import IntegrationProblem, integrate, integrate_function, panel_sums, per_row
+from oracles import (IntegrationProblem, integrate, integrate_function, integrate_one, panel_sums,
+                     per_row)
 
 
 def test_rule_tables():
@@ -146,6 +147,47 @@ def test_batch_samples_keep_their_own_subdivision():
         assert panels[s] == sum(calls)
 
 
+def test_batch_samples_start_from_panels_no_wider_than_their_width():
+    # each sample's breakpoint panels are bisected, a round at a time, until
+    # none is wider than its own starting width, and the sample subdivides
+    # from there as a lone integral from those panels does; a width of 1
+    # bisects nothing, as the default does, and a tiny one stops at the
+    # last round that fits one row call
+    freqs = np.array([3.0, 40.0, 400.0, 400.0])
+    widths = np.array([1.0, 0.2, 0.01, 1e-9])
+
+    def batch(x, s):
+        return np.exp(1j * freqs[s] * x) / (1.0 + x)
+
+    generations = []
+
+    def integrand(nodes):
+        rows = per_row(batch)(nodes)
+        samples = []
+        generations.append(samples)
+
+        def recorded(panel, sample):
+            samples.append(sample)
+            return rows(panel, sample)
+
+        return recorded
+
+    values, errs, panels, _ = integrate_batch(integrand, freqs.size, (0.3,), width=widths)
+    # the panels 0.3 and 0.7 wide: two, then 2 + 4 and 32 + 128 panels, and
+    # 512 within the 780 rows of a call
+    assert np.bincount(np.concatenate(generations[0])).tolist() == [2, 6, 160, 512]
+    assert 512 <= PANELS_PER_CALL < 1024
+    for s, (om, w) in enumerate(zip(freqs, widths)):
+        value, err, used = integrate_one(
+            IntegrationProblem(lambda x, om=om: np.exp(1j * om * x) / (1.0 + x), (0.3,), width=w))
+        assert abs(values[s] - value) <= 1e-14 * abs(value)
+        assert abs(errs[s] - err) <= 1e-6 * err + 1e-8 * abs(value)
+        assert panels[s] == used
+    default = integrate_batch(per_row(batch), 1, (0.3,))
+    assert all(np.array_equal(a, b) for a, b in zip(
+        default, integrate_batch(per_row(batch), 1, (0.3,), width=1.0)))
+
+
 def test_batch_splits_large_generations():
     # a generation wider than PANELS_PER_CALL goes out in bounded calls
     sizes = []
@@ -203,9 +245,9 @@ def test_integrand_stages_once_per_generation(monkeypatch):
 
 
 def test_generation_tells_panels_of_one_left_edge_apart():
-    # a generation's rows share a depth of bisection, so a left edge names
-    # a panel; rows that break this still get a table row per distinct
-    # pair of end points, and the sums of their own panels
+    # samples that start from panels of other widths hold panels of other
+    # depths in one generation, some on one left edge: each distinct pair
+    # of end points gets a table row, and each row the sums of its panel
     lo = np.array([0.0, 0.0, 0.5, 0.0])
     hi = np.array([0.5, 0.25, 1.0, 0.5])
     sample = np.array([0, 1, 0, 2])

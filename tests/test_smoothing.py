@@ -251,13 +251,32 @@ def test_derivative_trace_budget_failure_names_sample_time(monkeypatch, ref_datu
 
 def test_trace_at_small_time_fits_the_panel_budget():
     # at t=1e-5 the kernel turns through about 1/(4t) radians over the
-    # support: the one sample takes 25,007 panels, more than 2**14 and
-    # within the quadrature's one budget of 2**16
+    # support: the one sample starts from 512 panels, the most its
+    # bisection to the kernel's phase leaves within PANELS_PER_CALL, and
+    # takes 24,496, more than 2**14 and within the quadrature's one budget
+    # of 2**16
     (value,), (err,), (panels,), _ = _convolutions(pulse_datum(), 1e-5, 1.0, (0,))
-    assert panels == 25007
+    assert panels == 24496
     trace = boundary_trace(pulse_datum(), [1e-5], derivative=False)
     assert trace.u[0] == value and trace.err[0] == err
     assert err <= 1e-10
+
+
+def test_sample_at_tiny_time_starts_within_one_row_call(monkeypatch):
+    # at t=1e-9 the kernel's phase asks for starting panels 2.4e-8 wide;
+    # the bisection stops at the last round that leaves at most
+    # PANELS_PER_CALL panels: 512 of the support, which the zero datum
+    # accepts at once
+    (value,), _, (panels,), _ = _convolutions(PiecewiseProfile.zero(), 1e-9, 1.0, (0,))
+    assert value == 0.0 and panels == 512 <= quadrature.PANELS_PER_CALL < 2 * panels
+    # the reference datum's four pieces start from 512 panels too, one row
+    # call, and they count against the panel budget
+    events = []
+    _record_stages(monkeypatch, events)
+    _panel_budget(monkeypatch, 511)
+    with pytest.raises(QuadratureError, match=r"t=1e-09,"):
+        _convolutions(reference_datum(), 1e-9, 1.0, (0,))
+    assert [kind for kind, _ in events] == ["nodes", "rows"] and events[1][1] == 512
 
 
 @pytest.fixture(scope="module")
@@ -297,14 +316,15 @@ def _synthesize(name):
 
 
 @pytest.mark.parametrize("name, points", [
-    ("gentle", 56_070), ("reference", 181_419), ("beam", 92_610)])
+    ("gentle", 34_881), ("reference", 121_233), ("beam", 65_037)],
+    ids=["gentle", "reference", "beam"])
 def test_synthesis_kernel_points(monkeypatch, name, points):
     # the kernel's work in a builtin synthesis, a deterministic count: the
     # trace integrates its interpolants' points and the grid times too
     # early to interpolate (105,882, 308,700 and 250,278 points with every
-    # grid time integrated); on reference it skips the panels of the
-    # datum's zero piece, while the pulse and the beam's extension vanish
-    # on no panel
+    # grid time integrated), each from panels sized to its kernel's phase;
+    # on reference it skips the panels of the datum's zero piece, while the
+    # pulse and the beam's extension vanish on no panel
     calls = _record_kernel_rows(monkeypatch)
     _synthesize(name)
     assert NODES.size * sum(rows.shape[0] for rows in calls) == points
@@ -423,12 +443,16 @@ def test_datum_integrals_gather_once_per_generation(monkeypatch):
     # _convolutions evaluates the datum factor once per quadrature
     # generation, on its distinct panels: the samples at the two equal
     # times split alike, and in the first generation all four samples hold
-    # the same two panels, whose eight rows go out in three calls
-    times = np.array([0.5, 0.05, 0.05, 0.01])
+    # the same two panels, whose eight rows go out in three calls.  At
+    # these times the kernel's phase asks for no starting panel narrower
+    # than 0.7, so the breakpoint 0.3 alone sets every sample's start, also
+    # under a three-row cap; the factor's own oscillation makes the
+    # quadrature bisect on from there
+    times = np.array([0.5, 0.1, 0.1, 0.06])
     datum_rows = []
 
     def factor(y):
-        return np.exp(0.5j * y) / (1.0 + y)
+        return np.exp(40j * y) / (1.0 + y)
 
     class Datum:
         support = 1.0
@@ -439,6 +463,15 @@ def test_datum_integrals_gather_once_per_generation(monkeypatch):
             return factor(y)
 
     expected = _convolutions(Datum(), times, 1.0, (0,))
+    # the same batch with the factor folded into the integrand, in the same
+    # order, (kernel) * (factor), and in calls of the same size
+    folded = integrate_batch(per_row(lambda y, s: odd_kernel(times[s], 1.0, y) * factor(y)),
+                             times.size, breakpoints=(0.3,))
+    values, errs, panels, _ = expected
+    assert np.all(np.abs(values - folded[0]) <= 1e-15 * np.abs(folded[0]))
+    assert np.all(np.abs(errs - folded[1]) <= 1e-15 * folded[1])
+    assert np.array_equal(panels, folded[2])
+
     datum_rows.clear()
     events = []
     monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 3)
@@ -450,19 +483,44 @@ def test_datum_integrals_gather_once_per_generation(monkeypatch):
     assert datum_rows[0] == 2 and [n for _, n in generations[0][1:]] == [3, 3, 2]
     assert len(generations) > 1 and sum(datum_rows) < result[2].sum()
 
-    # the same batch with the factor folded into the integrand, in the same
-    # order: (kernel) * (factor)
-    folded = integrate_batch(per_row(lambda y, s: odd_kernel(times[s], 1.0, y) * factor(y)),
-                             times.size, breakpoints=(0.3,))
-    values, errs, panels, _ = expected
-    assert np.all(np.abs(values - folded[0]) <= 1e-15 * np.abs(folded[0]))
-    assert np.all(np.abs(errs - folded[1]) <= 1e-15 * folded[1])
-    assert np.array_equal(panels, folded[2])
+
+def test_samples_of_different_start_widths_share_a_left_edge():
+    # at t = 0.1 the kernel's phase leaves the unit interval one starting
+    # panel (width 1.2), at t = 0.05 it halves it (0.6): the first
+    # generation holds [0, 0.5], [0, 1] and [0.5, 1], two panels on one
+    # left edge.  The datum is evaluated once per generation on its
+    # distinct panels, and each sample is its lone integral to rounding,
+    # subdivided alike
+    times = np.array([0.1, 0.05])
+    tables = []
+
+    class Datum:
+        support = 1.0
+        breakpoints = ()
+
+        def __call__(self, y):
+            tables.append(y)
+            return np.exp(40j * y) / (1.0 + y)
+
+    values, errs, panels, _ = _convolutions(Datum(), times, 1.0, (0,))
+    lo, hi = np.array([[0.0], [0.0], [0.5]]), np.array([[0.5], [1.0], [1.0]])
+    assert np.array_equal(tables[0], 0.5 * (lo + hi) + 0.5 * (hi - lo) * NODES)
+    assert len(tables) > 1
+    for table in tables:
+        assert np.unique(table, axis=0).shape[0] == table.shape[0]
+    for j, t in enumerate(times):
+        (value,), (err,), (used,), _ = _convolutions(Datum(), t, 1.0, (0,))
+        assert abs(values[j] - value) <= 1e-15 * abs(value)
+        assert abs(errs[j] - err) <= 1e-15 * abs(value)
+        assert panels[j] == used
 
 
 def test_convolutions_build_the_tables_once_per_call(monkeypatch, ref_datum):
     # the derivative tables depend on the points alone: one build for all
-    # the points of a call, however many integrand calls its quadrature makes
+    # the points of a call, however many integrand calls its quadrature
+    # makes; the datum's jumps, left off the starting edges, keep it
+    # bisecting for many generations (from its breakpoints and panels
+    # sized to the kernel's phase, every sample here converges in one)
     builds = []
 
     def counted(t, orders):
@@ -473,7 +531,7 @@ def test_convolutions_build_the_tables_once_per_call(monkeypatch, ref_datum):
         monkeypatch.setattr(module, "derivative_coefficients", counted)
     kernel_calls = _record_kernel_rows(monkeypatch)
     times = np.array([0.001, 0.05, 0.35])
-    _convolutions(ref_datum, times, 0.0, (1, 3))
+    _convolutions(ref_datum, times, 0.0, (1, 3), edges=())
     assert len(kernel_calls) > 1
     assert builds == [times.shape]
 
@@ -536,18 +594,18 @@ def _record_batches(monkeypatch):
 def test_beam_trace_starts_from_the_latest_time_mesh(monkeypatch, beam_phase1):
     # the run's trace ends at tau, where g'' converges on the cutoff half's
     # quarters and its outer eighths, and every earlier sample of g and g''
-    # starts there instead of bisecting down to them again: the 204 times
-    # of the interpolants' 33 points and the direct samples, then the 76 of
-    # the doubled interpolant and the interval integrated directly, take
-    # 7,922 panels with the 16-panel latest-time pass, against 9,300 from
-    # the datum's breakpoints
+    # starts there, bisected to its kernel's phase, instead of bisecting
+    # down to them again: the 216 times of the interpolants' 33 points and
+    # the direct samples, then the 32 new points of the doubled
+    # interpolant, take 6,026 panels with the 16-panel latest-time pass,
+    # against 7,018 from the datum's breakpoints
     ext, times, settings = beam_phase1
     tau = builtin_scenarios()["beam"].tau
     times = np.append(times[times < tau], tau)
     batches = _record_batches(monkeypatch)
     boundary_trace(ext, times, derivative=True, **settings)
-    assert [b.size for b in batches] == [2, 2 * 204, 2 * 76]
-    assert sum(int(b.sum()) for b in batches) <= 7_950
+    assert [b.size for b in batches] == [2, 2 * 216, 2 * 32]
+    assert sum(int(b.sum()) for b in batches) <= 6_050
     edges = _trace_edges(ext, times, curvature=True, **settings)
     assert np.array_equal(ext.support * edges, [1.0, 1.125, 1.25, 1.5, 1.75, 1.875])
 
@@ -566,28 +624,28 @@ def _integrated_times(batches):
 
 def test_reference_trace_doubles_its_interpolants_until_their_tails_fall(monkeypatch):
     # reference's grid holds 1,401, 700, 350, 175, 87 and 44 times on its
-    # first six dyadic intervals below tau = 0.35, and 43 below them.  The
-    # first batch integrates those 43 and the 33 points of each of the six
-    # intervals, 193 with the five shared ends; the coefficient tails send
-    # the intervals 1 to 5 on, so the second integrates the 32 new points
-    # of the intervals 1 to 4 and the 44 grid times of interval 5, which
-    # 65 points would outnumber; interval 4 fails again at 65 and its 87
-    # grid times make the third batch, while 0 passes at 33 and 1 to 3 at 65
+    # first six dyadic intervals below tau = 0.35, and 43 below them.  An
+    # interval of fewer than 65 grid times could not double its 33 points,
+    # so the first batch integrates the 44 and the 43 directly, with the 33
+    # points of each of the intervals 0 to 4, 161 with the four shared
+    # ends; the coefficient tails send the intervals 1 to 4 on, so the
+    # second integrates their 32 new points each; interval 4 fails again
+    # at 65 and its 87 grid times make the third batch, while 0 passes at
+    # 33 and 1 to 3 at 65
     sc = builtin_scenarios()["reference"]
     times = sc.sim.times()
     t_grid = np.append(times[(times > 0) & (times < sc.tau)], sc.tau)
     batches = _record_convolutions(monkeypatch)
     trace, integrals = smoothing._boundary_trace(sc.theta0, t_grid, derivative=False)
-    assert [t.size for t, _, _ in batches] == [1, 236, 172, 87]
-    assert integrals == 496
+    assert [t.size for t, _, _ in batches] == [1, 248, 128, 87]
+    assert integrals == 464
     tops, index = smoothing._dyadic_intervals(t_grid)
     assert np.bincount(index)[:6].tolist() == [1401, 700, 350, 175, 87, 44]
-    second, third = batches[2][0], batches[3][0]
+    first, second, third = (t for t, _, _ in batches[1:])
+    assert np.array_equal(first[:87], t_grid[index >= 5])
     assert np.array_equal(third, t_grid[index == 4])
-    assert np.array_equal(second[:44], t_grid[index == 5])
-    for j in range(1, 5):
-        new = smoothing._lobatto_times(tops[j])[2::4]
-        assert np.all(np.isin(new, second))
+    new = [smoothing._lobatto_times(tops[j])[2::4] for j in range(1, 5)]
+    assert np.array_equal(second, np.sort(np.concatenate(new)))
     # interval 0's sample times are the interpolant's, tau's its own
     assert not np.isin(t_grid[index == 0][:-1], _integrated_times(batches[1:])).any()
     assert trace.t[-1] == sc.tau and np.isin(sc.tau, batches[1][0])
@@ -625,11 +683,13 @@ def test_failing_tails_integrate_every_grid_time(monkeypatch, pulse):
 
 
 def test_point_exhausting_the_budget_names_its_time_and_interval(monkeypatch, ref_datum):
-    # the 40 grid times on (0.001, 0.002] start from the 78 panels of their
-    # latest time and fit a budget of 100, but the interpolant's lowest
-    # point, 0.001, takes 121 at the points' tolerance: its error names that
-    # time, with the index of its interval's first grid time as the sample
-    t_grid = np.linspace(0.0012, 0.002, 40)
+    # the 80 grid times on (0.001, 0.002] are enough to interpolate; they
+    # and their latest time (64 panels) would each fit a budget of 100 (96
+    # panels at most), but the interpolant's points at the bottom of the
+    # interval take 128 at the points' tolerance: the lowest of them,
+    # 0.001, names its time, with the index of its interval's first grid
+    # time as the sample
+    t_grid = np.linspace(0.0011, 0.002, 80)
     _panel_budget(monkeypatch, 100)
     for derivative in (False, True):
         with pytest.raises(QuadratureError, match=r"t=0\.001,") as exc:
@@ -685,11 +745,12 @@ def test_interpolated_samples_meet_their_err_against_mpmath(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, integrals", [
-    ("gentle", 345), ("reference", 496), ("beam", 281)])
+    ("gentle", 313), ("reference", 464), ("beam", 249)], ids=["gentle", "reference", "beam"])
 def test_synthesis_phase1_integrals(name, integrals):
     # the phase-1 times a builtin synthesis integrates, a deterministic
     # count: the latest-time pass, the interpolants' points and the direct
-    # samples, against 2,800 (1,400 on the beam) with every grid time
+    # samples, against 2,800 (1,400 on the beam) with every grid time; an
+    # interval of 44 grid times goes direct at once
     synthesis = _synthesize(name)
     diags = synthesis.diags if name == "beam" else synthesis[2]
     assert diags["phase1_integrals"] == integrals
