@@ -221,10 +221,9 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
     well as u, so the budget is wider than u's gap needs), tail_max and
     quad_err_max over the returned samples of each phase,
     seed_bound_constant, and phase1_integrals, the number of times phase
-    1 integrated (smoothing.boundary_trace): its latest-time pass, its
-    interpolants' points and its direct samples.  A Gevrey order s that
-    step_jet cannot evaluate at every time (gevrey.check_order) raises
-    ValueError before phase 1.
+    1 integrated (smoothing.boundary_trace): its interpolants' points and
+    its direct samples.  A Gevrey order s that step_jet cannot evaluate
+    at every time (gevrey.check_order) raises ValueError before phase 1.
     """
     check_order(s)
     times = np.asarray(times, dtype=np.float64)

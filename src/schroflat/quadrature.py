@@ -11,15 +11,13 @@ form one refinement generation, evaluated in a few vectorized calls, which
 keeps the Python overhead away from the innermost kernel evaluations.  The
 samples may be time points of one convolution or the orders of the
 flat-output seed.  Each sample is subdivided by the rules it would follow
-if integrated alone from the batch's starting edges, bisected to its own
+if integrated alone from the batch's breakpoints, bisected to its own
 starting width, and its value equals a lone integral's to rounding; a
 single integral is the one-sample case.
 The equality is not bitwise: the panel sums are matrix products, whose
 per-row rounding under BLAS depends on the number of rows in the call.
 Declared breakpoints are the starting panel edges, so no panel ever
-straddles a discontinuity of the integrand.  A batch returns the edges its
-accepted panels converged on: they refine its breakpoints, and another
-batch may start from them to skip the bisections that found them.
+straddles a discontinuity of the integrand.
 Summation order is fixed (each sample's panels sorted by left edge),
 making results bit-reproducible for a given problem: a sample's value is
 numpy's pairwise sum of its sorted panels, the summation of a lone
@@ -248,12 +246,9 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10, tol_scale
     than PANELS_PER_CALL panels, and its starting panels count against its
     budget.
 
-    Returns (values, errs, panels, edges): the integrals, their error
-    estimates and the number of panels evaluated, one entry per sample,
-    and the mesh the batch converged on: the sorted distinct interior left
-    edges of the accepted panels of all its samples, valid breakpoints for
-    another batch.  A sample that exhausts its budget raises
-    QuadratureError with its index.
+    Returns (values, errs, panels): the integrals, their error estimates
+    and the number of panels evaluated, one entry per sample.  A sample
+    that exhausts its budget raises QuadratureError with its index.
     """
     bps = tuple(float(b) for b in breakpoints)
     if any(not (0.0 < b < 1.0) for b in bps):
@@ -321,11 +316,6 @@ def integrate_batch(integrand, samples, breakpoints=(), abs_tol=1e-10, tol_scale
         smp = np.concatenate([bad_smp, bad_smp])
 
     if not kept:
-        return (np.zeros(samples, dtype=np.complex128), np.zeros(samples), used,
-                np.zeros(0))
-    owner, lo, kron, err = (np.concatenate(c) for c in zip(*kept))
-    values, errs = _sample_sums(owner, lo, kron, err, samples)
-    # sorted, each kept where it exceeds its predecessor (0.0 for the
-    # first): np.unique would import numpy.ma on the run path
-    left = np.sort(lo[lo > 0.0])
-    return values, errs, used, left[np.diff(left, prepend=0.0) > 0.0]
+        return np.zeros(samples, dtype=np.complex128), np.zeros(samples), used
+    values, errs = _sample_sums(*(np.concatenate(c) for c in zip(*kept)), samples)
+    return values, errs, used

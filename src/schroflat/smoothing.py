@@ -39,16 +39,12 @@ grid times, only the Chebyshev-Lobatto points of an interpolant, whose
 degree the decay of its Chebyshev coefficients chooses; it integrates the
 other grid times directly.
 
-Every sample starts from panels sized to its own kernel: the phase
-(x+y)^2/4t of the far translate turns faster as t falls, so _convolutions
-bisects each sample's starting panels until the phase turns through at
-most _PHASE_SPAN radians across each (integrate_batch's width), which
-spares the sample the generations that would bisect down to them.  The
-trace's batches also start from a finer mesh than the datum's breakpoints:
-the mesh that the latest time converges on from the breakpoints is one
-every earlier time refines, where the datum rather than the kernel asks
-for it.  boundary_trace integrates that time alone first and starts every
-batch from its converged panel edges.
+Every sample starts from the datum's breakpoints, with panels sized to
+its own kernel: the phase (x+y)^2/4t of the far translate turns faster as
+t falls, so _convolutions bisects each sample's breakpoint panels until
+the phase turns through at most _PHASE_SPAN radians across each
+(integrate_batch's width), which spares the sample the generations that
+would bisect down to them.
 """
 import math
 from dataclasses import dataclass
@@ -282,26 +278,21 @@ class ControlTrace:
         return re + 1j * im
 
 
-def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False,
-                  tol_scale=1.0):
-    """(values, errs, panels, edges): flat arrays of the odd-folded
-    convolutions of d^m_x (E(t,x-y) - E(t,x+y)) v(y) over y in
-    [0, support], at the points (t[j], x[j]), for the datum v = v0 (d = 0)
-    and, with curvature, v = v0'' (d = 1), and every derivative order m of
-    orders, with their error estimates and panel counts (sample
-    (j*n + d)*len(orders) + i is datum d of n and order orders[i] at point
-    j), and the interior panel edges the batch converged on, on the
-    quadrature's unit interval.  The orders are (0,), or any orders at the
-    wall x = 0 (odd_kernel).
+def _convolutions(v0, t, x, orders, abs_tol=1e-10, curvature=False, tol_scale=1.0):
+    """(values, errs, panels): flat arrays of the odd-folded convolutions
+    of d^m_x (E(t,x-y) - E(t,x+y)) v(y) over y in [0, support], at the
+    points (t[j], x[j]), for the datum v = v0 (d = 0) and, with curvature,
+    v = v0'' (d = 1), and every derivative order m of orders, with their
+    error estimates and panel counts (sample (j*n + d)*len(orders) + i is
+    datum d of n and order orders[i] at point j).  The orders are (0,), or
+    any orders at the wall x = 0 (odd_kernel).
 
-    The support is rescaled to the quadrature's unit interval.  Every
-    sample starts from the interior panel edges `edges` on that interval,
-    by default the rescaled datum breakpoints; edges that refine them, such
-    as the converged edges of another call, keep every panel off the
-    datum's discontinuities.  Each point's panels are then bisected until
-    the far translate's phase (|x| + y)^2/4t turns through at most
-    _PHASE_SPAN radians across each: on the unit interval, a width of
-    2 _PHASE_SPAN t / ((|x| + support) support), up to one row call of
+    The support is rescaled to the quadrature's unit interval, and every
+    sample starts from the datum's breakpoints on it, so no panel straddles
+    one of the datum's discontinuities.  Each point's panels are then
+    bisected until the far translate's phase (|x| + y)^2/4t turns through
+    at most _PHASE_SPAN radians across each: on the unit interval, a width
+    of 2 _PHASE_SPAN t / ((|x| + support) support), up to one row call of
     panels (integrate_batch).  The derivative tables of the
     points are built once per call and handed to odd_kernel.  Once per
     generation of the quadrature, the data are evaluated on the node table
@@ -332,8 +323,7 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False,
     tol_scale = np.broadcast_to(tol_scale, t.shape)
     support = v0.support
     width = 2.0 * _PHASE_SPAN * t / ((np.abs(x) + support) * support)
-    if edges is None:
-        edges = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
+    breakpoints = tuple(b / support for b in v0.breakpoints if 0.0 < b / support < 1.0)
 
     def integrand(nodes):
         # the node-only work, once per generation: the datum factors and
@@ -376,16 +366,16 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False,
         return rows
 
     try:
-        values, errs, panels, edges = integrate_batch(integrand, t.size * per_point, edges,
-                                                      abs_tol, np.repeat(tol_scale, per_point),
-                                                      np.repeat(width, per_point))
+        values, errs, panels = integrate_batch(integrand, t.size * per_point, breakpoints,
+                                               abs_tol, np.repeat(tol_scale, per_point),
+                                               np.repeat(width, per_point))
     except QuadratureError as exc:
         j, i = divmod(exc.sample, per_point)
         name = f"m={orders[i % n_orders]}" + (f", datum {i // n_orders}" if curvature else "")
         raise QuadratureError(
             f"{exc} at t={float(t[j])!r}, x={float(x[j])!r}, {name}",
             support * exc.value, support * exc.err_estimate, exc.sample) from exc
-    return support * values, support * errs, panels, edges
+    return support * values, support * errs, panels
 
 
 def free_evolution(theta0, t, x):
@@ -397,26 +387,6 @@ def free_evolution(theta0, t, x):
     values = _convolutions(theta0, t, x, (0,))[0]
     shape = np.broadcast_shapes(np.shape(t), np.shape(x))
     return complex(values[0]) if shape == () else values.reshape(shape)
-
-
-def _trace_edges(v0, t_grid, abs_tol, curvature):
-    """The panel edges every sample of a trace over t_grid starts from.
-
-    The latest time is integrated alone from the datum's breakpoints, with
-    the trace's abs_tol and data (v0, and v0'' with curvature), and the
-    edges it converges on (the union over its data) are returned.  A grid
-    of at most one time returns None, the datum's breakpoints, so its one
-    time is integrated once.  If the latest time exhausts the panel
-    budget, the QuadratureError's sample is its index in t_grid.
-    """
-    latest = t_grid.size - 1
-    if latest < 1:
-        return None
-    try:
-        return _convolutions(v0, t_grid[latest:], 1.0, (0,), abs_tol, None, curvature)[3]
-    except QuadratureError as exc:
-        exc.sample = latest
-        raise
 
 
 def _jump_terms(v0, t, x):
@@ -489,7 +459,7 @@ def _chebyshev_tails(values, errs):
     return bool(np.all(top <= floor)), top.sum(axis=0)
 
 
-def _trace_batch(v0, times, owners, scales, edges, abs_tol, curvature):
+def _trace_batch(v0, times, owners, scales, abs_tol, curvature):
     """(t, values, errs): one _convolutions batch of the distinct times of
     times, sorted, with the samples of each time as a row, each integrated
     to the tolerance times the least of the scales given for its time.  If
@@ -504,8 +474,7 @@ def _trace_batch(v0, times, owners, scales, edges, abs_tol, curvature):
     np.minimum.at(scale, inverse, scales)
     t = times[first]
     try:
-        values, errs, _, _ = _convolutions(v0, t, 1.0, (0,), abs_tol, edges, curvature,
-                                           scale)
+        values, errs, _ = _convolutions(v0, t, 1.0, (0,), abs_tol, curvature, scale)
     except QuadratureError as exc:
         # batch sample j * n_data + d is datum d at t[j]
         exc.sample = int(owner[exc.sample // n_data])
@@ -554,8 +523,7 @@ def _interpolate(points, values, errs, tail, t):
 
 def _boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     """(trace, integrals): boundary_trace's trace, and the number of times
-    it integrated: the latest-time pass, the interpolants' points and the
-    direct samples."""
+    it integrated: the interpolants' points and the direct samples."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
@@ -566,8 +534,6 @@ def _boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     err = np.zeros(t_grid.size)
     integrals = 0
     if t_grid.size:
-        edges = _trace_edges(v0, t_grid, abs_tol, derivative)
-        integrals = int(edges is not None)
         tops, index = _dyadic_intervals(t_grid)
         counts = np.bincount(index, minlength=tops.size)
         # each interval's grid times are a run of t_grid from first[j]
@@ -593,8 +559,8 @@ def _boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
             # up to the Lebesgue constant: the points take that much less
             scales = np.ones(times.size)
             scales[rows.size:] = 1.0 / _LEBESGUE
-            t, batch_values, batch_errs = _trace_batch(v0, times, owners, scales, edges,
-                                                       abs_tol, derivative)
+            t, batch_values, batch_errs = _trace_batch(v0, times, owners, scales, abs_tol,
+                                                       derivative)
             integrals += t.size
             at = np.searchsorted(t, t_grid[rows])
             values[rows], err[rows] = batch_values[at], batch_errs[at].sum(axis=1)
@@ -636,7 +602,7 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     needed.  abs_tol is each integral's absolute tolerance.
 
     The grid splits into the dyadic intervals (tau/2^(j+1), tau/2^j]
-    below its latest time tau (_dyadic_intervals).  On an interval of at
+    below its last time tau (_dyadic_intervals).  On an interval of at
     least 65 grid times, enough for one doubling, the trace is the
     barycentric interpolant through its samples at 33 Chebyshev-Lobatto
     points (_interpolate); neighbouring intervals share their ends, and
@@ -646,10 +612,9 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     interval whose points would outnumber its grid times, or that fails
     at 129, is integrated directly at its grid times, as is every interval
     of at most 64.  Each round of points and direct samples is one
-    _convolutions batch, every sample starting from the panel edges the
-    latest time converges on from the datum's breakpoints (_trace_edges),
-    bisected to the width its kernel's phase asks for, and subdividing by
-    its own rules to its own tolerance.
+    _convolutions batch, every sample starting from the datum's
+    breakpoints, bisected to the width its kernel's phase asks for, and
+    subdividing by its own rules to its own tolerance.
 
     v_xx(t,1) is the integral of d^2_y F against v0; two integrations by
     parts make it the free evolution of v0's second derivative plus the

@@ -52,7 +52,7 @@ from schroflat.sine_modes import (CHUNK, apply_sine, chunk_states, complex_produ
                                   power_rows, sine_modes)
 from schroflat.flatness import _MIPOW, control_trace
 from schroflat.smoothing import (_IPOW, _PHASE_SPAN, PHASE_SMOOTHING, ControlTrace,
-                                 _convolutions, _jump_terms, _trace_edges)
+                                 _convolutions, _jump_terms)
 
 
 # ------------------------------------------------------------- kernel
@@ -256,7 +256,7 @@ def integrate(problem: IntegrationProblem):
 
     The one-sample case of integrate_batch.
     """
-    values, errs, _, _ = integrate_batch(
+    values, errs, _ = integrate_batch(
         per_row(lambda x, s: problem.integrand(x.ravel())), 1, problem.breakpoints,
         problem.abs_tol, width=problem.width)
     return complex(values[0]), float(errs[0])
@@ -390,6 +390,24 @@ class CurvatureDatum:
         return self.v0.with_curvature(y)[1]
 
 
+class RestartedDatum:
+    """A datum v0 posed with other breakpoints, on its own support: every
+    quadrature sample against it starts from the panels between them.
+    Its values and jumps are v0's."""
+
+    def __init__(self, v0, breakpoints):
+        self.v0, self.support, self.breakpoints = v0, v0.support, tuple(breakpoints)
+
+    def __call__(self, y):
+        return self.v0(y)
+
+    def with_curvature(self, y):
+        return self.v0.with_curvature(y)
+
+    def jumps(self):
+        return self.v0.jumps()
+
+
 def boundary_trace_per_sample(v0, t_grid, support=1.0, breakpoints=(),
                               derivative=True, abs_tol=1e-10):
     """u, du, err and per-sample panel counts (of v0 and of its second
@@ -413,16 +431,14 @@ def boundary_trace_per_sample(v0, t_grid, support=1.0, breakpoints=(),
 
 def boundary_trace_every_time(v0, t_grid, derivative=True, abs_tol=1e-10):
     """The phase-1 trace with every grid time integrated: one batch of all
-    times, from the panel edges the latest time converges on, as the
-    package's trace integrates its interpolants' points and direct
-    samples."""
+    times, from the datum's breakpoints, as the package's trace integrates
+    its interpolants' points and direct samples."""
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
     n_data = 2 if derivative else 1
-    edges = _trace_edges(v0, t_grid, abs_tol, derivative)
     try:
-        values, errs, _, _ = _convolutions(v0, t_grid, 1.0, (0,), abs_tol, edges, derivative)
+        values, errs, _ = _convolutions(v0, t_grid, 1.0, (0,), abs_tol, derivative)
     except QuadratureError as exc:
         # batch sample j * n_data + d is datum d at t_grid[j]
         exc.sample //= n_data

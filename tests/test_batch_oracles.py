@@ -1,17 +1,17 @@
 """The batched synthesis against its per-sample oracles (tests/oracles.py).
 
 Phase 1 runs its time samples through adaptive Gauss-Kronrod loops, from
-the panel edges its latest time converges on; in the batch of every grid
-time (boundary_trace_every_time) each sample must be subdivided exactly as
-when integrated alone from those starting edges, so the panel counts agree
-sample by sample and the values agree to rounding (a batch's panel sums go
-through matrix products of other row counts).  The trace itself integrates
-only the points of Chebyshev interpolants and the grid times too early to
-interpolate: each of its samples agrees with the batch of every grid time
-within the sum of both error estimates and within 1e-12 of the trace's
-largest value.  Against the per-sample oracle started from the datum's own
-breakpoints, which subdivides otherwise on the beam, each sample agrees
-within the sum of both error estimates.
+the datum's breakpoints; in the batch of every grid time
+(boundary_trace_every_time) each sample must be subdivided exactly as when
+integrated alone, so the panel counts agree sample by sample, for the datum
+and for its second derivative alike, and the values agree to rounding (a
+batch's panel sums go through matrix products of other row counts).  The
+trace itself integrates only the points of Chebyshev interpolants and the
+grid times too early to interpolate: each of its samples agrees with the
+batch of every grid time within the sum of both error estimates, within
+1e-12 of the trace's largest value of that batch started from a finer
+mesh, and with the per-sample oracle within the sum of both error
+estimates.
 The flat-output seed integrates its K+1 orders as the samples of one such
 loop; each order must agree with its own adaptive integral to 1e-14
 relative (rounding of the same panel sums).
@@ -22,13 +22,14 @@ vectorized complex products may fuse multiply-adds the scalar ones do not.
 import numpy as np
 import pytest
 
-from schroflat import FlatOutput, boundary_trace, control_trace, flat_coefficients
+from schroflat import FlatOutput, boundary_trace, control_trace, flat_coefficients, smoothing
 from schroflat.beam import BeamData, extend_odd_smooth, lift_initial_data
 from schroflat.cli import SimConfig, builtin_scenarios
-from schroflat.smoothing import MAX_SEED_ORDER, _convolutions, _trace_edges
+from schroflat.quadrature import NODES, integrate_batch
+from schroflat.smoothing import MAX_SEED_ORDER, _convolutions
 
-from oracles import (boundary_trace_every_time, boundary_trace_per_sample, control_series_one,
-                     convolution_one, flat_coefficients_per_order)
+from oracles import (RestartedDatum, boundary_trace_every_time, boundary_trace_per_sample,
+                     control_series_one, convolution_one, flat_coefficients_per_order)
 
 
 def _phase1_setting(name, every=4):
@@ -62,34 +63,28 @@ def _run_phase1_setting(name):
     return v0, np.append(times[(times > 0) & (times < sc.tau)], sc.tau), settings, curvature
 
 
-def _starting_edges(v0, times, settings, curvature):
-    """The trace's starting panel edges, on the quadrature's unit interval."""
-    return _trace_edges(v0, times, settings.get("abs_tol", 1e-10), curvature)
-
-
 @pytest.mark.parametrize("name", ["gentle", "reference", "beam"])
 def test_phase1_batch_matches_per_sample_loop(name):
+    # on the beam, g and g'' each start from the datum's breakpoints: the
+    # panels one of them needs do not set where the other starts
     v0, times, settings, derivative = _phase1_setting(name)
-    edges = _starting_edges(v0, times, settings, derivative)
     u, du, err, panels = boundary_trace_per_sample(
-        v0, times, support=v0.support, breakpoints=tuple(v0.support * edges),
+        v0, times, support=v0.support, breakpoints=v0.breakpoints,
         derivative=derivative, **settings)
     trace = boundary_trace_every_time(v0, times, derivative=derivative, **settings)
     assert np.all(np.abs(trace.u - u) <= 1e-14 * np.abs(u))
     assert np.all(np.abs(trace.du - du) <= 1e-14 * np.abs(du))
     assert np.all(np.abs(trace.err - err) <= 1e-6 * err + 1e-8 * np.abs(u))
     # the data are interleaved samples of the trace's one batch
-    _, _, used, _ = _convolutions(v0, times, 1.0, (0,), edges=edges,
-                                  curvature=derivative, **settings)
+    _, _, used = _convolutions(v0, times, 1.0, (0,), curvature=derivative, **settings)
     used = used.reshape(times.size, 1 + derivative)
     for row in range(1 + derivative):
         assert np.array_equal(used[:, row], panels[row]), f"subdivision differs (datum {row})"
 
 
 def test_phase1_trace_agrees_with_the_oracle_from_the_breakpoints():
-    # the beam's samples start from the latest time's mesh, not from the
-    # datum's breakpoints as the oracle does: they subdivide otherwise, and
-    # each agrees with the oracle within the sum of both error estimates.
+    # the trace interpolates most samples, and each agrees with the
+    # per-sample oracle within the sum of both error estimates.
     # v_xx also agrees with the order-2 integral against the datum itself
     # within the sum of the error estimates of u, v_xx and that integral
     v0, times, settings, _ = _phase1_setting("beam")
@@ -103,42 +98,58 @@ def test_phase1_trace_agrees_with_the_oracle_from_the_breakpoints():
         assert abs(du_t - 1j * v2) <= err_t + err2, t
 
 
-@pytest.mark.parametrize("name", ["gentle", "reference"])
-def test_phase1_trace_from_the_datum_breakpoints_where_the_latest_time_keeps_them(name):
-    # the latest time accepts the datum's own panels ({0} and
-    # {0, 0.2, 0.5, 0.7}), so the batch is the one the breakpoints start
-    v0, times, settings, curvature = _phase1_setting(name)
-    assert np.array_equal(_starting_edges(v0, times, settings, curvature), v0.breakpoints)
-    values, errs, _, _ = _convolutions(v0, times, 1.0, (0,), **settings)
-    trace = boundary_trace_every_time(v0, times, derivative=False, **settings)
-    assert np.array_equal(trace.u, values) and np.array_equal(trace.err, errs)
-
-
 @pytest.mark.parametrize("name", ["gentle", "reference", "beam", "beam-32k"])
 def test_phase1_interpolated_trace_agrees_with_every_time_integrated(name):
     # the interpolants move each sample within the sum of both error
     # estimates, and within 1e-12 of the largest |u| (and of the largest
-    # |v_xx|, on the beam); tau is an interpolant's point in both, so its
-    # sample is a quadrature sample of its own
+    # |v_xx|, on the beam) of every time integrated from eighths of the
+    # support or narrower panels.  That reference's own error stays below
+    # the bound; from the datum's breakpoints the beam's sample at
+    # t = 0.307 accepts two panels with an error of 5.7e-10, 1e-9 of the
+    # largest |u|, within its estimate of 1.6e-9 and the beam's abs_tol
     v0, times, settings, derivative = _run_phase1_setting(name)
     trace = boundary_trace(v0, times, derivative=derivative, **settings)
     every = boundary_trace_every_time(v0, times, derivative=derivative, **settings)
+    eighths = v0.support * np.arange(1, 8) / 8
+    fine = boundary_trace_every_time(
+        RestartedDatum(v0, np.union1d(v0.breakpoints, eighths)), times,
+        derivative=derivative, **settings)
     assert np.array_equal(trace.t, every.t)
     assert np.all(np.abs(trace.u - every.u) <= trace.err + every.err)
-    assert np.max(np.abs(trace.u - every.u)) <= 1e-12 * np.max(np.abs(every.u))
+    assert np.max(np.abs(trace.u - fine.u)) <= 1e-12 * np.max(np.abs(fine.u))
     assert np.all(np.abs(trace.du - every.du) <= trace.err + every.err)
-    assert np.max(np.abs(trace.du - every.du)) <= 1e-12 * np.max(np.abs(every.du))
+    assert np.max(np.abs(trace.du - fine.du)) <= 1e-12 * np.max(np.abs(fine.du))
 
 
 @pytest.mark.parametrize("name", ["gentle", "reference", "beam"])
-def test_phase1_starting_edges_keep_the_datum_breakpoints(name):
-    # accepted panels tile the unit interval from the breakpoints, so no
-    # starting panel straddles a discontinuity of the datum
+def test_phase1_starting_edges_keep_the_datum_breakpoints(monkeypatch, name):
+    # every trace batch starts from the datum's breakpoints, rescaled to the
+    # unit interval, so no panel of any generation straddles a
+    # discontinuity of the datum, and each breakpoint is a panel's left
+    # edge in the first generation.  A panel's ends are read back from its
+    # row of the node table: its middle node (NODES[10] = 0) and its outer
+    # ones
     v0, times, settings, curvature = _phase1_setting(name)
-    edges = _starting_edges(v0, times, settings, curvature)
-    bps = [b / v0.support for b in v0.breakpoints if 0.0 < b / v0.support < 1.0]
-    assert np.all(np.isin(bps, edges))
-    assert np.all((edges > 0.0) & (edges < 1.0)) and np.all(np.diff(edges) > 0)
+    tables = []
+
+    def recorded(integrand, *args):
+        def staged(nodes):
+            tables.append(nodes)
+            return integrand(nodes)
+
+        return integrate_batch(staged, *args)
+
+    monkeypatch.setattr(smoothing, "integrate_batch", recorded)
+    boundary_trace(v0, times, derivative=curvature, **settings)
+    bps = np.array([b / v0.support for b in v0.breakpoints if 0.0 < b / v0.support < 1.0])
+    assert len(tables) > 1
+    for i, nodes in enumerate(tables):
+        mid = nodes[:, NODES.size // 2]
+        half = (nodes[:, -1] - mid) / NODES[-1]
+        lo, hi = mid - half, mid + half
+        assert not np.any((lo[:, None] + 1e-12 < bps) & (bps < hi[:, None] - 1e-12))
+        if i == 0:
+            assert np.all(np.min(np.abs(lo[:, None] - bps), axis=0) <= 1e-12)
 
 
 @pytest.mark.parametrize("K", [15, MAX_SEED_ORDER])

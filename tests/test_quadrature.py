@@ -133,7 +133,7 @@ def test_batch_samples_keep_their_own_subdivision():
     def batch(x, s):
         return np.exp(1j * freqs[s] * x) / (1.0 + x)
 
-    values, errs, panels, _ = integrate_batch(per_row(batch), freqs.size, breakpoints=(0.3,))
+    values, errs, panels = integrate_batch(per_row(batch), freqs.size, breakpoints=(0.3,))
     for s, om in enumerate(freqs):
         calls = []
 
@@ -172,7 +172,7 @@ def test_batch_samples_start_from_panels_no_wider_than_their_width():
 
         return recorded
 
-    values, errs, panels, _ = integrate_batch(integrand, freqs.size, (0.3,), width=widths)
+    values, errs, panels = integrate_batch(integrand, freqs.size, (0.3,), width=widths)
     # the panels 0.3 and 0.7 wide: two, then 2 + 4 and 32 + 128 panels, and
     # 512 within the 780 rows of a call
     assert np.bincount(np.concatenate(generations[0])).tolist() == [2, 6, 160, 512]
@@ -197,7 +197,7 @@ def test_batch_splits_large_generations():
         return np.ones(x.shape, dtype=np.complex128)
 
     n = PANELS_PER_CALL + 5
-    values, _, panels, _ = integrate_batch(per_row(batch), n)
+    values, _, panels = integrate_batch(per_row(batch), n)
     assert max(sizes) <= PANELS_PER_CALL
     assert np.all(panels == 1) and np.allclose(values, 1.0, rtol=0, atol=1e-15)
     empty = integrate_batch(per_row(batch), 0)
@@ -227,7 +227,7 @@ def test_integrand_stages_once_per_generation(monkeypatch):
 
         return rows
 
-    values, errs, panels, edges = integrate_batch(integrand, freqs.size, breakpoints=(0.3,))
+    values, errs, panels = integrate_batch(integrand, freqs.size, breakpoints=(0.3,))
     first_nodes, first_rows = generations[0]
     assert np.array_equal(first_nodes[:, [0, -1]] > 0.3, [[False, False], [True, True]])
     assert len(first_rows) == 2 * freqs.size
@@ -241,7 +241,7 @@ def test_integrand_stages_once_per_generation(monkeypatch):
     # a difference of two sums, moves by the rounding of the value
     assert np.all(np.abs(values - expected[0]) <= 1e-15 * np.abs(expected[0]))
     assert np.all(np.abs(errs - expected[1]) <= 1e-15 * np.abs(expected[0]))
-    assert np.array_equal(panels, expected[2]) and np.array_equal(edges, expected[3])
+    assert np.array_equal(panels, expected[2])
 
 
 def test_generation_tells_panels_of_one_left_edge_apart():

@@ -15,11 +15,11 @@ from schroflat.cli import (builtin_scenarios, main, pulse_datum, reference_datum
                            synthesize_control)
 from schroflat.kernel import derivative_coefficients
 from schroflat.quadrature import NODES, integrate_batch
-from schroflat.smoothing import PHASE_SMOOTHING, _convolutions, _trace_edges
+from schroflat.smoothing import PHASE_SMOOTHING, _convolutions
 
 from conftest import assert_close
-from oracles import (CurvatureDatum, boundary_trace_every_time, convolution_one, odd_kernel,
-                     per_row, seed_series)
+from oracles import (CurvatureDatum, RestartedDatum, boundary_trace_every_time, convolution_one,
+                     odd_kernel, per_row, seed_series)
 
 I_TRACE = {
     0.1: -0.013427952255356212345 + 0.13368495946283665694j,
@@ -195,7 +195,7 @@ def test_boundary_trace_with_derivative(ref_datum):
 def test_convolution_integrates_over_the_datum_breakpoints(ref_datum, t):
     # the datum carries its jumps, so every entry point splits the
     # quadrature at them and the three values agree bit for bit
-    (value,), _, _, _ = _convolutions(ref_datum, t, 1.0, (0,))
+    (value,), _, _ = _convolutions(ref_datum, t, 1.0, (0,))
     assert value == free_evolution(ref_datum, t, 1.0)
     assert value == boundary_trace(ref_datum, np.array([t]), derivative=False).u[0]
 
@@ -255,7 +255,7 @@ def test_trace_at_small_time_fits_the_panel_budget():
     # bisection to the kernel's phase leaves within PANELS_PER_CALL, and
     # takes 24,496, more than 2**14 and within the quadrature's one budget
     # of 2**16
-    (value,), (err,), (panels,), _ = _convolutions(pulse_datum(), 1e-5, 1.0, (0,))
+    (value,), (err,), (panels,) = _convolutions(pulse_datum(), 1e-5, 1.0, (0,))
     assert panels == 24496
     trace = boundary_trace(pulse_datum(), [1e-5], derivative=False)
     assert trace.u[0] == value and trace.err[0] == err
@@ -267,7 +267,7 @@ def test_sample_at_tiny_time_starts_within_one_row_call(monkeypatch):
     # the bisection stops at the last round that leaves at most
     # PANELS_PER_CALL panels: 512 of the support, which the zero datum
     # accepts at once
-    (value,), _, (panels,), _ = _convolutions(PiecewiseProfile.zero(), 1e-9, 1.0, (0,))
+    (value,), _, (panels,) = _convolutions(PiecewiseProfile.zero(), 1e-9, 1.0, (0,))
     assert value == 0.0 and panels == 512 <= quadrature.PANELS_PER_CALL < 2 * panels
     # the reference datum's four pieces start from 512 panels too, one row
     # call, and they count against the panel budget
@@ -316,12 +316,12 @@ def _synthesize(name):
 
 
 @pytest.mark.parametrize("name, points", [
-    ("gentle", 34_881), ("reference", 121_233), ("beam", 65_037)],
+    ("gentle", 34_860), ("reference", 121_170), ("beam", 84_231)],
     ids=["gentle", "reference", "beam"])
 def test_synthesis_kernel_points(monkeypatch, name, points):
     # the kernel's work in a builtin synthesis, a deterministic count: the
     # trace integrates its interpolants' points and the grid times too
-    # early to interpolate (105,882, 308,700 and 250,278 points with every
+    # early to interpolate (88,515, 264,054 and 373,569 points with every
     # grid time integrated), each from panels sized to its kernel's phase;
     # on reference it skips the panels of the datum's zero piece, while the
     # pulse and the beam's extension vanish on no panel
@@ -385,10 +385,10 @@ def _assert_matches(result, expected):
     # bounded calls of another size round the panel sums otherwise: an
     # error estimate, a difference of two sums, moves by the rounding of
     # the value
-    values, errs, panels, edges = result
+    values, errs, panels = result
     assert np.all(np.abs(values - expected[0]) <= 1e-15 * np.abs(expected[0]))
     assert np.all(np.abs(errs - expected[1]) <= 1e-15 * np.abs(expected[0]))
-    assert np.array_equal(panels, expected[2]) and np.array_equal(edges, expected[3])
+    assert np.array_equal(panels, expected[2])
 
 
 def test_datum_evaluated_once_per_generation(monkeypatch, beam_phase1):
@@ -399,8 +399,7 @@ def test_datum_evaluated_once_per_generation(monkeypatch, beam_phase1):
     # or more; the kernel rows of those calls lie on the same panels, far
     # more points than the datum sees
     ext, times, settings = beam_phase1
-    edges = _trace_edges(ext, times, curvature=True, **settings)
-    expected = _convolutions(ext, times, 1.0, (0,), edges=edges, curvature=True, **settings)
+    expected = _convolutions(ext, times, 1.0, (0,), curvature=True, **settings)
     events = []
 
     class Counted:
@@ -419,8 +418,7 @@ def test_datum_evaluated_once_per_generation(monkeypatch, beam_phase1):
     monkeypatch.setattr(quadrature, "PANELS_PER_CALL", 2000)
     monkeypatch.setattr(smoothing, "odd_kernel", recorded)
     _record_stages(monkeypatch, events)
-    result = _convolutions(Counted(ext), times, 1.0, (0,), edges=edges, curvature=True,
-                           **settings)
+    result = _convolutions(Counted(ext), times, 1.0, (0,), curvature=True, **settings)
     _assert_matches(result, expected)
     generations = _generations(events)
     datum_points = kernel_points = 0
@@ -467,7 +465,7 @@ def test_datum_integrals_gather_once_per_generation(monkeypatch):
     # order, (kernel) * (factor), and in calls of the same size
     folded = integrate_batch(per_row(lambda y, s: odd_kernel(times[s], 1.0, y) * factor(y)),
                              times.size, breakpoints=(0.3,))
-    values, errs, panels, _ = expected
+    values, errs, panels = expected
     assert np.all(np.abs(values - folded[0]) <= 1e-15 * np.abs(folded[0]))
     assert np.all(np.abs(errs - folded[1]) <= 1e-15 * folded[1])
     assert np.array_equal(panels, folded[2])
@@ -502,14 +500,14 @@ def test_samples_of_different_start_widths_share_a_left_edge():
             tables.append(y)
             return np.exp(40j * y) / (1.0 + y)
 
-    values, errs, panels, _ = _convolutions(Datum(), times, 1.0, (0,))
+    values, errs, panels = _convolutions(Datum(), times, 1.0, (0,))
     lo, hi = np.array([[0.0], [0.0], [0.5]]), np.array([[0.5], [1.0], [1.0]])
     assert np.array_equal(tables[0], 0.5 * (lo + hi) + 0.5 * (hi - lo) * NODES)
     assert len(tables) > 1
     for table in tables:
         assert np.unique(table, axis=0).shape[0] == table.shape[0]
     for j, t in enumerate(times):
-        (value,), (err,), (used,), _ = _convolutions(Datum(), t, 1.0, (0,))
+        (value,), (err,), (used,) = _convolutions(Datum(), t, 1.0, (0,))
         assert abs(values[j] - value) <= 1e-15 * abs(value)
         assert abs(errs[j] - err) <= 1e-15 * abs(value)
         assert panels[j] == used
@@ -518,8 +516,8 @@ def test_samples_of_different_start_widths_share_a_left_edge():
 def test_convolutions_build_the_tables_once_per_call(monkeypatch, ref_datum):
     # the derivative tables depend on the points alone: one build for all
     # the points of a call, however many integrand calls its quadrature
-    # makes; the datum's jumps, left off the starting edges, keep it
-    # bisecting for many generations (from its breakpoints and panels
+    # makes; the datum's jumps, left off its breakpoints by a wrapper, keep
+    # it bisecting for many generations (from its breakpoints and panels
     # sized to the kernel's phase, every sample here converges in one)
     builds = []
 
@@ -531,20 +529,19 @@ def test_convolutions_build_the_tables_once_per_call(monkeypatch, ref_datum):
         monkeypatch.setattr(module, "derivative_coefficients", counted)
     kernel_calls = _record_kernel_rows(monkeypatch)
     times = np.array([0.001, 0.05, 0.35])
-    _convolutions(ref_datum, times, 0.0, (1, 3), edges=())
+    _convolutions(RestartedDatum(ref_datum, ()), times, 0.0, (1, 3))
     assert len(kernel_calls) > 1
     assert builds == [times.shape]
 
 
 def _record_convolutions(monkeypatch):
-    """The (times, starting edges, tolerance scales) of every _convolutions
-    batch that smoothing runs."""
+    """The (times, tolerance scales) of every _convolutions batch that
+    smoothing runs."""
     batches = []
 
-    def recorded(v0, t, x, orders, abs_tol=1e-10, edges=None, curvature=False,
-                 tol_scale=1.0):
-        batches.append((np.atleast_1d(t), edges, tol_scale))
-        return _convolutions(v0, t, x, orders, abs_tol, edges, curvature, tol_scale)
+    def recorded(v0, t, x, orders, abs_tol=1e-10, curvature=False, tol_scale=1.0):
+        batches.append((np.atleast_1d(t), tol_scale))
+        return _convolutions(v0, t, x, orders, abs_tol, curvature, tol_scale)
 
     monkeypatch.setattr(smoothing, "_convolutions", recorded)
     return batches
@@ -556,9 +553,9 @@ def test_datum_and_curvature_share_the_kernel_per_distinct_time_and_panel(
     # batch: each bounded row call computes the exponentials of a (time,
     # panel) row once for both, so the trace costs fewer kernel rows than
     # g and g'' integrated apart over the same batches of times (the
-    # latest-time pass, then the interpolants' points and the direct
-    # samples), and visits the same rows they do (each subdivides as if
-    # alone)
+    # interpolants' points and the direct samples, then the doubled
+    # interpolant's new points), and visits the same rows they do (each
+    # subdivides as if alone)
     ext, times, settings = beam_phase1
     batches = _record_convolutions(monkeypatch)
     fused = _record_kernel_rows(monkeypatch)
@@ -566,10 +563,10 @@ def test_datum_and_curvature_share_the_kernel_per_distinct_time_and_panel(
     monkeypatch.undo()
     apart = _record_kernel_rows(monkeypatch)
     data = (ext, CurvatureDatum(ext))
-    assert len(batches) == 3
+    assert len(batches) == 2
     for v in data:
-        for t, edges, tol_scale in batches:
-            _convolutions(v, t, 1.0, (0,), edges=edges, tol_scale=tol_scale, **settings)
+        for t, tol_scale in batches:
+            _convolutions(v, t, 1.0, (0,), tol_scale=tol_scale, **settings)
     for rows in fused:
         assert np.unique(rows, axis=0).shape[0] == rows.shape[0]
     count = lambda calls: sum(rows.shape[0] for rows in calls)
@@ -591,27 +588,24 @@ def _record_batches(monkeypatch):
     return batches
 
 
-def test_beam_trace_starts_from_the_latest_time_mesh(monkeypatch, beam_phase1):
-    # the run's trace ends at tau, where g'' converges on the cutoff half's
-    # quarters and its outer eighths, and every earlier sample of g and g''
-    # starts there, bisected to its kernel's phase, instead of bisecting
-    # down to them again: the 216 times of the interpolants' 33 points and
-    # the direct samples, then the 32 new points of the doubled
-    # interpolant, take 6,026 panels with the 16-panel latest-time pass,
-    # against 7,018 from the datum's breakpoints
+def test_beam_trace_starts_from_the_datum_breakpoints(monkeypatch, beam_phase1):
+    # every sample of g and g'' starts from the datum's breakpoint at the
+    # cutoff, 1.0, bisected to its kernel's phase, and subdivides from
+    # there by its own rules: the 216 times of the interpolants' 33 points
+    # and the direct samples, then the 32 new points of the doubled
+    # interpolant, take 7,018 panels, the most of them 256 for one sample
     ext, times, settings = beam_phase1
     tau = builtin_scenarios()["beam"].tau
     times = np.append(times[times < tau], tau)
     batches = _record_batches(monkeypatch)
     boundary_trace(ext, times, derivative=True, **settings)
-    assert [b.size for b in batches] == [2, 2 * 216, 2 * 32]
-    assert sum(int(b.sum()) for b in batches) <= 6_050
-    edges = _trace_edges(ext, times, curvature=True, **settings)
-    assert np.array_equal(ext.support * edges, [1.0, 1.125, 1.25, 1.5, 1.75, 1.875])
+    assert [b.size for b in batches] == [2 * 216, 2 * 32]
+    assert sum(int(b.sum()) for b in batches) <= 7_050
+    assert max(int(b.max()) for b in batches) <= 256
 
 
 def test_trace_of_one_time_is_one_batch(monkeypatch, ref_datum):
-    # a lone time starts from the datum's breakpoints: no latest-time pass
+    # a lone time is one direct sample of u and one of v_xx
     batches = _record_batches(monkeypatch)
     boundary_trace(ref_datum, [0.35])
     assert [b.size for b in batches] == [2]
@@ -619,7 +613,7 @@ def test_trace_of_one_time_is_one_batch(monkeypatch, ref_datum):
 
 def _integrated_times(batches):
     """The times of every recorded _convolutions batch, joined."""
-    return np.concatenate([t for t, _, _ in batches])
+    return np.concatenate([t for t, _ in batches])
 
 
 def test_reference_trace_doubles_its_interpolants_until_their_tails_fall(monkeypatch):
@@ -637,29 +631,28 @@ def test_reference_trace_doubles_its_interpolants_until_their_tails_fall(monkeyp
     t_grid = np.append(times[(times > 0) & (times < sc.tau)], sc.tau)
     batches = _record_convolutions(monkeypatch)
     trace, integrals = smoothing._boundary_trace(sc.theta0, t_grid, derivative=False)
-    assert [t.size for t, _, _ in batches] == [1, 248, 128, 87]
-    assert integrals == 464
+    assert [t.size for t, _ in batches] == [248, 128, 87]
+    assert integrals == 463
     tops, index = smoothing._dyadic_intervals(t_grid)
     assert np.bincount(index)[:6].tolist() == [1401, 700, 350, 175, 87, 44]
-    first, second, third = (t for t, _, _ in batches[1:])
+    first, second, third = (t for t, _ in batches)
     assert np.array_equal(first[:87], t_grid[index >= 5])
     assert np.array_equal(third, t_grid[index == 4])
     new = [smoothing._lobatto_times(tops[j])[2::4] for j in range(1, 5)]
     assert np.array_equal(second, np.sort(np.concatenate(new)))
     # interval 0's sample times are the interpolant's, tau's its own
-    assert not np.isin(t_grid[index == 0][:-1], _integrated_times(batches[1:])).any()
-    assert trace.t[-1] == sc.tau and np.isin(sc.tau, batches[1][0])
+    assert not np.isin(t_grid[index == 0][:-1], _integrated_times(batches)).any()
+    assert trace.t[-1] == sc.tau and np.isin(sc.tau, batches[0][0])
 
 
 def test_trace_at_tau_is_its_own_quadrature_sample(ref_datum):
     # tau is an interpolant's point: the trace keeps its sample and error
-    # estimate, as a lone integral from the latest time's mesh at the
+    # estimate, as a lone integral from the datum's breakpoints at the
     # points' tolerance gives them to rounding
     t_grid = np.linspace(0.01, 0.35, 400)
     trace = boundary_trace(ref_datum, t_grid, derivative=False)
-    edges = _trace_edges(ref_datum, t_grid, 1e-10, False)
-    (value,), (err,), _, _ = _convolutions(ref_datum, 0.35, 1.0, (0,), 1e-10, edges,
-                                           tol_scale=1.0 / smoothing._LEBESGUE)
+    (value,), (err,), _ = _convolutions(ref_datum, 0.35, 1.0, (0,), 1e-10,
+                                        tol_scale=1.0 / smoothing._LEBESGUE)
     assert abs(trace.u[-1] - value) <= 1e-15 * abs(value)
     assert abs(trace.err[-1] - err) <= 1e-15 * abs(value)
 
@@ -675,8 +668,8 @@ def test_failing_tails_integrate_every_grid_time(monkeypatch, pulse):
     t_grid = np.append(times[(times > 0) & (times < sc.tau)], sc.tau)
     batches = _record_convolutions(monkeypatch)
     trace, integrals = smoothing._boundary_trace(pulse, t_grid, derivative=False)
-    assert np.all(np.isin(t_grid, _integrated_times(batches[1:])))
-    assert integrals == sum(t.size for t, _, _ in batches) > t_grid.size
+    assert np.all(np.isin(t_grid, _integrated_times(batches)))
+    assert integrals == sum(t.size for t, _ in batches) > t_grid.size
     every = boundary_trace_every_time(pulse, t_grid, derivative=False)
     assert np.all(np.abs(trace.u - every.u) <= 1e-14 * np.abs(every.u))
     assert np.all(np.abs(trace.err - every.err) <= 1e-6 * every.err + 1e-8 * np.abs(every.u))
@@ -684,11 +677,10 @@ def test_failing_tails_integrate_every_grid_time(monkeypatch, pulse):
 
 def test_point_exhausting_the_budget_names_its_time_and_interval(monkeypatch, ref_datum):
     # the 80 grid times on (0.001, 0.002] are enough to interpolate; they
-    # and their latest time (64 panels) would each fit a budget of 100 (96
-    # panels at most), but the interpolant's points at the bottom of the
-    # interval take 128 at the points' tolerance: the lowest of them,
-    # 0.001, names its time, with the index of its interval's first grid
-    # time as the sample
+    # would each fit a budget of 100 (96 panels at most), but the
+    # interpolant's points at the bottom of the interval take 128 at the
+    # points' tolerance: the lowest of them, 0.001, names its time, with
+    # the index of its interval's first grid time as the sample
     t_grid = np.linspace(0.0011, 0.002, 80)
     _panel_budget(monkeypatch, 100)
     for derivative in (False, True):
@@ -745,12 +737,12 @@ def test_interpolated_samples_meet_their_err_against_mpmath(monkeypatch, name):
 
 
 @pytest.mark.parametrize("name, integrals", [
-    ("gentle", 313), ("reference", 464), ("beam", 249)], ids=["gentle", "reference", "beam"])
+    ("gentle", 312), ("reference", 463), ("beam", 248)], ids=["gentle", "reference", "beam"])
 def test_synthesis_phase1_integrals(name, integrals):
     # the phase-1 times a builtin synthesis integrates, a deterministic
-    # count: the latest-time pass, the interpolants' points and the direct
-    # samples, against 2,800 (1,400 on the beam) with every grid time; an
-    # interval of 44 grid times goes direct at once
+    # count: the interpolants' points and the direct samples, against
+    # 2,800 (1,400 on the beam) with every grid time; an interval of 44
+    # grid times goes direct at once
     synthesis = _synthesize(name)
     diags = synthesis.diags if name == "beam" else synthesis[2]
     assert diags["phase1_integrals"] == integrals
@@ -761,31 +753,23 @@ def test_trace_of_no_times_is_empty(ref_datum):
     assert trace.t.size == trace.u.size == trace.err.size == 0
 
 
-def test_trace_budget_failure_at_the_latest_time_names_it(monkeypatch, ref_datum):
-    # here the latest time fails first, in the pass that finds the starting
-    # mesh: the error names it, with its index in t_grid as the sample
+@pytest.mark.parametrize("derivative", [False, True])
+def test_trace_budget_failure_at_the_earliest_time_names_it(monkeypatch, ref_datum,
+                                                            derivative):
+    # both times fail a budget of 40 panels, and they are one batch: the
+    # earliest time fails first, and the error names it, with its index in
+    # t_grid as the sample, also where the batch interleaves u and v_xx
     _panel_budget(monkeypatch, 40)
     times = np.array([0.001, 0.002])
-    with pytest.raises(QuadratureError, match=r"t=0\.002") as exc:
-        boundary_trace(ref_datum, times, derivative=False)
-    assert exc.value.sample == 1
+    with pytest.raises(QuadratureError, match=r"t=0\.001,") as exc:
+        boundary_trace(ref_datum, times, derivative=derivative)
+    assert exc.value.sample == 0
     with pytest.raises(QuadratureError) as alone:
-        boundary_trace(ref_datum, times[1:], derivative=False)
+        boundary_trace(ref_datum, times[:1], derivative=derivative)
     assert exc.value.value == alone.value.value
-
-
-def test_derivative_trace_budget_failure_at_the_latest_time_names_it(monkeypatch,
-                                                                    ref_datum):
-    # the latest-time pass of a derivative trace names its time by its index
-    # in t_grid too
-    _panel_budget(monkeypatch, 40)
-    times = np.array([0.001, 0.002])
-    with pytest.raises(QuadratureError, match=r"t=0\.002") as exc:
-        boundary_trace(ref_datum, times, derivative=True)
-    assert exc.value.sample == 1
-    with pytest.raises(QuadratureError) as alone:
-        boundary_trace(ref_datum, times[1:], derivative=True)
-    assert exc.value.value == alone.value.value
+    with pytest.raises(QuadratureError, match=r"t=0\.002,") as later:
+        boundary_trace(ref_datum, times[1:], derivative=derivative)
+    assert later.value.sample == 0
 
 
 def test_boundary_trace_rejects_nonpositive_times(ref_datum):
