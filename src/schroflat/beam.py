@@ -33,6 +33,10 @@ from .smoothing import ControlTrace, PiecewiseProfile
 
 EXTENSION_SUPPORT = 2.0
 
+# the Gevrey order of the cutoff that fades the extension's reflected copy
+# over (1, 2)
+DEFAULT_CUTOFF_S = 1.9
+
 _ENDPOINT_TOL = 1e-8
 
 
@@ -136,7 +140,7 @@ class ExtendedDatum:
     """
 
     theta0: PiecewiseProfile
-    cutoff_s: float = 1.9
+    cutoff_s: float
     support = EXTENSION_SUPPORT
 
     def __post_init__(self):
@@ -201,7 +205,8 @@ class ExtendedDatum:
                 np.concatenate([dg1[:-1], [0.0], phi[1] * dg[1:-1] - phi[0] * dg1[1:-1]]))
 
 
-def extend_odd_smooth(theta0: PiecewiseProfile, cutoff_s: float = 1.9) -> ExtendedDatum:
+def extend_odd_smooth(theta0: PiecewiseProfile,
+                      cutoff_s: float = DEFAULT_CUTOFF_S) -> ExtendedDatum:
     check_order(cutoff_s)
     if abs(theta0(0.0)) > _ENDPOINT_TOL or abs(theta0(1.0)) > _ENDPOINT_TOL:
         raise BeamError("extension requires theta0 vanishing at both ends")
@@ -229,7 +234,7 @@ class BeamControls:
 
 def beam_controls(data: BeamData, tau, T, s, K=DEFAULT_SERIES_TRUNCATION,
                   K_u=DEFAULT_SERIES_TRUNCATION, *, cfg: SimConfig,
-                  cutoff_s=1.9) -> BeamControls:
+                  cutoff_s=DEFAULT_CUTOFF_S) -> BeamControls:
     """The beam's two boundary controls on the time grid of cfg."""
     ext = extend_odd_smooth(lift_initial_data(data), cutoff_s)
     times = cfg.times()

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gevrey import MAX_JET_ORDER, check_order, step_jet
-from .smoothing import PHASE_FLATNESS, ControlTrace, _boundary_trace, flat_coefficients
+from .smoothing import (MAX_SEED_ORDER, PHASE_FLATNESS, ControlTrace, _boundary_trace,
+                        flat_coefficients)
 
 # (-i)^k, indexed by k mod 4
 _MIPOW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
@@ -49,12 +50,37 @@ JET_ORDER_MARGIN = 6
 MAX_SERIES_TRUNCATION = MAX_JET_ORDER - JET_ORDER_MARGIN
 
 
+def check_settings(tau, T, s, K, K_u):
+    """Raise ValueError, its message starting with the setting's name,
+    unless the two-phase control can be built from these settings:
+    2T/3 < tau < T (the analytic part converges on [tau, T]), a Gevrey
+    order s with jets at every time (gevrey.check_order), a seed order
+    0 <= K <= MAX_SEED_ORDER and a series truncation
+    0 <= K_u <= MAX_SERIES_TRUNCATION.  It does no numerical work.
+    """
+    if not tau < T:
+        raise ValueError(f"tau: need tau < T = {T}, got {tau}")
+    if not tau > 2.0 * T / 3.0:
+        raise ValueError(
+            f"tau: need tau > 2T/3 = {2 * T / 3:.6g} for the analytic part to "
+            f"converge on [tau, T], got {tau}")
+    try:
+        check_order(s)
+    except ValueError as exc:
+        raise ValueError(f"s: {exc}") from exc
+    if not 0 <= K <= MAX_SEED_ORDER:
+        raise ValueError(f"K: need 0 <= K <= {MAX_SEED_ORDER}, got {K}")
+    if not 0 <= K_u <= MAX_SERIES_TRUNCATION:
+        raise ValueError(f"K_u: need 0 <= K_u <= {MAX_SERIES_TRUNCATION}, got {K_u}")
+
+
 @dataclass(eq=False)
 class FlatOutput:
     """y(t) = phi_s((t-tau)/(T-tau)) * sum_k y_k (t-tau)^k / k! on [tau, T].
 
     y is the seed y_0..y_K (smoothing.flat_coefficients), a non-empty 1-d
-    array; tau > 0 follows from 2T/3 < tau < T.
+    array; the settings follow check_settings, and tau > 0 from
+    2T/3 < tau < T.
     """
 
     tau: float
@@ -67,17 +93,7 @@ class FlatOutput:
         self.y = np.asarray(self.y, dtype=np.complex128)
         if self.y.ndim != 1 or self.y.size == 0:
             raise ValueError("seed needs a non-empty 1-d array of coefficients")
-        tau = self.tau
-        if not tau < self.T:
-            raise ValueError("need tau < T")
-        if not tau > 2.0 * self.T / 3.0:
-            raise ValueError(
-                f"tau={tau} must exceed 2T/3={2 * self.T / 3:.6g} for the "
-                "analytic part to converge on [tau,T]")
-        if not 1.0 < self.s < 2.0:
-            raise ValueError("Gevrey order s must lie in (1,2)")
-        if not 0 <= self.K_u <= MAX_SERIES_TRUNCATION:
-            raise ValueError(f"K_u must lie in [0, {MAX_SERIES_TRUNCATION}]")
+        check_settings(self.tau, self.T, self.s, self.K, self.K_u)
 
     @property
     def K(self):
@@ -222,10 +238,10 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
     quad_err_max over the returned samples of each phase,
     seed_bound_constant, and phase1_integrals, the number of times phase
     1 integrated (smoothing.boundary_trace): its interpolants' points and
-    its direct samples.  A Gevrey order s that step_jet cannot evaluate
-    at every time (gevrey.check_order) raises ValueError before phase 1.
+    its direct samples.  Settings outside check_settings' ranges raise
+    ValueError before phase 1.
     """
-    check_order(s)
+    check_settings(tau, T, s, K, K_u)
     times = np.asarray(times, dtype=np.float64)
     t1 = times[(times > 0) & (times < tau)]
     t2 = times[times > tau]

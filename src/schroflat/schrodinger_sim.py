@@ -41,7 +41,8 @@ MAX_NT = 2 ** 20
 # 4,097 snapshots: 1.05 million cells, 330 MB above the interpreter and a
 # 65 MB file).  So this bound is about 1.3 GB of peak memory and a 260 MB
 # file.  It takes Nx = 8192 with 511 snapshots, or every step of Nx = 200
-# and Nt = 20,000; at MAX_NX and MAX_NT together a run would keep 137 GB.
+# and Nt = 20,000; at MAX_NX and MAX_NT together a run would otherwise keep
+# 137 GB.
 MAX_FRAME_CELLS = 2 ** 22
 
 
@@ -59,10 +60,17 @@ class SimConfig:
         if not 16 <= self.Nt <= MAX_NT:
             raise ValueError(f"Nt: need 16 <= Nt <= {MAX_NT}, got {self.Nt}")
         if not 0.0 < self.T < np.inf:     # also false for nan
-            raise ValueError("T: final time must be positive and finite")
-        if self.snapshot_count < 2:
+            raise ValueError(f"T: final time must be positive and finite, got {self.T!r}")
+        # at most one snapshot per time level, so the rounded indices differ
+        if not 2 <= self.snapshot_count <= self.Nt + 1:
             raise ValueError(
-                "snapshot_count: need at least initial and terminal snapshots")
+                f"snapshot_count: need 2 <= snapshot_count <= Nt + 1 = {self.Nt + 1}, "
+                f"got {self.snapshot_count}")
+        # every snapshot's frame is kept and written
+        if self.snapshot_count * (self.Nx + 1) > MAX_FRAME_CELLS:
+            raise ValueError(
+                f"snapshot_count: need snapshot_count * (Nx + 1) <= {MAX_FRAME_CELLS}, "
+                f"got {self.snapshot_count} * {self.Nx + 1}")
 
     @property
     def dx(self):
@@ -76,14 +84,11 @@ class SimConfig:
         return np.linspace(0.0, self.T, self.Nt + 1)
 
     def snapshot_indices(self):
-        """The sorted distinct step indices of the snapshots.
-
-        The rounded indices are already sorted, so a neighbour comparison
-        drops the repeats.  np.unique would import numpy.ma, a cost paid
-        once per process and on the run path of every scenario.
-        """
-        idx = np.round(np.linspace(0, self.Nt, self.snapshot_count)).astype(np.int64)
-        return idx[np.r_[True, idx[1:] != idx[:-1]]]
+        """The step indices of the snapshots, strictly increasing: with at
+        most one snapshot per time level the points lie at least one step
+        apart (exactly one only where every point is an integer), so they
+        round to distinct steps."""
+        return np.round(np.linspace(0, self.Nt, self.snapshot_count)).astype(np.int64)
 
 
 @dataclass(eq=False)

@@ -132,24 +132,6 @@ class PiecewiseProfile:
     def zero(cls):
         return cls((), [[0.0]])
 
-    @classmethod
-    def from_callable(cls, f, n_pieces=16, degree=3):
-        """Piecewise polynomial interpolant of a smooth callable.
-
-        Each piece interpolates at degree+1 equispaced nodes including both
-        piece edges, so the result is continuous and matches f exactly at
-        0 and 1.
-        """
-        edges = np.linspace(0.0, 1.0, n_pieces + 1)
-        pieces = []
-        for a, b in zip(edges[:-1], edges[1:]):
-            xs = np.linspace(a, b, degree + 1)
-            ys = np.asarray(f(xs), dtype=np.complex128)
-            cr = np.polynomial.polynomial.polyfit(xs, ys.real, degree)
-            ci = np.polynomial.polynomial.polyfit(xs, ys.imag, degree)
-            pieces.append(cr + 1j * ci)
-        return cls(tuple(edges[1:-1]), pieces)
-
     def _by_rows(self, xa):
         """The values at a 2-D xa whose every row lies strictly inside one
         piece, or None if some row does not."""
@@ -651,10 +633,10 @@ def flat_coefficients(v0, tau, K):
     that exhausts the quadrature's panel budget raises QuadratureError
     naming k, with sample = k and the best estimate of y_k and its error.
     """
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not tau > 0:
+        raise ValueError(f"tau: need tau > 0, got {tau}")
     if not 0 <= K <= MAX_SEED_ORDER:
-        raise ValueError(f"K={K} outside the supported truncation range")
+        raise ValueError(f"K: need 0 <= K <= {MAX_SEED_ORDER}, got {K}")
     try:
         values = _convolutions(v0, tau, 0.0, tuple(range(1, 2 * K + 2, 2)))[0]
     except QuadratureError as exc:

@@ -288,8 +288,9 @@ def test_convergence_study_eigenmode(tmp_path):
 def test_convergence_study_checks_its_finest_level_first(tmp_path, monkeypatch):
     # reference's Nx=200 doubles to 12,800 at level 6 and eigenmode-check's
     # 128 to 16,384 at level 7, above the ceiling, and 1,025 frames of Nx=16
-    # refined to 4,096 at level 8 exceed MAX_FRAME_CELLS: the study fails
-    # before level 0 runs or its directory is made
+    # refined to 4,096 at level 8 exceed MAX_FRAME_CELLS: SimConfig rejects
+    # the level's config, built with every other before level 0 runs or the
+    # study's directory is made, and the study names the level
     def no_run(*args):
         raise AssertionError("a level ran")
 
@@ -302,7 +303,13 @@ def test_convergence_study_checks_its_finest_level_first(tmp_path, monkeypatch):
                        (builtins["reference"], 10 ** 6), (frames, 9)):
         with pytest.raises(ScenarioError, match=r"^levels: "):
             convergence_study(sc, levels, tmp_path / "study")
-    with pytest.raises(ScenarioError, match=r"exceed 4194304 cells$"):
+    with pytest.raises(ScenarioError, match=r"^levels: 7 levels refine the grid beyond its "
+                                            r"bounds at level 6: sim\.Nx: need 16 <= Nx "
+                                            r"<= 8192, got 12800$"):
+        convergence_study(builtins["reference"], 7, tmp_path / "study")
+    with pytest.raises(ScenarioError, match=r"at level 8: sim\.snapshot_count: need "
+                                            r"snapshot_count \* \(Nx \+ 1\) <= 4194304, "
+                                            r"got 1025 \* 4097$"):
         convergence_study(frames, 9, tmp_path / "study")
     assert not (tmp_path / "study").exists()
 
@@ -333,12 +340,13 @@ def test_scenario_grid_ceiling(tmp_path, capsys, nx, ok):
 @pytest.mark.parametrize("Nt, snapshot_count, field", [
     (2 ** 20, 3, None), (64, 65, None), (2 ** 20 + 1, 3, "sim.Nt"), (10 ** 12, 3, "sim.Nt"),
     (64, 66, "sim.snapshot_count"), (64, 10 ** 12, "sim.snapshot_count"),
-    (2 ** 17, 127_100, None), (2 ** 17, 127_101, "sim.snapshot_count, sim.Nx"),
-    (2 ** 20, 2 ** 20 + 1, "sim.snapshot_count, sim.Nx")])
+    (2 ** 17, 127_100, None), (2 ** 17, 127_101, "sim.snapshot_count"),
+    (2 ** 20, 2 ** 20 + 1, "sim.snapshot_count")])
 def test_scenario_time_grid_ceiling(tmp_path, capsys, Nt, snapshot_count, field):
     # parsed, never run: more time steps than the ceiling, more snapshots
     # than time levels, or more frame cells than MAX_FRAME_CELLS (127,100
-    # frames of 33 cells fit 2**22) name the settings and exit 2
+    # frames of 33 cells fit 2**22) name the setting SimConfig checks, in
+    # its section, and exit 2
     d = {"theta0": "pulse", "sim": {"Nx": 32, "Nt": Nt, "snapshot_count": snapshot_count}}
     if field is None:
         sim = scenario_from_dict(d, "long").sim
@@ -354,7 +362,8 @@ def test_scenario_time_grid_ceiling(tmp_path, capsys, Nt, snapshot_count, field)
 
 def test_main_study_exits_2_above_the_finest_time_grid(tmp_path, capsys, monkeypatch):
     # Nt = 2**18 doubles beyond MAX_NT = 2**20 at level 3, while Nx = 16
-    # stays far below its ceiling: the study fails before level 0 runs
+    # stays far below its ceiling: SimConfig rejects level 3's config, and
+    # the study fails before level 0 runs
     def no_run(*args):
         raise AssertionError("a level ran")
 
@@ -365,8 +374,9 @@ def test_main_study_exits_2_above_the_finest_time_grid(tmp_path, capsys, monkeyp
     rc = main(["study", "--scenario", str(cfg), "--levels", "4",
                "--out-dir", str(tmp_path / "study")])
     assert rc == EXIT_CONFIG
-    assert ("config error: levels: 4 levels refine Nt=262144 beyond the finest "
-            "time grid, Nt=1048576") in capsys.readouterr().err
+    assert ("config error: levels: 4 levels refine the grid beyond its bounds at "
+            "level 3: sim.Nt: need 16 <= Nt <= 1048576, got 2097152\n"
+            ) in capsys.readouterr().err
     assert not (tmp_path / "study").exists()
 
 
@@ -484,6 +494,20 @@ def test_main_runs_just_above_the_least_gevrey_order(tmp_path):
     cfg.write_text("tau: 1.4\nT: 2.0\ns: 1.106\n"
                    "sim: {Nx: 32, Nt: 64, snapshot_count: 3}\ntheta0: pulse\n")
     assert main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_main_runs_at_the_least_truncations(tmp_path, capsys):
+    # K and K_u start at 0, as in the library: the seed y_0 and the series'
+    # first term alone still make a run
+    cfg = tmp_path / "k0.yaml"
+    cfg.write_text("tau: 1.4\nT: 2.0\ns: 1.6\nK: 0\nK_u: 0\n"
+                   "sim: {Nx: 32, Nt: 64, snapshot_count: 3}\ntheta0: pulse\n")
+    assert main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+    assert (tmp_path / "o" / "control.csv").exists()
+    # the scenario's error is the library's message: one range per setting
+    cfg.write_text(cfg.read_text().replace("K_u: 0", "K_u: -1"))
+    assert main(["run", "--scenario", str(cfg), "--out-dir", str(tmp_path / "o2")]) == EXIT_CONFIG
+    assert "config error: K_u: need 0 <= K_u <= 34, got -1\n" in capsys.readouterr().err
 
 
 # a 401-digit integer, beyond the range of a float

@@ -16,7 +16,7 @@ from schroflat import (BeamData, FlatOutput, PiecewiseProfile, beam_controls,
                        control_trace, extend_odd_smooth, flat_coefficients,
                        flat_output_derivatives, lift_initial_data, state_series,
                        synthesize)
-from schroflat import flatness
+from schroflat import flatness, smoothing
 from schroflat.cli import builtin_scenarios, sine_profile
 from schroflat.flatness import _analytic_derivatives
 from schroflat.smoothing import PHASE_FLATNESS, PHASE_SMOOTHING
@@ -169,8 +169,13 @@ def test_flat_output_validation():
         FlatOutput(0.6, _seed(), 0.5, 1.9)
     with pytest.raises(ValueError, match="2T/3"):
         FlatOutput(0.3, _seed(), 0.5, 1.9)
-    with pytest.raises(ValueError, match="s must lie"):
+    # the Gevrey order follows gevrey.check_order, named by its setting
+    with pytest.raises(ValueError, match=r"^s: Gevrey order s=2.3 must lie in \(1, 2\)$"):
         FlatOutput(0.35, _seed(), 0.5, 2.3)
+    with pytest.raises(ValueError, match=r"^s: both exponentials"):
+        FlatOutput(0.35, _seed(), 0.5, 1.105)
+    with pytest.raises(ValueError, match=r"^K: need 0 <= K <= 30, got 31$"):
+        FlatOutput(0.35, _seed(31), 0.5, 1.9)
 
 
 @pytest.mark.parametrize("K_u", [0, 1, 8, 34])
@@ -258,3 +263,26 @@ def test_gevrey_order_rejected_before_phase1(monkeypatch):
         extend_odd_smooth(lift_initial_data(data), cutoff_s=1.1)
     with pytest.raises(ValueError, match="s=1.1;"):
         beam_controls(data, beam.tau, beam.T, beam.s, cfg=beam.sim, cutoff_s=1.1)
+
+
+@pytest.mark.parametrize("field, tau, K, K_u", [
+    ("tau", 2.0, 15, 15),             # tau >= T
+    ("tau", 2.5, 15, 15),
+    ("tau", 4.0 / 3.0, 15, 15),       # tau <= 2T/3
+    ("tau", 1.0, 15, 15),
+    ("K", 1.4, 31, 15),
+    ("K_u", 1.4, 15, 35),
+])
+def test_settings_rejected_before_any_convolution(monkeypatch, field, tau, K, K_u):
+    # synthesize and beam_controls check tau, K and K_u (at T = 2) before
+    # any integral of phase 1 or of the seed, naming the setting
+    def convolutions(*args, **kwargs):
+        raise AssertionError("a convolution ran")
+
+    monkeypatch.setattr(smoothing, "_convolutions", convolutions)
+    sc = builtin_scenarios()["gentle"]
+    with pytest.raises(ValueError, match=rf"^{field}: need "):
+        synthesize(sc.theta0, sc.sim.times(), tau, 2.0, 1.6, K, K_u)
+    beam = builtin_scenarios()["beam"]
+    with pytest.raises(ValueError, match=rf"^{field}: need "):
+        beam_controls(BeamData(beam.eta0, beam.eta1), tau, 2.0, 1.6, K, K_u, cfg=beam.sim)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from schroflat import ControlTrace, SimConfig, simulate, terminal_report
-from schroflat.schrodinger_sim import MAX_NT, MAX_NX, grid_l2_norm
+from schroflat.schrodinger_sim import MAX_FRAME_CELLS, MAX_NT, MAX_NX, grid_l2_norm
 from schroflat.cli import sine_profile
 
 
@@ -47,17 +47,43 @@ def test_config_grids():
     assert idx[0] == 0 and idx[-1] == 400
 
 
+def test_config_bounds_the_snapshots():
+    # at most one snapshot per time level, and at most MAX_FRAME_CELLS
+    # frame cells (1,985 frames of 2,113 cells are MAX_FRAME_CELLS + 1),
+    # checked before any frame is allocated
+    assert SimConfig(Nx=16, Nt=16, T=0.5, snapshot_count=17).snapshot_count == 17
+    with pytest.raises(ValueError,
+                       match=r"^snapshot_count: need 2 <= snapshot_count <= Nt \+ 1 = 17, got 18$"):
+        SimConfig(Nx=16, Nt=16, T=0.5, snapshot_count=18)
+    assert 1984 * 2113 <= MAX_FRAME_CELLS < 1985 * 2113
+    assert SimConfig(Nx=2112, Nt=4096, T=0.5, snapshot_count=1984).snapshot_count == 1984
+    with pytest.raises(ValueError, match=r"^snapshot_count: need snapshot_count \* \(Nx \+ 1\) "
+                                         r"<= 4194304, got 1985 \* 2113$"):
+        SimConfig(Nx=2112, Nt=4096, T=0.5, snapshot_count=1985)
+    # so MAX_NX and MAX_NT together keep at most MAX_FRAME_CELLS cells
+    with pytest.raises(ValueError, match=r"^snapshot_count: "):
+        SimConfig(Nx=MAX_NX, Nt=MAX_NT, T=0.5, snapshot_count=MAX_NT + 1)
+
+
 @pytest.mark.parametrize("Nt, snapshot_count", [
-    (400, 5), (4000, 11), (1024, 9), (17, 3), (16, 16), (16, 17), (16, 40),
-    (20000, 2)])
+    (400, 5), (4000, 11), (1024, 9), (17, 3), (16, 16), (16, 17), (20000, 2)])
 def test_snapshot_indices_match_unique(Nt, snapshot_count):
-    # the neighbour comparison drops repeats exactly as np.unique would;
-    # Nt < snapshot_count - 1 rounds several snapshots onto one step
+    # with at most one snapshot per time level no two round onto one step,
+    # so the rounded indices are np.unique's
     cfg = SimConfig(Nx=16, Nt=Nt, T=0.5, snapshot_count=snapshot_count)
     idx = cfg.snapshot_indices()
     want = np.unique(np.round(np.linspace(0, Nt, snapshot_count)).astype(np.int64))
     assert idx.dtype == want.dtype
     assert np.array_equal(idx, want)
+
+
+def test_snapshot_indices_strictly_increase():
+    # every snapshot count a config takes, on every time grid up to Nt = 300
+    for Nt in range(16, 301):
+        for count in range(2, Nt + 2):
+            idx = SimConfig(Nx=16, Nt=Nt, T=0.5, snapshot_count=count).snapshot_indices()
+            assert idx[0] == 0 and idx[-1] == Nt and idx.size == count, (Nt, count)
+            assert np.all(idx[1:] > idx[:-1]), (Nt, count)
 
 
 def test_zero_datum_stays_zero():

@@ -67,16 +67,6 @@ def test_profile_l2_norm_closed_form(ref_datum):
     assert PiecewiseProfile.zero().l2_norm() == 0.0
 
 
-def test_profile_from_callable_interpolates():
-    f = lambda x: np.sin(np.pi * x) + 0j
-    prof = PiecewiseProfile.from_callable(f, n_pieces=16, degree=3)
-    # contract: exact at every piece edge, small in between
-    for edge in prof.edges:
-        assert abs(prof(float(edge)) - f(edge)) < 1e-12
-    xs = np.linspace(0.0, 1.0, 401)
-    assert np.max(np.abs(prof(xs) - f(xs))) < 1e-4
-
-
 def test_profile_from_callable_single_piece_high_degree(sine):
     xs = np.linspace(0.0, 1.0, 501)
     assert np.max(np.abs(sine(xs) - np.sin(np.pi * xs))) < 1e-12
