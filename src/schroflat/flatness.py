@@ -33,13 +33,14 @@ bit-exact; a normalized-coefficient representation would lose that to the
 y/k!*k! round trip.
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gevrey import MAX_JET_ORDER, check_order, step_jet
-from .smoothing import (MAX_SEED_ORDER, PHASE_FLATNESS, ControlTrace, _boundary_trace,
-                        flat_coefficients)
+from .smoothing import (MAX_SEED_ORDER, PHASE_FLATNESS, ControlTrace, _PanelMemo,
+                        boundary_trace, flat_coefficients)
 
 # (-i)^k, indexed by k mod 4
 _MIPOW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
@@ -56,8 +57,12 @@ def check_settings(tau, T, s, K, K_u):
     2T/3 < tau < T (the analytic part converges on [tau, T]), a Gevrey
     order s with jets at every time (gevrey.check_order), a seed order
     0 <= K <= MAX_SEED_ORDER and a series truncation
-    0 <= K_u <= MAX_SERIES_TRUNCATION.  It does no numerical work.
+    0 <= K_u <= MAX_SERIES_TRUNCATION, both integers (numpy's too, but not
+    bools).  It does no numerical work.
     """
+    for name, value in (("K", K), ("K_u", K_u)):
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name}: need an integer, got {value!r}")
     if not tau < T:
         raise ValueError(f"tau: need tau < T = {T}, got {tau}")
     if not tau > 2.0 * T / 3.0:
@@ -239,14 +244,19 @@ def synthesize(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
     seed_bound_constant, and phase1_integrals, the number of times phase
     1 integrated (smoothing.boundary_trace): its interpolants' points and
     its direct samples.  Settings outside check_settings' ranges raise
-    ValueError before phase 1.
+    ValueError before phase 1.  Phase 1 and the seed evaluate v0 once per
+    distinct quadrature panel (smoothing._PanelMemo), and keep its values
+    only until the seed is made.
     """
     check_settings(tau, T, s, K, K_u)
     times = np.asarray(times, dtype=np.float64)
     t1 = times[(times > 0) & (times < tau)]
     t2 = times[times > tau]
-    trace1, integrals = _boundary_trace(v0, np.append(t1, tau), derivative, abs_tol)
-    fo = FlatOutput(tau, flat_coefficients(v0, tau, K), T, s, K_u)
+    memo = _PanelMemo(v0, derivative)
+    trace1, integrals = boundary_trace(memo, np.append(t1, tau), derivative, abs_tol)
+    fo = FlatOutput(tau, flat_coefficients(memo, tau, K), T, s, K_u)
+    # phase 2 reads no datum: its rows are freed before the series runs
+    del memo
     trace2 = control_trace(fo, np.insert(t2, 0, tau))
     phase1 = trace1[: t1.size + int(np.any(times == tau))]
     phase2 = trace2[1:]

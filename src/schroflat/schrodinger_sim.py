@@ -14,6 +14,7 @@ applied at once and the field is rebuilt only at snapshot times.  A run
 without boundary data (no control, or an all-zero one) skips the forcing
 products and computes only the powers of the Cayley factors it reads.
 """
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,7 +55,14 @@ class SimConfig:
     snapshot_count: int = 9
 
     def __post_init__(self):
-        # each message names its field
+        # each message names its field.  A size is an integer, numpy's too,
+        # but not a bool; it is kept as a Python int, whose sums and
+        # products below cannot wrap as a small numpy integer's would
+        for field in ("Nx", "Nt", "snapshot_count"):
+            value = getattr(self, field)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{field}: need an integer, got {value!r}")
+            object.__setattr__(self, field, int(value))
         if not 16 <= self.Nx <= MAX_NX:
             raise ValueError(f"Nx: need 16 <= Nx <= {MAX_NX}, got {self.Nx}")
         if not 16 <= self.Nt <= MAX_NT:

@@ -25,12 +25,16 @@ breakpoints (PiecewiseProfile: [0, 1]; beam.ExtendedDatum: [0, 2]): the
 support is rescaled to the quadrature's unit interval and the breakpoints
 become panel edges.  The factors v0(y), or v0(y) and v0''(y) from one
 with_curvature call, depend on the node alone, not on the sample, so the
-helper evaluates them once per generation of the quadrature, on the node
+helper asks for them once per generation of the quadrature, on the node
 table of its distinct panels, and multiplies them in after the kernel
 part; the quadrature itself knows nothing of them.  The kernel runs only
 on the rows whose panel some datum does not vanish on, such as the
 reference datum's zero piece [0, 0.2]: there the product is zero whatever
-the kernel returns.
+the kernel returns.  A synthesis (flatness.synthesize) hands phase 1 and
+the seed its datum through _PanelMemo, so the datum is evaluated once per
+distinct panel per synthesis, not once per generation: the later
+generations, the other trace batches and the seed hold mostly panels of
+the first, and gather their rows.
 
 The trace is analytic in t > 0, and its features shrink like t.  So
 boundary_trace splits (0, tau] into the dyadic intervals
@@ -52,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernel import MAX_ORDER, derivative_coefficients, horner, odd_kernel
-from .quadrature import QuadratureError, _distinct_panels, integrate_batch
+from .quadrature import NODES, QuadratureError, _distinct_panels, integrate_batch
 
 _EPS = np.finfo(np.float64).eps
 
@@ -75,6 +79,9 @@ _TAIL_ROUNDING = 32.0
 # starting panel of a convolution: 12 and 16 ran as fast, and 12 gives the
 # reference trace's largest err 1.4e-9 where 16 gives 6.5e-9
 _PHASE_SPAN = 12.0
+
+# the quadrature's centre node, exactly 0: a panel's node there is its midpoint
+_CENTRE = NODES.size // 2
 
 
 def _lebesgue(n):
@@ -260,6 +267,69 @@ class ControlTrace:
         return re + 1j * im
 
 
+class _PanelMemo:
+    """The datum v0 of one synthesis, evaluated once per quadrature panel.
+
+    Every generation of every trace batch and of the seed hands its node
+    table, a row of nodes per distinct panel, to the datum.  The later
+    tables hold mostly panels an earlier one held, and a call of a datum
+    such as beam.ExtendedDatum has a fixed cost whatever its number of
+    rows.  The memo calls v0 only on the rows it has not seen, one call
+    per table, keeps each call's values as a block, and gathers every row
+    from the blocks, which it never copies or grows.  A row is known by
+    its exact centre node, the panel's midpoint (NODES[_CENTRE] is 0, and
+    a dyadic panel's midpoint names it within one set of breakpoints), and
+    by its first node, with no tolerance.  With curvature it keeps
+    v0.with_curvature's stack, whose row 0 has the bits of v0's own
+    values, and serves both calls from it; without, only __call__.  It
+    takes 2-D node tables only, and it lives for one synthesis's phase 1
+    and seed, so it holds at most the panels they evaluate.
+    """
+
+    def __init__(self, v0, curvature):
+        self.support, self.breakpoints, self.jumps = v0.support, v0.breakpoints, v0.jumps
+        self._evaluate = v0.with_curvature if curvature else lambda y: v0(y)[None]
+        # each call's new values, a block with a row per panel on axis 1
+        self._blocks = []
+        # each kept row's key, the complex number centre + i first node, in
+        # sorted (lexicographic) order, and its block and row there; the
+        # last key is infinite, found by no row, and ends every search
+        self._keys = np.array([complex(np.inf, np.inf)])
+        self._where = np.zeros((2, 1), dtype=np.intp)
+
+    def _stack(self, y):
+        key = np.empty(y.shape[0], dtype=np.complex128)
+        key.real, key.imag = y[:, _CENTRE], y[:, 0]
+        at = np.searchsorted(self._keys, key)
+        block, row = self._where[:, at]
+        miss = np.flatnonzero(self._keys[at] != key)
+        if miss.size:
+            block[miss], row[miss] = len(self._blocks), np.arange(miss.size)
+            self._blocks.append(self._evaluate(y[miss]))
+            keys = np.concatenate([self._keys, key[miss]])
+            order = np.argsort(keys, kind="stable")
+            self._keys = keys[order]
+            self._where = np.concatenate([self._where, [block[miss], row[miss]]], axis=1)[:, order]
+            if miss.size == key.size:
+                # the table's rows are all new: their block is their values
+                return self._blocks[-1]
+        if len(self._blocks) == 1:
+            return np.take(self._blocks[0], row, axis=1)
+        out = np.empty((self._blocks[0].shape[0],) + y.shape, dtype=self._blocks[0].dtype)
+        for b, values in enumerate(self._blocks):
+            # by integer index: a boolean mask on the row axis gathers
+            # several times slower
+            rows = np.flatnonzero(block == b)
+            out[:, rows] = np.take(values, row[rows], axis=1)
+        return out
+
+    def __call__(self, y):
+        return self._stack(y)[0]
+
+    def with_curvature(self, y):
+        return self._stack(y)
+
+
 def _convolutions(v0, t, x, orders, abs_tol=1e-10, curvature=False, tol_scale=1.0):
     """(values, errs, panels): flat arrays of the odd-folded convolutions
     of d^m_x (E(t,x-y) - E(t,x+y)) v(y) over y in [0, support], at the
@@ -277,9 +347,11 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, curvature=False, tol_scale=1.
     of 2 _PHASE_SPAN t / ((|x| + support) support), up to one row call of
     panels (integrate_batch).  The derivative tables of the
     points are built once per call and handed to odd_kernel.  Once per
-    generation of the quadrature, the data are evaluated on the node table
+    generation of the quadrature, the data are asked for on the node table
     of the generation's distinct panels, by one call of v0.with_curvature
-    or v0, and the panels where every datum vanishes are marked.  In each
+    or v0, and the panels where every datum vanishes are marked; within a
+    synthesis v0 is a _PanelMemo, which evaluates the datum only on the
+    panels no earlier table of that synthesis held.  In each
     bounded call of the generation's rows the kernel then runs, for all
     orders at once, only on the (point, panel) rows where some sample's
     datum values are not all exactly zero, with the nodes gathered from
@@ -503,9 +575,54 @@ def _interpolate(points, values, errs, tail, t):
     return out, err
 
 
-def _boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
-    """(trace, integrals): boundary_trace's trace, and the number of times
-    it integrated: the interpolants' points and the direct samples."""
+def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
+    """(trace, integrals): the phase-1 control samples u(t)=v(t,1) and
+    u'(t)=i*v_xx(t,1), and the number of times integrated, the
+    interpolants' points and the direct samples.
+
+    v0 is the datum the free evolution smooths, integrated over its own
+    support; the times t_grid are increasing, as ControlTrace requires.
+    derivative=False skips the v_xx integrals when only u itself is
+    needed.  abs_tol is each integral's absolute tolerance.
+
+    The grid splits into the dyadic intervals (tau/2^(j+1), tau/2^j]
+    below its last time tau (_dyadic_intervals).  On an interval of at
+    least 65 grid times, enough for one doubling, the trace is the
+    barycentric interpolant through its samples at 33 Chebyshev-Lobatto
+    points (_interpolate); neighbouring intervals share their ends, and
+    tau is a point.  An interpolant whose top Chebyshev coefficients do
+    not fall to its samples' error or rounding level (_chebyshev_tails)
+    doubles to 65, then 129 points, integrating only the new ones.  An
+    interval whose points would outnumber its grid times, or that fails
+    at 129, is integrated directly at its grid times, as is every interval
+    of at most 64.  Each round of points and direct samples is one
+    _convolutions batch, every sample starting from the datum's
+    breakpoints, bisected to the width its kernel's phase asks for, and
+    subdividing by its own rules to its own tolerance.
+
+    v_xx(t,1) is the integral of d^2_y F against v0; two integrations by
+    parts make it the free evolution of v0's second derivative plus the
+    closed-form terms of v0's jumps (_jump_terms).  u and v_xx at every
+    point are then the interleaved samples of one order-0 batch, which
+    share the kernel's exponentials wherever their panels coincide; one
+    v0.with_curvature call gives both data on a panel.  v_xx is
+    interpolated as u is, and the jump terms are evaluated at the grid
+    times themselves.
+
+    err bounds both u and v_xx.  At a direct sample, and at a grid time
+    equal to a point (tau among them), it sums both integrals' estimates.
+    At an interpolated time it sums over u and v_xx the Lebesgue constant
+    (at most 1 + (2/pi) log(n - 1), 4.09 at n = 129) times the sum of the
+    largest estimate and eps times the largest magnitude at the points,
+    plus the coefficient tail (_interpolate).  The points are integrated
+    to the tolerance over 4.09, so that this stays within the tolerance
+    a direct sample meets.  Where v_xx is
+    synthesized, the jump terms' rounding is added.  A sample that
+    exhausts the quadrature's panel budget raises QuadratureError naming
+    its time; the sample is the time's index in t_grid, or, for a point,
+    the index of the first grid time of its interval (of the earlier one,
+    for a point two intervals share).
+    """
     t_grid = np.asarray(t_grid, dtype=np.float64)
     if np.any(t_grid <= 0):
         raise ValueError("trace times must be positive")
@@ -573,55 +690,6 @@ def _boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
         du = np.zeros(t_grid.size, dtype=np.complex128)
     phase = np.full(t_grid.size, PHASE_SMOOTHING, dtype=np.uint8)
     return ControlTrace(t_grid, values[:, 0], du, phase, err), integrals
-
-
-def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
-    """Phase-1 control samples u(t)=v(t,1) and u'(t)=i*v_xx(t,1).
-
-    v0 is the datum the free evolution smooths, integrated over its own
-    support; the times t_grid are increasing, as ControlTrace requires.
-    derivative=False skips the v_xx integrals when only u itself is
-    needed.  abs_tol is each integral's absolute tolerance.
-
-    The grid splits into the dyadic intervals (tau/2^(j+1), tau/2^j]
-    below its last time tau (_dyadic_intervals).  On an interval of at
-    least 65 grid times, enough for one doubling, the trace is the
-    barycentric interpolant through its samples at 33 Chebyshev-Lobatto
-    points (_interpolate); neighbouring intervals share their ends, and
-    tau is a point.  An interpolant whose top Chebyshev coefficients do
-    not fall to its samples' error or rounding level (_chebyshev_tails)
-    doubles to 65, then 129 points, integrating only the new ones.  An
-    interval whose points would outnumber its grid times, or that fails
-    at 129, is integrated directly at its grid times, as is every interval
-    of at most 64.  Each round of points and direct samples is one
-    _convolutions batch, every sample starting from the datum's
-    breakpoints, bisected to the width its kernel's phase asks for, and
-    subdividing by its own rules to its own tolerance.
-
-    v_xx(t,1) is the integral of d^2_y F against v0; two integrations by
-    parts make it the free evolution of v0's second derivative plus the
-    closed-form terms of v0's jumps (_jump_terms).  u and v_xx at every
-    point are then the interleaved samples of one order-0 batch, which
-    share the kernel's exponentials wherever their panels coincide; one
-    v0.with_curvature call gives both data on a panel.  v_xx is
-    interpolated as u is, and the jump terms are evaluated at the grid
-    times themselves.
-
-    err bounds both u and v_xx.  At a direct sample, and at a grid time
-    equal to a point (tau among them), it sums both integrals' estimates.
-    At an interpolated time it sums over u and v_xx the Lebesgue constant
-    (at most 1 + (2/pi) log(n - 1), 4.09 at n = 129) times the sum of the
-    largest estimate and eps times the largest magnitude at the points,
-    plus the coefficient tail (_interpolate).  The points are integrated
-    to the tolerance over 4.09, so that this stays within the tolerance
-    a direct sample meets.  Where v_xx is
-    synthesized, the jump terms' rounding is added.  A sample that
-    exhausts the quadrature's panel budget raises QuadratureError naming
-    its time; the sample is the time's index in t_grid, or, for a point,
-    the index of the first grid time of its interval (of the earlier one,
-    for a point two intervals share).
-    """
-    return _boundary_trace(v0, t_grid, derivative, abs_tol)[0]
 
 
 def flat_coefficients(v0, tau, K):

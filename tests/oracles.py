@@ -9,7 +9,10 @@ per integral (and the seed as one integral per order), and scalar Taylor
 recurrences per time sample.  The package's phase-1 trace integrates only
 the points of Chebyshev interpolants in time and the grid times too early
 to interpolate; the batched trace that integrates every grid time
-(boundary_trace_every_time) is kept as its oracle.  The free propagator E(t,x) and its
+(boundary_trace_every_time) is kept as its oracle, and so is the synthesis
+that hands the datum itself to phase 1 and to the seed, which evaluate it
+again on every quadrature generation's node table (synthesize_raw), where
+the package evaluates each panel once.  The free propagator E(t,x) and its
 derivatives as translates (fundamental_solution, kernel_derivative), which
 the package evaluates only in product form, the per-order odd kernel that
 builds its own tables (odd_kernel), the order-0 kernel on interleaved
@@ -50,9 +53,10 @@ from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES, WEIGHTS_GAUSS
 from schroflat.beam import BeamResult, BeamSnapshot
 from schroflat.sine_modes import (CHUNK, apply_sine, chunk_states, complex_product,
                                   power_rows, sine_modes)
-from schroflat.flatness import _MIPOW, control_trace
+from schroflat.flatness import _MIPOW, FlatOutput, control_trace
 from schroflat.smoothing import (_IPOW, _PHASE_SPAN, PHASE_SMOOTHING, ControlTrace,
-                                 _convolutions, _jump_terms)
+                                 _convolutions, _jump_terms, boundary_trace,
+                                 flat_coefficients)
 
 
 # ------------------------------------------------------------- kernel
@@ -453,6 +457,19 @@ def boundary_trace_every_time(v0, t_grid, derivative=True, abs_tol=1e-10):
         du = np.zeros(t_grid.size, dtype=np.complex128)
     phase = np.full(t_grid.size, PHASE_SMOOTHING, dtype=np.uint8)
     return ControlTrace(t_grid, values[:, 0], du, phase, err)
+
+
+def synthesize_raw(v0, times, tau, T, s, K, K_u, derivative=False, abs_tol=1e-10):
+    """(trace, seed): flatness.synthesize's trace and seed, with the datum
+    v0 itself handed to phase 1 and to the seed."""
+    times = np.asarray(times, dtype=np.float64)
+    t1 = times[(times > 0) & (times < tau)]
+    trace1, _ = boundary_trace(v0, np.append(t1, tau), derivative, abs_tol)
+    seed = flat_coefficients(v0, tau, K)
+    fo = FlatOutput(tau, seed, T, s, K_u)
+    trace2 = control_trace(fo, np.insert(times[times > tau], 0, tau))
+    phase1 = trace1[: t1.size + int(np.any(times == tau))]
+    return ControlTrace.concat(phase1, trace2[1:]), seed
 
 
 def flat_coefficients_per_order(v0, tau, K):

@@ -90,7 +90,7 @@ def test_phase1_trace_agrees_with_the_oracle_from_the_breakpoints():
     v0, times, settings, _ = _phase1_setting("beam")
     u, du, err, _ = boundary_trace_per_sample(
         v0, times, support=v0.support, breakpoints=v0.breakpoints, **settings)
-    trace = boundary_trace(v0, times, **settings)
+    trace, _ = boundary_trace(v0, times, **settings)
     assert np.all(np.abs(trace.u - u) <= trace.err + err)
     assert np.all(np.abs(trace.du - du) <= trace.err + err)
     for t, du_t, err_t in zip(times, trace.du, trace.err):
@@ -108,7 +108,7 @@ def test_phase1_interpolated_trace_agrees_with_every_time_integrated(name):
     # t = 0.307 accepts two panels with an error of 5.7e-10, 1e-9 of the
     # largest |u|, within its estimate of 1.6e-9 and the beam's abs_tol
     v0, times, settings, derivative = _run_phase1_setting(name)
-    trace = boundary_trace(v0, times, derivative=derivative, **settings)
+    trace, _ = boundary_trace(v0, times, derivative=derivative, **settings)
     every = boundary_trace_every_time(v0, times, derivative=derivative, **settings)
     eighths = v0.support * np.arange(1, 8) / 8
     fine = boundary_trace_every_time(

@@ -341,7 +341,7 @@ def test_hinge_moment_matches_high_precision_oracle():
     # 1.6e-4 to cancellation; the second derivative's integral keeps
     # within its own error estimate
     times = np.array(sorted(HINGE_ORACLES))
-    trace = boundary_trace(_builtin_extension(), times, abs_tol=1e-8)
+    trace, _ = boundary_trace(_builtin_extension(), times, abs_tol=1e-8)
     for t, du, err in zip(times, trace.du, trace.err):
         assert abs(du / 1j - HINGE_ORACLES[t]) <= err, t
         assert err <= 2e-8
@@ -360,7 +360,7 @@ def test_kinked_eta0_jump_terms_match_the_order_two_integral(t):
     ext = _lifted_extension(hat)
     points, dg, dg1 = ext.jumps()
     assert np.count_nonzero(np.abs(dg1[1:]) > 0.1) == 2
-    trace = boundary_trace(ext, [t], abs_tol=1e-8)
+    trace, _ = boundary_trace(ext, [t], abs_tol=1e-8)
     v2, err2, _ = convolution_one(ext, t, 1.0, 2, ext.support, ext.breakpoints, abs_tol=1e-8)
     jumps = jump_terms_one(ext, t)
     assert abs(jumps) > 1e3 * (trace.err[0] + err2)
@@ -400,7 +400,7 @@ def test_wall_jump_term_counts_a_nonzero_theta0_at_zero():
     points, dg, dg1 = ext.jumps()
     assert points[0] == 0.0 and dg[0] == 1e-9
     t = 0.01
-    trace = boundary_trace(ext, [t], abs_tol=1e-8)
+    trace, _ = boundary_trace(ext, [t], abs_tol=1e-8)
     v2, err2, _ = convolution_one(ext, t, 1.0, 2, ext.support, ext.breakpoints, abs_tol=1e-8)
     wall = 2.0 * kernel_derivative(t, 1.0, 1) * 1e-9
     assert abs(wall) > 10 * (trace.err[0] + err2)

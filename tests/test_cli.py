@@ -471,6 +471,33 @@ def test_synthesis_bytes_do_not_depend_on_blas_threads():
     assert one == two
 
 
+def test_no_datum_values_outlive_their_synthesis():
+    # two data on the same breakpoints start every quadrature sample from
+    # the same panels; synthesized back to back in one interpreter, each
+    # gives the bytes it gives in a fresh one, so the second synthesis
+    # reads none of the first's datum values
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from schroflat import PiecewiseProfile\n"
+        "from schroflat.cli import reference_datum\n"
+        "from schroflat.flatness import synthesize\n"
+        "a = reference_datum()\n"
+        "data = {'a': a, 'b': PiecewiseProfile(a.breakpoints,\n"
+        "                                      [(1 - 2j) * p[::-1] for p in a.pieces])}\n"
+        "def digest(name):\n"
+        "    trace, fo, _ = synthesize(data[name], np.linspace(0.0, 0.5, 129), 0.35, 0.5,\n"
+        "                              1.9, 15, 15, derivative=True)\n"
+        "    h = hashlib.sha256()\n"
+        "    for a in (trace.u, trace.du, trace.err, fo.y):\n"
+        "        h.update(a.tobytes())\n"
+        "    return h.hexdigest()\n"
+    )
+    fresh = [_python(code + f"print(digest({name!r}))\n").split()[0] for name in "ab"]
+    assert fresh[0] != fresh[1]
+    assert _python(code + "print(digest('a'), digest('b'))\n").split() == fresh
+
+
 def test_main_numerical_error_exit(tmp_path, capsys):
     # a horizon of microseconds overflows the seed's order-61 kernel table
     # (i/2 tau)^61, which must surface as a numerical failure, not a crash

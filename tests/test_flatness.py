@@ -187,10 +187,15 @@ def test_truncation_sets_the_jet_order(K_u):
     assert np.isfinite(u) and np.isfinite(du) and tail > 0.0
 
 
-@pytest.mark.parametrize("K_u", [-1, 35])
+@pytest.mark.parametrize("K_u", [-1, 35, 7.5, 8.0, True])
 def test_truncation_out_of_range(K_u):
-    with pytest.raises(ValueError, match="K_u"):
+    with pytest.raises(ValueError, match="^K_u: need "):
         FlatOutput(0.35, _seed(), 0.5, 1.9, K_u)
+
+
+def test_settings_take_numpy_integers():
+    assert flatness.check_settings(1.4, 2.0, 1.6, np.int64(15), np.int32(0)) is None
+    assert FlatOutput(0.35, _seed(), 0.5, 1.9, np.int16(8)).jet_order == 14
 
 
 def test_time_domain_enforced(fo):
@@ -253,7 +258,7 @@ def test_gevrey_order_rejected_before_phase1(monkeypatch):
     def phase1(*args, **kwargs):
         raise AssertionError("phase 1 ran")
 
-    monkeypatch.setattr(flatness, "_boundary_trace", phase1)
+    monkeypatch.setattr(flatness, "boundary_trace", phase1)
     sc = builtin_scenarios()["gentle"]
     with pytest.raises(ValueError, match="s=1.1;"):
         synthesize(sc.theta0, sc.sim.times(), 1.4, 2.0, 1.1, 15, 15)
@@ -272,6 +277,12 @@ def test_gevrey_order_rejected_before_phase1(monkeypatch):
     ("tau", 1.0, 15, 15),
     ("K", 1.4, 31, 15),
     ("K_u", 1.4, 15, 35),
+    # a truncation is an integer, not a float or a bool, whatever its value
+    ("K", 1.4, 2.5, 15),
+    ("K", 1.4, 15.0, 15),
+    ("K", 1.4, True, 15),
+    ("K_u", 1.4, 15, 7.5),
+    ("K_u", 1.4, 15, True),
 ])
 def test_settings_rejected_before_any_convolution(monkeypatch, field, tau, K, K_u):
     # synthesize and beam_controls check tau, K and K_u (at T = 2) before

@@ -21,6 +21,27 @@ def test_config_validation():
         SimConfig(Nx=64, Nt=64, T=0.5, snapshot_count=1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("Nx", 32.5), ("Nx", 32.0), ("Nx", True), ("Nx", "32"),
+    ("Nt", 40.7), ("Nt", np.float64(64.0)),
+    ("snapshot_count", 3.5), ("snapshot_count", True),
+])
+def test_config_rejects_sizes_that_are_not_integers(field, value):
+    # checked by type, also where the value would pass the range check
+    sizes = {"Nx": 32, "Nt": 64, "snapshot_count": 3, field: value}
+    with pytest.raises(ValueError, match=rf"^{field}: need an integer, got "):
+        SimConfig(T=0.5, **sizes)
+
+
+def test_config_takes_numpy_integers_as_python_ints():
+    # kept as Python ints, whose sums cannot wrap: a uint8 Nt = 255 plus 1
+    # would be 0
+    cfg = SimConfig(Nx=np.int64(32), Nt=np.uint8(255), T=0.5, snapshot_count=np.int32(3))
+    assert cfg == SimConfig(Nx=32, Nt=255, T=0.5, snapshot_count=3)
+    assert all(type(v) is int for v in (cfg.Nx, cfg.Nt, cfg.snapshot_count))
+    assert cfg.times().size == 256
+
+
 def test_config_bounds_the_grid():
     # the ceiling is checked, not allocated: a config holds no table
     assert SimConfig(Nx=MAX_NX, Nt=16, T=0.5).Nx == MAX_NX

@@ -10,16 +10,18 @@ import pytest
 from schroflat import (ControlTrace, FlatOutput, PiecewiseProfile, QuadratureError,
                        boundary_trace, flat_coefficients, free_evolution)
 from schroflat import kernel, quadrature, smoothing
-from schroflat.beam import BeamData, beam_controls, extend_odd_smooth, lift_initial_data
+from schroflat.beam import (BeamData, ExtendedDatum, beam_controls, extend_odd_smooth,
+                           lift_initial_data)
 from schroflat.cli import (builtin_scenarios, main, pulse_datum, reference_datum,
                            synthesize_control)
+from schroflat.flatness import synthesize
 from schroflat.kernel import derivative_coefficients
 from schroflat.quadrature import NODES, integrate_batch
 from schroflat.smoothing import PHASE_SMOOTHING, _convolutions
 
 from conftest import assert_close
 from oracles import (CurvatureDatum, RestartedDatum, boundary_trace_every_time, convolution_one,
-                     odd_kernel, per_row, seed_series)
+                     odd_kernel, per_row, seed_series, synthesize_raw)
 
 I_TRACE = {
     0.1: -0.013427952255356212345 + 0.13368495946283665694j,
@@ -162,7 +164,7 @@ def test_profile_validation(bps, pieces):
 
 def test_boundary_trace_frozen_values(ref_datum):
     times = np.array(sorted(I_TRACE))
-    trace = boundary_trace(ref_datum, times, derivative=False)
+    trace, _ = boundary_trace(ref_datum, times, derivative=False)
     for t, u in zip(trace.t, trace.u):
         assert_close(u, I_TRACE[float(t)], rel=1e-8)
         assert trace.err[list(trace.t).index(t)] < 1e-7
@@ -174,7 +176,7 @@ def test_boundary_trace_with_derivative(ref_datum):
     # du = i * v_xx(t,1): the datum is piecewise constant, so its second
     # derivative vanishes and the jump terms carry the whole of v_xx; they
     # agree with the order-2 integral of the datum itself
-    trace = boundary_trace(ref_datum, np.array([0.35]))
+    trace, _ = boundary_trace(ref_datum, np.array([0.35]))
     v2, err2, _ = convolution_one(ref_datum, 0.35, 1.0, 2,
                                   breakpoints=ref_datum.breakpoints)
     assert abs(trace.du[0] - 1j * v2) <= trace.err[0] + err2 + 1e-14 * abs(v2)
@@ -187,7 +189,7 @@ def test_convolution_integrates_over_the_datum_breakpoints(ref_datum, t):
     # quadrature at them and the three values agree bit for bit
     (value,), _, _ = _convolutions(ref_datum, t, 1.0, (0,))
     assert value == free_evolution(ref_datum, t, 1.0)
-    assert value == boundary_trace(ref_datum, np.array([t]), derivative=False).u[0]
+    assert value == boundary_trace(ref_datum, np.array([t]), derivative=False)[0].u[0]
 
 
 def test_free_evolution_matches_trace(ref_datum):
@@ -247,7 +249,7 @@ def test_trace_at_small_time_fits_the_panel_budget():
     # of 2**16
     (value,), (err,), (panels,) = _convolutions(pulse_datum(), 1e-5, 1.0, (0,))
     assert panels == 24496
-    trace = boundary_trace(pulse_datum(), [1e-5], derivative=False)
+    trace, _ = boundary_trace(pulse_datum(), [1e-5], derivative=False)
     assert trace.u[0] == value and trace.err[0] == err
     assert err <= 1e-10
 
@@ -620,7 +622,7 @@ def test_reference_trace_doubles_its_interpolants_until_their_tails_fall(monkeyp
     times = sc.sim.times()
     t_grid = np.append(times[(times > 0) & (times < sc.tau)], sc.tau)
     batches = _record_convolutions(monkeypatch)
-    trace, integrals = smoothing._boundary_trace(sc.theta0, t_grid, derivative=False)
+    trace, integrals = boundary_trace(sc.theta0, t_grid, derivative=False)
     assert [t.size for t, _ in batches] == [248, 128, 87]
     assert integrals == 463
     tops, index = smoothing._dyadic_intervals(t_grid)
@@ -640,7 +642,7 @@ def test_trace_at_tau_is_its_own_quadrature_sample(ref_datum):
     # estimate, as a lone integral from the datum's breakpoints at the
     # points' tolerance gives them to rounding
     t_grid = np.linspace(0.01, 0.35, 400)
-    trace = boundary_trace(ref_datum, t_grid, derivative=False)
+    trace, _ = boundary_trace(ref_datum, t_grid, derivative=False)
     (value,), (err,), _ = _convolutions(ref_datum, 0.35, 1.0, (0,), 1e-10,
                                         tol_scale=1.0 / smoothing._LEBESGUE)
     assert abs(trace.u[-1] - value) <= 1e-15 * abs(value)
@@ -657,7 +659,7 @@ def test_failing_tails_integrate_every_grid_time(monkeypatch, pulse):
     times = sc.sim.times()
     t_grid = np.append(times[(times > 0) & (times < sc.tau)], sc.tau)
     batches = _record_convolutions(monkeypatch)
-    trace, integrals = smoothing._boundary_trace(pulse, t_grid, derivative=False)
+    trace, integrals = boundary_trace(pulse, t_grid, derivative=False)
     assert np.all(np.isin(t_grid, _integrated_times(batches)))
     assert integrals == sum(t.size for t, _ in batches) > t_grid.size
     every = boundary_trace_every_time(pulse, t_grid, derivative=False)
@@ -711,7 +713,7 @@ def test_interpolated_samples_meet_their_err_against_mpmath(monkeypatch, name):
     times = sc.sim.times()
     t_grid = np.append(times[(times > 0) & (times < sc.tau)], sc.tau)
     batches = _record_convolutions(monkeypatch)
-    trace = boundary_trace(sc.theta0, t_grid, derivative=False)
+    trace, _ = boundary_trace(sc.theta0, t_grid, derivative=False)
     interpolated = ~np.isin(t_grid, _integrated_times(batches))
     _, index = smoothing._dyadic_intervals(t_grid)
     checked = 0
@@ -738,8 +740,62 @@ def test_synthesis_phase1_integrals(name, integrals):
     assert diags["phase1_integrals"] == integrals
 
 
+def _synthesis_arguments(name):
+    """(datum, times, settings, options): the builtin scenario's synthesize
+    call, as its run makes it."""
+    sc = builtin_scenarios()[name]
+    settings = (sc.tau, sc.T, sc.s, sc.K, sc.K_u)
+    if sc.equation == "beam":
+        ext = extend_odd_smooth(lift_initial_data(BeamData(sc.eta0, sc.eta1)), sc.cutoff_s)
+        return ext, sc.sim.times(), settings, dict(derivative=True, abs_tol=1e-8)
+    return sc.theta0, sc.sim.times(), settings, {}
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("gentle", {"__call__": 1}), ("reference", {"__call__": 2}),
+    ("beam", {"with_curvature": 1})], ids=["gentle", "reference", "beam"])
+def test_synthesis_evaluates_each_panel_of_its_datum_once(monkeypatch, name, calls):
+    # the datum's calls on node tables in a builtin synthesis: one per
+    # table that holds a panel not evaluated before, against one per
+    # quadrature generation and seed (5, 5 and 13 calls).  Every later
+    # generation of gentle and the beam, and their seed, holds only panels
+    # of the first; reference's second generation adds panels.  The beam's
+    # with_curvature call gives the seed's g too
+    counts = {}
+
+    def count(cls, method):
+        original = getattr(cls, method)
+
+        def counted(self, y):
+            if np.ndim(y) == 2 and np.shape(y)[1] == NODES.size:
+                counts[method] = counts.get(method, 0) + 1
+            return original(self, y)
+
+        monkeypatch.setattr(cls, method, counted)
+
+    if name == "beam":
+        count(ExtendedDatum, "__call__")
+        count(ExtendedDatum, "with_curvature")
+    else:
+        count(PiecewiseProfile, "__call__")
+    _synthesize(name)
+    assert counts == calls
+
+
+@pytest.mark.parametrize("name", ["gentle", "reference", "beam"])
+def test_synthesis_matches_the_raw_datum_bitwise(name):
+    # the memo's rows have the bits of the datum's own evaluation on each
+    # node table, so the trace and the seed keep every bit
+    v0, times, settings, options = _synthesis_arguments(name)
+    trace, fo, _ = synthesize(v0, times, *settings, **options)
+    raw, seed = synthesize_raw(v0, times, *settings, **options)
+    for got, want in zip(trace._columns(), raw._columns()):
+        assert got.tobytes() == want.tobytes()
+    assert fo.y.tobytes() == seed.tobytes()
+
+
 def test_trace_of_no_times_is_empty(ref_datum):
-    trace = boundary_trace(ref_datum, np.zeros(0))
+    trace, _ = boundary_trace(ref_datum, np.zeros(0))
     assert trace.t.size == trace.u.size == trace.err.size == 0
 
 
