@@ -344,11 +344,13 @@ def eigenmode_error(snap):
 def run_schrodinger(sc: Scenario, out: Path):
     t0 = time.perf_counter()
     if sc.control == "none":
-        trace, diags = None, NO_CONTROL_DIAGS
+        trace, ub, diags = None, None, NO_CONTROL_DIAGS
     else:
         trace, _, diags = synthesize_control(sc)
+        # the trace starts at the first step; u(0) repeats its first sample
+        ub = np.concatenate([trace.u[:1], trace.u])
     t1 = time.perf_counter()
-    snapshots = simulate(sc.theta0, trace, sc.sim)
+    snapshots = simulate(sc.theta0, ub, sc.sim)
     t2 = time.perf_counter()
     rep = terminal_report(snapshots)
     entries = {

@@ -10,8 +10,9 @@ truncated series
     u(t)       = sum_k (-i)^k y^(k)(t) / (2k+1)!
     theta(t,x) = sum_k (-i)^k y^(k)(t) x^(2k+1) / (2k+1)!
 
-evaluated through one shared term computation, so the state at x=1
-reproduces the control bit for bit.
+evaluated through one shared term computation (_series_terms), so the
+state at x=1 reproduces the control bit for bit.  The package samples only
+u; the state's sum over x is a test oracle.
 
 One setting, FlatOutput.K_u, fixes the truncation: the series keep
 orders k <= K_u, and the flat output's derivatives are carried up to
@@ -33,14 +34,13 @@ bit-exact; a normalized-coefficient representation would lose that to the
 y/k!*k! round trip.
 """
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gevrey import MAX_JET_ORDER, check_order, step_jet
 from .smoothing import (MAX_SEED_ORDER, PHASE_FLATNESS, ControlTrace, _PanelMemo,
-                        boundary_trace, flat_coefficients)
+                        boundary_trace, check_integer, flat_coefficients)
 
 # (-i)^k, indexed by k mod 4
 _MIPOW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)
@@ -60,9 +60,8 @@ def check_settings(tau, T, s, K, K_u):
     0 <= K_u <= MAX_SERIES_TRUNCATION, both integers (numpy's too, but not
     bools).  It does no numerical work.
     """
-    for name, value in (("K", K), ("K_u", K_u)):
-        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name}: need an integer, got {value!r}")
+    check_integer("K", K)
+    check_integer("K_u", K_u)
     if not tau < T:
         raise ValueError(f"tau: need tau < T = {T}, got {tau}")
     if not tau > 2.0 * T / 3.0:
@@ -195,16 +194,6 @@ def _series_terms(fo: FlatOutput, t):
     terms = mipow * derivs[: fo.K_u + 1] / facts
     dterms = mipow * derivs[1: fo.K_u + 2] / facts
     return terms, dterms
-
-
-def state_series(fo: FlatOutput, t: float, x):
-    """Interior state theta(t,x); identical to the control at x=1."""
-    terms, _ = _series_terms(fo, float(t))
-    xa = np.asarray(x, dtype=np.float64)
-    value = np.zeros(xa.shape, dtype=np.complex128)
-    for k, term in enumerate(terms[:, 0]):
-        value += term * xa ** (2 * k + 1)
-    return complex(value) if np.ndim(x) == 0 else value
 
 
 def control_trace(fo: FlatOutput, t_grid) -> ControlTrace:

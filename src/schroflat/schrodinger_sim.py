@@ -7,12 +7,15 @@ residual L2 mass at t=T is attributable to the control, the truncation, or
 the grid, not to numerical dissipation.
 
 Boundary data enter through the right-hand side at both time levels of the
-step.  The scheme is not solved step by step: in the sine modes of the
-interior (see sine_modes) each step multiplies a mode by its unit-modulus
-Cayley factor and adds the boundary forcing, so whole chunks of steps are
-applied at once and the field is rebuilt only at snapshot times.  A run
-without boundary data (no control, or an all-zero one) skips the forcing
-products and computes only the powers of the Cayley factors it reads.
+step.  They are samples u(t_m) at x=1 on the march's own time grid, one per
+time level from t=0; a synthesized control starts at the first step, so a
+run repeats its first sample for u(0) (cli.run_schrodinger).  The scheme is
+not solved step by step: in the sine modes of the interior (see
+sine_modes) each step multiplies a mode by its unit-modulus Cayley factor
+and adds the boundary forcing, so whole chunks of steps are applied at
+once and the field is rebuilt only at snapshot times.  A run without
+boundary data (no control, or an all-zero one) skips the forcing products
+and computes only the powers of the Cayley factors it reads.
 """
 import numbers
 from dataclasses import dataclass
@@ -156,22 +159,24 @@ def _march(theta, ub, lam, snap_idx):
     return out
 
 
-def simulate(theta0, control, cfg: SimConfig):
+def simulate(theta0, ub, cfg: SimConfig):
     """Advance the controlled equation; returns snapshots, first at t=0,
     last at t=T.
 
-    theta0 is any callable sampled on the grid; control is a ControlTrace
-    (linearly interpolated onto the time grid) or None for u = 0.
+    theta0 is any callable sampled on the grid; ub holds the boundary
+    values at x=1 on cfg.times(), Nt + 1 samples from t=0, or is None for
+    u = 0.
     """
     x = np.linspace(0.0, 1.0, cfg.Nx + 1)
     theta = np.asarray(theta0(x), dtype=np.complex128)
     if theta.shape != x.shape:
         raise ValueError("initial profile must evaluate elementwise on the grid")
     times = cfg.times()
-    if control is None:
+    if ub is None:
         ub = np.zeros(times.size, dtype=np.complex128)
-    else:
-        ub = control.interpolate(times)
+    ub = np.asarray(ub, dtype=np.complex128)
+    if ub.shape != times.shape:
+        raise ValueError("boundary values must be sampled on the simulation time grid")
     snap_idx = cfg.snapshot_indices()
     frames = _march(theta, ub, cfg.dt / cfg.dx ** 2, snap_idx)
     snapshots = []

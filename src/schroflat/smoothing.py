@@ -51,6 +51,7 @@ the phase turns through at most _PHASE_SPAN radians across each
 would bisect down to them.
 """
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -261,11 +262,6 @@ class ControlTrace:
         pairs = zip(first._columns(), second._columns())
         return cls(*(np.concatenate(pair) for pair in pairs))
 
-    def interpolate(self, times):
-        re = np.interp(times, self.t, self.u.real)
-        im = np.interp(times, self.t, self.u.imag)
-        return re + 1j * im
-
 
 class _PanelMemo:
     """The datum v0 of one synthesis, evaluated once per quadrature panel.
@@ -430,17 +426,6 @@ def _convolutions(v0, t, x, orders, abs_tol=1e-10, curvature=False, tol_scale=1.
             f"{exc} at t={float(t[j])!r}, x={float(x[j])!r}, {name}",
             support * exc.value, support * exc.err_estimate, exc.sample) from exc
     return support * values, support * errs, panels
-
-
-def free_evolution(theta0, t, x):
-    """Smoothed state v(t,x) for the odd extension of theta0.
-
-    t and x may be arrays that broadcast together: all points then go
-    through one batched quadrature, and the values take their shape.
-    """
-    values = _convolutions(theta0, t, x, (0,))[0]
-    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
-    return complex(values[0]) if shape == () else values.reshape(shape)
 
 
 def _jump_terms(v0, t, x):
@@ -692,6 +677,13 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
     return ControlTrace(t_grid, values[:, 0], du, phase, err), integrals
 
 
+def check_integer(name, value):
+    """Raise ValueError, its message starting with name, unless value is an
+    integer: numpy's integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: need an integer, got {value!r}")
+
+
 def flat_coefficients(v0, tau, K):
     """The flat-output seed of the datum v0 at t=tau: the array y_0..y_K.
 
@@ -703,6 +695,7 @@ def flat_coefficients(v0, tau, K):
     """
     if not tau > 0:
         raise ValueError(f"tau: need tau > 0, got {tau}")
+    check_integer("K", K)
     if not 0 <= K <= MAX_SEED_ORDER:
         raise ValueError(f"K: need 0 <= K <= {MAX_SEED_ORDER}, got {K}")
     try:

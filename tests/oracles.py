@@ -24,9 +24,10 @@ the one-integral interface of the package's batched loop
 (IntegrationProblem, integrate) and a per-row integrand posed in that
 loop's two stages (per_row), the one-sample
 control series (control_at) and the checks that only tests need (the
-seed's state series, the Cauchy product of coefficient arrays, Gevrey
-bounds on Taylor coefficients, the step profile in its closed sigmoid
-form) live here as well.
+free evolution at any points (free_evolution), the seed's state series,
+the phase-2 state series over x (state_series), the Cauchy product of
+coefficient arrays, Gevrey bounds on Taylor coefficients, the step
+profile in its closed sigmoid form) live here as well.
 
 The package also marches both equations in sine modes, chunks of steps at
 a time.  The step-by-step banded solves of the same two schemes are kept
@@ -53,7 +54,7 @@ from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES, WEIGHTS_GAUSS
 from schroflat.beam import BeamResult, BeamSnapshot
 from schroflat.sine_modes import (CHUNK, apply_sine, chunk_states, complex_product,
                                   power_rows, sine_modes)
-from schroflat.flatness import _MIPOW, FlatOutput, control_trace
+from schroflat.flatness import _MIPOW, FlatOutput, _series_terms, control_trace
 from schroflat.smoothing import (_IPOW, _PHASE_SPAN, PHASE_SMOOTHING, ControlTrace,
                                  _convolutions, _jump_terms, boundary_trace,
                                  flat_coefficients)
@@ -374,6 +375,17 @@ def convolution_one(v0, t, x, m=0, support=1.0, breakpoints=(), abs_tol=1e-10):
     return support * value, support * err, used
 
 
+def free_evolution(theta0, t, x):
+    """Smoothed state v(t,x) for the odd extension of theta0.
+
+    t and x may be arrays that broadcast together: all points then go
+    through one batched quadrature, and the values take their shape.
+    """
+    values = _convolutions(theta0, t, x, (0,))[0]
+    shape = np.broadcast_shapes(np.shape(t), np.shape(x))
+    return complex(values[0]) if shape == () else values.reshape(shape)
+
+
 def jump_terms_one(v0, t, x=1.0):
     """sum over the jumps b of v0 of F(t,x,b) [v0'](b) - F_y(t,x,b) [v0](b),
     with F and F_y = -E'(t,x-y) - E'(t,x+y) from the translates."""
@@ -620,6 +632,16 @@ def control_at(fo, t):
     """(u, du, tail) of the package's phase-2 control at the one time t."""
     trace = control_trace(fo, [t])
     return trace.u[0], trace.du[0], trace.err[0]
+
+
+def state_series(fo: FlatOutput, t: float, x):
+    """Interior state theta(t,x); identical to the control at x=1."""
+    terms, _ = _series_terms(fo, float(t))
+    xa = np.asarray(x, dtype=np.float64)
+    value = np.zeros(xa.shape, dtype=np.complex128)
+    for k, term in enumerate(terms[:, 0]):
+        value += term * xa ** (2 * k + 1)
+    return complex(value) if np.ndim(x) == 0 else value
 
 
 def control_series_one(fo, t):

@@ -27,7 +27,6 @@ import pytest
 
 from schroflat import (
     BeamData,
-    ControlTrace,
     FlatOutput,
     SimConfig,
     beam_controls,
@@ -36,17 +35,15 @@ from schroflat import (
     control_trace,
     flat_coefficients,
     flat_output_derivatives,
-    free_evolution,
     lift_initial_data,
     simulate,
-    state_series,
 )
 from schroflat.quadrature import NODES, WEIGHTS_KRONROD
 from schroflat.schrodinger_sim import grid_l2_norm
 from schroflat.smoothing import PiecewiseProfile
 from schroflat.cli import builtin_scenarios, sine_profile, synthesize_control
 
-from oracles import kernel_derivative, odd_kernel
+from oracles import free_evolution, kernel_derivative, odd_kernel, state_series
 
 
 @pytest.fixture
@@ -85,9 +82,8 @@ def _flat_phase_march(sc, fo, lvl):
                     snapshot_count=kept.size)
     assert np.array_equal(cfg.snapshot_indices(), kept)
     flat = control_trace(fo, times)
-    trace = ControlTrace(cfg.times(), flat.u, flat.du, flat.phase, flat.err)
 
-    snaps = simulate(lambda x: free_evolution(sc.theta0, sc.tau, x), trace, cfg)
+    snaps = simulate(lambda x: free_evolution(sc.theta0, sc.tau, x), flat.u, cfg)
     return [replace(snap, t=float(times[i])) for snap, i in zip(snaps, kept)]
 
 
@@ -273,7 +269,8 @@ def test_criterion_8_beam_steering_and_lift(announce, beam_bundle):
 
     # the real part of the lifted complex field must shadow the displacement
     theta0 = lift_initial_data(data)
-    snaps = simulate(theta0, ctl.trace, cfg)
+    ub = np.concatenate([ctl.trace.u[:1], ctl.trace.u])
+    snaps = simulate(theta0, ub, cfg)
     beam_at = {s.t: s for s in result.snapshots}
     lift_err = 0.0
     for s in snaps:

@@ -14,14 +14,13 @@ from hypothesis import strategies as st
 
 from schroflat import (BeamData, FlatOutput, PiecewiseProfile, beam_controls,
                        control_trace, extend_odd_smooth, flat_coefficients,
-                       flat_output_derivatives, lift_initial_data, state_series,
-                       synthesize)
+                       flat_output_derivatives, lift_initial_data, synthesize)
 from schroflat import flatness, smoothing
 from schroflat.cli import builtin_scenarios, sine_profile
 from schroflat.flatness import _analytic_derivatives
 from schroflat.smoothing import PHASE_FLATNESS, PHASE_SMOOTHING
 
-from oracles import control_at, seed_series, step_function
+from oracles import control_at, seed_series, state_series, step_function
 
 
 @pytest.fixture(scope="module")

@@ -24,7 +24,7 @@ from schroflat import BeamData, SimConfig, beam_controls, beam_simulate, simulat
 from schroflat.cli import builtin_scenarios, pulse_datum, sine_profile, synthesize_control
 from schroflat.schrodinger_sim import MAX_NX, _march
 from schroflat.sine_modes import CHUNK, complex_product, power_rows, sine_modes
-from schroflat.smoothing import ControlTrace, PiecewiseProfile
+from schroflat.smoothing import PiecewiseProfile
 
 from oracles import (beam_simulate_banded, beam_simulate_grid, march_banded, march_chunked,
                      sine_modes_direct)
@@ -65,13 +65,17 @@ def _assert_frames_close(frames, reference, theta_max):
     assert np.max(np.abs(frames - reference)) <= FRAME_TOL * theta_max
 
 
-def _march_both(theta0, trace, cfg, oracle=march_banded):
+def _grid_samples(trace):
+    # the trace starts at the first step; u(0) repeats its first sample
+    return np.concatenate([trace.u[:1], trace.u])
+
+
+def _march_both(theta0, ub, cfg, oracle=march_banded):
     x = np.linspace(0.0, 1.0, cfg.Nx + 1)
     theta = np.asarray(theta0(x), dtype=np.complex128)
-    times = cfg.times()
-    ub = (np.zeros(times.size, dtype=np.complex128) if trace is None
-          else trace.interpolate(times))
-    snaps = simulate(theta0, trace, cfg)
+    snaps = simulate(theta0, ub, cfg)
+    if ub is None:
+        ub = np.zeros(cfg.Nt + 1, dtype=np.complex128)
     frames = np.array([s.values for s in snaps])
     reference = oracle(theta, ub, cfg.dt / cfg.dx ** 2, cfg.snapshot_indices())
     return frames, reference, np.max(np.abs(frames))
@@ -81,7 +85,7 @@ def test_controlled_run_matches_banded_march():
     sc = builtin_scenarios()["gentle"]
     assert (sc.sim.Nx, sc.sim.Nt) == (200, 4000)
     trace, _, _ = synthesize_control(sc)
-    frames, reference, theta_max = _march_both(sc.theta0, trace, sc.sim)
+    frames, reference, theta_max = _march_both(sc.theta0, _grid_samples(trace), sc.sim)
     _assert_frames_close(frames, reference, theta_max)
 
 
@@ -111,7 +115,7 @@ def test_forced_run_matches_chunked_march_bit_for_bit():
     sc = builtin_scenarios()["gentle"]
     sc = dataclasses.replace(sc, sim=SimConfig(Nx=64, Nt=1000, T=sc.T, snapshot_count=7))
     trace, _, _ = synthesize_control(sc)
-    frames, chunked, _ = _march_both(sc.theta0, trace, sc.sim, march_chunked)
+    frames, chunked, _ = _march_both(sc.theta0, _grid_samples(trace), sc.sim, march_chunked)
     assert frames.tobytes() == chunked.tobytes()
 
 
@@ -131,18 +135,14 @@ def test_free_run_builds_only_the_power_rows_it_reads(monkeypatch):
     monkeypatch.setattr(schrodinger_sim, "complex_product", counted_product)
     cfg = SimConfig(Nx=16, Nt=20000, T=0.5, snapshot_count=11)
     t = cfg.times()
-    zero = np.zeros_like(t)
-
-    def trace(u):
-        return ControlTrace(t, u, zero, zero, zero)
 
     # no control, or an all-zero one as the zero builtin synthesizes
-    for control in (None, trace(zero)):
+    for ub in (None, np.zeros_like(t)):
         built.clear()
-        simulate(sine_profile(), control, cfg)
+        simulate(sine_profile(), ub, cfg)
         assert sorted(built) == [1, 208, CHUNK] and products == []
     built.clear()
-    simulate(sine_profile(), trace(1e-3 * np.sin(t)), cfg)
+    simulate(sine_profile(), 1e-3 * np.sin(t), cfg)
     assert sorted(built) == list(range(CHUNK + 1)) and len(products) == 80
 
 

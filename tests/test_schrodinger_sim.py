@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from schroflat import ControlTrace, SimConfig, simulate, terminal_report
+from schroflat import SimConfig, schrodinger_sim, simulate, terminal_report
 from schroflat.schrodinger_sim import MAX_FRAME_CELLS, MAX_NT, MAX_NX, grid_l2_norm
 from schroflat.cli import sine_profile
 
@@ -148,15 +148,24 @@ def test_snapshots_cover_interval():
 
 
 def test_dirichlet_control_enters_boundary():
-    n = 65
-    t = np.linspace(0.0, 0.5, n)
-    u = (0.3 + 0.1j) * np.ones(n, dtype=np.complex128)
-    trace = ControlTrace(t, u, np.zeros(n, dtype=np.complex128),
-                         np.zeros(n, dtype=np.uint8), np.zeros(n))
     cfg = SimConfig(Nx=32, Nt=64, T=0.5, snapshot_count=3)
-    snaps = simulate(lambda x: np.zeros_like(x, dtype=np.complex128), trace, cfg)
+    ub = np.full(cfg.Nt + 1, 0.3 + 0.1j)
+    snaps = simulate(lambda x: np.zeros_like(x, dtype=np.complex128), ub, cfg)
     assert snaps[-1].values[-1] == 0.3 + 0.1j
     assert snaps[-1].l2_norm > 0.0  # mass flowed in through the boundary
+
+
+def test_boundary_values_shape_checked(monkeypatch):
+    # one sample per time level, Nt + 1 of them, checked before any march
+    def no_march(*args):
+        raise AssertionError("marched misshapen boundary data")
+
+    monkeypatch.setattr(schrodinger_sim, "_march", no_march)
+    cfg = SimConfig(Nx=32, Nt=64, T=0.5, snapshot_count=3)
+    good = np.zeros(cfg.Nt + 1, dtype=np.complex128)
+    for ub in (good[:-1], np.append(good, 0.0), good[None, :]):
+        with pytest.raises(ValueError):
+            simulate(sine_profile(), ub, cfg)
 
 
 def test_grid_l2_norm_trapezoid():

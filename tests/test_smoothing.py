@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from schroflat import (ControlTrace, FlatOutput, PiecewiseProfile, QuadratureError,
-                       boundary_trace, flat_coefficients, free_evolution)
+                       boundary_trace, flat_coefficients)
 from schroflat import kernel, quadrature, smoothing
 from schroflat.beam import (BeamData, ExtendedDatum, beam_controls, extend_odd_smooth,
                            lift_initial_data)
@@ -21,7 +21,7 @@ from schroflat.smoothing import PHASE_SMOOTHING, _convolutions
 
 from conftest import assert_close
 from oracles import (CurvatureDatum, RestartedDatum, boundary_trace_every_time, convolution_one,
-                     odd_kernel, per_row, seed_series, synthesize_raw)
+                     free_evolution, odd_kernel, per_row, seed_series, synthesize_raw)
 
 I_TRACE = {
     0.1: -0.013427952255356212345 + 0.13368495946283665694j,
@@ -877,6 +877,14 @@ def test_flat_coefficients_validation(ref_datum):
         flat_coefficients(ref_datum, 0.0, 5)
     with pytest.raises(ValueError):
         flat_coefficients(ref_datum, 0.35, 31)
+    # the seed order is an integer, as check_settings asks: not a bool,
+    # which would pass the range check as 1, nor an integral float
+    for K in (True, False, 2.0, 2.5, "3"):
+        with pytest.raises(ValueError, match=r"^K: need an integer"):
+            flat_coefficients(ref_datum, 0.35, K)
+    # numpy's integers pass, with the bits of the Python int's seed
+    assert flat_coefficients(ref_datum, 0.35, np.int64(2)).tobytes() == \
+        flat_coefficients(ref_datum, 0.35, 2).tobytes()
 
 
 # ------------------------------------------------------------ control trace
@@ -898,15 +906,9 @@ def test_trace_validation():
                      np.zeros(2, dtype=np.uint8), np.zeros(2))
 
 
-def test_trace_concat_and_interpolation():
+def test_trace_concat():
     a = _trace(5)
     b = _trace(4, t0=1.0)
     full = ControlTrace.concat(a, b)
     assert full.t.size == 9
     assert np.all(np.diff(full.t) > 0)
-    # interpolation reproduces samples exactly and clamps left of the grid
-    np.testing.assert_allclose(full.interpolate(full.t), full.u, rtol=1e-15)
-    assert full.interpolate(np.array([0.0]))[0] == full.u[0]
-    mid = 0.5 * (full.t[2] + full.t[3])
-    expect = 0.5 * (full.u[2] + full.u[3])
-    assert abs(full.interpolate(np.array([mid]))[0] - expect) < 1e-15
