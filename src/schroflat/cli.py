@@ -11,6 +11,7 @@ All numerical paths use fixed summation orders and no wall-clock state, so
 identical configurations reproduce identical CSV bytes.
 """
 import argparse
+import ctypes
 import sys
 import time
 from dataclasses import dataclass, replace
@@ -523,7 +524,44 @@ def selftest():
 
 # ------------------------------------------------------------------ main
 
+# glibc's mallopt parameters M_TRIM_THRESHOLD and M_MMAP_THRESHOLD, and the
+# values main sets.  By default glibc serves each block of 128 KiB or more
+# (a kernel row of 2^14 points, a march chunk, a phase-2 jet) from its own
+# mmap and unmaps it on free, so numpy temporaries fault their pages in
+# afresh: about 4,500 minor faults in a fresh run of perfbench's reference
+# workload, 870 with these values.  Every block up to 32 MiB, glibc's
+# largest threshold, now comes from the heap, which returns its free top
+# to the kernel only beyond 64 MiB.  A set threshold also ends glibc's
+# rule of raising it to the size of each mapped block freed, so a lower
+# one (1 MiB kept the free march's peak memory 1 MB lower) would map a
+# repeated 8 MiB temporary afresh on every use.
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 * 2 ** 20
+_TRIM_THRESHOLD_BYTES = 64 * 2 ** 20
+
+
+def keep_freed_memory():
+    """Have the C allocator keep freed blocks in the heap for reuse; True
+    where it took both settings.
+
+    The settings hold for the whole process, so the command sets them and
+    the library does not: importing schroflat leaves its caller's allocator
+    as it was.  Where the C library has no mallopt (macOS, Windows, whose
+    CDLL(None) raises) this does nothing.  No value computed changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES),
+                mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)])
+
+
 def main(argv=None):
+    keep_freed_memory()
     parser = argparse.ArgumentParser(
         prog="schroflat",
         description="Boundary-control synthesis and verification for the "

@@ -39,8 +39,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gevrey import MAX_JET_ORDER, check_order, step_jet
+from .schrodinger_sim import check_integer
 from .smoothing import (MAX_SEED_ORDER, PHASE_FLATNESS, ControlTrace, _PanelMemo,
-                        boundary_trace, check_integer, flat_coefficients)
+                        boundary_trace, flat_coefficients)
 
 # (-i)^k, indexed by k mod 4
 _MIPOW = (1.0 + 0.0j, -1.0j, -1.0 + 0.0j, 1.0j)

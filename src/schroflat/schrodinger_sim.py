@@ -50,6 +50,13 @@ MAX_NT = 2 ** 20
 MAX_FRAME_CELLS = 2 ** 22
 
 
+def check_integer(name, value):
+    """Raise ValueError, its message starting with name, unless value is an
+    integer: numpy's integers pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name}: need an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     Nx: int
@@ -63,8 +70,7 @@ class SimConfig:
         # products below cannot wrap as a small numpy integer's would
         for field in ("Nx", "Nt", "snapshot_count"):
             value = getattr(self, field)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{field}: need an integer, got {value!r}")
+            check_integer(field, value)
             object.__setattr__(self, field, int(value))
         if not 16 <= self.Nx <= MAX_NX:
             raise ValueError(f"Nx: need 16 <= Nx <= {MAX_NX}, got {self.Nx}")

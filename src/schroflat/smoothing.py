@@ -51,13 +51,13 @@ the phase turns through at most _PHASE_SPAN radians across each
 would bisect down to them.
 """
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .kernel import MAX_ORDER, derivative_coefficients, horner, odd_kernel
 from .quadrature import NODES, QuadratureError, _distinct_panels, integrate_batch
+from .schrodinger_sim import check_integer
 
 _EPS = np.finfo(np.float64).eps
 
@@ -675,13 +675,6 @@ def boundary_trace(v0, t_grid, derivative=True, abs_tol=1e-10):
         du = np.zeros(t_grid.size, dtype=np.complex128)
     phase = np.full(t_grid.size, PHASE_SMOOTHING, dtype=np.uint8)
     return ControlTrace(t_grid, values[:, 0], du, phase, err), integrals
-
-
-def check_integer(name, value):
-    """Raise ValueError, its message starting with name, unless value is an
-    integer: numpy's integers pass, bools do not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name}: need an integer, got {value!r}")
 
 
 def flat_coefficients(v0, tau, K):
