@@ -528,39 +528,42 @@ def selftest():
 # values main sets.  By default glibc serves each block of 128 KiB or more
 # (a kernel row of 2^14 points, a march chunk, a phase-2 jet) from its own
 # mmap and unmaps it on free, so numpy temporaries fault their pages in
-# afresh: about 4,500 minor faults in a fresh run of perfbench's reference
-# workload, 870 with these values.  Every block up to 32 MiB, glibc's
-# largest threshold, now comes from the heap, which returns its free top
-# to the kernel only beyond 64 MiB.  A set threshold also ends glibc's
-# rule of raising it to the size of each mapped block freed, so a lower
-# one (1 MiB kept the free march's peak memory 1 MB lower) would map a
-# repeated 8 MiB temporary afresh on every use.
+# afresh.  Blocks up to 4 MiB now come from the heap, which returns its
+# free top to the kernel beyond 8 MiB, twice the mmap threshold as in
+# glibc's own dynamic rule.  Higher values keep more freed memory resident
+# for no faster run.  Setting a threshold turns the dynamic rule off, so a
+# block above 4 MiB is mapped afresh on every use.
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
-_MMAP_THRESHOLD_BYTES = 32 * 2 ** 20
-_TRIM_THRESHOLD_BYTES = 64 * 2 ** 20
+_MMAP_THRESHOLD_BYTES = 4 * 2 ** 20
+_TRIM_THRESHOLD_BYTES = 8 * 2 ** 20
 
 
 def keep_freed_memory():
-    """Have the C allocator keep freed blocks in the heap for reuse; True
-    where it took both settings.
+    """Have the C allocator keep freed blocks in the heap for reuse.
 
-    The settings hold for the whole process, so the command sets them and
-    the library does not: importing schroflat leaves its caller's allocator
-    as it was.  Where the C library has no mallopt (macOS, Windows, whose
+    The settings hold for the whole process, so main makes them and the
+    library does not: importing schroflat leaves its caller's allocator as
+    it was.  Where the C library has no mallopt (macOS, Windows, whose
     CDLL(None) raises) this does nothing.  No value computed changes.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, TypeError, AttributeError):
-        return False
+        return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    return all([mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES),
-                mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)])
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
 def main(argv=None):
+    """The schroflat command; returns its exit code.
+
+    It first calls keep_freed_memory, whose allocator settings hold for the
+    rest of the process: calling main from Python leaves them set in the
+    caller's process after main returns.
+    """
     keep_freed_memory()
     parser = argparse.ArgumentParser(
         prog="schroflat",

@@ -455,15 +455,15 @@ def _python(code, **env):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's mallopt")
 def test_freed_temporaries_stay_in_the_heap():
     # in a fresh interpreter, whose heap pytest has not grown: by default
-    # glibc maps an 8 MiB block afresh after its free, and touching the
-    # second block took 465 minor faults on a 2-core Xeon host
+    # glibc maps a 2 MiB block afresh, and after its free grows the heap for
+    # the next one, so the second touch faults its pages in again
     code = (
         "import resource\n"
         "import numpy as np\n"
         "from schroflat.cli import keep_freed_memory\n"
-        "assert keep_freed_memory()\n"
+        "keep_freed_memory()\n"
         "def touch():\n"
-        "    a = np.empty(2 ** 20)\n"
+        "    a = np.empty(2 ** 18)\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
         "    a.fill(1.0)\n"
         "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
@@ -490,9 +490,8 @@ def test_main_runs_where_the_c_library_has_no_mallopt(tmp_path, monkeypatch, cdl
     assert main(["run", "--scenario", "zero", "--out-dir", str(tmp_path / "a")]) == EXIT_OK
     names = []
     monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: names.append(name) or cdll(name))
-    assert cli.keep_freed_memory() is False
     assert main(["run", "--scenario", "zero", "--out-dir", str(tmp_path / "b")]) == EXIT_OK
-    assert names == [None, None]
+    assert names == [None]
     files = sorted(p.name for p in (tmp_path / "a").iterdir())
     assert files == sorted(p.name for p in (tmp_path / "b").iterdir())
     for name in files:
