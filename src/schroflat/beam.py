@@ -26,8 +26,7 @@ import numpy as np
 
 from .flatness import DEFAULT_SERIES_TRUNCATION, synthesize
 from .gevrey import check_order, step_jet
-from .kernel import horner
-from .schrodinger_sim import SimConfig
+from .schrodinger_sim import SimConfig, check_real
 from .sine_modes import CHUNK, chunk_states, power_rows, sine_modes
 from .smoothing import ControlTrace, PiecewiseProfile
 
@@ -42,11 +41,6 @@ _ENDPOINT_TOL = 1e-8
 
 class BeamError(ValueError):
     pass
-
-
-def _poly_antiderivative(coeffs):
-    c = np.asarray(coeffs, dtype=np.complex128)
-    return np.concatenate([[0.0], c / np.arange(1, c.size + 1)])
 
 
 @dataclass(eq=False)
@@ -68,62 +62,13 @@ def poisson_profile(eta1: PiecewiseProfile) -> PiecewiseProfile:
     With R the double antiderivative of eta1 (R(0)=R'(0)=0, continuous
     across pieces), psi(x) = R(1)*x - R(x).
     """
-    r_pieces = []
-    r_val = 0.0 + 0.0j
-    r_slope = 0.0 + 0.0j
-    edges = eta1.edges
-    for (a, b), c in zip(zip(edges[:-1], edges[1:]), eta1.pieces):
-        p = _poly_antiderivative(c)
-        q = _poly_antiderivative(p)
-        pa = horner(p, np.array([a]))[0]
-        qa = horner(q, np.array([a]))[0]
-        # R(x) = Q(x) + (slope - P(a)) x + const on this piece
-        lin = r_slope - pa
-        const = r_val - qa - lin * a
-        rp = q.copy()
-        rp[1] += lin
-        rp[0] += const
-        r_pieces.append(rp)
-        r_val = horner(rp, np.array([b]))[0]
-        pb = horner(p, np.array([b]))[0]
-        r_slope = r_slope + (pb - pa)
-    r1 = r_val
-    psi_pieces = []
-    for rp in r_pieces:
-        pp = -rp.copy()
-        if pp.size < 2:
-            pp = np.concatenate([pp, [0.0]])
-        pp[1] += r1
-        psi_pieces.append(pp)
-    return PiecewiseProfile(eta1.breakpoints, psi_pieces)
-
-
-def _merge_breakpoints(a: PiecewiseProfile, b: PiecewiseProfile):
-    return tuple(sorted(set(a.breakpoints) | set(b.breakpoints)))
-
-
-def _piece_on(profile: PiecewiseProfile, a, b):
-    mid = 0.5 * (a + b)
-    idx = int(np.searchsorted(profile.edges, mid, side="right")) - 1
-    idx = min(max(idx, 0), len(profile.pieces) - 1)
-    return profile.pieces[idx]
+    r = eta1.antiderivative().antiderivative()
+    return PiecewiseProfile((), [[0.0, r(1.0)]]) - r
 
 
 def lift_initial_data(data: BeamData) -> PiecewiseProfile:
-    """theta0 = eta0 + i*psi on the merged piece layout."""
-    psi = poisson_profile(data.eta1)
-    bps = _merge_breakpoints(data.eta0, psi)
-    edges = [0.0, *bps, 1.0]
-    pieces = []
-    for a, b in zip(edges[:-1], edges[1:]):
-        pe = _piece_on(data.eta0, a, b)
-        pp = _piece_on(psi, a, b)
-        n = max(pe.size, pp.size)
-        c = np.zeros(n, dtype=np.complex128)
-        c[:pe.size] += pe
-        c[:pp.size] += 1j * pp
-        pieces.append(c)
-    return PiecewiseProfile(bps, pieces)
+    """theta0 = eta0 + i*psi on the union of their breakpoints."""
+    return data.eta0 + 1j * poisson_profile(data.eta1)
 
 
 @dataclass(eq=False)
@@ -207,6 +152,7 @@ class ExtendedDatum:
 
 def extend_odd_smooth(theta0: PiecewiseProfile,
                       cutoff_s: float = DEFAULT_CUTOFF_S) -> ExtendedDatum:
+    check_real("cutoff_s", cutoff_s)
     check_order(cutoff_s)
     if abs(theta0(0.0)) > _ENDPOINT_TOL or abs(theta0(1.0)) > _ENDPOINT_TOL:
         raise BeamError("extension requires theta0 vanishing at both ends")

@@ -52,12 +52,9 @@ def pulse_datum():
     Vanishes with two derivatives at both ends, so the odd extension stays
     C^2 and the simulator propagates it without grid-scale dispersion.
     """
-    re = np.array([0, 0, 0, 20.0, -60.0, 60.0, -20.0])
-    im = np.array([0, 0, 0, 20.0, -100.0, 180.0, -140.0, 40.0])
-    c = np.zeros(8, dtype=np.complex128)
-    c[:7] += re
-    c += 1j * im
-    return PiecewiseProfile((), [c])
+    re = PiecewiseProfile((), [[0, 0, 0, 20.0, -60.0, 60.0, -20.0]])
+    im = PiecewiseProfile((), [[0, 0, 0, 20.0, -100.0, 180.0, -140.0, 40.0]])
+    return re + 1j * im
 
 
 def sine_profile():

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gevrey import MAX_JET_ORDER, check_order, step_jet
-from .schrodinger_sim import check_integer
+from .schrodinger_sim import check_integer, check_real
 from .smoothing import (MAX_SEED_ORDER, PHASE_FLATNESS, ControlTrace, _PanelMemo,
                         boundary_trace, flat_coefficients)
 
@@ -59,10 +59,13 @@ def check_settings(tau, T, s, K, K_u):
     order s with jets at every time (gevrey.check_order), a seed order
     0 <= K <= MAX_SEED_ORDER and a series truncation
     0 <= K_u <= MAX_SERIES_TRUNCATION, both integers (numpy's too, but not
-    bools).  It does no numerical work.
+    bools), and tau, T and s real numbers (numpy's too, but not bools).  It
+    does no numerical work.
     """
     check_integer("K", K)
     check_integer("K_u", K_u)
+    for name, value in (("tau", tau), ("T", T), ("s", s)):
+        check_real(name, value)
     if not tau < T:
         raise ValueError(f"tau: need tau < T = {T}, got {tau}")
     if not tau > 2.0 * T / 3.0:

@@ -57,6 +57,13 @@ def check_integer(name, value):
         raise ValueError(f"{name}: need an integer, got {value!r}")
 
 
+def check_real(name, value):
+    """Raise ValueError, its message starting with name, unless value is a
+    real number: Python's and numpy's reals pass, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name}: need a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     Nx: int
@@ -67,11 +74,13 @@ class SimConfig:
     def __post_init__(self):
         # each message names its field.  A size is an integer, numpy's too,
         # but not a bool; it is kept as a Python int, whose sums and
-        # products below cannot wrap as a small numpy integer's would
+        # products below cannot wrap as a small numpy integer's would.  T is
+        # a real number, numpy's too, but not a bool either
         for field in ("Nx", "Nt", "snapshot_count"):
             value = getattr(self, field)
             check_integer(field, value)
             object.__setattr__(self, field, int(value))
+        check_real("T", self.T)
         if not 16 <= self.Nx <= MAX_NX:
             raise ValueError(f"Nx: need 16 <= Nx <= {MAX_NX}, got {self.Nx}")
         if not 16 <= self.Nt <= MAX_NT:

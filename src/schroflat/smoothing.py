@@ -57,7 +57,7 @@ import numpy as np
 
 from .kernel import MAX_ORDER, derivative_coefficients, horner, odd_kernel
 from .quadrature import NODES, QuadratureError, _distinct_panels, integrate_batch
-from .schrodinger_sim import check_integer
+from .schrodinger_sim import check_integer, check_real
 
 _EPS = np.finfo(np.float64).eps
 
@@ -112,9 +112,14 @@ class PiecewiseProfile:
     take its own coefficients, with nothing broadcast.  Any other input is
     evaluated per element.  All give every node the same Horner steps, so
     the same bits.
+
+    antiderivative() and the sums a + b, a - b and c * a, on the union of
+    both breakpoints, are the algebra of the beam's lift eta0 + i psi.
     """
 
     support = 1.0
+    # numpy scalars defer to the operators below instead of broadcasting
+    __array_ufunc__ = None
 
     def __init__(self, breakpoints, pieces):
         self.breakpoints = tuple(float(b) for b in breakpoints)
@@ -140,14 +145,17 @@ class PiecewiseProfile:
     def zero(cls):
         return cls((), [[0.0]])
 
+    def _piece_index(self, x):
+        """The piece each x lies in: a breakpoint starts the piece on its
+        right, and x outside [0, 1) takes the nearer end piece."""
+        return np.clip(np.searchsorted(self.edges, x, side="right") - 1, 0, len(self.pieces) - 1)
+
     def _by_rows(self, xa):
         """The values at a 2-D xa whose every row lies strictly inside one
         piece, or None if some row does not."""
         if xa.ndim != 2 or xa.size == 0:
             return None
-        piece = np.searchsorted(self.edges, xa[:, 0], side="right") - 1
-        if piece.min() < 0 or piece.max() >= len(self.pieces):
-            return None
+        piece = self._piece_index(xa[:, 0])
         if not (np.all(xa > self.edges[piece, None])
                 and np.all(xa < self.edges[piece + 1, None])):
             return None
@@ -169,8 +177,7 @@ class PiecewiseProfile:
         if out is not None:
             return out
         out = np.zeros(xa.shape, dtype=np.complex128)
-        idx = np.searchsorted(self.edges, xa, side="right") - 1
-        np.clip(idx, 0, len(self.pieces) - 1, out=idx)
+        idx = self._piece_index(xa)
         inside = (xa >= 0.0) & (xa <= 1.0)
         for i, coeffs in enumerate(self.pieces):
             mask = inside & (idx == i)
@@ -193,6 +200,40 @@ class PiecewiseProfile:
                 c = c[1:] * np.arange(1, c.size)
             pieces.append(c if c.size else [0.0])
         return PiecewiseProfile(self.breakpoints, pieces)
+
+    def antiderivative(self):
+        """The antiderivative zero at x = 0: each piece's constant takes it
+        to the previous piece's value at their common breakpoint."""
+        pieces, value = [], 0.0
+        for a, b, c in zip(self.edges[:-1], self.edges[1:], self.pieces):
+            p = np.concatenate([[0.0], c / np.arange(1, c.size + 1)])
+            p[0] = value - horner(p, a)
+            value = horner(p, b)
+            pieces.append(p)
+        return PiecewiseProfile(self.breakpoints, pieces)
+
+    def _plus(self, other, factor):
+        """self + factor * other, each merged piece adding those at its midpoint."""
+        breakpoints = tuple(sorted(set(self.breakpoints) | set(other.breakpoints)))
+        edges = np.array([0.0, *breakpoints, 1.0])
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        pieces = []
+        for i, j in zip(self._piece_index(mid), other._piece_index(mid)):
+            a, b = self.pieces[i], other.pieces[j]
+            c = np.zeros(max(a.size, b.size), dtype=np.complex128)
+            c[:a.size] += a
+            c[:b.size] += factor * b
+            pieces.append(c)
+        return PiecewiseProfile(breakpoints, pieces)
+
+    def __add__(self, other):
+        return self._plus(other, 1.0)
+
+    def __sub__(self, other):
+        return self._plus(other, -1.0)
+
+    def __rmul__(self, factor):
+        return PiecewiseProfile(self.breakpoints, [factor * p for p in self.pieces])
 
     def with_curvature(self, x):
         """The profile and its second derivative at x, stacked."""
@@ -686,6 +727,7 @@ def flat_coefficients(v0, tau, K):
     that exhausts the quadrature's panel budget raises QuadratureError
     naming k, with sample = k and the best estimate of y_k and its error.
     """
+    check_real("tau", tau)
     if not tau > 0:
         raise ValueError(f"tau: need tau > 0, got {tau}")
     check_integer("K", K)

@@ -38,6 +38,34 @@ def test_poisson_profile_piecewise_matches_grid_solve():
     assert psi(0.0) == 0.0 and abs(psi(1.0)) < 1e-15
 
 
+def test_poisson_profile_hat_load_closed_form():
+    # -psi'' = 2x on (0, 1/2), 2 - 2x on (1/2, 1): psi = x/4 - x^3/3, then
+    # x^3/3 - x^2 + 3x/4 - 1/12, symmetric about 1/2
+    eta1 = PiecewiseProfile((0.5,), [[0.0, 2.0], [2.0, -2.0]])
+    psi = poisson_profile(eta1)
+    assert psi.breakpoints == (0.5,)
+    xs = np.linspace(0.0, 1.0, 41)
+    want = np.where(xs <= 0.5, xs / 4 - xs ** 3 / 3, xs ** 3 / 3 - xs ** 2 + 3 * xs / 4 - 1 / 12)
+    np.testing.assert_allclose(psi(xs), want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("eta1", [
+    PiecewiseProfile((0.5,), [[0.0, 2.0], [2.0, -2.0]]),
+    PiecewiseProfile((0.3, 0.6), [[1.0], [0.5, -1j], [2.0, 0.0, 3.0]]),
+])
+def test_poisson_profile_solves_the_hinged_problem(eta1):
+    # -psi'' = eta1 piece by piece, psi and psi' continuous, psi(0) = psi(1) = 0,
+    # all to rounding
+    psi = poisson_profile(eta1)
+    assert psi.breakpoints == eta1.breakpoints
+    for got, load in zip(psi.derivative(2).pieces, eta1.pieces):
+        np.testing.assert_allclose(got[:load.size], -load, rtol=1e-15, atol=1e-15)
+        assert np.all(np.abs(got[load.size:]) <= 1e-15)
+    _, jumps, slope_jumps = psi.jumps()
+    assert psi(0.0) == 0.0 and abs(psi(1.0)) <= 1e-15
+    assert np.all(np.abs(jumps[1:-1]) <= 1e-15) and np.all(np.abs(slope_jumps[1:-1]) <= 1e-15)
+
+
 def test_lift_combines_displacement_and_potential():
     eta0 = PiecewiseProfile((), [[0.0, 1.0, -1.0]])   # x(1-x)
     eta1 = PiecewiseProfile((), [[1.0]])
@@ -205,6 +233,16 @@ def test_extension_jumps_match_one_sided_limits():
 def test_extension_rejects_nonvanishing_endpoint():
     with pytest.raises(BeamError):
         extend_odd_smooth(reference_datum())
+
+
+@pytest.mark.parametrize("cutoff_s", [True, "1.9", None, 1.9 + 0j])
+def test_extension_rejects_a_cutoff_order_that_is_not_real(cutoff_s):
+    with pytest.raises(ValueError, match="^cutoff_s: need a real number, got "):
+        extend_odd_smooth(pulse_datum(), cutoff_s)
+
+
+def test_extension_takes_a_numpy_cutoff_order():
+    assert extend_odd_smooth(pulse_datum(), np.float64(1.6)).cutoff_s == 1.6
 
 
 # -------------------------------------------------------------- beam march

@@ -37,6 +37,18 @@ def test_builtin_scenarios_wellformed():
     assert set(scs) == {"reference", "gentle", "zero", "eigenmode-check", "beam"}
 
 
+def test_pulse_datum_has_the_hand_assembled_coefficients():
+    # the sum of its real and imaginary one-piece profiles gives the bytes
+    # of the coefficients assembled by hand
+    re = np.array([0, 0, 0, 20.0, -60.0, 60.0, -20.0])
+    im = np.array([0, 0, 0, 20.0, -100.0, 180.0, -140.0, 40.0])
+    c = np.zeros(8, dtype=np.complex128)
+    c[:7] += re
+    c += 1j * im
+    (got,) = pulse_datum().pieces
+    assert got.dtype == c.dtype and got.tobytes() == c.tobytes()
+
+
 def test_scenario_validation():
     cfg = SimConfig(Nx=32, Nt=64, T=0.5)
     with pytest.raises(ScenarioError, match="equation"):

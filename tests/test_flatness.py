@@ -192,8 +192,23 @@ def test_truncation_out_of_range(K_u):
         FlatOutput(0.35, _seed(), 0.5, 1.9, K_u)
 
 
+@pytest.mark.parametrize("field, tau, T, s", [
+    ("tau", True, 1.2, 1.6),          # would pass as 1.0
+    ("tau", "1.4", 2.0, 1.6),
+    ("T", 1.4, "2.0", 1.6),
+    ("T", 1.4, None, 1.6),
+    ("s", 1.4, 2.0, "1.6"),
+    ("s", 1.4, 2.0, 1.6 + 0j),
+])
+def test_settings_reject_reals_that_are_not_real_numbers(field, tau, T, s):
+    with pytest.raises(ValueError, match=rf"^{field}: need a real number, got "):
+        flatness.check_settings(tau, T, s, 5, 5)
+
+
 def test_settings_take_numpy_integers():
     assert flatness.check_settings(1.4, 2.0, 1.6, np.int64(15), np.int32(0)) is None
+    assert flatness.check_settings(np.float64(1.4), np.float64(2.0), np.float64(1.6),
+                                   15, 15) is None
     assert FlatOutput(0.35, _seed(), 0.5, 1.9, np.int16(8)).jet_order == 14
 
 

@@ -33,6 +33,17 @@ def test_config_rejects_sizes_that_are_not_integers(field, value):
         SimConfig(T=0.5, **sizes)
 
 
+@pytest.mark.parametrize("T", [True, "0.5", None, 0.5 + 0j])
+def test_config_rejects_a_final_time_that_is_not_real(T):
+    # True would otherwise pass as 1.0, and a string fail in a comparison
+    with pytest.raises(ValueError, match=r"^T: need a real number, got "):
+        SimConfig(Nx=16, Nt=16, T=T)
+
+
+def test_config_takes_a_numpy_final_time():
+    assert SimConfig(Nx=16, Nt=16, T=np.float64(1.0)).dt == 0.0625
+
+
 def test_config_takes_numpy_integers_as_python_ints():
     # kept as Python ints, whose sums cannot wrap: a uint8 Nt = 255 plus 1
     # would be 0

@@ -160,6 +160,51 @@ def test_profile_validation(bps, pieces):
         PiecewiseProfile(bps, pieces)
 
 
+def _profile_pair():
+    """Two complex profiles of several piece sizes that share the
+    breakpoint 0.5 and have one each of their own."""
+    a = PiecewiseProfile((0.3, 0.5), [[1.0, -2.0 + 0.5j], [0.25j, 3.0, 0.0, -1.5],
+                                      [-0.7 + 0.1j]])
+    b = PiecewiseProfile((0.5, 0.85), [[0.4j], [2.0, -1.0j, 0.3], [1.0, 1.0]])
+    return a, b
+
+
+def test_profile_antiderivative_is_zero_at_0_continuous_and_differentiates_back():
+    a, _ = _profile_pair()
+    anti = a.antiderivative()
+    assert anti.breakpoints == a.breakpoints
+    assert anti(0.0) == 0.0
+    # the jumps at 0 and at each breakpoint, right limit minus left one
+    points, jumps, _ = anti.jumps()
+    assert jumps[0] == 0.0
+    scale = max(abs(anti(points)))
+    assert np.all(np.abs(jumps[1:-1]) <= 4 * np.finfo(float).eps * scale)
+    for got, want in zip(anti.derivative().pieces, a.pieces):
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+    # a closed form: x^2 - x on (0, 0.3), then a constant slope of 1
+    ramp = PiecewiseProfile((0.3,), [[-1.0, 2.0], [1.0]]).antiderivative()
+    xs = np.linspace(0.0, 1.0, 41)
+    want = np.where(xs < 0.3, xs * xs - xs, 0.09 - 0.3 + (xs - 0.3))
+    np.testing.assert_allclose(ramp(xs), want, rtol=0, atol=1e-15)
+
+
+def test_profile_sums_on_the_union_of_breakpoints():
+    a, b = _profile_pair()
+    xs = np.concatenate([np.linspace(0.0, 1.0, 101), [0.3, 0.5, 0.85]])
+    scale = np.abs(a(xs)) + np.abs(b(xs))
+    cases = [(a + b, a(xs) + b(xs)), (a - b, a(xs) - b(xs)),
+             (a + (0.5 - 2.0j) * b, a(xs) + (0.5 - 2.0j) * b(xs))]
+    for total, want in cases:
+        assert total.breakpoints == (0.3, 0.5, 0.85)
+        assert np.all(np.abs(total(xs) - want) <= 4 * np.finfo(float).eps * (1 + 2.1 * scale))
+    # a numpy scalar defers to the profile's own product
+    for factor in (np.float64(-3.0), np.complex128(1j)):
+        scaled = factor * a
+        assert isinstance(scaled, PiecewiseProfile) and scaled.breakpoints == a.breakpoints
+        err = np.abs(scaled(xs) - complex(factor) * a(xs))
+        assert np.all(err <= 4 * np.finfo(float).eps * (1 + 3.0 * np.abs(a(xs))))
+
+
 # ---------------------------------------------------------- boundary trace
 
 def test_boundary_trace_frozen_values(ref_datum):
@@ -882,8 +927,14 @@ def test_flat_coefficients_validation(ref_datum):
     for K in (True, False, 2.0, 2.5, "3"):
         with pytest.raises(ValueError, match=r"^K: need an integer"):
             flat_coefficients(ref_datum, 0.35, K)
-    # numpy's integers pass, with the bits of the Python int's seed
+    # tau is a real number, as check_settings asks: True would pass as 1.0
+    for tau in (True, "0.35", None):
+        with pytest.raises(ValueError, match=r"^tau: need a real number"):
+            flat_coefficients(ref_datum, tau, 2)
+    # numpy's integers pass, with the bits of the Python int's seed, and so
+    # does a numpy tau
     assert flat_coefficients(ref_datum, 0.35, np.int64(2)).tobytes() == \
+        flat_coefficients(ref_datum, np.float64(0.35), 2).tobytes() == \
         flat_coefficients(ref_datum, 0.35, 2).tobytes()
 
 
