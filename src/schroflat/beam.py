@@ -27,7 +27,7 @@ import numpy as np
 from .flatness import DEFAULT_SERIES_TRUNCATION, synthesize
 from .gevrey import check_order, step_jet
 from .schrodinger_sim import SimConfig, check_real
-from .sine_modes import CHUNK, chunk_states, power_rows, sine_modes
+from .sine_modes import CHUNK, chunk_states, power_rows, sine_modes, sine_row, sine_transform
 from .smoothing import ControlTrace, PiecewiseProfile
 
 EXTENSION_SUPPORT = 2.0
@@ -226,12 +226,15 @@ def beam_simulate(data, u1, u2, cfg: SimConfig, u2_avg):
     near t=0.  Returns a BeamResult with per-step energy history
     E(t) = (1/2) integral (eta_t^2 + eta_xx^2) dx (trapezoidal in x).
 
-    The march runs in sine modes: with eta = S eta_hat, p = S p_hat and w_k
-    the eigenvalues of the second difference, z = w eta_hat + i p_hat obeys
-    z <- r z + forcing, the forcing being the two boundary rows projected
-    onto the modes.  The energy is read from the modes, since S @ S =
-    (Nx/2) I: the interior p is S Im z, and the interior second difference,
-    with u1 at x = 1, is -S (Re z - u1 lift), lift = (2 / (Nx h^2)) S[-1].
+    The march runs in sine modes: with S the sine transform
+    (sine_transform), eta = S eta_hat, p = S p_hat and w_k the eigenvalues
+    of the second difference, z = w eta_hat + i p_hat obeys z <- r z +
+    forcing, the forcing being the two boundary rows projected onto the
+    modes.  The transform is its own inverse up to a factor, S S = (Nx/2)
+    I, so it projects the data onto the modes as well as rebuilding them,
+    and the energy is read from the modes: the interior p is S Im z, and
+    the interior second difference, with u1 at x = 1, is -S (Re z - u1
+    lift), lift = (2 / (Nx h^2)) times the last row of S.
     The lift is subtracted in each mode before squaring: expanding the
     square instead cancels |Re z|^2 against its cross term and loses up to
     seven digits on fine grids.  The state is rebuilt on the grid only at
@@ -255,18 +258,20 @@ def beam_simulate(data, u1, u2, cfg: SimConfig, u2_avg):
     moment = 2.0 * u2_avg
 
     nx = cfg.Nx
-    S, th, phase = sine_modes(nx, dt / (h * h))
+    sines, th, phase = sine_modes(nx, dt / (h * h))
     powers = power_rows(phase, np.arange(CHUNK + 1))
     w = 2.0 * th / dt
-    z = (2.0 / nx) * (w * (S @ eta) + 1j * (S @ p))
+    eta_hat, p_hat = sine_transform(np.stack([eta, p]))
+    z = (2.0 / nx) * (w * eta_hat + 1j * p_hat)
     # step k's boundary rows: b[-2] = U, b[-1] = -2U + h^2 M with
     # U = u1[k] + u1[k+1] and M the moment sum; they enter the velocity
     # update as -(dt / 2h^4) b
     kick = -1j * dt / (nx * h ** 4) / (1.0 + 1j * th)
-    from_u1 = kick * (S[-2] - 2.0 * S[-1])
-    from_moment = kick * h * h * S[-1]
+    last = sine_row(sines, nx - 1)
+    from_u1 = kick * (sine_row(sines, nx - 2) - 2.0 * last)
+    from_moment = kick * h * h * last
     u1_sum = u1[:-1] + u1[1:]
-    lift = (2.0 / (nx * h * h)) * S[-1]
+    lift = (2.0 / (nx * h * h)) * last
 
     def modal_energy(zs, k):
         # trapezoidal in x: both integrands vanish at the hinge x = 0
@@ -296,7 +301,7 @@ def beam_simulate(data, u1, u2, cfg: SimConfig, u2_avg):
         energies[m + 1:m + n + 1] = modal_energy(zs, slice(m + 1, m + n + 1))
         for idx in snap_idx[(snap_idx > m) & (snap_idx <= m + n)]:
             zk = zs[idx - m - 1]
-            snapshots.append(snapshot(idx, (zk.real / w) @ S, zk.imag @ S))
+            snapshots.append(snapshot(idx, *sine_transform(np.stack([zk.real / w, zk.imag]))))
     return BeamResult(snapshots, times, energies)
 
 

@@ -22,12 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sine_modes import CHUNK, apply_sine, complex_product, power_rows, sine_modes
+from .sine_modes import (CHUNK, complex_product, power_rows, sine_modes, sine_row,
+                         sine_transform)
 
-# The finest grid a run takes.  sine_modes peaks at 1.5 times the size of
-# its dense (Nx-1)^2 float table S, int32 index included (tracemalloc: 201
-# MB at Nx = 4096): about 0.8 GB at this bound, 4.8 GB at Nx = 20,000.  It
-# sits above every builtin and the Nx = 3,200 of a 5-level reference study.
+# The finest grid a run takes.  The marches hold no (Nx-1)^2 array: they
+# apply the sine transform by FFT, and their largest arrays are CHUNK + 1
+# rows of Nx - 1 complex modes, 34 MB each at this bound.  A forced march
+# holds two (the power table and the gain), a beam march's chunk of states
+# a few more; tracemalloc at this bound, Nt = 1,024 and 3 snapshots: 69 MB
+# forced, 2.8 MB free, 203 MB for the beam.  The frames come on top, bounded
+# by MAX_FRAME_CELLS.  It sits above every builtin and the Nx = 3,200 of a
+# 5-level reference study.
 MAX_NX = 8192
 
 # The most time steps a run takes.  A synthesized Schrodinger run holds
@@ -133,27 +138,28 @@ def grid_l2_norm(values, dx):
 def _march(theta, ub, lam, snap_idx):
     """Crank-Nicolson frames at the sorted step indices snap_idx.
 
-    The interior field is v = S c in sine modes.  The boundary values enter
-    the last interior row as (i lam/2)(u_m + u_{m+1}); the datum's left end
-    value enters the first row at the first step's old level only, since
-    marched fields are clamped to 0 there.  A march whose boundary sums
-    u_m + u_{m+1} all vanish adds no forcing product and builds only the
-    power rows it reads: r^1 and r^n for each chunk length n it steps.
+    The interior field is v = S c in sine modes, S applied by
+    sine_transform.  The boundary values enter the last interior row as
+    (i lam/2)(u_m + u_{m+1}); the datum's left end value enters the first
+    row at the first step's old level only, since marched fields are
+    clamped to 0 there.  A march whose boundary sums u_m + u_{m+1} all
+    vanish adds no forcing product and builds only the power rows it reads:
+    r^1 and r^n for each chunk length n it steps.
     """
     nx = theta.size - 1
-    S, th, phase = sine_modes(nx, lam)
+    sines, th, phase = sine_modes(nx, lam)
     kick = 1j * lam / nx / (1.0 + 1j * th)
     f = ub[:-1] + ub[1:]
     forced = f.any()
     rows = np.arange(CHUNK + 1) if forced else np.array([1])
     table = power_rows(phase, rows)
     powers = dict(zip(rows.tolist(), table))
-    c = (2.0 / nx) * apply_sine(S, theta[1:-1])
+    c = (2.0 / nx) * sine_transform(theta[1:-1])
     # folded in as r^-1 times its forcing, so the first step adds it once
-    c += kick * S[0] * theta[0] * powers[1].conj()
+    c += kick * sine_row(sines, 1) * theta[0] * powers[1].conj()
     if forced:
         # c after L steps of a chunk starting at m: r^L c + f[m:m+L] @ gain[-L:]
-        gain = kick * S[-1] * table[CHUNK - 1::-1]
+        gain = kick * sine_row(sines, nx - 1) * table[CHUNK - 1::-1]
     out = np.empty((snap_idx.size, theta.size), dtype=np.complex128)
     step = 0
     for i, idx in enumerate(snap_idx):
@@ -169,7 +175,7 @@ def _march(theta, ub, lam, snap_idx):
             out[i] = theta
         else:
             out[i, 0] = 0.0
-            out[i, 1:-1] = apply_sine(S, c)
+            out[i, 1:-1] = sine_transform(c)
             out[i, -1] = ub[idx]
     return out
 

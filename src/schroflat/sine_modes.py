@@ -15,8 +15,11 @@ with theta_k = dt w_k / 2 = 2 (dt/h^2) sin^2(k pi / 2Nx) and |r_k| = 1, so
 the recurrence is exact up to rounding and needs no linear solve.  The
 callers advance it in chunks of at most CHUNK steps, each chunk in a few
 array operations whose scratch arrays hold at most CHUNK rows of Nx - 1
-modes.  The dense S costs O(Nx^2) memory and needs no FFT module, but only
-2 Nx sines: its entries repeat the values sin(m pi / Nx), m = jk mod 2 Nx.
+modes.  S itself is never formed.  Its product with a vector is the
+discrete sine transform DST-I, one FFT of the vector's odd extension of
+length 2 Nx (sine_transform), O(Nx log Nx) time and O(Nx) memory.  The few
+rows of S the boundary terms read take only the 2 Nx values sin(m pi / Nx),
+m = jk mod 2 Nx, and are gathered from that table (sine_row).
 The powers r_k^j of a chunk are the cosines and sines of the real angles
 j phi_k, phi_k = -2 atan(theta_k), with no complex exponential.  They are
 built row by row on request (power_rows): a march with boundary forcing
@@ -24,28 +27,46 @@ reads every row j = 0 .. CHUNK, a march without it only r^1 and the r^n
 of the chunk lengths n it steps.
 """
 import numpy as np
+from numpy.fft import fft, rfft
 
 CHUNK = 256
 
 
 def sine_modes(nx, lam):
-    """(S, theta, phase) for a grid of nx intervals and lam = dt/h^2.
+    """(table, theta, phase) for a grid of nx intervals and lam = dt/h^2.
 
-    S[j-1, k-1] = sin(jk pi / nx) is symmetric and takes only the 2 nx
-    values sin(m pi / nx), m = jk mod 2 nx: they are computed once and
-    gathered, every entry rounded once from an argument below 2 pi.  The
-    index jk is formed in int32, half the size of a default integer table:
-    jk < nx^2, and (schrodinger_sim.MAX_NX - 1)^2 < 2^31.
+    table[m] = sin(m pi / nx), m = 0 .. 2 nx - 1, holds every value of S,
+    each rounded once from an argument below 2 pi (see sine_row).
     theta[k-1] = 2 lam sin^2(k pi / 2nx), and phase = -2 atan(theta) is
     the phase of the Cayley factor r (see power_rows).
     """
-    k32 = np.arange(1, nx, dtype=np.int32)
-    index = np.multiply.outer(k32, k32)
-    index %= 2 * nx
-    S = np.sin(np.pi / nx * np.arange(2 * nx))[index]
+    table = np.sin(np.pi / nx * np.arange(2 * nx))
     k = np.arange(1, nx)
     theta = 2.0 * lam * np.sin(0.5 * np.pi / nx * k) ** 2
-    return S, theta, -2.0 * np.arctan(theta)
+    return table, theta, -2.0 * np.arctan(theta)
+
+
+def sine_row(table, j):
+    """Row j of S, sin(jk pi / nx) for k = 1 .. nx-1, gathered from
+    sine_modes' table at jk mod 2 nx."""
+    nx = table.size // 2
+    return table[j * np.arange(1, nx) % (2 * nx)]
+
+
+def sine_transform(v):
+    """S @ v along v's last axis of nx - 1 values, real or complex.
+
+    The FFT of the odd extension [0, v, 0, -v reversed] is -2i S v at
+    its entries 1 .. nx-1.  For a real v the half spectrum (rfft) holds
+    them, and S v is -1/2 its imaginary part.  Rows of a stacked v are
+    transformed independently.
+    """
+    zero = np.zeros(v.shape[:-1] + (1,), dtype=v.dtype)
+    odd = np.concatenate([zero, v, zero, -v[..., ::-1]], axis=-1)
+    n = v.shape[-1]
+    if np.iscomplexobj(v):
+        return 0.5j * fft(odd)[..., 1:n + 1]
+    return -0.5 * rfft(odd).imag[..., 1:n + 1]
 
 
 def power_rows(phase, j):
@@ -72,11 +93,6 @@ def complex_product(a, b):
     """
     w = np.stack([a.real, a.imag]) @ b.view(np.float64)
     return w[0].view(np.complex128) + 1j * w[1].view(np.complex128)
-
-
-def apply_sine(S, v):
-    """S @ v for a complex v through two real products (see complex_product)."""
-    return S @ v.real + 1j * (S @ v.imag)
 
 
 def chunk_states(z, powers, forcing):

@@ -33,12 +33,15 @@ The package also marches both equations in sine modes, chunks of steps at
 a time.  The step-by-step banded solves of the same two schemes are kept
 here, with a grid solve of the beam's Poisson lift; they need scipy, which
 the package itself does not import.  So are the marches' tables computed
-entry by entry (sine_modes_direct), which the package gathers from their
-distinct values, and the Schrodinger march that always forms the full
-table of powers and a forcing product per chunk (march_chunked), which the
-package skips when the boundary data vanish, and the beam march that
-rebuilds every step on the grid for its energy (beam_simulate_grid), where
-the package reads the energy from the modes.
+entry by entry (sine_modes_direct): the dense sine matrix S, which the
+package never forms (it applies S by FFT and gathers the few rows it reads
+from the distinct values), and the powers.  The Schrodinger march with
+dense products by S (march_dense) is kept, as is the one that always forms
+the full table of powers and a forcing product per chunk (march_chunked),
+which the package skips when the boundary data vanish, and the beam march
+that rebuilds every step on the grid for its energy (beam_simulate_grid),
+where the package reads the energy from the modes; it also runs on dense
+products by S.
 """
 import math
 from dataclasses import dataclass
@@ -52,8 +55,8 @@ from schroflat import kernel, quadrature
 from schroflat.quadrature import (_FLOOR_FACTOR, GAUSS_IDX, NODES, WEIGHTS_GAUSS,
                                   WEIGHTS_KRONROD, QuadratureError, integrate_batch)
 from schroflat.beam import BeamResult, BeamSnapshot
-from schroflat.sine_modes import (CHUNK, apply_sine, chunk_states, complex_product,
-                                  power_rows, sine_modes)
+from schroflat.sine_modes import (CHUNK, chunk_states, complex_product, power_rows,
+                                  sine_modes, sine_row, sine_transform)
 from schroflat.flatness import _MIPOW, FlatOutput, _series_terms, control_trace
 from schroflat.smoothing import (_IPOW, _PHASE_SPAN, PHASE_SMOOTHING, ControlTrace,
                                  _convolutions, _jump_terms, boundary_trace,
@@ -689,14 +692,61 @@ def verify_gevrey_bound(t, coeffs, bound):
 # ------------------------------------------------------------- marches
 
 def sine_modes_direct(nx, lam):
-    """sine_modes' tables entry by entry: one sine per entry of S, and r^j
-    as the complex exponential of i j phase."""
+    """sine_modes' tables entry by entry: the dense sine matrix S, one sine
+    per entry, and r^j as the complex exponential of i j phase."""
     k = np.arange(1, nx)
     S = np.sin(np.pi / nx * (np.outer(k, k) % (2 * nx)))
     theta = 2.0 * lam * np.sin(0.5 * np.pi / nx * k) ** 2
     phase = -2.0 * np.arctan(theta)
     powers = np.exp(1j * np.arange(CHUNK + 1)[:, None] * phase[None, :])
     return S, theta, powers
+
+
+def sine_row_direct(nx, j):
+    """Row j of sine_modes_direct's S alone, by the same formula."""
+    return np.sin(np.pi / nx * (j * np.arange(1, nx) % (2 * nx)))
+
+
+def apply_sine(S, v):
+    """S @ v for a complex v through two real products."""
+    return S @ v.real + 1j * (S @ v.imag)
+
+
+def march_dense(theta, ub, lam, snap_idx):
+    """The package's march (schrodinger_sim._march) with the dense sine
+    matrix S of sine_modes_direct in place of the FFT and the table rows:
+    O(Nx^2) time and memory per projection and frame."""
+    nx = theta.size - 1
+    S = sine_modes_direct(nx, lam)[0]
+    _, th, phase = sine_modes(nx, lam)
+    kick = 1j * lam / nx / (1.0 + 1j * th)
+    f = ub[:-1] + ub[1:]
+    forced = f.any()
+    rows = np.arange(CHUNK + 1) if forced else np.array([1])
+    table = power_rows(phase, rows)
+    powers = dict(zip(rows.tolist(), table))
+    c = (2.0 / nx) * apply_sine(S, theta[1:-1])
+    c += kick * S[0] * theta[0] * powers[1].conj()
+    if forced:
+        gain = kick * S[-1] * table[CHUNK - 1::-1]
+    out = np.empty((snap_idx.size, theta.size), dtype=np.complex128)
+    step = 0
+    for i, idx in enumerate(snap_idx):
+        while step < idx:
+            n = min(CHUNK, idx - step)
+            if n not in powers:
+                powers[n] = power_rows(phase, np.array([n]))[0]
+            c = powers[n] * c
+            if forced:
+                c += complex_product(f[step:step + n], gain[CHUNK - n:])
+            step += n
+        if idx == 0:
+            out[i] = theta
+        else:
+            out[i, 0] = 0.0
+            out[i, 1:-1] = apply_sine(S, c)
+            out[i, -1] = ub[idx]
+    return out
 
 
 def march_chunked(theta, ub, lam, snap_idx):
@@ -707,15 +757,15 @@ def march_chunked(theta, ub, lam, snap_idx):
     no forcing product and builds only the powers it reads.
     """
     nx = theta.size - 1
-    S, th, phase = sine_modes(nx, lam)
+    sines, th, phase = sine_modes(nx, lam)
     angle = np.arange(CHUNK + 1)[:, None] * phase
     powers = np.empty(angle.shape, dtype=np.complex128)
     np.cos(angle, out=powers.real)
     np.sin(angle, out=powers.imag)
     kick = 1j * lam / nx / (1.0 + 1j * th)
-    c = (2.0 / nx) * apply_sine(S, theta[1:-1])
-    c += kick * S[0] * theta[0] * powers[1].conj()
-    gain = kick * S[-1] * powers[CHUNK - 1::-1]
+    c = (2.0 / nx) * sine_transform(theta[1:-1])
+    c += kick * sine_row(sines, 1) * theta[0] * powers[1].conj()
+    gain = kick * sine_row(sines, nx - 1) * powers[CHUNK - 1::-1]
     f = ub[:-1] + ub[1:]
     out = np.empty((snap_idx.size, theta.size), dtype=np.complex128)
     step = 0
@@ -728,7 +778,7 @@ def march_chunked(theta, ub, lam, snap_idx):
             out[i] = theta
         else:
             out[i, 0] = 0.0
-            out[i, 1:-1] = apply_sine(S, c)
+            out[i, 1:-1] = sine_transform(c)
             out[i, -1] = ub[idx]
     return out
 
@@ -860,13 +910,15 @@ def _energies(eta, p, u1, u2, du1, h):
     return 0.5 * h * (inner + 0.5 * (du1 ** 2 + u2 ** 2))
 
 
-def beam_simulate_grid(data, u1, u2, cfg, u2_avg):
+def beam_simulate_grid(data, u1, u2, cfg, u2_avg, dense=False):
     """beam_simulate with every step's state rebuilt on the grid.
 
     The same modal march, but each chunk of states goes back to the grid
-    through two dense Nx x Nx products, and the energy is the trapezoidal
-    sum of finite differences there (_energies).  Snapshots are rows of
-    those products.
+    through the sine transform, and the energy is the trapezoidal sum of
+    finite differences there (_energies).  Snapshots are rows of those
+    transforms.  With dense=True every product with S, the projections
+    and boundary rows included, is a dense product with sine_modes_direct's
+    S in place of the package's FFT and table rows.
     """
     x = np.linspace(0.0, 1.0, cfg.Nx + 1)
     h = cfg.dx
@@ -886,16 +938,22 @@ def beam_simulate_grid(data, u1, u2, cfg, u2_avg):
     moment = 2.0 * u2_avg
 
     nx = cfg.Nx
-    S, th, phase = sine_modes(nx, dt / (h * h))
+    sines, th, phase = sine_modes(nx, dt / (h * h))
+    if dense:
+        S = sine_modes_direct(nx, 1.0)[0]
+        transform, before_last, last = (lambda v: v @ S), S[-2], S[-1]
+    else:
+        transform = sine_transform
+        before_last, last = sine_row(sines, nx - 2), sine_row(sines, nx - 1)
     powers = power_rows(phase, np.arange(CHUNK + 1))
     w = 2.0 * th / dt
-    z = (2.0 / nx) * (w * (S @ eta) + 1j * (S @ p))
+    z = (2.0 / nx) * (w * transform(eta) + 1j * transform(p))
     # step k's boundary rows: b[-2] = U, b[-1] = -2U + h^2 M with
     # U = u1[k] + u1[k+1] and M the moment sum; they enter the velocity
     # update as -(dt / 2h^4) b
     kick = -1j * dt / (nx * h ** 4) / (1.0 + 1j * th)
-    from_u1 = kick * (S[-2] - 2.0 * S[-1])
-    from_moment = kick * h * h * S[-1]
+    from_u1 = kick * (before_last - 2.0 * last)
+    from_moment = kick * h * h * last
     u1_sum = u1[:-1] + u1[1:]
 
     times = cfg.times()
@@ -917,8 +975,8 @@ def beam_simulate_grid(data, u1, u2, cfg, u2_avg):
                    + np.outer(moment[m:m + n], from_moment))
         zs = chunk_states(z, powers, forcing)
         z = zs[-1]
-        eta_c = (zs.real / w) @ S
-        p_c = zs.imag @ S
+        eta_c = transform(zs.real / w)
+        p_c = transform(zs.imag)
         k = slice(m + 1, m + n + 1)
         energies[k] = _energies(eta_c, p_c, u1[k], u2[k], du1[k], h)
         for idx in snap_idx[(snap_idx > m) & (snap_idx <= m + n)]:

@@ -9,10 +9,15 @@ beam march reads its energy from the modes and rebuilds the grid only at
 snapshots; beam_simulate_grid, the same modal march rebuilt on the grid
 every step, agrees with it to rounding alone: energies within 1e-12
 relative and snapshots within 1e-14 of their largest value.  The
-tables both marches share equal their entry-by-entry formulas, S bit for
-bit.  The Schrodinger march, which skips the forcing products and the
-unread powers where the boundary data vanish, equals march_chunked, which
-never does, bit for bit.
+tables both marches share equal their entry-by-entry formulas: the rows of
+S they read bit for bit, and the FFT sine transform the dense product by S
+to rounding.  With dense products by S in place of the transform the
+marches agree to rounding alone: frames within 1e-13 max|theta|, beam
+energies within 1e-11 relative, eta within 1e-13 and eta_t within 1e-10
+of their largest value (the high modes' frequencies w turn the
+projection's rounding into velocity error).  The Schrodinger march, which
+skips the forcing products and the unread powers where the boundary data
+vanish, equals march_chunked, which never does, bit for bit.
 """
 import dataclasses
 
@@ -23,27 +28,42 @@ from schroflat import schrodinger_sim
 from schroflat import BeamData, SimConfig, beam_controls, beam_simulate, simulate
 from schroflat.cli import builtin_scenarios, pulse_datum, sine_profile, synthesize_control
 from schroflat.schrodinger_sim import MAX_NX, _march
-from schroflat.sine_modes import CHUNK, complex_product, power_rows, sine_modes
+from schroflat.sine_modes import (CHUNK, complex_product, power_rows, sine_modes, sine_row,
+                                  sine_transform)
 from schroflat.smoothing import PiecewiseProfile
 
 from oracles import (beam_simulate_banded, beam_simulate_grid, march_banded, march_chunked,
-                     sine_modes_direct)
+                     march_dense, sine_modes_direct, sine_row_direct)
 
 FRAME_TOL = 1e-10
 ENERGY_TOL = 1e-9
 GRID_ENERGY_TOL = 1e-12
 GRID_FIELD_TOL = 1e-14
+DENSE_FRAME_TOL = 1e-13
+DENSE_ENERGY_TOL = 1e-11
+DENSE_ETA_TOL = 1e-13
+DENSE_ETA_T_TOL = 1e-10
 
 
 @pytest.mark.parametrize("lam", [1e-2, 0.5, 20.0, 1e3])
 @pytest.mark.parametrize("nx", [16, 17, 128, 200, 400, 1601])
 def test_sine_mode_tables_match_direct_formulas(nx, lam):
-    # S gathers the very sines the direct table computes, bit for bit; the
-    # powers' real cos/sin agree with exp in value, but row 0's imaginary
-    # part is sin(-0.0) = -0.0 where exp gives +0.0
-    S, theta, phase = sine_modes(nx, lam)
+    # the rows the marches read gather the very sines the dense S computes,
+    # bit for bit; the FFT transform of real, complex and row-stacked input
+    # rounds differently from the dense product, within 16 eps log2(2 nx)
+    # of its largest value; the powers' real cos/sin agree with exp in
+    # value, but row 0's imaginary part is sin(-0.0) = -0.0 where exp gives
+    # +0.0
+    sines, theta, phase = sine_modes(nx, lam)
     S_ref, theta_ref, powers_ref = sine_modes_direct(nx, lam)
-    assert S.tobytes() == S_ref.tobytes()
+    for j in (1, nx - 2, nx - 1):
+        assert sine_row(sines, j).tobytes() == S_ref[j - 1].tobytes()
+    v = np.random.default_rng(nx).standard_normal((4, nx - 1))
+    tol = 16 * np.finfo(np.float64).eps * np.log2(2 * nx)
+    for x in (v[0], v[1] + 1j * v[2], v[1:]):
+        got, want = sine_transform(x), x @ S_ref
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.max(np.abs(got - want)) <= tol * np.max(np.abs(want))
     assert theta.tobytes() == theta_ref.tobytes()
     powers = power_rows(phase, np.arange(CHUNK + 1))
     assert powers.shape == powers_ref.shape == (CHUNK + 1, nx - 1)
@@ -56,13 +76,16 @@ def test_sine_mode_tables_match_direct_formulas(nx, lam):
         assert rows.tobytes() == powers[j].tobytes()
 
 
-def test_sine_mode_index_fits_int32_up_to_the_grid_ceiling():
-    assert (MAX_NX - 1) ** 2 <= np.iinfo(np.int32).max
+def test_sine_rows_match_direct_formula_at_the_grid_ceiling():
+    # where the dense S would take 0.5 GB, its rows are still its own bits
+    sines = sine_modes(MAX_NX, 1.0)[0]
+    for j in (1, MAX_NX - 2, MAX_NX - 1):
+        assert sine_row(sines, j).tobytes() == sine_row_direct(MAX_NX, j).tobytes()
 
 
-def _assert_frames_close(frames, reference, theta_max):
+def _assert_frames_close(frames, reference, theta_max, tol=FRAME_TOL):
     assert frames.shape == reference.shape
-    assert np.max(np.abs(frames - reference)) <= FRAME_TOL * theta_max
+    assert np.max(np.abs(frames - reference)) <= tol * theta_max
 
 
 def _grid_samples(trace):
@@ -81,12 +104,24 @@ def _march_both(theta0, ub, cfg, oracle=march_banded):
     return frames, reference, np.max(np.abs(frames))
 
 
-def test_controlled_run_matches_banded_march():
+@pytest.fixture(scope="module")
+def gentle_run():
     sc = builtin_scenarios()["gentle"]
     assert (sc.sim.Nx, sc.sim.Nt) == (200, 4000)
     trace, _, _ = synthesize_control(sc)
-    frames, reference, theta_max = _march_both(sc.theta0, _grid_samples(trace), sc.sim)
+    return sc, _grid_samples(trace)
+
+
+def test_controlled_run_matches_banded_march(gentle_run):
+    sc, ub = gentle_run
+    frames, reference, theta_max = _march_both(sc.theta0, ub, sc.sim)
     _assert_frames_close(frames, reference, theta_max)
+
+
+def test_controlled_run_matches_dense_march(gentle_run):
+    sc, ub = gentle_run
+    frames, dense, theta_max = _march_both(sc.theta0, ub, sc.sim, march_dense)
+    _assert_frames_close(frames, dense, theta_max, DENSE_FRAME_TOL)
 
 
 def test_free_run_matches_banded_march():
@@ -109,6 +144,14 @@ def test_free_run_matches_chunked_march_bit_for_bit(nx):
     assert set(np.diff(cfg.snapshot_indices()).tolist()) == {166, 167}
     frames, chunked, _ = _march_both(_skewed_pulse, None, cfg, march_chunked)
     assert frames.tobytes() == chunked.tobytes()
+
+
+@pytest.mark.parametrize("nx", [16, 17, 128, 400])
+def test_free_run_matches_dense_march(nx):
+    # the FFT and the table rows against dense products by S
+    cfg = SimConfig(Nx=nx, Nt=1000, T=0.5, snapshot_count=7)
+    frames, dense, theta_max = _march_both(_skewed_pulse, None, cfg, march_dense)
+    _assert_frames_close(frames, dense, theta_max, DENSE_FRAME_TOL)
 
 
 def test_forced_run_matches_chunked_march_bit_for_bit():
@@ -166,14 +209,15 @@ def test_march_chunking_and_snapshots(nx, nt, snap_idx):
                          np.max(np.abs(theta)))
 
 
-def _assert_beam_results_close(got, want, energy_tol, field_tol):
+def _assert_beam_results_close(got, want, energy_tol, field_tol, eta_t_tol=None):
     np.testing.assert_array_equal(got.times, want.times)
     assert np.max(np.abs(got.energy - want.energy) / want.energy) <= energy_tol
     assert [s.t for s in got.snapshots] == [s.t for s in want.snapshots]
-    for field in ("eta", "eta_t"):
+    tols = {"eta": field_tol, "eta_t": field_tol if eta_t_tol is None else eta_t_tol}
+    for field, tol in tols.items():
         a = np.array([getattr(s, field) for s in got.snapshots])
         b = np.array([getattr(s, field) for s in want.snapshots])
-        assert np.max(np.abs(a - b)) <= field_tol * np.max(np.abs(b))
+        assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
 
 
 def _assert_beam_close(data, u1, u2, cfg, u2_avg=None):
@@ -238,3 +282,20 @@ def test_beam_short_runs_match_grid_energy_march(nx, nt):
     cfg, data, u1, u2, u2_avg = _short_run(nx, nt)
     _assert_beam_matches_grid(data, u1, u2, cfg)
     _assert_beam_matches_grid(data, u1, u2, cfg, u2_avg=u2_avg)
+
+
+def _assert_beam_matches_dense(data, u1, u2, cfg, u2_avg):
+    _assert_beam_results_close(beam_simulate(data, u1, u2, cfg, u2_avg),
+                               beam_simulate_grid(data, u1, u2, cfg, u2_avg, dense=True),
+                               DENSE_ENERGY_TOL, DENSE_ETA_TOL, DENSE_ETA_T_TOL)
+
+
+def test_beam_controlled_run_matches_dense_march(builtin_beam):
+    cfg, data, ctl = builtin_beam
+    _assert_beam_matches_dense(data, ctl.u1, ctl.u2, cfg, ctl.u2_avg)
+
+
+@pytest.mark.parametrize("nx, nt", [(16, 100), (32, CHUNK), (16, 700)])
+def test_beam_short_runs_match_dense_march(nx, nt):
+    cfg, data, u1, u2, u2_avg = _short_run(nx, nt)
+    _assert_beam_matches_dense(data, u1, u2, cfg, u2_avg)
